@@ -23,6 +23,10 @@ RANK_RTOL = 1e-8
 #: A declared eigenvalue must sit this close to the computed spectrum.
 DRIFT_RADIUS = 1e-6
 
+#: A real chain's Gram anchor below this fraction of ``||h|| ||chain||^2``
+#: is degenerate.
+GRAM_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class BlockChain:
@@ -62,8 +66,7 @@ def _nullspace(m: np.ndarray, threshold: float) -> np.ndarray:
     return vh.conj().T[:, mask]
 
 
-def _block_chain(a: np.ndarray, block: BlockSpec, rank_rtol: float,
-                 drift_radius: float) -> np.ndarray:
+def _block_chain(a: np.ndarray, block: BlockSpec) -> np.ndarray:
     n = a.shape[0]
     p = block.size
     real_block = block.kind == REAL
@@ -78,7 +81,7 @@ def _block_chain(a: np.ndarray, block: BlockSpec, rank_rtol: float,
     # largest singular values grow like ||B||^j and would swallow genuine
     # small directions (and a power of the nilpotent part may be the zero
     # matrix, carrying no scale at all)
-    threshold = rank_rtol * max(mat_norm(b), np.finfo(float).tiny)
+    threshold = RANK_RTOL * max(mat_norm(b), np.finfo(float).tiny)
     basis = np.zeros((n, 0), dtype=b.dtype)
     nullities = []
     for _ in range(p + 1):
@@ -92,9 +95,9 @@ def _block_chain(a: np.ndarray, block: BlockSpec, rank_rtol: float,
         if not nullities or nullities[0] == 0:
             eigs = np.linalg.eigvals(a)
             dist = float(np.min(np.abs(eigs - block.lam)))
-            if dist > drift_radius * max(1.0, mat_norm(a)):
+            if dist > DRIFT_RADIUS * max(1.0, mat_norm(a)):
                 raise EigenvalueDriftError(
-                    f"no spectrum point within {drift_radius:.1e} of {block.lam} "
+                    f"no spectrum point within {DRIFT_RADIUS:.1e} of {block.lam} "
                     f"(nearest at distance {dist:.3e})")
         raise StructureMismatchError(
             f"nullity staircase {nullities} contradicts a single block of "
@@ -121,9 +124,7 @@ def _block_chain(a: np.ndarray, block: BlockSpec, rank_rtol: float,
     return np.stack(cols, axis=1)
 
 
-def jordan_chains(a: np.ndarray, spec: JordanSpec, *,
-                  rank_rtol: float = RANK_RTOL,
-                  drift_radius: float = DRIFT_RADIUS) -> ChainSet:
+def jordan_chains(a: np.ndarray, spec: JordanSpec) -> ChainSet:
     """Extract one Jordan chain per block of ``spec`` from ``a``.
 
     Each chain matrix has full column rank, satisfies the chain recurrences
@@ -145,8 +146,7 @@ def jordan_chains(a: np.ndarray, spec: JordanSpec, *,
             f"matrix size {a.shape} does not match spec size {spec.total_size}")
     chains = []
     for off, block in spec.offsets():
-        chains.append(BlockChain(block, off,
-                                 _block_chain(a, block, rank_rtol, drift_radius)))
+        chains.append(BlockChain(block, off, _block_chain(a, block)))
     return ChainSet(spec, tuple(chains))
 
 
@@ -179,8 +179,7 @@ def fit_chain_to(chain: np.ndarray, target: np.ndarray) -> np.ndarray:
     return chain_combination(chain, coeffs)
 
 
-def reduce_real_chain(chain: np.ndarray, h: np.ndarray, *,
-                      tol: float = 1e-10) -> tuple[np.ndarray, int]:
+def reduce_real_chain(chain: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, int]:
     """Recombine a real-eigenvalue chain so its Gram matrix is the signed
     anti-identity, and report that sign.
 
@@ -193,7 +192,7 @@ def reduce_real_chain(chain: np.ndarray, h: np.ndarray, *,
     Raises
     ------
     DegenerateGramError
-        When ``|g0|`` is below ``tol * ||h|| * ||chain||^2``.
+        When ``|g0|`` is below ``GRAM_RTOL * ||h|| * ||chain||^2``.
     """
     from .pipeline import toeplitz_inv_sqrt  # shared kernel; no cycle at import time
 
@@ -202,7 +201,7 @@ def reduce_real_chain(chain: np.ndarray, h: np.ndarray, *,
     x = chain.T @ np.real(h) @ chain
     anti = np.diag(np.fliplr(x))
     g0 = float(np.mean(anti))
-    floor = tol * max(mat_norm(h) * mat_norm(chain) ** 2, np.finfo(float).tiny)
+    floor = GRAM_RTOL * max(mat_norm(h) * mat_norm(chain) ** 2, np.finfo(float).tiny)
     if abs(g0) < floor:
         raise DegenerateGramError(
             f"chain Gram anchor {g0:.3e} below degeneracy floor {floor:.3e}")

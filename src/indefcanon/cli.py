@@ -26,18 +26,12 @@ import numpy as np
 
 from . import serialize
 from .errors import CanonError
-from .harness import (
-    KIND_FOCS,
-    KIND_RC,
-    MODE_STRICT,
-    MODE_WEAK,
-    estimate_lipschitz,
-    generate_instance,
-)
+from .harness import MODE_STRICT, MODE_WEAK, estimate_lipschitz, generate_instance
 from .linalg import DEFAULT_TOL, affiliation_residuals, mat_norm
 from .pipeline import ROLE_FO, ROLE_FOCS, ROLE_RC, CanonicalBasis, focs_basis
 from .rc import rc_basis
 from .structure import (
+    CS_TOL,
     conjugate_symmetry_fit,
     h_selfadjoint_residual,
     jordan_form,
@@ -88,6 +82,8 @@ def _parse_gamma(text: str) -> complex:
         raise click.BadParameter(f"cannot parse gamma {text!r}")
     if g == 0:
         raise click.BadParameter("gamma must be nonzero")
+    if not np.isfinite(g):
+        raise click.BadParameter(f"gamma must be finite, got {text!r}")
     return g
 
 
@@ -115,7 +111,7 @@ def main():
 @main.command()
 @click.option("--spec-file", required=True, type=click.Path(), help="Jordan structure JSON.")
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--kind", type=click.Choice([KIND_FOCS, KIND_RC]), default=KIND_FOCS,
+@click.option("--kind", type=click.Choice([ROLE_FOCS, ROLE_RC]), default=ROLE_FOCS,
               show_default=True, help="Reference basis kind stored on the instance.")
 @click.option("--gamma", default="1", show_default=True,
               help="Conjugate-symmetry scalar for focs references.")
@@ -230,7 +226,7 @@ def verify(in_file, basis_file, tol, expect, norm):
         gamma, cs_res, _ = conjugate_symmetry_fit(basis_c, spec, norm=norm)
         scale = max(1.0, mat_norm(basis_c, norm))
         rows.append((f"conjugate symmetry (gamma {gamma:.6g})", cs_res,
-                     cs_res <= max(tol, 1e-8 * scale)))
+                     cs_res <= max(tol, CS_TOL * scale)))
 
     width = max(len(r[0]) for r in rows)
     ok_all = True
@@ -247,7 +243,7 @@ def verify(in_file, basis_file, tol, expect, norm):
 @click.option("--trials", default=20, show_default=True, type=int)
 @click.option("--mode", type=click.Choice([MODE_STRICT, MODE_WEAK]),
               default=MODE_STRICT, show_default=True)
-@click.option("--kind", type=click.Choice([KIND_FOCS, KIND_RC]), default=None,
+@click.option("--kind", type=click.Choice([ROLE_FOCS, ROLE_RC]), default=None,
               help="Defaults to the instance reference kind.")
 @click.option("--out-csv", required=True, type=click.Path())
 @click.option("--out-json", default=None, type=click.Path(),

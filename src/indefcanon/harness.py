@@ -12,7 +12,7 @@ constant empirically.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import median
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import (
     RetryExhaustedError,
 )
 from .linalg import mat_norm, refined_inverse
-from .pipeline import CanonicalBasis, Certificate, PipelineTrace, focs_basis
+from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, PipelineTrace, focs_basis
 from .rc import rc_basis
 from .structure import (
     PAIR,
@@ -40,8 +40,6 @@ from .structure import (
 
 MODE_STRICT = "strict"
 MODE_WEAK = "weak"
-KIND_FOCS = "focs"
-KIND_RC = "rc"
 
 #: Largest perturbation magnitude the experiments accept.
 DELTA_MAX = 0.05
@@ -54,6 +52,24 @@ SPREAD_LIMIT = 10.0
 
 #: Selfadjointness quality required of generated and perturbed pairs.
 SELFADJ_TOL = 1e-12
+
+#: Generating similarities are redrawn until their condition number is
+#: below this, for at most ``MAX_DRAWS`` draws.
+COND_LIMIT = 100.0
+MAX_DRAWS = 100
+
+#: Weak mode shifts each eigenvalue by at most this fraction of the delta.
+EIG_FRAC = 0.1
+
+#: A perturbation is halved at most ``MAX_BISECT`` times to fit under its
+#: delta, and its bump redrawn at most ``MAX_REDRAWS`` times to pass the
+#: selfadjointness gate.
+MAX_BISECT = 60
+MAX_REDRAWS = 5
+
+#: Eigenvalue matching rejects a second-nearest cluster closer than this
+#: multiple of the nearest.
+RATIO_LIMIT = 2.0
 
 
 @dataclass(frozen=True)
@@ -130,42 +146,36 @@ def _selfadj_defect(a: np.ndarray, h: np.ndarray) -> float:
 
 
 def _draw_similarity(spec: JordanSpec, seed: int, *,
-                     cond_limit: float,
-                     max_draws: int,
-                     selfadj_tol: float,
                      w_override: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded draw of the generating similarity and its rebuilt pair.
 
-    Draws are rejected until the condition number is under ``cond_limit``
-    and the rebuilt pair passes the selfadjointness gate, so the procedure
-    is a pure function of ``(spec, seed)``.
+    Draws are rejected until the condition number is under
+    :data:`COND_LIMIT` and the rebuilt pair passes the selfadjointness gate,
+    so the procedure is a pure function of ``(spec, seed)``.
     """
     n = spec.total_size
     jr = real_jordan_form(spec)
     p = sip_form(spec)
     rng = np.random.default_rng(seed)
-    for _ in range(max_draws):
+    for _ in range(MAX_DRAWS):
         w = w_override if w_override is not None else rng.uniform(-1.0, 1.0, (n, n))
-        if np.linalg.cond(w) >= cond_limit:
+        if np.linalg.cond(w) >= COND_LIMIT:
             if w_override is not None:
                 raise RetryExhaustedError("w_override fails the conditioning gate")
             continue
         a0, h0 = _rebuild_pair(w, jr, p)
-        if _selfadj_defect(a0, h0) > selfadj_tol:
+        if _selfadj_defect(a0, h0) > SELFADJ_TOL:
             if w_override is not None:
                 raise RetryExhaustedError("w_override fails the quality gate")
             continue
         return w, a0, h0
-    raise RetryExhaustedError(f"no acceptable similarity in {max_draws} draws")
+    raise RetryExhaustedError(f"no acceptable similarity in {MAX_DRAWS} draws")
 
 
 def generate_instance(spec: JordanSpec, seed: int, *,
-                      kind: str = KIND_FOCS,
+                      kind: str = ROLE_FOCS,
                       gamma: complex = 1.0,
-                      cond_limit: float = 100.0,
-                      max_draws: int = 100,
-                      selfadj_tol: float = SELFADJ_TOL,
                       w_override: np.ndarray | None = None) -> Instance:
     """Draw a seeded instance: a random well-conditioned similarity applied
     to the real canonical pair, plus the cold reference basis of the
@@ -175,12 +185,10 @@ def generate_instance(spec: JordanSpec, seed: int, *,
     conditioning and quality gates.
     """
     validate_experiment_spec(spec)
-    if kind not in (KIND_FOCS, KIND_RC):
+    if kind not in (ROLE_FOCS, ROLE_RC):
         raise ValueError(f"unknown kind {kind!r}")
-    w, a0, h0 = _draw_similarity(spec, seed, cond_limit=cond_limit,
-                                 max_draws=max_draws, selfadj_tol=selfadj_tol,
-                                 w_override=w_override)
-    if kind == KIND_RC:
+    w, a0, h0 = _draw_similarity(spec, seed, w_override=w_override)
+    if kind == ROLE_RC:
         t0, _ = rc_basis(a0, h0, spec)
     else:
         t0, _ = focs_basis(a0, h0, spec, gamma)
@@ -190,14 +198,10 @@ def generate_instance(spec: JordanSpec, seed: int, *,
     return Instance(spec=spec, a0=a0, h0=h0, t0=t0, seed=int(seed), w=w)
 
 
-def _generating_similarity(inst: Instance, *,
-                           cond_limit: float = 100.0,
-                           max_draws: int = 100,
-                           selfadj_tol: float = SELFADJ_TOL) -> np.ndarray:
+def _generating_similarity(inst: Instance) -> np.ndarray:
     if inst.w is not None:
         return inst.w
-    w, _, _ = _draw_similarity(inst.spec, inst.seed, cond_limit=cond_limit,
-                               max_draws=max_draws, selfadj_tol=selfadj_tol)
+    w, _, _ = _draw_similarity(inst.spec, inst.seed)
     return w
 
 
@@ -212,15 +216,11 @@ def _shift_spec(spec: JordanSpec, shifts: list[complex]) -> JordanSpec:
 
 
 def perturb_instance(inst: Instance, delta: float, mode: str, seed: int, *,
-                     eig_frac: float = 0.1,
-                     max_bisect: int = 60,
-                     selfadj_tol: float = SELFADJ_TOL,
-                     max_redraws: int = 5,
                      norm: str = "spectral") -> PerturbedPair:
     """Structure-preserving perturbation with measured input at most ``delta``.
 
     A random bump is added to the generating similarity; weak mode also
-    shifts each block eigenvalue by at most ``eig_frac * delta`` (conjugate
+    shifts each block eigenvalue by at most ``EIG_FRAC * delta`` (conjugate
     pairs symmetrically).  The bump and shifts are rescaled together, one
     linear correction followed by halving, until
     ``||a - a0|| + ||h - h0|| <= delta``.  ``delta = 0`` short-circuits to
@@ -229,7 +229,7 @@ def perturb_instance(inst: Instance, delta: float, mode: str, seed: int, *,
     Raises
     ------
     DeltaUnreachableError
-        When ``max_bisect`` halvings cannot fit the perturbation under
+        When ``MAX_BISECT`` halvings cannot fit the perturbation under
         ``delta``.
     RetryExhaustedError
         When no redraw of the bump reaches the selfadjointness quality gate.
@@ -247,14 +247,14 @@ def perturb_instance(inst: Instance, delta: float, mode: str, seed: int, *,
     rng = np.random.default_rng(seed)
 
     best: tuple[float, PerturbedPair] | None = None
-    for _ in range(max_redraws):
+    for _ in range(MAX_REDRAWS):
         dw = rng.uniform(-1.0, 1.0, (n, n))
         dw /= mat_norm(dw)
         shifts: list[complex] = [0.0j] * len(inst.spec.blocks)
         if mode == MODE_WEAK:
             shifts = []
             for b in inst.spec.blocks:
-                mag = eig_frac * delta * rng.uniform(0.0, 1.0)
+                mag = EIG_FRAC * delta * rng.uniform(0.0, 1.0)
                 if b.kind == REAL:
                     shifts.append(complex(mag * rng.choice([-1.0, 1.0]), 0.0))
                 else:
@@ -276,26 +276,26 @@ def perturb_instance(inst: Instance, delta: float, mode: str, seed: int, *,
             pair, measured = build(t)
         steps = 0
         while measured > delta:
-            if steps >= max_bisect:
+            if steps >= MAX_BISECT:
                 raise DeltaUnreachableError(
                     f"could not fit perturbation under {delta:.3e} in "
-                    f"{max_bisect} halvings")
+                    f"{MAX_BISECT} halvings")
             t *= 0.5
             steps += 1
             pair, measured = build(t)
 
         defect = _selfadj_defect(pair.a, pair.h)
-        if defect <= selfadj_tol:
+        if defect <= SELFADJ_TOL:
             return pair
         if best is None or defect < best[0]:
             best = (defect, pair)
 
     assert best is not None
     defect, pair = best
-    if defect <= 10.0 * selfadj_tol:
+    if defect <= 10.0 * SELFADJ_TOL:
         return pair
     raise RetryExhaustedError(
-        f"perturbed pair quality {defect:.3e} exceeds {10 * selfadj_tol:.3e}")
+        f"perturbed pair quality {defect:.3e} exceeds {10 * SELFADJ_TOL:.3e}")
 
 
 def _cluster_spectrum(eigs: np.ndarray, radius: float) -> list[np.ndarray]:
@@ -320,9 +320,7 @@ def _cluster_spectrum(eigs: np.ndarray, radius: float) -> list[np.ndarray]:
 
 
 def match_eigenvalues(spec0: JordanSpec, a: np.ndarray, *,
-                      cluster_radius: float,
-                      ratio_limit: float = 2.0
-                      ) -> tuple[tuple[complex, ...], JordanSpec]:
+                      cluster_radius: float) -> tuple[tuple[complex, ...], JordanSpec]:
     """Match the spec eigenvalues onto the computed spectrum of ``a``.
 
     The spectrum is clustered by single linkage at ``cluster_radius`` and
@@ -335,8 +333,8 @@ def match_eigenvalues(spec0: JordanSpec, a: np.ndarray, *,
     ------
     AmbiguousMatchError
         When cluster counts contradict the spec, a second-nearest candidate
-        is closer than ``ratio_limit`` times the nearest, or two blocks claim
-        one cluster.
+        is closer than :data:`RATIO_LIMIT` times the nearest, or two blocks
+        claim one cluster.
     KindMismatchError
         When a real eigenvalue would have to match a nonreal cluster or a
         pair eigenvalue a real one.
@@ -365,7 +363,7 @@ def match_eigenvalues(spec0: JordanSpec, a: np.ndarray, *,
                 f"no {b.kind} spectrum cluster available for block {bi}")
         dists = sorted((abs(r - b.lam), i, r) for i, r in candidates)
         d1, i1, r1 = dists[0]
-        if len(dists) > 1 and dists[1][0] < ratio_limit * d1:
+        if len(dists) > 1 and dists[1][0] < RATIO_LIMIT * d1:
             raise AmbiguousMatchError(
                 f"block {bi}: second-nearest cluster at {dists[1][0]:.3e} vs "
                 f"nearest {d1:.3e} violates the distance-ratio rule")
@@ -394,26 +392,18 @@ def _block_gauge(n_mat: np.ndarray, t0_mat: np.ndarray, spec: JordanSpec,
         w = b.width
         nb = n_mat[:, off:off + w]
         tb = t0_mat[:, off:off + w]
-        if b.kind == REAL:
-            if np.linalg.norm(nb - tb) > np.linalg.norm(nb + tb):
-                d[off:off + w, off:off + w] = -np.eye(w)
-            continue
-        if continuous_phase:
+        if b.kind == PAIR and continuous_phase:
             z = np.trace(tb[:, :b.size].conj().T @ nb[:, :b.size])
             theta = 0.0 if z == 0 else -float(np.angle(z))
             d[off:off + w, off:off + w] = np.exp(1j * theta) * np.eye(w)
-        else:
-            if np.linalg.norm(nb - tb) > np.linalg.norm(nb + tb):
-                d[off:off + w, off:off + w] = -np.eye(w)
+        elif np.linalg.norm(nb - tb) > np.linalg.norm(nb + tb):
+            d[off:off + w, off:off + w] = -np.eye(w)
     return d
 
 
 def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                       t0: CanonicalBasis, *,
-                      kind: str | None = None,
-                      gamma: complex | None = None,
                       weak: bool = False,
-                      cluster_radius: float | None = None,
                       delta_hint: float | None = None
                       ) -> tuple[CanonicalBasis, PipelineTrace, tuple[complex, ...] | None]:
     """Canonical basis of ``(a, h)`` chosen near the reference ``t0``.
@@ -421,31 +411,32 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     The block chains are anchored to the reference at extraction (least
     squares over chain-preserving recombinations) and the residual gauge is
     resolved toward it afterwards, so the output converges to ``t0`` as the
-    pair approaches the reference pair.  Weak mode first matches the spec
-    eigenvalues onto the spectrum of ``a``.
+    pair approaches the reference pair.  The basis kind and the
+    conjugate-symmetry scalar are those of ``t0``.  Weak mode first matches
+    the spec eigenvalues onto the spectrum of ``a``, clustering it at a
+    radius derived from ``delta_hint``.
 
     Returns the basis, the pipeline trace (gauge already applied to the
     chain factor and basis), and the matched eigenvalues (weak mode only).
     """
-    kind = kind or t0.role
-    if kind not in (KIND_FOCS, KIND_RC):
+    kind = t0.role
+    if kind not in (ROLE_FOCS, ROLE_RC):
         raise ValueError(f"unsupported reference role {kind!r}")
 
     matches: tuple[complex, ...] | None = None
     work_spec = spec
     if weak:
-        if cluster_radius is None:
-            if delta_hint is None:
-                raise ValueError("weak mode needs cluster_radius or delta_hint")
-            # the radius tracks the perturbation scale but may not undercut
-            # the eigensolver's scatter for a defective block of size p,
-            # which is of order (eps ||a||)^(1/p)
-            p_max = max(b.size for b in spec.blocks)
-            scatter = (np.finfo(float).eps * max(1.0, mat_norm(a))) ** (1.0 / p_max)
-            cluster_radius = max(CLUSTER_RADIUS_FACTOR * delta_hint, 10.0 * scatter)
+        if delta_hint is None:
+            raise ValueError("weak mode needs delta_hint")
+        # the radius tracks the perturbation scale but may not undercut
+        # the eigensolver's scatter for a defective block of size p,
+        # which is of order (eps ||a||)^(1/p)
+        p_max = max(b.size for b in spec.blocks)
+        scatter = (np.finfo(float).eps * max(1.0, mat_norm(a))) ** (1.0 / p_max)
+        cluster_radius = max(CLUSTER_RADIUS_FACTOR * delta_hint, 10.0 * scatter)
         matches, work_spec = match_eigenvalues(spec, a, cluster_radius=cluster_radius)
 
-    if kind == KIND_RC:
+    if kind == ROLE_RC:
         anchor_focs = t0.matrix @ mixing_matrix_inv(spec)
         basis, trace = rc_basis(a, h, work_spec, anchor=anchor_focs)
         gauge = _block_gauge(basis.matrix, t0.matrix, work_spec,
@@ -454,33 +445,20 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         new_mat = basis.matrix @ gauge_r
     else:
         anchor = t0.matrix
-        basis, trace = focs_basis(a, h, work_spec, gamma or t0.gamma or 1.0,
+        basis, trace = focs_basis(a, h, work_spec, t0.gamma or 1.0,
                                   anchor=anchor)
         gauge = _block_gauge(basis.matrix, t0.matrix, work_spec,
                              continuous_phase=True)
         new_mat = basis.matrix @ gauge
 
     gamma_out, cs_res, _ = conjugate_symmetry_fit(
-        new_mat @ mixing_matrix_inv(work_spec) if kind == KIND_RC else new_mat,
+        new_mat @ mixing_matrix_inv(work_spec) if kind == ROLE_RC else new_mat,
         work_spec)
-    basis = CanonicalBasis(
-        matrix=new_mat, role=basis.role,
-        gamma=basis.gamma if kind == KIND_RC else gamma_out,
-        cert=Certificate(similarity=basis.cert.similarity,
-                         congruence=basis.cert.congruence,
-                         cs_residual=cs_res,
-                         max_imag=basis.cert.max_imag),
-        eps=basis.eps)
-    trace = PipelineTrace(
-        chain_factor=trace.chain_factor @ gauge,
-        phase_factor=trace.phase_factor,
-        scale_factor=trace.scale_factor,
-        flip_factor=trace.flip_factor,
-        gram_raw=trace.gram_raw,
-        gram_phased=trace.gram_phased,
-        gram_scaled=trace.gram_scaled,
-        basis=trace.basis @ gauge,
-        gamma=basis.gamma if basis.gamma is not None else trace.gamma)
+    basis = replace(basis, matrix=new_mat,
+                    gamma=basis.gamma if kind == ROLE_RC else gamma_out,
+                    cert=replace(basis.cert, cs_residual=cs_res))
+    trace = replace(trace, chain_factor=trace.chain_factor @ gauge,
+                    basis=trace.basis @ gauge, gamma=basis.gamma)
     return basis, trace, matches
 
 
@@ -539,11 +517,11 @@ def _run_trial(inst: Instance, delta: float, delta_index: int, trial_index: int,
             return TrialRecord(delta, trial_index, 0.0, 0.0, None, None,
                                status="degenerate")
         basis, trace, matches = anchored_canonize(
-            pair.a, pair.h, inst.spec, inst.t0, kind=kind,
+            pair.a, pair.h, inst.spec, inst.t0,
             weak=(mode == MODE_WEAK), delta_hint=delta)
         out = mat_norm(basis.matrix - inst.t0.matrix, norm)
         t0_focs = (inst.t0.matrix @ mixing_matrix_inv(inst.spec)
-                   if inst.kind == KIND_RC else inst.t0.matrix)
+                   if kind == ROLE_RC else inst.t0.matrix)
         eye = np.eye(inst.spec.total_size)
         z_devs = (
             mat_norm(trace.chain_factor - t0_focs, norm),
@@ -565,21 +543,22 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
                        mode: str = MODE_STRICT,
                        kind: str | None = None,
                        jobs: int = 1,
-                       delta_max: float = DELTA_MAX,
-                       spread_limit: float = SPREAD_LIMIT,
                        norm: str = "spectral") -> StabilityReport:
     """Run the perturbation experiment and aggregate the deviation ratios.
 
     Trials are independent and seeded from ``(instance seed, delta index,
-    trial index)``; results are identical for any ``jobs`` count.  Per-trial
-    failures are recorded in the trial status, not raised.
+    trial index)``; results are identical for any ``jobs`` count.  At most
+    one worker process per trial is started.  Per-trial failures are
+    recorded in the trial status, not raised.
     """
     if trials_per_delta < 1:
         raise ValueError("trials_per_delta must be >= 1")
     if not deltas:
         raise ValueError("need at least one delta")
-    if any(d > delta_max for d in deltas):
-        raise ValueError(f"deltas must stay below delta_max={delta_max}")
+    if not all(np.isfinite(d) and d >= 0.0 for d in deltas):
+        raise ValueError("deltas must be finite and nonnegative")
+    if any(d > DELTA_MAX for d in deltas):
+        raise ValueError(f"deltas must not exceed {DELTA_MAX}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
     if mode not in (MODE_STRICT, MODE_WEAK):
@@ -592,8 +571,9 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
 
     tasks = [(inst, d, di, ti, mode, kind, norm)
              for di, d in enumerate(deltas) for ti in range(trials_per_delta)]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_trial_star, tasks, chunksize=4))
     else:
         records = [_trial_star(t) for t in tasks]
@@ -630,7 +610,7 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
 
     med_spread = spread(medians)
     f_spreads = tuple(spread(v) for v in factor_medians)
-    bounded = (med_spread is not None and med_spread < spread_limit
+    bounded = (med_spread is not None and med_spread < SPREAD_LIMIT
                and len(medians) == len(deltas))
     return StabilityReport(
         seed=inst.seed, kind=kind, mode=mode, deltas=tuple(deltas),

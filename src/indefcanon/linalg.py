@@ -67,26 +67,26 @@ def rcond(m: np.ndarray) -> float:
     return float(s[-1] / s[0])
 
 
-def solve(m: np.ndarray, b: np.ndarray, rcond_floor: float = RCOND_FLOOR) -> np.ndarray:
+def solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``m @ x = b`` for square, numerically nonsingular ``m``.
 
     Raises
     ------
     SingularMatrixError
         If the estimated reciprocal condition number falls below
-        ``rcond_floor``.
+        :data:`RCOND_FLOOR`.
     """
     m = require_finite(m, "m")
     b = require_finite(b, "b")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("m must be square")
     rc = rcond(m)
-    if rc < rcond_floor:
+    if rc < RCOND_FLOOR:
         raise SingularMatrixError(f"matrix is numerically singular (rcond={rc:.3e})")
     return np.linalg.solve(m, b)
 
 
-def refined_inverse(m: np.ndarray, rcond_floor: float = RCOND_FLOOR) -> np.ndarray:
+def refined_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of ``m`` with one Newton refinement step.
 
     The refinement ``V <- V (2I - M V)`` knocks the residual of the computed
@@ -95,7 +95,7 @@ def refined_inverse(m: np.ndarray, rcond_floor: float = RCOND_FLOOR) -> np.ndarr
     """
     n = m.shape[0]
     eye = np.eye(n, dtype=m.dtype)
-    v = solve(m, eye, rcond_floor)
+    v = solve(m, eye)
     return v @ (2.0 * eye - m @ v)
 
 

@@ -42,6 +42,7 @@ from .linalg import (
     require_finite,
 )
 from .structure import (
+    CS_TOL,
     PAIR,
     REAL,
     JordanSpec,
@@ -51,7 +52,6 @@ from .structure import (
     sip_form,
 )
 
-ROLE_RAW_CHAIN = "raw-chain"
 ROLE_FO = "fo"
 ROLE_FOCS = "focs"
 ROLE_RC = "rc"
@@ -59,8 +59,11 @@ ROLE_RC = "rc"
 #: Anchors with |Re g0| below this fraction of |g0| are rejected as purely imaginary.
 ANCHOR_TOL = 1e-10
 
-#: Cold-start chains are pre-rotated when the prospective anchor is this close
-#: to the imaginary axis.
+#: Cold-start only: when the prospective Gram anchor of a pair block lies
+#: within this fraction of the imaginary axis, that block's chain is
+#: pre-rotated by ``e^{i pi/4}``, moving the anchor decisively off the axis.
+#: The rotation is a chain relabeling; anchors that are still degenerate
+#: afterwards raise :class:`PureImaginaryAnchorError`.
 PHASE_GUARD = 0.1
 
 #: Relative scale for structural zero-pattern assertions on Gram matrices.
@@ -81,15 +84,14 @@ class GramAnchor:
     block_index: int
 
     @classmethod
-    def from_g0(cls, g0: complex, block_index: int,
-                anchor_tol: float = ANCHOR_TOL) -> "GramAnchor":
+    def from_g0(cls, g0: complex, block_index: int) -> "GramAnchor":
         r = abs(g0)
         s = abs(g0.real)
         if r == 0.0:
             raise PureImaginaryAnchorError(
                 f"pair block {block_index} has zero Gram anchor",
                 block_index=block_index)
-        if s <= anchor_tol * r:
+        if s <= ANCHOR_TOL * r:
             raise PureImaginaryAnchorError(
                 f"pair block {block_index} Gram anchor {g0:.6e} is numerically "
                 "purely imaginary; the phase step divides by |Re g0|",
@@ -146,7 +148,7 @@ def _inv_sqrt_coefficients(count: int) -> list[Fraction]:
     return coeffs
 
 
-def toeplitz_inv_sqrt(g3: np.ndarray, *, tol: float = STRUCT_RTOL) -> np.ndarray:
+def toeplitz_inv_sqrt(g3: np.ndarray) -> np.ndarray:
     """Unit lower-triangular Toeplitz ``F`` with ``F @ F @ g3 = I``.
 
     ``g3`` must be unit lower triangular; writing ``g3 = I + E`` with ``E``
@@ -159,7 +161,7 @@ def toeplitz_inv_sqrt(g3: np.ndarray, *, tol: float = STRUCT_RTOL) -> np.ndarray
     ------
     NotUnitTriangularError
         If the diagonal deviates from 1 or the upper part from 0 beyond
-        ``tol`` (exactly, for exact inputs).
+        :data:`STRUCT_RTOL` (exactly, for exact inputs).
     """
     g3 = np.atleast_2d(np.asarray(g3))
     p = g3.shape[0]
@@ -177,9 +179,9 @@ def toeplitz_inv_sqrt(g3: np.ndarray, *, tol: float = STRUCT_RTOL) -> np.ndarray
     else:
         g3 = require_finite(g3, "g3")
         scale = max(1.0, float(np.max(np.abs(g3))))
-        if np.max(np.abs(np.diag(g3) - 1.0)) > tol * scale:
+        if np.max(np.abs(np.diag(g3) - 1.0)) > STRUCT_RTOL * scale:
             raise NotUnitTriangularError("diagonal deviates from 1 beyond tolerance")
-        if p > 1 and np.max(np.abs(np.triu(g3, 1))) > tol * scale:
+        if p > 1 and np.max(np.abs(np.triu(g3, 1))) > STRUCT_RTOL * scale:
             raise NotUnitTriangularError("upper part deviates from 0 beyond tolerance")
         ident = np.eye(p, dtype=g3.dtype)
 
@@ -215,7 +217,7 @@ def scale_step(anchor: GramAnchor, p: int) -> np.ndarray:
     return np.eye(2 * p, dtype=complex) / np.sqrt(anchor.s)
 
 
-def flip_step(gram_pair_block: np.ndarray, *, tol: float = STRUCT_RTOL) -> np.ndarray:
+def flip_step(gram_pair_block: np.ndarray) -> np.ndarray:
     """Unit-Toeplitz 2p x 2p factor zeroing sub-anti-diagonal Gram entries.
 
     The lower-left part ``G2`` of the pair-block Gram (anti-triangular
@@ -229,7 +231,7 @@ def flip_step(gram_pair_block: np.ndarray, *, tol: float = STRUCT_RTOL) -> np.nd
         raise ValueError("pair-block Gram must have even size")
     p = gram_pair_block.shape[0] // 2
     g2 = gram_pair_block[p:, :p]
-    f = toeplitz_inv_sqrt(g2 @ np.fliplr(np.eye(p)), tol=tol)
+    f = toeplitz_inv_sqrt(g2 @ np.fliplr(np.eye(p)))
     f_up = f.T
     out = np.zeros((2 * p, 2 * p), dtype=complex)
     out[:p, :p] = f_up
@@ -238,8 +240,7 @@ def flip_step(gram_pair_block: np.ndarray, *, tol: float = STRUCT_RTOL) -> np.nd
 
 
 def symmetrize_step(chains: ChainSet, reduced: dict[int, np.ndarray],
-                    gamma: complex, *,
-                    rcond_floor: float = RCOND_FLOOR) -> np.ndarray:
+                    gamma: complex) -> np.ndarray:
     """Assemble the chain factor from reduced real chains and symmetrized
     pair blocks ``[L | gamma conj(L)]``.
 
@@ -259,7 +260,7 @@ def symmetrize_step(chains: ChainSet, reduced: dict[int, np.ndarray],
             cols.append(np.concatenate([l, gamma * np.conj(l)], axis=1))
     z1 = np.concatenate(cols, axis=1)
     rc = rcond(z1)
-    if rc < rcond_floor:
+    if rc < RCOND_FLOOR:
         raise SingularBasisError(f"chain basis is numerically singular (rcond={rc:.3e})")
     return z1
 
@@ -270,11 +271,11 @@ def _pair_sub_block(gram: np.ndarray, off: int, p: int) -> np.ndarray:
     return gram[off + p:off + 2 * p, off:off + p]
 
 
-def _anchor_from_gram(gram: np.ndarray, off: int, p: int, block_index: int,
-                      anchor_tol: float) -> GramAnchor:
+def _anchor_from_gram(gram: np.ndarray, off: int, p: int,
+                      block_index: int) -> GramAnchor:
     z = _pair_sub_block(gram, off, p)
     g0 = complex(np.mean(np.diag(np.fliplr(z))))
-    return GramAnchor.from_g0(g0, block_index, anchor_tol)
+    return GramAnchor.from_g0(g0, block_index)
 
 
 def _check_gram_structure(gram: np.ndarray, spec: JordanSpec,
@@ -321,11 +322,6 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                gamma: complex = 1.0, *,
                anchor: np.ndarray | None = None,
                tol: float = DEFAULT_TOL,
-               struct_rtol: float = STRUCT_RTOL,
-               guard: float = PHASE_GUARD,
-               anchor_tol: float = ANCHOR_TOL,
-               rank_rtol: float | None = None,
-               drift_radius: float | None = None,
                norm: str = "spectral") -> tuple[CanonicalBasis, PipelineTrace]:
     """Construct a gamma-FOCS basis of the real h-selfadjoint matrix ``a``.
 
@@ -342,26 +338,23 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         recombined (least squares over chain-preserving mixes) to be as
         close as possible to the corresponding columns of ``anchor`` before
         the pipeline runs.  With an anchor from the same pipeline at a
-        nearby pair, all correction factors stay near the identity.
-    guard : float
-        Cold-start only: when the prospective Gram anchor of a pair block
-        lies within this fraction of the imaginary axis, that block's chain
-        is pre-rotated by ``e^{i pi/4}``, moving the anchor decisively off the
-        axis.  The rotation is a chain relabeling; anchors that are still
-        degenerate afterwards raise :class:`PureImaginaryAnchorError`.
+        nearby pair, all correction factors stay near the identity.  Without
+        one, :data:`PHASE_GUARD` applies.
     """
     a = require_finite(a, "a")
     h = require_finite(h, "h")
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
     gamma = complex(gamma)
+    if not np.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
 
     # the conjugate-symmetric synthesis needs conj(chain) to be the chain of
     # the conjugate eigenvalue, which holds for real pairs only
     for name, m in (("a", a), ("h", h)):
         if np.iscomplexobj(m):
             imag = float(np.max(np.abs(m.imag))) if m.size else 0.0
-            if imag > struct_rtol * max(1.0, mat_norm(m, norm)):
+            if imag > STRUCT_RTOL * max(1.0, mat_norm(m, norm)):
                 raise NotRealError(
                     f"{name} has imaginary part {imag:.3e}; the "
                     "conjugate-symmetric construction needs a real pair")
@@ -369,17 +362,12 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     h = np.real(h)
 
     pre = h_selfadjoint_residual(a, h, norm=norm)
-    pre_tol = struct_rtol * max(1.0, mat_norm(a, norm) * mat_norm(h, norm))
+    pre_tol = STRUCT_RTOL * max(1.0, mat_norm(a, norm) * mat_norm(h, norm))
     if pre > pre_tol:
         raise StructureMismatchError(
             f"pair is not h-selfadjoint (residual {pre:.3e} > {pre_tol:.3e})")
 
-    kwargs = {}
-    if rank_rtol is not None:
-        kwargs["rank_rtol"] = rank_rtol
-    if drift_radius is not None:
-        kwargs["drift_radius"] = drift_radius
-    chains = jordan_chains(a, spec, **kwargs)
+    chains = jordan_chains(a, spec)
 
     prepared = []
     reduced: dict[int, np.ndarray] = {}
@@ -399,11 +387,11 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                     f"contradicts declared {bc.block.sign:+d}")
             reduced[i] = red
             eps[i] = sign
-        elif anchor is None and guard > 0.0:
+        elif anchor is None:
             # prospective anchor; rotate the chain off the degenerate axis
             z = (gamma * np.conj(mat)).conj().T @ h @ mat
             g0 = complex(np.mean(np.diag(np.fliplr(z))))
-            if abs(g0) > 0.0 and abs(g0.real) < guard * abs(g0):
+            if abs(g0) > 0.0 and abs(g0.real) < PHASE_GUARD * abs(g0):
                 mat = mat * np.exp(0.25j * np.pi)
         prepared.append(BlockChain(bc.block, bc.offset, mat))
 
@@ -411,7 +399,7 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
 
     z1 = symmetrize_step(chain_set, reduced, gamma)
     n_dim = spec.total_size
-    stol = struct_rtol * max(1.0, mat_norm(h, norm) * mat_norm(z1, norm) ** 2)
+    stol = STRUCT_RTOL * max(1.0, mat_norm(h, norm) * mat_norm(z1, norm) ** 2)
 
     gram0 = z1.conj().T @ h @ z1
     _check_gram_structure(gram0, spec, eps, stol)
@@ -421,7 +409,7 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     for i, (off, b) in enumerate(spec.offsets()):
         if b.kind != PAIR:
             continue
-        anc = _anchor_from_gram(gram0, off, b.size, i, anchor_tol)
+        anc = _anchor_from_gram(gram0, off, b.size, i)
         z2[off:off + b.width, off:off + b.width] = phase_step(anc, b.size)
         z3[off:off + b.width, off:off + b.width] = scale_step(anc, b.size)
 
@@ -429,7 +417,7 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     for i, (off, b) in enumerate(spec.offsets()):
         if b.kind != PAIR:
             continue
-        anc1 = _anchor_from_gram(gram1, off, b.size, i, anchor_tol)
+        anc1 = _anchor_from_gram(gram1, off, b.size, i)
         if abs(anc1.g0.imag) > stol or anc1.g0.real <= 0.0:
             raise StructureMismatchError(
                 f"pair block {i} anchor {anc1.g0:.3e} not real positive after phase step")
@@ -439,12 +427,12 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     for i, (off, b) in enumerate(spec.offsets()):
         if b.kind != PAIR:
             continue
-        anc2 = _anchor_from_gram(gram2, off, b.size, i, anchor_tol)
+        anc2 = _anchor_from_gram(gram2, off, b.size, i)
         if abs(anc2.g0 - 1.0) > stol:
             raise StructureMismatchError(
                 f"pair block {i} anchor {anc2.g0:.3e} not unit after scale step")
         blk = gram2[off:off + b.width, off:off + b.width]
-        z4[off:off + b.width, off:off + b.width] = flip_step(blk, tol=struct_rtol)
+        z4[off:off + b.width, off:off + b.width] = flip_step(blk)
 
     basis_mat = z1 @ z2 @ z3 @ z4
     p_target = sip_form(spec)
@@ -462,7 +450,7 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
             f"{sim:.3e}, congruence {cong:.3e} vs tol {tol:.1e}")
     gamma_out, cs_res, _ = conjugate_symmetry_fit(basis_mat, spec, norm=norm)
     has_pairs = any(b.kind == PAIR for b in spec.blocks)
-    if has_pairs and abs(abs(gamma_out) - abs(gamma)) > 1e-8 * abs(gamma):
+    if has_pairs and abs(abs(gamma_out) - abs(gamma)) > CS_TOL * abs(gamma):
         raise StructureMismatchError(
             f"conjugate-symmetry scalar drifted in modulus: requested "
             f"|{gamma}| = {abs(gamma):.6g}, got {abs(gamma_out):.6g}")

@@ -14,6 +14,7 @@ from .errors import NotConjugateSymmetricError, NotRealError, StructureMismatchE
 from .linalg import DEFAULT_TOL, affiliation_residuals, mat_norm, require_finite
 from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, Certificate, PipelineTrace, focs_basis
 from .structure import (
+    CS_TOL,
     JordanSpec,
     conjugate_symmetry_fit,
     jordan_form,
@@ -31,8 +32,7 @@ IMAG_RTOL = 1e-9
 def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
              anchor: np.ndarray | None = None,
              tol: float = DEFAULT_TOL,
-             norm: str = "spectral",
-             **pipeline_kwargs) -> tuple[CanonicalBasis, PipelineTrace]:
+             norm: str = "spectral") -> tuple[CanonicalBasis, PipelineTrace]:
     """Real canonical basis of the real h-selfadjoint pair ``(a, h)``.
 
     Runs the FOCS pipeline with ``gamma = i`` and applies the mixing
@@ -51,8 +51,7 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
     """
     a = np.real(require_finite(a, "a"))
     h = np.real(require_finite(h, "h"))
-    focs, trace = focs_basis(a, h, spec, 1.0j, anchor=anchor, tol=tol,
-                             norm=norm, **pipeline_kwargs)
+    focs, trace = focs_basis(a, h, spec, 1.0j, anchor=anchor, tol=tol, norm=norm)
     r = focs.matrix @ mixing_matrix(spec)
     r_norm = mat_norm(r, norm)
     max_imag = float(np.max(np.abs(r.imag))) if np.iscomplexobj(r) else 0.0
@@ -76,7 +75,6 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
 
 
 def focs_from_rc(r: np.ndarray, spec: JordanSpec, *,
-                 cs_tol: float = 1e-8,
                  a: np.ndarray | None = None,
                  h: np.ndarray | None = None,
                  norm: str = "spectral") -> CanonicalBasis:
@@ -96,7 +94,7 @@ def focs_from_rc(r: np.ndarray, spec: JordanSpec, *,
     t = r @ mixing_matrix_inv(spec)
     gamma, cs_res, worst = conjugate_symmetry_fit(t, spec, norm=norm)
     scale = max(1.0, mat_norm(t, norm))
-    if cs_res > cs_tol * scale or abs(gamma - 1.0j) > cs_tol * max(1.0, abs(gamma)):
+    if cs_res > CS_TOL * scale or abs(gamma - 1.0j) > CS_TOL * max(1.0, abs(gamma)):
         raise NotConjugateSymmetricError(
             f"recovered basis is not i-conjugate-symmetric "
             f"(gamma {gamma:.6f}, residual {cs_res:.3e})",

@@ -34,6 +34,13 @@ from .linalg import RCOND_FLOOR, mat_norm, rcond, require_finite
 REAL = "real"
 PAIR = "pair"
 
+#: ``h`` may deviate from Hermitian by this fraction of ``max(1, ||h||)``.
+HERM_TOL = 1e-10
+
+#: Conjugate-symmetry residuals, and drifts of the fitted scalar, are
+#: accepted up to this fraction of the basis (or scalar) scale.
+CS_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class BlockSpec:
@@ -209,14 +216,12 @@ def mixing_matrix_inv(spec: JordanSpec) -> np.ndarray:
 
 
 def h_selfadjoint_residual(a: np.ndarray, h: np.ndarray, *,
-                           herm_tol: float = 1e-10,
-                           rcond_floor: float = RCOND_FLOOR,
                            norm: str = "spectral") -> float:
     """Residual ``||h a - a* h||`` certifying selfadjointness of ``a`` in the
     inner product defined by ``h``.
 
     The multiplication-side form avoids inverting ``h``.  ``h`` must be
-    Hermitian within ``herm_tol`` (scaled by its norm) and pass the
+    Hermitian within :data:`HERM_TOL` (scaled by its norm) and pass the
     conditioning check; violations raise rather than returning a number that
     would be meaningless.
     """
@@ -226,10 +231,10 @@ def h_selfadjoint_residual(a: np.ndarray, h: np.ndarray, *,
         raise ValueError("a and h must be square and of equal size")
     hn = mat_norm(h, norm)
     herm = mat_norm(h - h.conj().T, norm)
-    if herm > herm_tol * max(1.0, hn):
+    if herm > HERM_TOL * max(1.0, hn):
         raise NotHermitianError(f"h deviates from Hermitian by {herm:.3e}")
     rc = rcond(h)
-    if rc < rcond_floor:
+    if rc < RCOND_FLOOR:
         raise SingularInnerProductError(f"h is numerically singular (rcond={rc:.3e})")
     return mat_norm(h @ a - a.conj().T @ h, norm)
 
@@ -274,13 +279,12 @@ def conjugate_symmetry_fit(n: np.ndarray, spec: JordanSpec, *,
 
 
 def conjugate_symmetry_gamma(n: np.ndarray, spec: JordanSpec, *,
-                             tol: float = 1e-8,
                              norm: str = "spectral") -> complex:
     """Fit and verify the conjugate-symmetry scalar of a basis.
 
     For every pair block ``[Q | Q']`` of ``n`` the second half must equal
     ``gamma * conj(Q)`` for one global nonzero ``gamma``, verified against
-    ``tol * max(1, ||n||)``.  Returns ``gamma``; a spec without pair blocks
+    ``CS_TOL * max(1, ||n||)``.  Returns ``gamma``; a spec without pair blocks
     degenerates to 1.
 
     Raises
@@ -293,7 +297,7 @@ def conjugate_symmetry_gamma(n: np.ndarray, spec: JordanSpec, *,
         raise NotConjugateSymmetricError("fitted gamma is zero",
                                          block_index=worst_i, residual=worst)
     scale = max(1.0, mat_norm(n, norm))
-    if worst > tol * scale:
+    if worst > CS_TOL * scale:
         raise NotConjugateSymmetricError(
             f"block {worst_i} violates conjugate symmetry (residual {worst:.3e})",
             block_index=worst_i, residual=worst)

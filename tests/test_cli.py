@@ -122,6 +122,15 @@ def test_canonize_gamma_i(runner, tmp_path, paper_pair_file):
     assert gamma[1] == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("gamma", ["nan", "1e400", "1+1e400i"])
+def test_canonize_non_finite_gamma_exits_2(runner, tmp_path, paper_pair_file, gamma):
+    r = runner.invoke(main, ["canonize", "--in", str(paper_pair_file),
+                             "--gamma", gamma, "--out", str(tmp_path / "x.json")])
+    assert r.exit_code == 2
+    assert "finite" in r.output
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_canonize_pipeline_error_exits_4(runner, tmp_path, ex_spec):
     # canonical complex pair: outside the real-pair domain of the pipeline
     from indefcanon import jordan_form, sip_form

@@ -18,6 +18,7 @@ from indefcanon import (
     sip_form,
     spectral_norm,
 )
+from indefcanon import harness
 from indefcanon.linalg import affiliation_residuals
 from indefcanon.structure import h_selfadjoint_residual
 
@@ -231,9 +232,42 @@ def test_estimate_lipschitz_validates_arguments(inst):
     with pytest.raises(ValueError):
         estimate_lipschitz(inst, [1e-3], 0)           # no trials
     with pytest.raises(ValueError):
-        estimate_lipschitz(inst, [1.0], 2)            # above delta_max
+        estimate_lipschitz(inst, [1.0], 2)            # above DELTA_MAX
     with pytest.raises(ValueError):
         estimate_lipschitz(inst, [1e-3], 2, kind="rc")  # kind mismatch
+    for bad in ([1e-3, float("nan")], [float("nan")], [1e-3, -1e-4],
+                [float("-inf")]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            estimate_lipschitz(inst, bad, 2)              # before any trial
+
+
+def test_estimate_lipschitz_caps_pool_at_task_count(inst, monkeypatch):
+    seen = []
+
+    class RecordingExecutor:
+        """In-process stand-in for ProcessPoolExecutor; starts no process."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
+                        RecordingExecutor)
+    ref = estimate_lipschitz(inst, [1e-3, 1e-4], 2)
+    capped = estimate_lipschitz(inst, [1e-3, 1e-4], 2, jobs=5000)
+    assert seen == [4]
+    assert [t.ratio for t in capped.trials] == [t.ratio for t in ref.trials]
+    # a single task runs in-process whatever the job count
+    estimate_lipschitz(inst, [1e-3], 1, jobs=5000)
+    assert seen == [4]
 
 
 def test_estimate_weak_mode_matches(inst):

@@ -25,6 +25,7 @@ from indefcanon import (
     symmetrize_step,
     toeplitz_inv_sqrt,
 )
+from indefcanon import pipeline
 from indefcanon.chains import BlockChain, ChainSet
 
 from conftest import frac_identity
@@ -313,15 +314,23 @@ def test_focs_rejects_non_selfadjoint_pair(ex_spec):
         focs_basis(a, np.eye(4), ex_spec)
 
 
-def test_phase_guard_saves_systematic_degenerate_case(ex_spec):
+def test_phase_guard_saves_systematic_degenerate_case(ex_spec, monkeypatch):
     # gamma = 1 on the real canonical pair puts the raw anchor exactly on
     # the imaginary axis; the documented chain pre-rotation makes it pass
     a = real_jordan_form(ex_spec)
     p = sip_form(ex_spec)
     basis, _ = focs_basis(a, p, ex_spec, 1.0)
     assert basis.cert.congruence <= 1e-12
+    monkeypatch.setattr(pipeline, "PHASE_GUARD", 0.0)
     with pytest.raises(PureImaginaryAnchorError):
-        focs_basis(a, p, ex_spec, 1.0, guard=0.0)
+        focs_basis(a, p, ex_spec, 1.0)
+
+
+@pytest.mark.parametrize("gamma", [complex("nan"), complex(float("inf"), 0.0),
+                                   complex(1.0, float("nan"))])
+def test_focs_rejects_non_finite_gamma(ex_a, ex_h, ex_spec, gamma):
+    with pytest.raises(ValueError, match="finite"):
+        focs_basis(ex_a, ex_h, ex_spec, gamma)
 
 
 def test_focs_anchored_reproduces_reference(ex_a, ex_h, ex_spec):
