@@ -5,7 +5,13 @@ and real canonical (RC) Jordan bases, and measures their Lipschitz
 stability under structure-preserving perturbations.
 """
 
-from .chains import ChainSet, fit_chain_to, jordan_chains, reduce_real_chain
+from .chains import (
+    ChainSet,
+    fit_chain_to,
+    jordan_chains,
+    reduce_real_chain,
+    toeplitz_inv_sqrt,
+)
 from .errors import (
     AmbiguousMatchError,
     CanonError,
@@ -41,8 +47,6 @@ from .linalg import (
     mat_norm,
     matrix_from_json,
     matrix_to_json,
-    solve,
-    spectral_norm,
 )
 from .pipeline import (
     CanonicalBasis,
@@ -54,19 +58,17 @@ from .pipeline import (
     phase_step,
     scale_step,
     symmetrize_step,
-    toeplitz_inv_sqrt,
 )
 from .rc import focs_from_rc, rc_basis
 from .structure import (
     BlockSpec,
     JordanSpec,
-    conjugate_symmetry_gamma,
+    conjugate_symmetry_fit,
     h_selfadjoint_residual,
     jordan_form,
     mixing_matrix,
     mixing_matrix_inv,
     real_jordan_form,
-    same_jordan_structure,
     sip_form,
 )
 

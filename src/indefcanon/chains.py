@@ -1,5 +1,8 @@
 """Jordan chain extraction and sip-form reduction of real-eigenvalue chains.
 
+The sip-form reduction rests on the unit-triangular Toeplitz inverse square
+root, which the FOCS pipeline's flip step reuses for pair blocks.
+
 The structure class handled here is deliberately restricted: one Jordan
 block per distinct eigenvalue (conjugate pairs count as one pair block).
 Within that class the generalized eigenspaces are found by an SVD nullspace
@@ -10,10 +13,16 @@ eigenvalues are supplied, not estimated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateGramError, EigenvalueDriftError, StructureMismatchError
+from .errors import (
+    DegenerateGramError,
+    EigenvalueDriftError,
+    NotUnitTriangularError,
+    StructureMismatchError,
+)
 from .linalg import mat_norm, require_finite
 from .structure import REAL, BlockSpec, JordanSpec
 
@@ -26,6 +35,9 @@ DRIFT_RADIUS = 1e-6
 #: A real chain's Gram anchor below this fraction of ``||h|| ||chain||^2``
 #: is degenerate.
 GRAM_RTOL = 1e-10
+
+#: Relative scale for structural zero-pattern assertions on Gram matrices.
+STRUCT_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -150,16 +162,6 @@ def jordan_chains(a: np.ndarray, spec: JordanSpec) -> ChainSet:
     return ChainSet(spec, tuple(chains))
 
 
-def chain_combination(chain: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Apply the upper-triangular Toeplitz recombination with the given
-    coefficients to a chain matrix; the result is again a Jordan chain."""
-    p = chain.shape[1]
-    c = np.zeros((p, p), dtype=complex)
-    for j, cj in enumerate(coeffs[:p]):
-        c += cj * np.diag(np.ones(p - j), j)
-    return chain @ c
-
-
 def fit_chain_to(chain: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Least-squares recombination of ``chain`` closest to ``target``.
 
@@ -176,7 +178,66 @@ def fit_chain_to(chain: np.ndarray, target: np.ndarray) -> np.ndarray:
         shifted = np.hstack([np.zeros((n, 1)), shifted[:, :-1]])
     design = np.stack(basis, axis=1)
     coeffs, *_ = np.linalg.lstsq(design, target.astype(complex).ravel(), rcond=None)
-    return chain_combination(chain, coeffs)
+    mix = np.zeros((p, p), dtype=complex)
+    for j, cj in enumerate(coeffs):
+        mix += cj * np.diag(np.ones(p - j), j)
+    return chain @ mix
+
+
+def _inv_sqrt_coefficients(count: int) -> list[Fraction]:
+    """Binomial series coefficients of ``(1 + x)^(-1/2)``: 1, -1/2, 3/8, ..."""
+    coeffs = [Fraction(1)]
+    for k in range(1, count):
+        coeffs.append(coeffs[-1] * Fraction(-(2 * k - 1), 2 * k))
+    return coeffs
+
+
+def toeplitz_inv_sqrt(g3: np.ndarray) -> np.ndarray:
+    """Unit lower-triangular Toeplitz ``F`` with ``F @ F @ g3 = I``.
+
+    ``g3`` must be unit lower triangular; writing ``g3 = I + E`` with ``E``
+    strictly lower triangular (hence nilpotent), ``F`` is the binomial series
+    of ``(1 + E)^(-1/2)`` truncated by nilpotency, so the defining identity
+    holds as a finite polynomial identity in ``E``.  Exact inputs (object
+    arrays of Fractions) are processed in exact arithmetic.
+
+    Raises
+    ------
+    NotUnitTriangularError
+        If the diagonal deviates from 1 or the upper part from 0 beyond
+        :data:`STRUCT_RTOL` (exactly, for exact inputs).
+    """
+    g3 = np.atleast_2d(np.asarray(g3))
+    p = g3.shape[0]
+    if g3.shape != (p, p):
+        raise ValueError("g3 must be square")
+    exact = g3.dtype == object
+
+    if exact:
+        if any(g3[i, i] != 1 for i in range(p)):
+            raise NotUnitTriangularError("diagonal is not exactly 1")
+        if any(g3[i, j] != 0 for i in range(p) for j in range(i + 1, p)):
+            raise NotUnitTriangularError("upper part is not exactly 0")
+        ident = np.array([[Fraction(int(i == j)) for j in range(p)]
+                          for i in range(p)], dtype=object)
+    else:
+        g3 = require_finite(g3, "g3")
+        scale = max(1.0, float(np.max(np.abs(g3))))
+        if np.max(np.abs(np.diag(g3) - 1.0)) > STRUCT_RTOL * scale:
+            raise NotUnitTriangularError("diagonal deviates from 1 beyond tolerance")
+        if p > 1 and np.max(np.abs(np.triu(g3, 1))) > STRUCT_RTOL * scale:
+            raise NotUnitTriangularError("upper part deviates from 0 beyond tolerance")
+        ident = np.eye(p, dtype=g3.dtype)
+
+    e = np.tril(g3, -1)
+    coeffs = _inv_sqrt_coefficients(p)
+    f = ident.copy()
+    ek = ident.copy()
+    for k in range(1, p):
+        ek = ek @ e
+        c = coeffs[k] if exact else float(coeffs[k])
+        f = f + c * ek
+    return f
 
 
 def reduce_real_chain(chain: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, int]:
@@ -194,8 +255,6 @@ def reduce_real_chain(chain: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, int
     DegenerateGramError
         When ``|g0|`` is below ``GRAM_RTOL * ||h|| * ||chain||^2``.
     """
-    from .pipeline import toeplitz_inv_sqrt  # shared kernel; no cycle at import time
-
     chain = np.real(require_finite(chain, "chain"))
     p = chain.shape[1]
     x = chain.T @ np.real(h) @ chain

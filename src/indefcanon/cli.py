@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -28,13 +29,14 @@ from . import serialize
 from .errors import CanonError
 from .harness import MODE_STRICT, MODE_WEAK, estimate_lipschitz, generate_instance
 from .linalg import DEFAULT_TOL, affiliation_residuals, mat_norm
-from .pipeline import ROLE_FO, ROLE_FOCS, ROLE_RC, CanonicalBasis, focs_basis
+from .pipeline import ROLE_FO, ROLE_FOCS, ROLE_RC, focs_basis
 from .rc import rc_basis
 from .structure import (
     CS_TOL,
     conjugate_symmetry_fit,
     h_selfadjoint_residual,
     jordan_form,
+    mixing_matrix_inv,
     real_jordan_form,
     sip_form,
 )
@@ -98,6 +100,7 @@ def _load_pair(obj: dict):
         spec = serialize.spec_from_json(obj["spec"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"input file is neither an instance nor an (A, H, spec) file: {exc}")
+    serialize.check_sizes(spec, A=a, H=h)
     return a, h, spec, None
 
 
@@ -159,9 +162,7 @@ def canonize(in_file, mode, gamma, out_file, emit_trace, tol, norm):
             basis, trace = focs_basis(a, h, spec, 1.0 if mode == ROLE_FO else g,
                                       tol=tol, norm=norm)
             if mode == ROLE_FO:
-                basis = CanonicalBasis(matrix=basis.matrix, role=ROLE_FO,
-                                       gamma=basis.gamma, cert=basis.cert,
-                                       eps=basis.eps)
+                basis = replace(basis, role=ROLE_FO)
     except CanonError as exc:
         _fail(4, f"{exc.code}: {exc}")
     _atomic_write(out_file, serialize.dumps(serialize.basis_to_json(basis)) + "\n")
@@ -195,6 +196,7 @@ def verify(in_file, basis_file, tol, expect, norm):
             t, role = basis.matrix, basis.role
         else:
             t, role = serialize.matrix_from_json(bobj), ROLE_FOCS
+        serialize.check_sizes(spec, basis=t)
     except ValueError as exc:
         _fail(2, str(exc))
     if expect != "auto":
@@ -221,7 +223,6 @@ def verify(in_file, basis_file, tol, expect, norm):
     if role in (ROLE_FOCS, ROLE_RC):
         basis_c = t
         if role == ROLE_RC:
-            from .structure import mixing_matrix_inv
             basis_c = t @ mixing_matrix_inv(spec)
         gamma, cs_res, _ = conjugate_symmetry_fit(basis_c, spec, norm=norm)
         scale = max(1.0, mat_norm(basis_c, norm))
@@ -254,6 +255,10 @@ def verify(in_file, basis_file, tol, expect, norm):
 def stability(in_file, deltas, trials, mode, kind, out_csv, out_json, jobs, norm):
     """Run the Lipschitz stability experiment for an instance file; exits 0
     only if the per-delta median ratios stay bounded across decades."""
+    json_path = out_json or str(Path(out_csv).with_suffix(".json"))
+    for flag, path in (("--out-csv", out_csv), ("--out-json", json_path)):
+        if Path(path).resolve() == Path(in_file).resolve():
+            _fail(2, f"{flag} path {path} would overwrite the input file")
     obj = _load_json(in_file)
     try:
         inst = serialize.instance_from_json(obj)
@@ -269,7 +274,6 @@ def stability(in_file, deltas, trials, mode, kind, out_csv, out_json, jobs, norm
         _fail(2, f"experiment rejected: {exc}")
 
     _atomic_write(out_csv, "\n".join(serialize.report_csv_lines(report)) + "\n")
-    json_path = out_json or str(Path(out_csv).with_suffix(".json"))
     _atomic_write(json_path, serialize.dumps(serialize.report_summary_json(report)) + "\n")
     click.echo(f"K_hat = {report.k_hat:.6g}, median spread = "
                f"{report.median_spread if report.median_spread is not None else 'n/a'}, "

@@ -506,7 +506,7 @@ class StabilityReport:
 
 
 def _run_trial(inst: Instance, delta: float, delta_index: int, trial_index: int,
-               mode: str, kind: str, norm: str) -> TrialRecord:
+               mode: str, norm: str) -> TrialRecord:
     seed = np.random.SeedSequence([abs(int(inst.seed)), delta_index, trial_index])
     trial_seed = int(seed.generate_state(1)[0])
     try:
@@ -521,7 +521,7 @@ def _run_trial(inst: Instance, delta: float, delta_index: int, trial_index: int,
             weak=(mode == MODE_WEAK), delta_hint=delta)
         out = mat_norm(basis.matrix - inst.t0.matrix, norm)
         t0_focs = (inst.t0.matrix @ mixing_matrix_inv(inst.spec)
-                   if kind == ROLE_RC else inst.t0.matrix)
+                   if inst.kind == ROLE_RC else inst.t0.matrix)
         eye = np.eye(inst.spec.total_size)
         z_devs = (
             mat_norm(trace.chain_factor - t0_focs, norm),
@@ -569,7 +569,7 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
             f"requested kind {kind!r} but the instance reference basis has "
             f"role {inst.kind!r}")
 
-    tasks = [(inst, d, di, ti, mode, kind, norm)
+    tasks = [(inst, d, di, ti, mode, norm)
              for di, d in enumerate(deltas) for ti in range(trials_per_delta)]
     workers = min(jobs, len(tasks))
     if workers > 1:

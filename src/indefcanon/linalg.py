@@ -51,11 +51,6 @@ def mat_norm(m: np.ndarray, kind: str = "spectral") -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value of ``m`` (0 for an empty matrix)."""
-    return mat_norm(m, "spectral")
-
-
 def rcond(m: np.ndarray) -> float:
     """Reciprocal condition number from the full SVD; 0 for a rank-deficient matrix."""
     m = np.atleast_2d(np.asarray(m))
@@ -67,8 +62,13 @@ def rcond(m: np.ndarray) -> float:
     return float(s[-1] / s[0])
 
 
-def solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``m @ x = b`` for square, numerically nonsingular ``m``.
+def refined_inverse(m: np.ndarray) -> np.ndarray:
+    """Inverse of square, numerically nonsingular ``m`` with one Newton
+    refinement step.
+
+    The refinement ``V <- V (2I - M V)`` knocks the residual of the computed
+    inverse down to the rounding floor, which matters when products built
+    from the inverse must satisfy algebraic identities tightly.
 
     Raises
     ------
@@ -77,25 +77,13 @@ def solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
         :data:`RCOND_FLOOR`.
     """
     m = require_finite(m, "m")
-    b = require_finite(b, "b")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("m must be square")
     rc = rcond(m)
     if rc < RCOND_FLOOR:
         raise SingularMatrixError(f"matrix is numerically singular (rcond={rc:.3e})")
-    return np.linalg.solve(m, b)
-
-
-def refined_inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of ``m`` with one Newton refinement step.
-
-    The refinement ``V <- V (2I - M V)`` knocks the residual of the computed
-    inverse down to the rounding floor, which matters when products built
-    from the inverse must satisfy algebraic identities tightly.
-    """
-    n = m.shape[0]
-    eye = np.eye(n, dtype=m.dtype)
-    v = solve(m, eye)
+    eye = np.eye(m.shape[0], dtype=m.dtype)
+    v = np.linalg.solve(m, eye)
     return v @ (2.0 * eye - m @ v)
 
 
@@ -133,15 +121,15 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         data = obj["data"]
+        if len(data) != rows * cols:
+            raise ValueError(f"matrix data length {len(data)} != rows*cols {rows * cols}")
+        if data and isinstance(data[0], (list, tuple)):
+            flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+            if np.all(flat.imag == 0.0):
+                flat = flat.real
+        else:
+            flat = np.array([float(x) for x in data], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    if len(data) != rows * cols:
-        raise ValueError(f"matrix data length {len(data)} != rows*cols {rows * cols}")
-    if data and isinstance(data[0], (list, tuple)):
-        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-        if np.all(flat.imag == 0.0):
-            flat = flat.real
-    else:
-        flat = np.array([float(x) for x in data], dtype=float)
     m = flat.reshape(rows, cols)
     return require_finite(m)

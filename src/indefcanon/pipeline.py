@@ -21,14 +21,20 @@ remains a Jordan basis throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .chains import BlockChain, ChainSet, fit_chain_to, jordan_chains, reduce_real_chain
+from .chains import (
+    STRUCT_RTOL,
+    BlockChain,
+    ChainSet,
+    fit_chain_to,
+    jordan_chains,
+    reduce_real_chain,
+    toeplitz_inv_sqrt,
+)
 from .errors import (
     NotRealError,
-    NotUnitTriangularError,
     PureImaginaryAnchorError,
     SingularBasisError,
     StructureMismatchError,
@@ -65,9 +71,6 @@ ANCHOR_TOL = 1e-10
 #: The rotation is a chain relabeling; anchors that are still degenerate
 #: afterwards raise :class:`PureImaginaryAnchorError`.
 PHASE_GUARD = 0.1
-
-#: Relative scale for structural zero-pattern assertions on Gram matrices.
-STRUCT_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -138,62 +141,6 @@ class PipelineTrace:
     gram_scaled: np.ndarray
     basis: np.ndarray
     gamma: complex
-
-
-def _inv_sqrt_coefficients(count: int) -> list[Fraction]:
-    """Binomial series coefficients of ``(1 + x)^(-1/2)``: 1, -1/2, 3/8, ..."""
-    coeffs = [Fraction(1)]
-    for k in range(1, count):
-        coeffs.append(coeffs[-1] * Fraction(-(2 * k - 1), 2 * k))
-    return coeffs
-
-
-def toeplitz_inv_sqrt(g3: np.ndarray) -> np.ndarray:
-    """Unit lower-triangular Toeplitz ``F`` with ``F @ F @ g3 = I``.
-
-    ``g3`` must be unit lower triangular; writing ``g3 = I + E`` with ``E``
-    strictly lower triangular (hence nilpotent), ``F`` is the binomial series
-    of ``(1 + E)^(-1/2)`` truncated by nilpotency, so the defining identity
-    holds as a finite polynomial identity in ``E``.  Exact inputs (object
-    arrays of Fractions) are processed in exact arithmetic.
-
-    Raises
-    ------
-    NotUnitTriangularError
-        If the diagonal deviates from 1 or the upper part from 0 beyond
-        :data:`STRUCT_RTOL` (exactly, for exact inputs).
-    """
-    g3 = np.atleast_2d(np.asarray(g3))
-    p = g3.shape[0]
-    if g3.shape != (p, p):
-        raise ValueError("g3 must be square")
-    exact = g3.dtype == object
-
-    if exact:
-        if any(g3[i, i] != 1 for i in range(p)):
-            raise NotUnitTriangularError("diagonal is not exactly 1")
-        if any(g3[i, j] != 0 for i in range(p) for j in range(i + 1, p)):
-            raise NotUnitTriangularError("upper part is not exactly 0")
-        ident = np.array([[Fraction(int(i == j)) for j in range(p)]
-                          for i in range(p)], dtype=object)
-    else:
-        g3 = require_finite(g3, "g3")
-        scale = max(1.0, float(np.max(np.abs(g3))))
-        if np.max(np.abs(np.diag(g3) - 1.0)) > STRUCT_RTOL * scale:
-            raise NotUnitTriangularError("diagonal deviates from 1 beyond tolerance")
-        if p > 1 and np.max(np.abs(np.triu(g3, 1))) > STRUCT_RTOL * scale:
-            raise NotUnitTriangularError("upper part deviates from 0 beyond tolerance")
-        ident = np.eye(p, dtype=g3.dtype)
-
-    e = np.tril(g3, -1)
-    coeffs = _inv_sqrt_coefficients(p)
-    f = ident.copy()
-    ek = ident.copy()
-    for k in range(1, p):
-        ek = ek @ e
-        c = coeffs[k] if exact else float(coeffs[k])
-        f = f + c * ek
-    return f
 
 
 def phase_step(anchor: GramAnchor, p: int) -> np.ndarray:

@@ -46,22 +46,30 @@ def spec_to_json(spec: JordanSpec) -> dict:
 
 
 def spec_from_json(obj: dict) -> JordanSpec:
-    try:
-        raw_blocks = obj["blocks"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed spec object: {exc}") from exc
     blocks = []
-    for rb in raw_blocks:
-        kind = rb.get("kind")
-        if kind == "real":
-            blocks.append(BlockSpec(REAL, float(rb["lambda"]), int(rb["size"]),
-                                    int(rb["sign"])))
-        elif kind == "pair":
-            lam = rb["lambda"]
-            blocks.append(BlockSpec(PAIR, complex(lam[0], lam[1]), int(rb["size"])))
-        else:
-            raise ValueError(f"unknown block kind {kind!r}")
+    try:
+        for rb in obj["blocks"]:
+            kind = rb.get("kind")
+            if kind == "real":
+                blocks.append(BlockSpec(REAL, float(rb["lambda"]), int(rb["size"]),
+                                        int(rb["sign"])))
+            elif kind == "pair":
+                lam = rb["lambda"]
+                blocks.append(BlockSpec(PAIR, complex(lam[0], lam[1]), int(rb["size"])))
+            else:
+                raise ValueError(f"unknown block kind {kind!r}")
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed spec object: {exc}") from exc
     return JordanSpec(tuple(blocks))
+
+
+def check_sizes(spec: JordanSpec, **matrices: np.ndarray) -> None:
+    """Reject any of the named matrices that is not square of the spec's size."""
+    n = spec.total_size
+    for name, m in matrices.items():
+        if m.shape != (n, n):
+            raise ValueError(f"{name} is {m.shape[0]}x{m.shape[1]}, "
+                             f"but the spec needs {n}x{n}")
 
 
 def basis_to_json(basis: CanonicalBasis) -> dict:
@@ -92,7 +100,7 @@ def basis_from_json(obj: dict) -> CanonicalBasis:
                 cs_residual=res.get("cs"),
                 max_imag=res.get("max_imag")),
             eps=tuple(obj.get("eps", [])))
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed basis object: {exc}") from exc
 
 
@@ -108,7 +116,7 @@ def instance_to_json(inst: Instance) -> dict:
 
 def instance_from_json(obj: dict) -> Instance:
     try:
-        return Instance(
+        inst = Instance(
             spec=spec_from_json(obj["spec"]),
             a0=np.real(matrix_from_json(obj["A0"])),
             h0=np.real(matrix_from_json(obj["H0"])),
@@ -116,6 +124,8 @@ def instance_from_json(obj: dict) -> Instance:
             seed=int(obj["seed"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance object: {exc}") from exc
+    check_sizes(inst.spec, A0=inst.a0, H0=inst.h0, T0=inst.t0.matrix)
+    return inst
 
 
 def trace_to_json(trace: PipelineTrace) -> dict:

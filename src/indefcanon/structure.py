@@ -11,11 +11,10 @@ From a spec this module builds
   blocks, signed on real blocks,
 * the real Jordan form, with 2x2 rotation-like cells on pair blocks,
 * the fixed block-diagonal unitary coupling conjugate chains into real and
-  imaginary interleavings, together with its closed-form inverse.
+  imaginary interleavings.
 
 It also hosts the structural predicates: the selfadjointness residual in an
-indefinite inner product, the conjugate-symmetry check with its fitted
-scalar, and structural equality of two specs.
+indefinite inner product and the conjugate-symmetry fit with its scalar.
 """
 
 from __future__ import annotations
@@ -197,22 +196,8 @@ def mixing_matrix(spec: JordanSpec) -> np.ndarray:
 
 
 def mixing_matrix_inv(spec: JordanSpec) -> np.ndarray:
-    """Closed-form inverse of :func:`mixing_matrix` (no numerical inversion)."""
-    cells = []
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for b in spec.blocks:
-        if b.kind == REAL:
-            cells.append(np.eye(b.size, dtype=complex))
-            continue
-        p = b.size
-        cell = np.zeros((2 * p, 2 * p), dtype=complex)
-        for i in range(p):
-            cell[2 * i, i] = 1.0
-            cell[2 * i, p + i] = 1.0j
-            cell[2 * i + 1, i] = 1.0j
-            cell[2 * i + 1, p + i] = 1.0
-        cells.append(cell * inv_sqrt2)
-    return _block_diag(cells, complex)
+    """Inverse of the unitary :func:`mixing_matrix`: its conjugate transpose."""
+    return mixing_matrix(spec).conj().T
 
 
 def h_selfadjoint_residual(a: np.ndarray, h: np.ndarray, *,
@@ -276,40 +261,3 @@ def conjugate_symmetry_fit(n: np.ndarray, spec: JordanSpec, *,
         if res > worst:
             worst, worst_i = float(res), i
     return gamma, worst, worst_i
-
-
-def conjugate_symmetry_gamma(n: np.ndarray, spec: JordanSpec, *,
-                             norm: str = "spectral") -> complex:
-    """Fit and verify the conjugate-symmetry scalar of a basis.
-
-    For every pair block ``[Q | Q']`` of ``n`` the second half must equal
-    ``gamma * conj(Q)`` for one global nonzero ``gamma``, verified against
-    ``CS_TOL * max(1, ||n||)``.  Returns ``gamma``; a spec without pair blocks
-    degenerates to 1.
-
-    Raises
-    ------
-    NotConjugateSymmetricError
-        With the offending block index and residual when verification fails.
-    """
-    gamma, worst, worst_i = conjugate_symmetry_fit(n, spec, norm=norm)
-    if gamma == 0.0:
-        raise NotConjugateSymmetricError("fitted gamma is zero",
-                                         block_index=worst_i, residual=worst)
-    scale = max(1.0, mat_norm(n, norm))
-    if worst > CS_TOL * scale:
-        raise NotConjugateSymmetricError(
-            f"block {worst_i} violates conjugate symmetry (residual {worst:.3e})",
-            block_index=worst_i, residual=worst)
-    return gamma
-
-
-def same_jordan_structure(a: JordanSpec, b: JordanSpec) -> bool:
-    """True when the blocks of ``a`` and ``b`` biject preserving kind, size,
-    and the sign multiset of real blocks; eigenvalue values are ignored."""
-    def key(spec: JordanSpec):
-        reals = sorted((blk.size, blk.sign) for blk in spec.blocks if blk.kind == REAL)
-        pairs = sorted(blk.size for blk in spec.blocks if blk.kind == PAIR)
-        return reals, pairs
-
-    return key(a) == key(b)

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from indefcanon import BlockSpec, JordanSpec
+from indefcanon.linalg import mat_norm
+from indefcanon.structure import CS_TOL, conjugate_symmetry_fit
 
 # ---------------------------------------------------------------------------
 # worked-example fixtures (4x4 pair with eigenvalues -2i, 2i)
@@ -97,6 +99,14 @@ def ex_r():
 @pytest.fixture(scope="session")
 def ex_spec():
     return JordanSpec((BlockSpec("pair", -2j, 2),))
+
+
+def cs_gamma(n, spec):
+    """Fitted conjugate-symmetry scalar of ``n``, asserting that its residual
+    is within ``CS_TOL * max(1, ||n||)``."""
+    gamma, res, _ = conjugate_symmetry_fit(n, spec)
+    assert res <= CS_TOL * max(1.0, mat_norm(n)), res
+    return gamma
 
 
 # ---------------------------------------------------------------------------

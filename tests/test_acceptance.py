@@ -12,21 +12,21 @@ import numpy as np
 from indefcanon import (
     BlockSpec,
     JordanSpec,
-    NotConjugateSymmetricError,
     affiliation_residuals,
-    conjugate_symmetry_gamma,
+    conjugate_symmetry_fit,
     estimate_lipschitz,
     focs_basis,
     generate_instance,
     h_selfadjoint_residual,
     jordan_form,
+    mat_norm,
     mixing_matrix,
     mixing_matrix_inv,
     real_jordan_form,
     sip_form,
-    spectral_norm,
     toeplitz_inv_sqrt,
 )
+from indefcanon.structure import CS_TOL
 
 from conftest import frac_identity
 
@@ -68,14 +68,13 @@ def test_criterion_1_golden_fixture(ex_a, ex_h, ex_t, ex_l, ex_l_gram, ex_m,
     sim, cong = affiliation_residuals(ex_a, ex_h, ex_t, ex_j, ex_p)
     ok = sim <= 1e-10 and cong <= 1e-10
     ok &= h_selfadjoint_residual(ex_a, ex_h) == 0.0
-    try:
-        conjugate_symmetry_gamma(ex_t, ex_spec)
-        ok = False
-    except NotConjugateSymmetricError:
-        pass
-    ok &= abs(conjugate_symmetry_gamma(ex_l, ex_spec) - 1.0) <= 1e-12
-    ok &= spectral_norm(ex_l.conj().T @ ex_h @ ex_l - ex_l_gram) <= 1e-12
-    ok &= abs(conjugate_symmetry_gamma(ex_m, ex_spec) - 1.0) <= 1e-12
+    _, res_t, block_t = conjugate_symmetry_fit(ex_t, ex_spec)
+    ok &= block_t == 0 and res_t > CS_TOL * max(1.0, mat_norm(ex_t))
+    for basis in (ex_l, ex_m):
+        gamma, res, _ = conjugate_symmetry_fit(basis, ex_spec)
+        ok &= abs(gamma - 1.0) <= 1e-12
+        ok &= res <= CS_TOL * max(1.0, mat_norm(basis))
+    ok &= mat_norm(ex_l.conj().T @ ex_h @ ex_l - ex_l_gram) <= 1e-12
     sim_m, cong_m = affiliation_residuals(ex_a, ex_h, ex_m, ex_j, ex_p)
     ok &= sim_m <= 1e-10 and cong_m <= 1e-10
     ok &= not np.iscomplexobj(ex_r)
@@ -92,10 +91,10 @@ def test_criterion_2_pipeline_soundness(ex_a, ex_h, ex_spec, ex_p):
     basis, tr = focs_basis(ex_a, ex_h, ex_spec, 1.0)
     ok = basis.cert.similarity <= 1e-10 and basis.cert.congruence <= 1e-10
     ok &= basis.cert.cs_residual <= 1e-10
-    stol = 1e-8 * max(1.0, spectral_norm(ex_h) * spectral_norm(tr.chain_factor) ** 2)
+    stol = 1e-8 * max(1.0, mat_norm(ex_h) * mat_norm(tr.chain_factor) ** 2)
     p = 2
     z = tr.gram_raw[p:, :p]
-    ok &= spectral_norm(tr.gram_raw[:p, :p]) <= stol          # zero diagonal block
+    ok &= mat_norm(tr.gram_raw[:p, :p]) <= stol               # zero diagonal block
     ok &= abs(z[0, 0]) <= stol                                # anti-triangular
     ok &= abs(z[0, 1] - z[1, 0]) <= stol                      # Hankel
     anc1 = np.mean(np.diag(np.fliplr(tr.gram_phased[p:, :p])))
@@ -103,7 +102,7 @@ def test_criterion_2_pipeline_soundness(ex_a, ex_h, ex_spec, ex_p):
     anc2 = np.mean(np.diag(np.fliplr(tr.gram_scaled[p:, :p])))
     ok &= abs(anc2 - 1.0) <= stol                             # unit anchor
     final = tr.flip_factor.conj().T @ tr.gram_scaled @ tr.flip_factor
-    ok &= spectral_norm(final - ex_p) <= stol                 # sip Gram
+    ok &= mat_norm(final - ex_p) <= stol                      # sip Gram
     elapsed = time.monotonic() - start
     ok &= elapsed < 1.0
     _verdict(2, "pipeline soundness on the worked example", ok,
@@ -134,7 +133,7 @@ def test_criterion_3_toeplitz_oracle():
             ang = rng.uniform(0.0, 2.0 * np.pi)
             g3 += mag * np.exp(1j * ang) * np.diag(np.ones(p - d), -d)
         f = toeplitz_inv_sqrt(g3)
-        ok &= spectral_norm(f @ f @ g3 - np.eye(p)) <= 1e-12
+        ok &= mat_norm(f @ f @ g3 - np.eye(p)) <= 1e-12
     _verdict(3, "Toeplitz inverse square root contract", ok,
              "200 exact rational + 1000 double cases")
 
@@ -148,15 +147,15 @@ def test_criterion_4_mixing_identities_and_rc_realness():
         spec = random_spec(rng, max_total=12)
         s = mixing_matrix(spec)
         p = sip_form(spec)
-        ok &= spectral_norm(s.conj().T @ p @ s - p) <= 1e-12
-        ok &= spectral_norm(mixing_matrix_inv(spec) @ jordan_form(spec) @ s
-                            - real_jordan_form(spec)) <= 1e-12
+        ok &= mat_norm(s.conj().T @ p @ s - p) <= 1e-12
+        ok &= mat_norm(mixing_matrix_inv(spec) @ jordan_form(spec) @ s
+                       - real_jordan_form(spec)) <= 1e-12
         inst = generate_instance(spec, 40_000 + k, kind="rc")
         r = inst.t0
         ok &= not np.iscomplexobj(r.matrix)
-        rel = r.cert.max_imag / max(1.0, spectral_norm(r.matrix))
+        rel = r.cert.max_imag / max(1.0, mat_norm(r.matrix))
         worst_imag = max(worst_imag, rel)
-        ok &= r.cert.max_imag <= 1e-9 * max(1.0, spectral_norm(r.matrix))
+        ok &= r.cert.max_imag <= 1e-9 * max(1.0, mat_norm(r.matrix))
     _verdict(4, "mixing-transform identities and rc realness", ok,
              f"worst relative imaginary part {worst_imag:.2e}")
 
@@ -206,7 +205,7 @@ def test_criterion_6_rc_lipschitz():
     rc_reports = _run_experiment("rc", "strict")
     ok, worst = _check_reports(rc_reports)
     for spec, rep_f, rep_r in zip(EXPERIMENT_SPECS, focs_reports, rc_reports):
-        s_norm = spectral_norm(mixing_matrix(spec))
+        s_norm = mat_norm(mixing_matrix(spec))
         ok &= rep_r.k_hat <= 1.1 * s_norm * rep_f.k_hat
     elapsed = time.monotonic() - start
     _verdict(6, "rc-mode Lipschitz and mixing-norm relation", ok,

@@ -1,15 +1,20 @@
 """Command-line workflows and the exit-code contract."""
 
+import functools
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indefcanon import BlockSpec, JordanSpec, generate_instance
 from indefcanon.cli import main
-from indefcanon.linalg import matrix_to_json
-from indefcanon.serialize import dumps, spec_to_json
+from indefcanon.linalg import matrix_from_json, matrix_to_json
+from indefcanon.serialize import basis_to_json, dumps, instance_to_json, spec_to_json
 
 from conftest import random_spec
 
@@ -53,10 +58,16 @@ def test_gen_writes_deterministic_instance(runner, tmp_path):
 
 def test_gen_bad_json_exits_2(runner, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    r = runner.invoke(main, ["gen", "--spec-file", str(bad),
-                             "--out", str(tmp_path / "x.json")])
-    assert r.exit_code == 2
+    for text in ["{not json",
+                 '{"blocks": [1, 2]}',
+                 '{"blocks": 5}',
+                 '{"blocks": [{"kind": "pair", "lambda": 1.0, "size": 1}]}',
+                 '{"blocks": [{"kind": "real", "lambda": 1.0, "size": 1}]}']:
+        bad.write_text(text)
+        r = runner.invoke(main, ["gen", "--spec-file", str(bad),
+                                 "--out", str(tmp_path / "x.json")])
+        assert r.exit_code == 2, (text, r.output)
+        assert r.exception is None or isinstance(r.exception, SystemExit), text
 
 
 def test_gen_zero_eigenvalue_exits_3(runner, tmp_path):
@@ -177,6 +188,57 @@ def test_verify_parse_error_exits_2(runner, tmp_path, paper_pair_file):
     assert r.exit_code == 2
 
 
+def test_mismatched_bare_pair_exits_2(runner, tmp_path, ex_a, ex_h, ex_spec, ex_m):
+    f = tmp_path / "pair.json"
+    write_pair_file(f, ex_a, ex_h[:3, :3], ex_spec)
+    bf = tmp_path / "m.json"
+    bf.write_text(dumps(matrix_to_json(ex_m)))
+    for args in (["canonize", "--in", str(f), "--out", str(tmp_path / "x.json")],
+                 ["verify", "--in", str(f), "--basis", str(bf)]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, r.output
+        assert "H is 3x3, but the spec needs 4x4" in r.output
+
+
+def test_verify_wrong_size_basis_exits_2(runner, tmp_path, paper_pair_file, ex_m):
+    bf = tmp_path / "m.json"
+    bf.write_text(dumps(matrix_to_json(ex_m[:, :3])))
+    r = runner.invoke(main, ["verify", "--in", str(paper_pair_file),
+                             "--basis", str(bf)])
+    assert r.exit_code == 2, r.output
+    assert "basis is 4x3, but the spec needs 4x4" in r.output
+
+
+def test_instance_with_wrong_size_t0_exits_2(runner, tmp_path):
+    obj = instance_to_json(generate_instance(SPEC, 3))
+    obj["T0"]["matrix"] = matrix_to_json(np.eye(2))
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(dumps(obj))
+    for args in (["canonize", "--in", str(inst_file), "--out", str(tmp_path / "x.json")],
+                 ["stability", "--in", str(inst_file), "--trials", "1",
+                  "--out-csv", str(tmp_path / "x.csv")]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, r.output
+        assert "T0 is 2x2, but the spec needs 6x6" in r.output
+    assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.csv").exists()
+
+
+def test_stability_refuses_to_overwrite_its_input(runner, tmp_path):
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(dumps(instance_to_json(generate_instance(SPEC, 3))))
+    before = inst_file.read_bytes()
+    for outputs in (["--out-csv", str(tmp_path / "inst.csv")],
+                    ["--out-csv", str(inst_file)],
+                    ["--out-csv", str(tmp_path / "r.csv"),
+                     "--out-json", str(tmp_path / "." / "inst.json")]):
+        r = runner.invoke(main, ["stability", "--in", str(inst_file),
+                                 "--trials", "1", *outputs])
+        assert r.exit_code == 2, r.output
+        assert "would overwrite the input file" in r.output
+    assert inst_file.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
 def test_stability_round_trip(runner, tmp_path):
     spec_file = tmp_path / "spec.json"
     write_spec(spec_file)
@@ -293,3 +355,102 @@ def test_environment_variable_overrides(runner, tmp_path):
                              "--seed", "9", "--out", str(out_direct)])
     assert r.exit_code == 0
     assert out.read_bytes() == out_direct.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract under malformed input
+
+#: Replacement values of every JSON type.
+SWAPS = ("x", None, [], {}, True, 0.5, [1, 2])
+
+
+@functools.lru_cache(maxsize=1)
+def _valid_files() -> dict[str, str]:
+    """JSON text of a valid spec, instance, bare pair and basis file."""
+    inst = generate_instance(SPEC, 3)
+    return {
+        "spec": dumps(spec_to_json(SPEC)),
+        "inst": dumps(instance_to_json(inst)),
+        "pair": dumps({"A": matrix_to_json(inst.a0), "H": matrix_to_json(inst.h0),
+                       "spec": spec_to_json(SPEC)}),
+        "basis": dumps(basis_to_json(inst.t0)),
+    }
+
+
+def _paths(obj, prefix=()):
+    """Key/index paths into a JSON tree; of a matrix's data only the first
+    entry is descended into, so matrix entries do not crowd out the rest."""
+    if isinstance(obj, dict):
+        items = list(obj.items())
+    elif isinstance(obj, list):
+        items = list(enumerate(obj[:1] if prefix and prefix[-1] == "data" else obj))
+    else:
+        items = []
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def _mutated_file(draw):
+    """One valid file with one key dropped, one value's type swapped, or one
+    matrix resized."""
+    target = draw(st.sampled_from(sorted(_valid_files())))
+    obj = json.loads(_valid_files()[target])
+    paths = list(_paths(obj))
+    holders = [p for p in paths if isinstance(_at(obj, p), dict) and "rows" in _at(obj, p)]
+    how = draw(st.sampled_from(["drop", "swap"] + (["resize"] if holders else [])))
+    if how == "drop":
+        path = draw(st.sampled_from([p for p in paths if isinstance(p[-1], str)]))
+        del _at(obj, path[:-1])[path[-1]]
+    elif how == "swap":
+        path = draw(st.sampled_from(paths))
+        old = _at(obj, path)
+        _at(obj, path[:-1])[path[-1]] = draw(st.sampled_from(
+            [v for v in SWAPS if type(v) is not type(old)]))
+    else:
+        path = draw(st.sampled_from(holders))
+        m = matrix_from_json(_at(obj, path))
+        shape = draw(st.tuples(st.integers(0, 6), st.integers(0, 6))
+                     .filter(lambda s: s != m.shape))
+        resized = np.zeros(shape, dtype=m.dtype)
+        r, c = min(shape[0], m.shape[0]), min(shape[1], m.shape[1])
+        resized[:r, :c] = m[:r, :c]
+        _at(obj, path[:-1])[path[-1]] = matrix_to_json(resized)
+    return target, dumps(obj)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_mutated_file())
+def test_malformed_files_keep_the_exit_code_contract(mutated):
+    target, text = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, valid in _valid_files().items():
+            files[name] = os.path.join(tmp, f"{name}.json")
+            with open(files[name], "w") as fh:
+                fh.write(text if name == target else valid)
+        out = os.path.join(tmp, "out.json")
+        commands = {
+            "spec": [["gen", "--spec-file", files["spec"], "--seed", "3", "--out", out]],
+            "inst": [["canonize", "--in", files["inst"], "--out", out],
+                     ["verify", "--in", files["inst"], "--basis", files["basis"]],
+                     ["stability", "--in", files["inst"], "--deltas", "1e-3,1e-4",
+                      "--trials", "1", "--out-csv", os.path.join(tmp, "r.csv")]],
+            "pair": [["canonize", "--in", files["pair"], "--out", out],
+                     ["verify", "--in", files["pair"], "--basis", files["basis"]]],
+            "basis": [["verify", "--in", files["inst"], "--basis", files["basis"]]],
+        }[target]
+        for args in commands:
+            r = CliRunner().invoke(main, args)
+            assert r.exception is None or isinstance(r.exception, SystemExit), \
+                (args[0], repr(r.exception), text)
+            assert r.exit_code in (0, 1, 2, 3, 4), (args[0], r.exit_code)
+            if r.exit_code == 1:
+                assert args[0] in ("verify", "stability"), (args[0], r.output)

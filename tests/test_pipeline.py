@@ -14,21 +14,20 @@ from indefcanon import (
     PureImaginaryAnchorError,
     SingularBasisError,
     StructureMismatchError,
-    conjugate_symmetry_gamma,
     flip_step,
     focs_basis,
+    mat_norm,
     phase_step,
     real_jordan_form,
     scale_step,
     sip_form,
-    spectral_norm,
     symmetrize_step,
     toeplitz_inv_sqrt,
 )
 from indefcanon import pipeline
 from indefcanon.chains import BlockChain, ChainSet
 
-from conftest import frac_identity
+from conftest import cs_gamma, frac_identity
 
 
 def rand_unit_lower_toeplitz(rng, p, scale=1.0):
@@ -95,7 +94,7 @@ def test_toeplitz_numeric_contract():
         p = int(rng.integers(1, 9))
         g3 = rand_unit_lower_toeplitz(rng, p, scale=0.9)
         f = toeplitz_inv_sqrt(g3)
-        assert spectral_norm(f @ f @ g3 - np.eye(p)) <= 1e-12
+        assert mat_norm(f @ f @ g3 - np.eye(p)) <= 1e-12
         # F is unit lower triangular Toeplitz itself
         assert np.allclose(np.diag(f), 1.0)
         for d in range(1, p):
@@ -179,7 +178,7 @@ def test_flip_step_random_hankel_blocks():
             blk[:p, p:] = g2.conj().T
             z4 = flip_step(blk)
             f_up = z4[:p, :p]
-            assert spectral_norm(f_up.T @ g2 @ f_up - np.fliplr(np.eye(p))) <= 1e-12
+            assert mat_norm(f_up.T @ g2 @ f_up - np.fliplr(np.eye(p))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +221,9 @@ def test_focs_paper_example_matches_m(ex_a, ex_h, ex_spec, ex_m, ex_j, ex_p):
     assert basis.cert.congruence <= 1e-10
     assert basis.gamma == pytest.approx(1.0, abs=1e-12)
     # equal to the known FOCS matrix up to the residual sign gauge
-    d_plus = spectral_norm(basis.matrix - ex_m)
-    d_minus = spectral_norm(basis.matrix + ex_m)
-    assert min(d_plus, d_minus) <= 1e-12 * spectral_norm(ex_m)
+    d_plus = mat_norm(basis.matrix - ex_m)
+    d_minus = mat_norm(basis.matrix + ex_m)
+    assert min(d_plus, d_minus) <= 1e-12 * mat_norm(ex_m)
 
 
 def test_focs_rejects_complex_pair(ex_spec, ex_j, ex_p):
@@ -238,7 +237,7 @@ def test_focs_all_real_canonical_pair_gives_identity():
     j = real_jordan_form(spec)
     p = sip_form(spec)
     basis, _ = focs_basis(j, p, spec, 1.0)
-    assert spectral_norm(basis.matrix - np.eye(3)) <= 1e-12
+    assert mat_norm(basis.matrix - np.eye(3)) <= 1e-12
     assert basis.cert.similarity <= 1e-12 and basis.cert.congruence <= 1e-12
 
 
@@ -258,18 +257,18 @@ def test_focs_gamma_i_column_relation(ex_a, ex_h, ex_spec):
     bi, _ = focs_basis(ex_a, ex_h, ex_spec, 1.0j)
     assert bi.cert.similarity <= 1e-10 and bi.cert.congruence <= 1e-10
     assert abs(abs(bi.gamma) - 1.0) <= 1e-10
-    assert conjugate_symmetry_gamma(bi.matrix, ex_spec) == pytest.approx(bi.gamma)
+    assert cs_gamma(bi.matrix, ex_spec) == pytest.approx(bi.gamma)
     turn = np.exp(0.25j * np.pi)
-    dev = min(spectral_norm(bi.matrix - turn * b1.matrix),
-              spectral_norm(bi.matrix + turn * b1.matrix))
-    assert dev <= 1e-12 * spectral_norm(b1.matrix)
+    dev = min(mat_norm(bi.matrix - turn * b1.matrix),
+              mat_norm(bi.matrix + turn * b1.matrix))
+    assert dev <= 1e-12 * mat_norm(b1.matrix)
 
 
 def test_focs_trace_stays_cs_after_every_step(ex_a, ex_h, ex_spec):
     basis, tr = focs_basis(ex_a, ex_h, ex_spec, 1.0)
     stage = tr.chain_factor
     for factor in (tr.phase_factor, tr.scale_factor, tr.flip_factor):
-        g = conjugate_symmetry_gamma(stage, ex_spec)
+        g = cs_gamma(stage, ex_spec)
         assert abs(abs(g) - 1.0) <= 1e-10
         stage = stage @ factor
     np.testing.assert_allclose(stage, basis.matrix, atol=1e-13)
@@ -278,7 +277,7 @@ def test_focs_trace_stays_cs_after_every_step(ex_a, ex_h, ex_spec):
 def test_focs_factors_commute_with_jordan_form(ex_a, ex_h, ex_spec, ex_j):
     _, tr = focs_basis(ex_a, ex_h, ex_spec, 1.0)
     for z in (tr.phase_factor, tr.scale_factor, tr.flip_factor):
-        assert spectral_norm(z @ ex_j - ex_j @ z) <= 1e-10 * spectral_norm(z)
+        assert mat_norm(z @ ex_j - ex_j @ z) <= 1e-10 * mat_norm(z)
 
 
 def test_focs_table_gram_assertions(ex_a, ex_h, ex_spec, ex_p):
@@ -293,7 +292,7 @@ def test_focs_table_gram_assertions(ex_a, ex_h, ex_spec, ex_p):
     assert abs(anc2 - 1.0) <= 1e-10                    # unit anchor
     z4 = tr.flip_factor
     final = z4.conj().T @ tr.gram_scaled @ z4
-    assert spectral_norm(final - ex_p) <= 1e-10        # sip Gram
+    assert mat_norm(final - ex_p) <= 1e-10             # sip Gram
 
 
 def test_focs_rejects_wrong_sign_characteristic():
@@ -336,7 +335,7 @@ def test_focs_rejects_non_finite_gamma(ex_a, ex_h, ex_spec, gamma):
 def test_focs_anchored_reproduces_reference(ex_a, ex_h, ex_spec):
     ref, _ = focs_basis(ex_a, ex_h, ex_spec, 1.0)
     again, tr = focs_basis(ex_a, ex_h, ex_spec, 1.0, anchor=ref.matrix)
-    assert spectral_norm(again.matrix - ref.matrix) <= 1e-12
+    assert mat_norm(again.matrix - ref.matrix) <= 1e-12
     n = ex_a.shape[0]
     for z in (tr.phase_factor, tr.scale_factor, tr.flip_factor):
-        assert spectral_norm(z - np.eye(n)) <= 1e-12
+        assert mat_norm(z - np.eye(n)) <= 1e-12

@@ -2,27 +2,24 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from indefcanon import (
     BlockSpec,
     JordanSpec,
-    NotConjugateSymmetricError,
     NotHermitianError,
     SingularInnerProductError,
-    conjugate_symmetry_gamma,
+    conjugate_symmetry_fit,
     h_selfadjoint_residual,
     jordan_form,
+    mat_norm,
     mixing_matrix,
     mixing_matrix_inv,
     real_jordan_form,
-    same_jordan_structure,
     sip_form,
-    spectral_norm,
 )
+from indefcanon.structure import CS_TOL
 
-from conftest import random_spec
+from conftest import cs_gamma, random_spec
 
 
 def test_block_spec_validation():
@@ -83,7 +80,7 @@ def test_build_jr_single_pair_hand_case():
     np.testing.assert_array_equal(real_jordan_form(spec), [[0, 1], [-1, 0]])
     s = mixing_matrix(spec)
     lhs = mixing_matrix_inv(spec) @ jordan_form(spec) @ s
-    assert spectral_norm(lhs - real_jordan_form(spec)) <= 1e-14
+    assert mat_norm(lhs - real_jordan_form(spec)) <= 1e-14
 
 
 def test_build_jr_plain_real_block():
@@ -98,7 +95,7 @@ def test_mixing_matrix_single_pair_identities():
     expected = np.array([[1, -1j], [-1j, 1]]) / np.sqrt(2)
     np.testing.assert_allclose(s, expected, atol=1e-15)
     sip = np.fliplr(np.eye(2))
-    assert spectral_norm(s.conj().T @ sip @ s - sip) <= 1e-14
+    assert mat_norm(s.conj().T @ sip @ s - sip) <= 1e-14
 
 
 def test_mixing_matrix_all_real_is_identity():
@@ -113,11 +110,11 @@ def test_mixing_identities_randomized():
         s = mixing_matrix(spec)
         s_inv = mixing_matrix_inv(spec)
         n = spec.total_size
-        assert spectral_norm(s @ s_inv - np.eye(n)) <= 1e-14
+        assert mat_norm(s @ s_inv - np.eye(n)) <= 1e-14
         p = sip_form(spec)
-        assert spectral_norm(s.conj().T @ p @ s - p) <= 1e-12
+        assert mat_norm(s.conj().T @ p @ s - p) <= 1e-12
         jr = real_jordan_form(spec)
-        assert spectral_norm(s_inv @ jordan_form(spec) @ s - jr) <= 1e-12
+        assert mat_norm(s_inv @ jordan_form(spec) @ s - jr) <= 1e-12
         assert not np.iscomplexobj(jr)
 
 
@@ -135,7 +132,7 @@ def test_h_selfadjoint_paper_pair(ex_a, ex_h):
 def test_h_selfadjoint_nonhermitian_deviation():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     res = h_selfadjoint_residual(a, np.eye(2))
-    assert res == pytest.approx(spectral_norm(a - a.T))
+    assert res == pytest.approx(mat_norm(a - a.T))
 
 
 def test_h_selfadjoint_rejects_nonhermitian_h():
@@ -149,24 +146,24 @@ def test_h_selfadjoint_rejects_singular_h():
 
 
 def test_cs_gamma_paper_m(ex_m, ex_spec):
-    assert conjugate_symmetry_gamma(ex_m, ex_spec) == pytest.approx(1.0)
+    assert cs_gamma(ex_m, ex_spec) == pytest.approx(1.0)
 
 
 def test_cs_gamma_paper_l(ex_l, ex_spec, ex_h, ex_l_gram):
-    assert conjugate_symmetry_gamma(ex_l, ex_spec) == pytest.approx(1.0)
+    assert cs_gamma(ex_l, ex_spec) == pytest.approx(1.0)
     np.testing.assert_allclose(ex_l.conj().T @ ex_h @ ex_l, ex_l_gram, atol=1e-14)
 
 
 def test_cs_fails_on_paper_t(ex_t, ex_spec):
-    with pytest.raises(NotConjugateSymmetricError) as err:
-        conjugate_symmetry_gamma(ex_t, ex_spec)
-    assert err.value.block_index == 0
-    assert err.value.residual > 1.0
+    _, res, block = conjugate_symmetry_fit(ex_t, ex_spec)
+    assert block == 0
+    assert res > CS_TOL * max(1.0, mat_norm(ex_t))
+    assert res > 1.0
 
 
 def test_cs_no_pair_blocks_degenerates():
     spec = JordanSpec((BlockSpec("real", 2.0, 2, 1),))
-    assert conjugate_symmetry_gamma(np.eye(2), spec) == 1.0
+    assert cs_gamma(np.eye(2), spec) == 1.0
 
 
 def test_cs_phase_gauge_invariance(ex_m, ex_spec):
@@ -175,40 +172,5 @@ def test_cs_phase_gauge_invariance(ex_m, ex_spec):
     for _ in range(10):
         th = rng.uniform(-np.pi, np.pi)
         d = np.diag([np.exp(1j * th)] * 2 + [np.exp(-1j * th)] * 2)
-        g = conjugate_symmetry_gamma(ex_m @ d, ex_spec)
+        g = cs_gamma(ex_m @ d, ex_spec)
         assert g == pytest.approx(1.0, abs=1e-12)
-
-
-def test_same_jordan_structure_ignores_eigenvalues():
-    a = JordanSpec((BlockSpec("pair", -2j, 2),))
-    b = JordanSpec((BlockSpec("pair", -2.001j, 2),))
-    assert same_jordan_structure(a, b)
-
-
-def test_same_jordan_structure_block_split():
-    a = JordanSpec((BlockSpec("real", 1.0, 2, 1),))
-    b = JordanSpec((BlockSpec("real", 1.0, 1, 1), BlockSpec("real", 1.0, 1, 1)))
-    assert not same_jordan_structure(a, b)
-
-
-def test_same_jordan_structure_identical_and_signs():
-    a = JordanSpec((BlockSpec("real", 1.0, 2, 1), BlockSpec("pair", 1j, 1)))
-    assert same_jordan_structure(a, a)
-    flipped = JordanSpec((BlockSpec("real", 1.0, 2, -1), BlockSpec("pair", 1j, 1)))
-    assert not same_jordan_structure(a, flipped)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.integers(0, 10_000))
-def test_same_jordan_structure_permutation_and_eigenvalue_invariance(seed, perm_seed):
-    rng = np.random.default_rng(seed)
-    spec = random_spec(rng)
-    order = np.random.default_rng(perm_seed).permutation(len(spec.blocks))
-    shuffled = JordanSpec(tuple(spec.blocks[i] for i in order))
-    assert same_jordan_structure(spec, shuffled)
-    # moving every eigenvalue leaves the structure alone
-    moved = JordanSpec(tuple(
-        BlockSpec(b.kind, b.lam + (0.5 if b.kind == "real" else 0.5 + 0.25j),
-                  b.size, b.sign)
-        for b in spec.blocks))
-    assert same_jordan_structure(spec, moved)

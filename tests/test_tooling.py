@@ -1,0 +1,52 @@
+"""Repository-level guards: the package's import graph and the benchmark's
+tracing tables."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "indefcanon"
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """Package modules imported by ``path`` at any depth, including imports
+    inside function bodies."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_package_import_graph_is_acyclic():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    graph = {m: _relative_imports(PACKAGE / f"{m}.py") & modules for m in modules}
+    done: set[str] = set()
+
+    def visit(module: str, path: list[str]) -> None:
+        if module in path:
+            cycle = path[path.index(module):] + [module]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if module in done:
+            return
+        for dep in sorted(graph[module]):
+            visit(dep, path + [module])
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module, [])
+
+
+def test_benchmark_tracing_tables_resolve():
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.SPANNED and tracing.COUNTED
+    for home, attr, name in tracing.SPANNED + tracing.COUNTED:
+        assert callable(getattr(home, attr, None)), \
+            f"{home.__name__}.{attr} (traced as {name}) does not resolve"
