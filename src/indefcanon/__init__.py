@@ -29,6 +29,7 @@ from .errors import (
     SingularInnerProductError,
     SingularMatrixError,
     StructureMismatchError,
+    TrialError,
 )
 from .harness import (
     Instance,

@@ -71,13 +71,6 @@ def _phase_normalize(v: np.ndarray) -> np.ndarray:
     return v * (abs(piv) / piv)
 
 
-def _nullspace(m: np.ndarray, threshold: float) -> np.ndarray:
-    """Orthonormal nullspace basis by SVD with an absolute threshold."""
-    _, s, vh = np.linalg.svd(m)
-    mask = s < threshold
-    return vh.conj().T[:, mask]
-
-
 def _block_chain(a: np.ndarray, block: BlockSpec) -> np.ndarray:
     n = a.shape[0]
     p = block.size
@@ -92,13 +85,17 @@ def _block_chain(a: np.ndarray, block: BlockSpec) -> np.ndarray:
     # scale of B itself; explicit powers are avoided because their own
     # largest singular values grow like ||B||^j and would swallow genuine
     # small directions (and a power of the nilpotent part may be the zero
-    # matrix, carrying no scale at all)
-    threshold = RANK_RTOL * max(mat_norm(b), np.finfo(float).tiny)
+    # matrix, carrying no scale at all).  The first step is an SVD of B
+    # itself, so its largest singular value is ||B||_2
+    threshold = None
     basis = np.zeros((n, 0), dtype=b.dtype)
     nullities = []
     for _ in range(p + 1):
         projected = b - basis @ (basis.conj().T @ b) if basis.shape[1] else b
-        basis = _nullspace(projected, threshold)
+        _, s, vh = np.linalg.svd(projected)
+        if threshold is None:
+            threshold = RANK_RTOL * max(s[0], np.finfo(float).tiny)
+        basis = vh.conj().T[:, s < threshold]
         nullities.append(basis.shape[1])
         if basis.shape[1] == 0:
             break
@@ -240,9 +237,11 @@ def toeplitz_inv_sqrt(g3: np.ndarray) -> np.ndarray:
     return f
 
 
-def reduce_real_chain(chain: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, int]:
+def reduce_real_chain(chain: np.ndarray, h: np.ndarray,
+                      h_norm: float) -> tuple[np.ndarray, int]:
     """Recombine a real-eigenvalue chain so its Gram matrix is the signed
-    anti-identity, and report that sign.
+    anti-identity, and report that sign.  ``h_norm`` is ``||h||_2``, taken
+    once by the caller for all blocks.
 
     The Gram ``X = chain^T h chain`` of a real chain of an h-selfadjoint
     matrix is real Hankel and lower anti-triangular; its anti-diagonal value
@@ -260,7 +259,7 @@ def reduce_real_chain(chain: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, int
     x = chain.T @ np.real(h) @ chain
     anti = np.diag(np.fliplr(x))
     g0 = float(np.mean(anti))
-    floor = GRAM_RTOL * max(mat_norm(h) * mat_norm(chain) ** 2, np.finfo(float).tiny)
+    floor = GRAM_RTOL * max(h_norm * mat_norm(chain) ** 2, np.finfo(float).tiny)
     if abs(g0) < floor:
         raise DegenerateGramError(
             f"chain Gram anchor {g0:.3e} below degeneracy floor {floor:.3e}")

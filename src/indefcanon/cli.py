@@ -26,7 +26,7 @@ import click
 import numpy as np
 
 from . import serialize
-from .errors import CanonError
+from .errors import CanonError, TrialError
 from .harness import MODE_STRICT, MODE_WEAK, estimate_lipschitz, generate_instance
 from .linalg import DEFAULT_TOL, affiliation_residuals, mat_norm
 from .pipeline import ROLE_FO, ROLE_FOCS, ROLE_RC, focs_basis
@@ -270,6 +270,8 @@ def stability(in_file, deltas, trials, mode, kind, out_csv, out_json, jobs, norm
     try:
         report = estimate_lipschitz(inst, delta_list, trials, mode=mode,
                                     kind=kind, jobs=max(1, jobs), norm=norm)
+    except TrialError as exc:
+        _fail(4, str(exc))
     except (ValueError, CanonError) as exc:
         _fail(2, f"experiment rejected: {exc}")
 

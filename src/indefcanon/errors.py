@@ -116,3 +116,19 @@ class DeltaUnreachableError(CanonError):
     """Perturbation rescaling could not fit under the requested magnitude."""
 
     code = "DELTA_UNREACHABLE"
+
+
+class TrialError(RuntimeError):
+    """A stability trial raised an error outside the library's contract.
+
+    Not a :class:`CanonError`: it is a fault, not a recordable trial
+    status.  It carries the trial's coordinates, so a failure in a pool
+    worker can be reproduced in-process.
+    """
+
+    def __init__(self, message: str = "", delta: float | None = None,
+                 index: int | None = None, seed: int | None = None):
+        super().__init__(message)
+        self.delta = delta
+        self.index = index
+        self.seed = seed

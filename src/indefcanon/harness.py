@@ -23,8 +23,9 @@ from .errors import (
     DeltaUnreachableError,
     KindMismatchError,
     RetryExhaustedError,
+    TrialError,
 )
-from .linalg import mat_norm, refined_inverse
+from .linalg import affiliation_residuals, mat_norm, refined_inverse
 from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, PipelineTrace, focs_basis
 from .rc import rc_basis
 from .structure import (
@@ -33,6 +34,7 @@ from .structure import (
     BlockSpec,
     JordanSpec,
     conjugate_symmetry_fit,
+    jordan_form,
     mixing_matrix_inv,
     real_jordan_form,
     sip_form,
@@ -52,6 +54,9 @@ SPREAD_LIMIT = 10.0
 
 #: Selfadjointness quality required of generated and perturbed pairs.
 SELFADJ_TOL = 1e-12
+
+#: Certificate residuals a reference basis must meet, generated or loaded.
+INSTANCE_TOL = 1e-10
 
 #: Generating similarities are redrawn until their condition number is
 #: below this, for at most ``MAX_DRAWS`` draws.
@@ -76,8 +81,8 @@ RATIO_LIMIT = 2.0
 class Instance:
     """A generated pair with its reference basis; the unit of experiment.
 
-    ``w`` is the generating similarity; it is reconstructible from
-    ``(spec, seed)``, so deserialized instances may leave it None.
+    ``w`` is the generating similarity drawn from ``(spec, seed)``;
+    perturbations act on it.
     """
 
     spec: JordanSpec
@@ -85,7 +90,7 @@ class Instance:
     h0: np.ndarray
     t0: CanonicalBasis
     seed: int
-    w: np.ndarray | None = None
+    w: np.ndarray
 
     @property
     def kind(self) -> str:
@@ -192,17 +197,45 @@ def generate_instance(spec: JordanSpec, seed: int, *,
         t0, _ = rc_basis(a0, h0, spec)
     else:
         t0, _ = focs_basis(a0, h0, spec, gamma)
-    if max(t0.cert.similarity, t0.cert.congruence) > 1e-10:
+    if max(t0.cert.similarity, t0.cert.congruence) > INSTANCE_TOL:
         raise RetryExhaustedError(
             f"reference basis residuals {t0.cert} exceed the instance gate")
     return Instance(spec=spec, a0=a0, h0=h0, t0=t0, seed=int(seed), w=w)
 
 
-def _generating_similarity(inst: Instance) -> np.ndarray:
-    if inst.w is not None:
-        return inst.w
-    w, _, _ = _draw_similarity(inst.spec, inst.seed)
-    return w
+def load_instance(spec: JordanSpec, a0: np.ndarray, h0: np.ndarray,
+                  t0: CanonicalBasis, seed: int) -> Instance:
+    """Instance from stored parts, checked against the pair its seed generates.
+
+    The generating similarity is redrawn once from ``(spec, seed)`` and kept,
+    so trials perturb the stored pair without redrawing it.  Matrix sizes
+    are the caller's to check.
+
+    Raises
+    ------
+    ValueError
+        When the redrawn pair differs from ``(a0, h0)`` beyond
+        :data:`SELFADJ_TOL` relative to its norm, no similarity can be drawn
+        from the seed, ``t0`` has a role other than ``focs`` or ``rc``, or
+        its residuals against the pair miss :data:`INSTANCE_TOL`.
+    """
+    try:
+        w, a, h = _draw_similarity(spec, seed)
+    except RetryExhaustedError as exc:
+        raise ValueError(f"seed {seed} generates no pair: {exc}") from exc
+    gap = mat_norm(a - a0) + mat_norm(h - h0)
+    if gap > SELFADJ_TOL * max(1.0, mat_norm(a) + mat_norm(h)):
+        raise ValueError(
+            f"A0/H0 differ by {gap:.3e} from the pair that seed {seed} generates")
+    if t0.role not in (ROLE_FOCS, ROLE_RC):
+        raise ValueError(f"T0 has role {t0.role!r}, not {ROLE_FOCS!r} or {ROLE_RC!r}")
+    target = real_jordan_form(spec) if t0.role == ROLE_RC else jordan_form(spec)
+    sim, cong = affiliation_residuals(a0, h0, t0.matrix, target, sip_form(spec))
+    if max(sim, cong) > INSTANCE_TOL:
+        raise ValueError(
+            f"T0 misses the instance gate: similarity {sim:.3e}, "
+            f"congruence {cong:.3e} vs {INSTANCE_TOL:.1e}")
+    return Instance(spec=spec, a0=a0, h0=h0, t0=t0, seed=int(seed), w=w)
 
 
 def _shift_spec(spec: JordanSpec, shifts: list[complex]) -> JordanSpec:
@@ -242,7 +275,7 @@ def perturb_instance(inst: Instance, delta: float, mode: str, seed: int, *,
         return PerturbedPair(inst.a0.copy(), inst.h0.copy(), inst.spec)
 
     n = inst.spec.total_size
-    w0 = _generating_similarity(inst)
+    w0 = inst.w
     p = sip_form(inst.spec)
     rng = np.random.default_rng(seed)
 
@@ -536,6 +569,11 @@ def _run_trial(inst: Instance, delta: float, delta_index: int, trial_index: int,
     except CanonError as exc:
         return TrialRecord(delta, trial_index, float("nan"), None, None, None,
                            status=exc.code)
+    except Exception as exc:
+        raise TrialError(
+            f"trial {trial_index} at delta {delta:g} (seed {trial_seed}) "
+            f"failed: {type(exc).__name__}: {exc}",
+            delta=delta, index=trial_index, seed=trial_seed) from exc
 
 
 def estimate_lipschitz(inst: Instance, deltas: list[float],
@@ -547,9 +585,11 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
     """Run the perturbation experiment and aggregate the deviation ratios.
 
     Trials are independent and seeded from ``(instance seed, delta index,
-    trial index)``; results are identical for any ``jobs`` count.  At most
-    one worker process per trial is started.  Per-trial failures are
-    recorded in the trial status, not raised.
+    trial index)``; results are identical for any ``jobs`` count.  Each
+    trial is its own pool task, and at most one worker process per trial is
+    started.  Library errors of a trial are recorded in its status, not
+    raised; any other error is raised as :class:`TrialError` with the
+    trial's coordinates.
     """
     if trials_per_delta < 1:
         raise ValueError("trials_per_delta must be >= 1")
@@ -574,7 +614,7 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
     workers = min(jobs, len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_trial_star, tasks, chunksize=4))
+            records = list(pool.map(_trial_star, tasks))
     else:
         records = [_trial_star(t) for t in tasks]
     records.sort(key=lambda r: (deltas.index(r.delta), r.index))

@@ -51,15 +51,40 @@ def mat_norm(m: np.ndarray, kind: str = "spectral") -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def rcond(m: np.ndarray) -> float:
-    """Reciprocal condition number from the full SVD; 0 for a rank-deficient matrix."""
+def gate_norm(m: np.ndarray, limit: float, kind: str = "spectral") -> float:
+    """Norm of ``m`` for a gate ``norm > limit`` whose value is not kept.
+
+    Returns the Frobenius norm when it is within ``limit``: it bounds the
+    spectral norm from above, so the gate passes either way and no SVD runs.
+    Otherwise returns ``mat_norm(m, kind)``, the exact value to compare and
+    to report.
+    """
+    frob = float(np.linalg.norm(m))
+    if kind == "frobenius" or frob <= limit:
+        return frob
+    return mat_norm(m, kind)
+
+
+def norm_and_rcond(m: np.ndarray) -> tuple[float, float]:
+    """Spectral norm and reciprocal condition number from one singular-value
+    call; the rcond is 0 for a rank-deficient matrix.
+
+    The norm is bit-identical to ``mat_norm(m)``, which takes the largest
+    singular value of the same call.
+    """
     m = np.atleast_2d(np.asarray(m))
     if m.size == 0:
-        return 1.0
+        return 0.0, 1.0
     s = np.linalg.svd(m, compute_uv=False)
     if s[0] == 0.0:
-        return 0.0
-    return float(s[-1] / s[0])
+        return 0.0, 0.0
+    return float(s[0]), float(s[-1] / s[0])
+
+
+def rcond(m: np.ndarray) -> float:
+    """Reciprocal condition number from the singular values; 0 for a
+    rank-deficient matrix."""
+    return norm_and_rcond(m)[1]
 
 
 def refined_inverse(m: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ from .linalg import (
     DEFAULT_TOL,
     RCOND_FLOOR,
     affiliation_residuals,
+    gate_norm,
     mat_norm,
     rcond,
     require_finite,
@@ -234,14 +235,15 @@ def _check_gram_structure(gram: np.ndarray, spec: JordanSpec,
     for off, b in spec.offsets():
         w = b.width
         leak[off:off + w, off:off + w] = 0.0
-    if mat_norm(leak) > stol:
+    leak_norm = gate_norm(leak, stol)
+    if leak_norm > stol:
         raise StructureMismatchError(
-            f"Gram is not block diagonal (leak {mat_norm(leak):.3e} > {stol:.3e})")
+            f"Gram is not block diagonal (leak {leak_norm:.3e} > {stol:.3e})")
     for i, (off, b) in enumerate(spec.offsets()):
         blk = gram[off:off + b.width, off:off + b.width]
         if b.kind == REAL:
             target = eps[i] * np.fliplr(np.eye(b.size))
-            dev = mat_norm(blk - target)
+            dev = gate_norm(blk - target, stol)
             if dev > stol:
                 raise StructureMismatchError(
                     f"real block {i} Gram deviates from signed sip by {dev:.3e}")
@@ -249,10 +251,10 @@ def _check_gram_structure(gram: np.ndarray, spec: JordanSpec,
         p = b.size
         x, u = blk[:p, :p], blk[p:, p:]
         y, z = blk[:p, p:], blk[p:, :p]
-        if mat_norm(x) > stol or mat_norm(u) > stol:
+        if gate_norm(x, stol) > stol or gate_norm(u, stol) > stol:
             raise StructureMismatchError(
                 f"pair block {i} Gram has nonzero diagonal sub-blocks")
-        if mat_norm(y - z.conj().T) > stol:
+        if gate_norm(y - z.conj().T, stol) > stol:
             raise StructureMismatchError(
                 f"pair block {i} Gram is not Hermitian across halves")
         for r in range(p):
@@ -308,8 +310,11 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     a = np.real(a)
     h = np.real(h)
 
+    # ||h|| serves every gate below; reduce_real_chain needs the spectral one
+    h_norm2 = mat_norm(h)
+    h_norm = h_norm2 if norm == "spectral" else mat_norm(h, norm)
     pre = h_selfadjoint_residual(a, h, norm=norm)
-    pre_tol = STRUCT_RTOL * max(1.0, mat_norm(a, norm) * mat_norm(h, norm))
+    pre_tol = STRUCT_RTOL * max(1.0, mat_norm(a, norm) * h_norm)
     if pre > pre_tol:
         raise StructureMismatchError(
             f"pair is not h-selfadjoint (residual {pre:.3e} > {pre_tol:.3e})")
@@ -327,7 +332,7 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
             if bc.block.kind == REAL:
                 mat = np.real(mat)
         if bc.block.kind == REAL:
-            red, sign = reduce_real_chain(mat, h)
+            red, sign = reduce_real_chain(mat, h, h_norm2)
             if sign != bc.block.sign:
                 raise StructureMismatchError(
                     f"block {i}: computed sign characteristic {sign:+d} "
@@ -346,7 +351,7 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
 
     z1 = symmetrize_step(chain_set, reduced, gamma)
     n_dim = spec.total_size
-    stol = STRUCT_RTOL * max(1.0, mat_norm(h, norm) * mat_norm(z1, norm) ** 2)
+    stol = STRUCT_RTOL * max(1.0, h_norm * mat_norm(z1, norm) ** 2)
 
     gram0 = z1.conj().T @ h @ z1
     _check_gram_structure(gram0, spec, eps, stol)
@@ -384,14 +389,14 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     basis_mat = z1 @ z2 @ z3 @ z4
     p_target = sip_form(spec)
     gram_final = z4.conj().T @ gram2 @ z4
-    final_dev = mat_norm(gram_final - p_target, norm)
+    final_dev = gate_norm(gram_final - p_target, stol, norm)
     if final_dev > stol:
         raise StructureMismatchError(
             f"final Gram deviates from sip form by {final_dev:.3e}")
 
     sim, cong = affiliation_residuals(a, h, basis_mat, jordan_form(spec),
                                       p_target, norm=norm)
-    if max(sim, cong) > tol * max(1.0, mat_norm(h, norm)):
+    if max(sim, cong) > tol * max(1.0, h_norm):
         raise StructureMismatchError(
             f"constructed basis misses its certificate gate: similarity "
             f"{sim:.3e}, congruence {cong:.3e} vs tol {tol:.1e}")

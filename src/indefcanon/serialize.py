@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .harness import Instance, StabilityReport
+from .harness import Instance, StabilityReport, load_instance
 from .linalg import matrix_from_json, matrix_to_json
 from .pipeline import CanonicalBasis, Certificate, PipelineTrace
 from .structure import PAIR, REAL, BlockSpec, JordanSpec
@@ -115,17 +115,18 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def instance_from_json(obj: dict) -> Instance:
+    """Decode an instance and check it against the pair its seed generates
+    (see :func:`harness.load_instance`); any defect raises ``ValueError``."""
     try:
-        inst = Instance(
-            spec=spec_from_json(obj["spec"]),
-            a0=np.real(matrix_from_json(obj["A0"])),
-            h0=np.real(matrix_from_json(obj["H0"])),
-            t0=basis_from_json(obj["T0"]),
-            seed=int(obj["seed"]))
+        spec = spec_from_json(obj["spec"])
+        a0 = np.real(matrix_from_json(obj["A0"]))
+        h0 = np.real(matrix_from_json(obj["H0"]))
+        t0 = basis_from_json(obj["T0"])
+        seed = int(obj["seed"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance object: {exc}") from exc
-    check_sizes(inst.spec, A0=inst.a0, H0=inst.h0, T0=inst.t0.matrix)
-    return inst
+    check_sizes(spec, A0=a0, H0=h0, T0=t0.matrix)
+    return load_instance(spec, a0, h0, t0, seed)
 
 
 def trace_to_json(trace: PipelineTrace) -> dict:

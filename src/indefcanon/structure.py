@@ -28,7 +28,7 @@ from .errors import (
     NotHermitianError,
     SingularInnerProductError,
 )
-from .linalg import RCOND_FLOOR, mat_norm, rcond, require_finite
+from .linalg import RCOND_FLOOR, gate_norm, mat_norm, norm_and_rcond, require_finite
 
 REAL = "real"
 PAIR = "pair"
@@ -214,11 +214,12 @@ def h_selfadjoint_residual(a: np.ndarray, h: np.ndarray, *,
     h = require_finite(h, "h")
     if a.shape != h.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("a and h must be square and of equal size")
-    hn = mat_norm(h, norm)
-    herm = mat_norm(h - h.conj().T, norm)
-    if herm > HERM_TOL * max(1.0, hn):
+    h2, rc = norm_and_rcond(h)
+    hn = h2 if norm == "spectral" else mat_norm(h, norm)
+    herm_limit = HERM_TOL * max(1.0, hn)
+    herm = gate_norm(h - h.conj().T, herm_limit, norm)
+    if herm > herm_limit:
         raise NotHermitianError(f"h deviates from Hermitian by {herm:.3e}")
-    rc = rcond(h)
     if rc < RCOND_FLOOR:
         raise SingularInnerProductError(f"h is numerically singular (rcond={rc:.3e})")
     return mat_norm(h @ a - a.conj().T @ h, norm)

@@ -108,14 +108,14 @@ def test_pair_gram_has_expected_block_shape(ex_a, ex_h, ex_spec):
 def test_reduce_noop_when_already_reduced():
     h = np.fliplr(np.eye(2))
     chain = np.eye(2)
-    red, eps = reduce_real_chain(chain, h)
+    red, eps = reduce_real_chain(chain, h, mat_norm(h))
     np.testing.assert_allclose(red, chain, atol=1e-14)
     assert eps == 1
 
 
 def test_reduce_scalar_case():
     h = np.array([[-4.0]])
-    red, eps = reduce_real_chain(np.array([[1.0]]), h)
+    red, eps = reduce_real_chain(np.array([[1.0]]), h, mat_norm(h))
     assert eps == -1
     np.testing.assert_allclose(red, [[0.5]])
 
@@ -125,7 +125,7 @@ def test_reduce_two_by_two_against_hand_solve():
     # (1/sqrt(2)) [[1, -3/4], [0, 1]], giving the plain sip and sign +1
     h = np.array([[0.0, 2.0], [2.0, 3.0]])
     chain = np.eye(2)
-    red, eps = reduce_real_chain(chain, h)
+    red, eps = reduce_real_chain(chain, h, mat_norm(h))
     assert eps == 1
     np.testing.assert_allclose(red.T @ h @ red, np.fliplr(np.eye(2)), atol=1e-14)
     hand = np.array([[1.0, -0.75], [0.0, 1.0]]) / np.sqrt(2.0)
@@ -136,7 +136,7 @@ def test_reduce_degenerate_gram():
     h = np.array([[1.0, 0.0], [0.0, -1.0]])
     chain = np.array([[1.0], [1.0]])         # isotropic vector: v^T h v = 0
     with pytest.raises(DegenerateGramError):
-        reduce_real_chain(chain, h)
+        reduce_real_chain(chain, h, mat_norm(h))
 
 
 def test_reduce_idempotent_and_scale_invariant():
@@ -148,13 +148,13 @@ def test_reduce_idempotent_and_scale_invariant():
     h = np.linalg.inv(w).T @ sip_form(spec) @ np.linalg.inv(w)
     h = (h + h.T) / 2
     chain = jordan_chains(a, spec).chains[0].matrix
-    red, eps = reduce_real_chain(chain, h)
+    red, eps = reduce_real_chain(chain, h, mat_norm(h))
     assert eps == -1
-    again, eps2 = reduce_real_chain(red, h)
+    again, eps2 = reduce_real_chain(red, h, mat_norm(h))
     assert eps2 == eps
     np.testing.assert_allclose(again, red, atol=1e-10)
     # rescaling the chain flips nothing: the Gram scales by a positive square
-    red3, eps3 = reduce_real_chain(chain * 7.0, h)
+    red3, eps3 = reduce_real_chain(chain * 7.0, h, mat_norm(h))
     assert eps3 == eps
     np.testing.assert_allclose(red3, red, atol=1e-9)
 

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indefcanon import BlockSpec, JordanSpec, generate_instance
+from indefcanon import BlockSpec, JordanSpec, generate_instance, harness
 from indefcanon.cli import main
 from indefcanon.linalg import matrix_from_json, matrix_to_json
 from indefcanon.serialize import basis_to_json, dumps, instance_to_json, spec_to_json
@@ -221,6 +221,76 @@ def test_instance_with_wrong_size_t0_exits_2(runner, tmp_path):
         assert r.exit_code == 2, r.output
         assert "T0 is 2x2, but the spec needs 6x6" in r.output
     assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.csv").exists()
+
+
+def _probe(obj, key):
+    """The instance file ``obj`` with one part replaced, as named by ``key``."""
+    n = SPEC.total_size
+    if key == "seed":
+        obj["seed"] = 4
+    elif key == "h0_zero":
+        obj["H0"] = matrix_to_json(np.zeros((n, n)))
+    elif key == "h0_nonsymmetric":
+        h = matrix_from_json(obj["H0"])
+        h[0, 1] += 1.0
+        obj["H0"] = matrix_to_json(h)
+    elif key == "a0_identity":
+        obj["A0"] = matrix_to_json(np.eye(n))
+    elif key == "t0_zero":
+        obj["T0"]["matrix"] = matrix_to_json(np.zeros((n, n)))
+    elif key == "t0_scaled":
+        # similarity unchanged, congruence off by about 2e-6
+        t0 = matrix_from_json(obj["T0"]["matrix"])
+        obj["T0"]["matrix"] = matrix_to_json(t0 * (1.0 + 1e-6))
+    return obj
+
+
+@pytest.mark.parametrize("key, message", [
+    pytest.param("seed", "from the pair that seed 4 generates", id="seed"),
+    pytest.param("h0_zero", "from the pair that seed 3 generates", id="h0_zero"),
+    pytest.param("h0_nonsymmetric", "from the pair that seed 3 generates",
+                 id="h0_nonsymmetric"),
+    pytest.param("a0_identity", "from the pair that seed 3 generates", id="a0_identity"),
+    pytest.param("t0_zero", "t must be nonzero", id="t0_zero"),
+    pytest.param("t0_scaled", "T0 misses the instance gate", id="t0_scaled"),
+])
+def test_instance_not_matching_its_pair_exits_2(runner, tmp_path, key, message):
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(dumps(_probe(instance_to_json(generate_instance(SPEC, 3)), key)))
+    for args in (["canonize", "--in", str(inst_file), "--out", str(tmp_path / "x.json")],
+                 ["stability", "--in", str(inst_file), "--deltas", "1e-3,1e-4",
+                  "--trials", "2", "--out-csv", str(tmp_path / "x.csv")]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, (args[0], r.output)
+        assert message in r.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
+def test_instance_seed_without_a_similarity_exits_2(runner, tmp_path, monkeypatch):
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(dumps(instance_to_json(generate_instance(SPEC, 3))))
+    monkeypatch.setattr(harness, "MAX_DRAWS", 0)
+    r = runner.invoke(main, ["stability", "--in", str(inst_file), "--trials", "1",
+                             "--out-csv", str(tmp_path / "x.csv")])
+    assert r.exit_code == 2, r.output
+    assert "seed 3 generates no pair" in r.output
+
+
+def test_stability_trial_fault_exits_4(runner, tmp_path, monkeypatch):
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(dumps(instance_to_json(generate_instance(SPEC, 3))))
+
+    def broken(*args, **kwargs):
+        raise ValueError("array must not contain infs or NaNs")
+
+    monkeypatch.setattr(harness, "anchored_canonize", broken)
+    r = runner.invoke(main, ["stability", "--in", str(inst_file), "--deltas", "1e-3",
+                             "--trials", "1", "--out-csv", str(tmp_path / "x.csv")])
+    assert r.exit_code == 4, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "trial 0 at delta 0.001 (seed " in r.output
+    assert "ValueError: array must not contain infs or NaNs" in r.output
+    assert "Traceback" not in r.output
 
 
 def test_stability_refuses_to_overwrite_its_input(runner, tmp_path):

@@ -1,13 +1,19 @@
 """Instance generation, perturbation, matching, anchoring, and the experiment."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indefcanon import (
     AmbiguousMatchError,
     BlockSpec,
+    CanonError,
     JordanSpec,
     KindMismatchError,
+    TrialError,
     anchored_canonize,
     estimate_lipschitz,
     generate_instance,
@@ -241,33 +247,99 @@ def test_estimate_lipschitz_validates_arguments(inst):
             estimate_lipschitz(inst, bad, 2)              # before any trial
 
 
-def test_estimate_lipschitz_caps_pool_at_task_count(inst, monkeypatch):
-    seen = []
+class RecordingExecutor:
+    """In-process stand-in for ProcessPoolExecutor; starts no process and
+    records the worker count and the chunk size of every ``map``."""
 
-    class RecordingExecutor:
-        """In-process stand-in for ProcessPoolExecutor; starts no process."""
+    seen: list = []
 
-        def __init__(self, max_workers):
-            seen.append(max_workers)
+    def __init__(self, max_workers):
+        self.seen.append(("max_workers", max_workers))
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc):
-            return False
+    def __exit__(self, *exc):
+        return False
 
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+    def map(self, fn, iterable, chunksize=1):
+        self.seen.append(("chunksize", chunksize))
+        return map(fn, iterable)
 
+
+@pytest.fixture()
+def fake_pool(monkeypatch):
+    """Swap the process pool for :class:`RecordingExecutor`; yields its log."""
+    monkeypatch.setattr(RecordingExecutor, "seen", [])
     monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
                         RecordingExecutor)
+    return RecordingExecutor.seen
+
+
+def test_estimate_lipschitz_caps_pool_at_task_count(inst, fake_pool):
     ref = estimate_lipschitz(inst, [1e-3, 1e-4], 2)
     capped = estimate_lipschitz(inst, [1e-3, 1e-4], 2, jobs=5000)
-    assert seen == [4]
+    # one trial per task, so no worker idles behind a longer chunk
+    assert fake_pool == [("max_workers", 4), ("chunksize", 1)]
     assert [t.ratio for t in capped.trials] == [t.ratio for t in ref.trials]
     # a single task runs in-process whatever the job count
     estimate_lipschitz(inst, [1e-3], 1, jobs=5000)
-    assert seen == [4]
+    assert fake_pool == [("max_workers", 4), ("chunksize", 1)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_trial_fault_keeps_its_coordinates(inst, fake_pool, monkeypatch, jobs):
+    calls = []
+    real = harness.anchored_canonize
+
+    def flaky(*args, **kwargs):
+        calls.append(kwargs["delta_hint"])
+        if len(calls) == 4:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "anchored_canonize", flaky)
+    with pytest.raises(TrialError) as info:
+        estimate_lipschitz(inst, [1e-3, 1e-4], 3, jobs=jobs)
+    err = info.value
+    # the fourth trial in task order is trial 0 at the second delta
+    seed = int(np.random.SeedSequence([inst.seed, 1, 0]).generate_state(1)[0])
+    assert (err.delta, err.index, err.seed) == (1e-4, 0, seed)
+    assert f"trial 0 at delta 0.0001 (seed {seed})" in str(err)
+    assert "LinAlgError: SVD did not converge" in str(err)
+    assert isinstance(err.__cause__, np.linalg.LinAlgError)
+    assert not isinstance(err, CanonError)
+
+
+def test_trial_error_survives_pickling():
+    import pickle
+    err = pickle.loads(pickle.dumps(TrialError("boom", delta=1e-3, index=2, seed=9)))
+    assert (str(err), err.delta, err.index, err.seed) == ("boom", 1e-3, 2, 9)
+
+
+_GRID = [1e-2, 1e-3, 1e-4, 1e-5, 0.0]
+
+
+@settings(max_examples=15, deadline=None)
+@given(deltas=st.lists(st.sampled_from(_GRID), min_size=1, max_size=3, unique=True)
+       .map(lambda ds: sorted(ds, reverse=True)),
+       trials=st.integers(1, 3), jobs=st.integers(1, 3),
+       mode=st.sampled_from(["strict", "weak"]))
+def test_estimate_lipschitz_returns_every_trial_in_order(deltas, trials, jobs, mode):
+    inst = _property_instance()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RecordingExecutor, "seen", [])
+        mp.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
+                   RecordingExecutor)
+        report = estimate_lipschitz(inst, deltas, trials, mode=mode, jobs=jobs)
+    assert [(t.delta, t.index) for t in report.trials] == \
+        [(d, i) for d in deltas for i in range(trials)]
+    assert [s.delta for s in report.per_delta] == deltas
+
+
+@functools.lru_cache(maxsize=1)
+def _property_instance():
+    return generate_instance(SPEC, 11)
 
 
 def test_estimate_weak_mode_matches(inst):
@@ -287,12 +359,12 @@ def test_frobenius_norm_experiment(inst):
 
 
 def test_perturb_after_serialization_roundtrip(inst):
-    # a loaded instance carries no similarity matrix; it must be re-derived
-    # from the seed and reproduce the same perturbations
+    # the file carries no similarity matrix; loading redraws it from the
+    # seed, and it must reproduce the in-memory perturbations
     import json
     from indefcanon.serialize import dumps, instance_from_json, instance_to_json
     loaded = instance_from_json(json.loads(dumps(instance_to_json(inst))))
-    assert loaded.w is None
+    np.testing.assert_array_equal(loaded.w, inst.w)
     p_mem = perturb_instance(inst, 1e-3, "strict", 4)
     p_load = perturb_instance(loaded, 1e-3, "strict", 4)
     np.testing.assert_array_equal(p_mem.a, p_load.a)

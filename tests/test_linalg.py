@@ -12,7 +12,8 @@ from indefcanon import (
     matrix_from_json,
     matrix_to_json,
 )
-from indefcanon.linalg import refined_inverse
+from indefcanon import linalg
+from indefcanon.linalg import gate_norm, norm_and_rcond, rcond, refined_inverse
 
 from conftest import bisect_largest_root, frac_charpoly, frac_inv, frac_matmul, frac_transpose
 
@@ -49,6 +50,33 @@ def test_frobenius_norm_flag():
     assert mat_norm(m, "spectral") == pytest.approx(4.0)
     with pytest.raises(ValueError):
         mat_norm(m, "nuclear")
+
+
+def test_gate_norm_takes_the_svd_only_above_the_limit(monkeypatch):
+    spectral_calls = []
+    real = linalg.mat_norm
+
+    def counted(m, kind="spectral"):
+        spectral_calls.append(kind)
+        return real(m, kind)
+
+    monkeypatch.setattr(linalg, "mat_norm", counted)
+    m = np.array([[3.0, 0.0], [0.0, 4.0]])       # spectral 4, Frobenius 5
+    assert gate_norm(m, 5.0) == 5.0               # within the limit: Frobenius
+    assert spectral_calls == []
+    assert gate_norm(m, 4.5) == 4.0               # above it: the exact value
+    assert gate_norm(m, 3.5) == 4.0
+    assert spectral_calls == ["spectral", "spectral"]
+    assert gate_norm(m, 1.0, "frobenius") == 5.0
+    assert gate_norm(np.zeros((0, 0)), 0.0) == 0.0
+
+
+def test_norm_and_rcond_match_the_separate_calls():
+    rng = np.random.default_rng(4)
+    for m in (rng.normal(size=(6, 6)), rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)),
+              np.zeros((3, 3)), np.diag([2.0, 0.0])):
+        assert norm_and_rcond(m) == (mat_norm(m), rcond(m))
+    assert norm_and_rcond(np.zeros((0, 0))) == (0.0, 1.0)
 
 
 def test_solve_identity_and_scale():

@@ -295,6 +295,45 @@ def test_focs_table_gram_assertions(ex_a, ex_h, ex_spec, ex_p):
     assert mat_norm(final - ex_p) <= 1e-10             # sip Gram
 
 
+def _spread(value, n):
+    """n x n matrix with ``value`` at four entries in distinct rows and
+    columns: spectral norm ``value``, Frobenius norm ``2 value``."""
+    e = np.zeros((n, n))
+    for r, c in ((0, 1), (1, 0), (2, 3), (3, 2)):
+        e[r, c] = value
+    return e
+
+
+def test_gram_leak_gate_is_spectral():
+    # Frobenius above stol but spectral below passes; spectral above raises
+    signs = (1, -1, 1, -1)
+    spec = JordanSpec(tuple(BlockSpec("real", 1.0 + k, 1, s) for k, s in enumerate(signs)))
+    eps = dict(enumerate(signs))
+    stol = 1e-8
+    leak = _spread(0.9 * stol, 4)
+    assert np.linalg.norm(leak) > stol >= mat_norm(leak)
+    pipeline._check_gram_structure(np.diag(signs) + leak, spec, eps, stol)
+    with pytest.raises(StructureMismatchError, match="not block diagonal"):
+        pipeline._check_gram_structure(np.diag(signs) + _spread(1.1 * stol, 4),
+                                       spec, eps, stol)
+
+
+def test_final_sip_gate_is_spectral(ex_a, ex_h, ex_spec, monkeypatch):
+    # the same for the final deviation from the sip form, shifted by
+    # moving the target; tol=1 keeps the certificate gate out of the way
+    _, tr = focs_basis(ex_a, ex_h, ex_spec, 1.0)
+    stol = pipeline.STRUCT_RTOL * max(1.0, mat_norm(ex_h) * mat_norm(tr.chain_factor) ** 2)
+    for value, passes in ((0.9 * stol, True), (1.1 * stol, False)):
+        shift = _spread(value, 4)
+        monkeypatch.setattr(pipeline, "sip_form", lambda spec: sip_form(spec) + shift)
+        if passes:
+            assert np.linalg.norm(shift) > stol
+            focs_basis(ex_a, ex_h, ex_spec, 1.0, tol=1.0)
+        else:
+            with pytest.raises(StructureMismatchError, match="final Gram deviates"):
+                focs_basis(ex_a, ex_h, ex_spec, 1.0, tol=1.0)
+
+
 def test_focs_rejects_wrong_sign_characteristic():
     spec_plus = JordanSpec((BlockSpec("real", 2.0, 2, 1),))
     spec_minus = JordanSpec((BlockSpec("real", 2.0, 2, -1),))
