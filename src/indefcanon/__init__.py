@@ -60,7 +60,7 @@ from .pipeline import (
     scale_step,
     symmetrize_step,
 )
-from .rc import focs_from_rc, rc_basis
+from .rc import rc_basis
 from .structure import (
     BlockSpec,
     JordanSpec,

@@ -28,18 +28,10 @@ import numpy as np
 from . import serialize
 from .errors import CanonError, TrialError
 from .harness import MODE_STRICT, MODE_WEAK, estimate_lipschitz, generate_instance
-from .linalg import DEFAULT_TOL, affiliation_residuals, mat_norm
+from .linalg import DEFAULT_TOL, mat_norm
 from .pipeline import ROLE_FO, ROLE_FOCS, ROLE_RC, focs_basis
-from .rc import rc_basis
-from .structure import (
-    CS_TOL,
-    conjugate_symmetry_fit,
-    h_selfadjoint_residual,
-    jordan_form,
-    mixing_matrix_inv,
-    real_jordan_form,
-    sip_form,
-)
+from .rc import certify, rc_basis, to_focs
+from .structure import CS_TOL, h_selfadjoint_residual
 
 
 def _fail(code: int, message: str):
@@ -209,25 +201,16 @@ def verify(in_file, basis_file, tol, expect, norm):
         _fail(2, f"{exc.code}: {exc}")
     rows.append(("selfadjointness", sa, sa <= tol))
 
-    if role == ROLE_RC:
-        target_j, target_p = real_jordan_form(spec), sip_form(spec)
-        max_imag = float(np.max(np.abs(np.imag(t)))) if np.iscomplexobj(t) else 0.0
-        rows.append(("realness", max_imag, max_imag <= tol * max(1.0, mat_norm(t))))
-        t = np.real(t)
-    else:
-        target_j, target_p = jordan_form(spec), sip_form(spec)
-    sim, cong = affiliation_residuals(a, h, t, target_j, target_p, norm=norm)
-    rows.append(("similarity", sim, sim <= tol))
-    rows.append(("congruence", cong, cong <= tol))
-
-    if role in (ROLE_FOCS, ROLE_RC):
-        basis_c = t
-        if role == ROLE_RC:
-            basis_c = t @ mixing_matrix_inv(spec)
-        gamma, cs_res, _ = conjugate_symmetry_fit(basis_c, spec, norm=norm)
-        scale = max(1.0, mat_norm(basis_c, norm))
-        rows.append((f"conjugate symmetry (gamma {gamma:.6g})", cs_res,
-                     cs_res <= max(tol, CS_TOL * scale)))
+    cert, gamma = certify(a, h, t, spec, role, norm=norm)
+    if cert.max_imag is not None:
+        rows.append(("realness", cert.max_imag,
+                     cert.max_imag <= tol * max(1.0, mat_norm(t))))
+    rows.append(("similarity", cert.similarity, cert.similarity <= tol))
+    rows.append(("congruence", cert.congruence, cert.congruence <= tol))
+    if cert.cs_residual is not None:
+        scale = max(1.0, mat_norm(to_focs(t, spec, role), norm))
+        rows.append((f"conjugate symmetry (gamma {gamma:.6g})", cert.cs_residual,
+                     cert.cs_residual <= max(tol, CS_TOL * scale)))
 
     width = max(len(r[0]) for r in rows)
     ok_all = True

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, replace
+from functools import partial
 from statistics import median
 
 import numpy as np
@@ -25,17 +26,16 @@ from .errors import (
     RetryExhaustedError,
     TrialError,
 )
-from .linalg import affiliation_residuals, mat_norm, refined_inverse
+from .linalg import mat_norm, refined_inverse
 from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, PipelineTrace, focs_basis
-from .rc import rc_basis
+from .rc import IMAG_RTOL, certify, rc_basis, to_focs
 from .structure import (
+    CS_TOL,
     PAIR,
     REAL,
     BlockSpec,
     JordanSpec,
     conjugate_symmetry_fit,
-    jordan_form,
-    mixing_matrix_inv,
     real_jordan_form,
     sip_form,
 )
@@ -103,11 +103,14 @@ class PerturbedPair:
 
     ``spec`` carries the true (possibly eigenvalue-shifted) structure the
     pair was rebuilt from; in strict mode it is the instance spec itself.
+    ``measured`` is the input size ``||a - a0|| + ||h - h0||`` in the norm
+    the perturbation was fitted in.
     """
 
     a: np.ndarray
     h: np.ndarray
     spec: JordanSpec
+    measured: float
 
 
 def validate_experiment_spec(spec: JordanSpec) -> None:
@@ -150,9 +153,8 @@ def _selfadj_defect(a: np.ndarray, h: np.ndarray) -> float:
     return mat_norm(h @ a - a.T @ h)
 
 
-def _draw_similarity(spec: JordanSpec, seed: int, *,
-                     w_override: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _draw_similarity(spec: JordanSpec,
+                     seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded draw of the generating similarity and its rebuilt pair.
 
     Draws are rejected until the condition number is under
@@ -164,15 +166,11 @@ def _draw_similarity(spec: JordanSpec, seed: int, *,
     p = sip_form(spec)
     rng = np.random.default_rng(seed)
     for _ in range(MAX_DRAWS):
-        w = w_override if w_override is not None else rng.uniform(-1.0, 1.0, (n, n))
+        w = rng.uniform(-1.0, 1.0, (n, n))
         if np.linalg.cond(w) >= COND_LIMIT:
-            if w_override is not None:
-                raise RetryExhaustedError("w_override fails the conditioning gate")
             continue
         a0, h0 = _rebuild_pair(w, jr, p)
         if _selfadj_defect(a0, h0) > SELFADJ_TOL:
-            if w_override is not None:
-                raise RetryExhaustedError("w_override fails the quality gate")
             continue
         return w, a0, h0
     raise RetryExhaustedError(f"no acceptable similarity in {MAX_DRAWS} draws")
@@ -180,19 +178,15 @@ def _draw_similarity(spec: JordanSpec, seed: int, *,
 
 def generate_instance(spec: JordanSpec, seed: int, *,
                       kind: str = ROLE_FOCS,
-                      gamma: complex = 1.0,
-                      w_override: np.ndarray | None = None) -> Instance:
+                      gamma: complex = 1.0) -> Instance:
     """Draw a seeded instance: a random well-conditioned similarity applied
     to the real canonical pair, plus the cold reference basis of the
     requested kind.  Deterministic in ``seed``.
-
-    ``w_override`` bypasses the random draw (test hook) but still passes the
-    conditioning and quality gates.
     """
     validate_experiment_spec(spec)
     if kind not in (ROLE_FOCS, ROLE_RC):
         raise ValueError(f"unknown kind {kind!r}")
-    w, a0, h0 = _draw_similarity(spec, seed, w_override=w_override)
+    w, a0, h0 = _draw_similarity(spec, seed)
     if kind == ROLE_RC:
         t0, _ = rc_basis(a0, h0, spec)
     else:
@@ -214,11 +208,15 @@ def load_instance(spec: JordanSpec, a0: np.ndarray, h0: np.ndarray,
     Raises
     ------
     ValueError
-        When the redrawn pair differs from ``(a0, h0)`` beyond
-        :data:`SELFADJ_TOL` relative to its norm, no similarity can be drawn
-        from the seed, ``t0`` has a role other than ``focs`` or ``rc``, or
-        its residuals against the pair miss :data:`INSTANCE_TOL`.
+        When ``spec`` fails :func:`validate_experiment_spec`, the redrawn
+        pair differs from ``(a0, h0)`` beyond :data:`SELFADJ_TOL` relative to
+        its norm, no similarity can be drawn from the seed, ``t0`` has a role
+        other than ``focs`` or ``rc``, its residuals against the pair miss
+        :data:`INSTANCE_TOL`, its conjugate-symmetry residual misses
+        ``CS_TOL * max(1, ||t0||)``, or (``rc``) its imaginary part misses
+        ``IMAG_RTOL * max(1, ||t0||)``.
     """
+    validate_experiment_spec(spec)
     try:
         w, a, h = _draw_similarity(spec, seed)
     except RetryExhaustedError as exc:
@@ -229,12 +227,16 @@ def load_instance(spec: JordanSpec, a0: np.ndarray, h0: np.ndarray,
             f"A0/H0 differ by {gap:.3e} from the pair that seed {seed} generates")
     if t0.role not in (ROLE_FOCS, ROLE_RC):
         raise ValueError(f"T0 has role {t0.role!r}, not {ROLE_FOCS!r} or {ROLE_RC!r}")
-    target = real_jordan_form(spec) if t0.role == ROLE_RC else jordan_form(spec)
-    sim, cong = affiliation_residuals(a0, h0, t0.matrix, target, sip_form(spec))
-    if max(sim, cong) > INSTANCE_TOL:
-        raise ValueError(
-            f"T0 misses the instance gate: similarity {sim:.3e}, "
-            f"congruence {cong:.3e} vs {INSTANCE_TOL:.1e}")
+    cert, _ = certify(a0, h0, t0.matrix, spec, t0.role)
+    scale = max(1.0, mat_norm(t0.matrix))
+    for name, value, limit in (("similarity", cert.similarity, INSTANCE_TOL),
+                               ("congruence", cert.congruence, INSTANCE_TOL),
+                               ("conjugate-symmetry residual", cert.cs_residual,
+                                CS_TOL * scale),
+                               ("imaginary part", cert.max_imag, IMAG_RTOL * scale)):
+        if value is not None and not value <= limit:
+            raise ValueError(f"T0 misses the instance gate: {name} {value:.3e} "
+                             f"vs {limit:.1e}")
     return Instance(spec=spec, a0=a0, h0=h0, t0=t0, seed=int(seed), w=w)
 
 
@@ -272,7 +274,7 @@ def perturb_instance(inst: Instance, delta: float, mode: str, seed: int, *,
     if mode not in (MODE_STRICT, MODE_WEAK):
         raise ValueError(f"unknown mode {mode!r}")
     if delta == 0.0:
-        return PerturbedPair(inst.a0.copy(), inst.h0.copy(), inst.spec)
+        return PerturbedPair(inst.a0.copy(), inst.h0.copy(), inst.spec, 0.0)
 
     n = inst.spec.total_size
     w0 = inst.w
@@ -294,28 +296,28 @@ def perturb_instance(inst: Instance, delta: float, mode: str, seed: int, *,
                     ang = rng.uniform(0.0, 2.0 * np.pi)
                     shifts.append(mag * complex(np.cos(ang), np.sin(ang)))
 
-        def build(t: float) -> tuple[PerturbedPair, float]:
+        def build(t: float) -> PerturbedPair:
             # eigenvalue shifts scale with t but never beyond their cap
             spec_t = _shift_spec(inst.spec, [min(t, 1.0) * s for s in shifts])
             a, h = _rebuild_pair(w0 + t * dw, real_jordan_form(spec_t), p)
             measured = (mat_norm(a - inst.a0, norm)
                         + mat_norm(h - inst.h0, norm))
-            return PerturbedPair(a, h, spec_t), measured
+            return PerturbedPair(a, h, spec_t, measured)
 
         t = min(1.0, delta)
-        pair, measured = build(t)
-        if measured > 0.0:
-            t *= 0.75 * delta / measured
-            pair, measured = build(t)
+        pair = build(t)
+        if pair.measured > 0.0:
+            t *= 0.75 * delta / pair.measured
+            pair = build(t)
         steps = 0
-        while measured > delta:
+        while pair.measured > delta:
             if steps >= MAX_BISECT:
                 raise DeltaUnreachableError(
                     f"could not fit perturbation under {delta:.3e} in "
                     f"{MAX_BISECT} halvings")
             t *= 0.5
             steps += 1
-            pair, measured = build(t)
+            pair = build(t)
 
         defect = _selfadj_defect(pair.a, pair.h)
         if defect <= SELFADJ_TOL:
@@ -418,9 +420,10 @@ def _block_gauge(n_mat: np.ndarray, t0_mat: np.ndarray, spec: JordanSpec,
     the residual freedom preserving the canonical Gram (it drifts the
     conjugate-symmetry scalar by ``e^{2i theta}``, leaving its modulus
     alone).  With ``continuous_phase`` off, the phase is restricted to the
-    signs, which also pin the scalar exactly (required for real bases).
+    signs, which also pin the scalar exactly, and the gauge is real (as real
+    bases require).
     """
-    d = np.eye(spec.total_size, dtype=complex)
+    d = np.eye(spec.total_size, dtype=complex if continuous_phase else float)
     for off, b in spec.offsets():
         w = b.width
         nb = n_mat[:, off:off + w]
@@ -469,26 +472,16 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         cluster_radius = max(CLUSTER_RADIUS_FACTOR * delta_hint, 10.0 * scatter)
         matches, work_spec = match_eigenvalues(spec, a, cluster_radius=cluster_radius)
 
-    if kind == ROLE_RC:
-        anchor_focs = t0.matrix @ mixing_matrix_inv(spec)
-        basis, trace = rc_basis(a, h, work_spec, anchor=anchor_focs)
-        gauge = _block_gauge(basis.matrix, t0.matrix, work_spec,
-                             continuous_phase=False)
-        gauge_r = np.real(gauge)
-        new_mat = basis.matrix @ gauge_r
-    else:
-        anchor = t0.matrix
-        basis, trace = focs_basis(a, h, work_spec, t0.gamma or 1.0,
-                                  anchor=anchor)
-        gauge = _block_gauge(basis.matrix, t0.matrix, work_spec,
-                             continuous_phase=True)
-        new_mat = basis.matrix @ gauge
+    construct = rc_basis if kind == ROLE_RC else partial(focs_basis, gamma=t0.gamma or 1.0)
+    basis, trace = construct(a, h, work_spec, anchor=t0.matrix)
+    gauge = _block_gauge(basis.matrix, t0.matrix, work_spec,
+                         continuous_phase=kind == ROLE_FOCS)
+    new_mat = basis.matrix @ gauge
 
-    gamma_out, cs_res, _ = conjugate_symmetry_fit(
-        new_mat @ mixing_matrix_inv(work_spec) if kind == ROLE_RC else new_mat,
-        work_spec)
+    gamma_out, cs_res, _ = conjugate_symmetry_fit(to_focs(new_mat, work_spec, kind),
+                                                  work_spec)
     basis = replace(basis, matrix=new_mat,
-                    gamma=basis.gamma if kind == ROLE_RC else gamma_out,
+                    gamma=gamma_out if kind == ROLE_FOCS else basis.gamma,
                     cert=replace(basis.cert, cs_residual=cs_res))
     trace = replace(trace, chain_factor=trace.chain_factor @ gauge,
                     basis=trace.basis @ gauge, gamma=basis.gamma)
@@ -544,27 +537,24 @@ def _run_trial(inst: Instance, delta: float, delta_index: int, trial_index: int,
     trial_seed = int(seed.generate_state(1)[0])
     try:
         pair = perturb_instance(inst, delta, mode, trial_seed, norm=norm)
-        measured = (mat_norm(pair.a - inst.a0, norm)
-                    + mat_norm(pair.h - inst.h0, norm))
-        if measured == 0.0:
+        if pair.measured == 0.0:
             return TrialRecord(delta, trial_index, 0.0, 0.0, None, None,
                                status="degenerate")
         basis, trace, matches = anchored_canonize(
             pair.a, pair.h, inst.spec, inst.t0,
             weak=(mode == MODE_WEAK), delta_hint=delta)
         out = mat_norm(basis.matrix - inst.t0.matrix, norm)
-        t0_focs = (inst.t0.matrix @ mixing_matrix_inv(inst.spec)
-                   if inst.kind == ROLE_RC else inst.t0.matrix)
         eye = np.eye(inst.spec.total_size)
         z_devs = (
-            mat_norm(trace.chain_factor - t0_focs, norm),
+            mat_norm(trace.chain_factor - to_focs(inst.t0.matrix, inst.spec, inst.kind),
+                     norm),
             mat_norm(trace.phase_factor - eye, norm),
             mat_norm(trace.scale_factor - eye, norm),
             mat_norm(trace.flip_factor - eye, norm),
         )
         true_eigs = tuple(b.lam for b in pair.spec.blocks) if mode == MODE_WEAK else None
-        return TrialRecord(delta, trial_index, float(measured), float(out),
-                           float(out / measured), z_devs, status="ok",
+        return TrialRecord(delta, trial_index, float(pair.measured), float(out),
+                           float(out / pair.measured), z_devs, status="ok",
                            matches=matches, true_eigs=true_eigs)
     except CanonError as exc:
         return TrialRecord(delta, trial_index, float("nan"), None, None, None,

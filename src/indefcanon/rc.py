@@ -1,9 +1,13 @@
-"""Real canonical bases via the fixed mixing transform.
+"""Real canonical bases and their relation to i-FOCS bases.
 
 A real canonical basis takes a real h-selfadjoint pair to the real Jordan
-form together with the sip Gram.  It is obtained from an i-FOCS basis by a
-single fixed block-diagonal unitary (and back), so existence, residual
-quality, and stability all transfer from the FOCS construction.
+form together with the sip Gram.  It is the i-FOCS basis times the fixed
+block-diagonal unitary of :func:`structure.mixing_matrix`, so existence,
+residual quality, and stability all transfer from the FOCS construction.
+
+This module is the one home of that relation: :func:`to_focs` maps a basis
+of any role to FOCS coordinates, and :func:`certify` measures a basis against
+the canonical pair of its role.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from .errors import NotConjugateSymmetricError, NotRealError, StructureMismatchE
 from .linalg import DEFAULT_TOL, affiliation_residuals, mat_norm, require_finite
 from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, Certificate, PipelineTrace, focs_basis
 from .structure import (
-    CS_TOL,
     JordanSpec,
     conjugate_symmetry_fit,
     jordan_form,
@@ -39,9 +42,8 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
     transform; the result is real up to rounding, which is verified against
     ``IMAG_RTOL`` times its norm and then truncated to exactly real.
 
-    ``anchor``, when given, is an i-FOCS reference basis passed through to
-    the pipeline (callers holding an RC reference should convert it with the
-    inverse mixing transform first).
+    ``anchor``, when given, is an RC reference basis; the pipeline is
+    anchored to its FOCS coordinates.
 
     Raises
     ------
@@ -51,6 +53,8 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
     """
     a = np.real(require_finite(a, "a"))
     h = np.real(require_finite(h, "h"))
+    if anchor is not None:
+        anchor = to_focs(anchor, spec, ROLE_RC)
     focs, trace = focs_basis(a, h, spec, 1.0j, anchor=anchor, tol=tol, norm=norm)
     r = focs.matrix @ mixing_matrix(spec)
     r_norm = mat_norm(r, norm)
@@ -74,37 +78,42 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
     return basis, trace
 
 
-def focs_from_rc(r: np.ndarray, spec: JordanSpec, *,
-                 a: np.ndarray | None = None,
-                 h: np.ndarray | None = None,
-                 norm: str = "spectral") -> CanonicalBasis:
-    """Recover the i-FOCS basis from a real canonical one.
+def to_focs(matrix: np.ndarray, spec: JordanSpec, role: str) -> np.ndarray:
+    """FOCS coordinates of a basis of the given role.
 
-    Multiplies by the closed-form inverse mixing transform and verifies the
-    conjugate-symmetry scalar comes out as ``i``.  When ``a`` and ``h`` are
-    supplied the affiliation residuals against the complex canonical pair
-    are certified as well; otherwise the certificate carries zeros.
-
-    Raises
-    ------
-    NotConjugateSymmetricError
-        When ``r`` was not a real canonical basis for ``spec``.
+    An RC basis is unmixed by the inverse mixing transform; it is real by
+    definition, so any imaginary part is dropped first.  Bases of other
+    roles are returned unchanged.
     """
-    r = require_finite(r, "r")
-    t = r @ mixing_matrix_inv(spec)
-    gamma, cs_res, worst = conjugate_symmetry_fit(t, spec, norm=norm)
-    scale = max(1.0, mat_norm(t, norm))
-    if cs_res > CS_TOL * scale or abs(gamma - 1.0j) > CS_TOL * max(1.0, abs(gamma)):
-        raise NotConjugateSymmetricError(
-            f"recovered basis is not i-conjugate-symmetric "
-            f"(gamma {gamma:.6f}, residual {cs_res:.3e})",
-            block_index=worst, residual=cs_res)
-    if a is not None and h is not None:
-        sim, cong = affiliation_residuals(a, h, t, jordan_form(spec),
-                                          sip_form(spec), norm=norm)
-    else:
-        sim, cong = 0.0, 0.0
-    return CanonicalBasis(
-        matrix=t, role=ROLE_FOCS, gamma=gamma,
-        cert=Certificate(similarity=sim, congruence=cong, cs_residual=cs_res),
-        eps=tuple(b.sign for b in spec.blocks))
+    if role == ROLE_RC:
+        return np.real(matrix) @ mixing_matrix_inv(spec)
+    return matrix
+
+
+def certify(a: np.ndarray, h: np.ndarray, matrix: np.ndarray, spec: JordanSpec,
+            role: str, *, norm: str = "spectral") -> tuple[Certificate, complex | None]:
+    """Residuals of ``matrix`` as a basis of ``role`` for ``(a, h)``, unjudged.
+
+    The target is the real canonical pair for ``rc`` and the complex one
+    otherwise.  An RC basis is measured by its real part, and the largest
+    entry of its imaginary part goes to ``max_imag``.  For ``focs`` and
+    ``rc`` the conjugate symmetry is fitted in FOCS coordinates; a zero
+    first pair block, which fixes no scalar, gives an infinite residual and
+    a NaN scalar.  Returns the certificate and the fitted scalar (``None``
+    for ``fo``).
+    """
+    max_imag = None
+    if role == ROLE_RC:
+        max_imag = float(np.max(np.abs(matrix.imag))) if np.iscomplexobj(matrix) else 0.0
+        matrix = np.real(matrix)
+    target = real_jordan_form(spec) if role == ROLE_RC else jordan_form(spec)
+    sim, cong = affiliation_residuals(a, h, matrix, target, sip_form(spec), norm=norm)
+    gamma, cs_res = None, None
+    if role in (ROLE_FOCS, ROLE_RC):
+        try:
+            gamma, cs_res, _ = conjugate_symmetry_fit(to_focs(matrix, spec, role), spec,
+                                                      norm=norm)
+        except NotConjugateSymmetricError:
+            gamma, cs_res = complex("nan"), float("inf")
+    return Certificate(similarity=sim, congruence=cong, cs_residual=cs_res,
+                       max_imag=max_imag), gamma

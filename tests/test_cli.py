@@ -4,6 +4,7 @@ import functools
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from indefcanon import BlockSpec, JordanSpec, generate_instance, harness
 from indefcanon.cli import main
 from indefcanon.linalg import matrix_from_json, matrix_to_json
+from indefcanon.pipeline import CanonicalBasis, Certificate
 from indefcanon.serialize import basis_to_json, dumps, instance_to_json, spec_to_json
 
 from conftest import random_spec
@@ -180,6 +182,23 @@ def test_verify_tampered_basis_fails(runner, tmp_path, paper_pair_file, ex_m):
     assert r.exit_code == 1
 
 
+@pytest.mark.parametrize("role, zeroed", [("focs", slice(2, 4)), ("rc", slice(2, 6))])
+def test_verify_zero_first_pair_block_fails(runner, tmp_path, role, zeroed):
+    # the first pair block in FOCS coordinates is zero: no scalar fits it
+    inst = generate_instance(SPEC, 3, kind=role)
+    f = tmp_path / "pair.json"
+    write_pair_file(f, inst.a0, inst.h0, SPEC)
+    t = inst.t0.matrix.copy()
+    t[:, zeroed] = 0.0
+    bf = tmp_path / "t.json"
+    bf.write_text(dumps(basis_to_json(replace(inst.t0, matrix=t))))
+    r = runner.invoke(main, ["verify", "--in", str(f), "--basis", str(bf)])
+    assert r.exit_code == 1, r.output
+    assert isinstance(r.exception, SystemExit)
+    row = r.output.splitlines()[-1].split()
+    assert row[:3] == ["conjugate", "symmetry", "(gamma"] and row[-2:] == ["inf", "FAIL"]
+
+
 def test_verify_parse_error_exits_2(runner, tmp_path, paper_pair_file):
     bf = tmp_path / "garbage.json"
     bf.write_text("42")
@@ -223,10 +242,41 @@ def test_instance_with_wrong_size_t0_exits_2(runner, tmp_path):
     assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.csv").exists()
 
 
+def _spec_probe(spec):
+    """Instance file for ``spec``, which ``gen`` refuses, with the pair its
+    seed generates and that pair's generating similarity as the ``rc`` T0."""
+    w, a0, h0 = harness._draw_similarity(spec, 3)
+    t0 = CanonicalBasis(w, "rc", 1j, Certificate(0.0, 0.0),
+                        tuple(b.sign for b in spec.blocks))
+    return instance_to_json(harness.Instance(spec, a0, h0, t0, 3, w))
+
+
 def _probe(obj, key):
     """The instance file ``obj`` with one part replaced, as named by ``key``."""
     n = SPEC.total_size
-    if key == "seed":
+    if key == "shared_eigenvalue":
+        obj = _spec_probe(JordanSpec((BlockSpec("real", 1.5, 2, 1),
+                                      BlockSpec("real", 1.5, 1, -1))))
+    elif key == "zero_eigenvalue":
+        obj = _spec_probe(JordanSpec((BlockSpec("real", 0.0, 2, 1),
+                                      BlockSpec("pair", -0.7 - 1.3j, 1))))
+    elif key == "t0_not_conjugate_symmetric":
+        # chain-preserving mixes of the pair block's halves that keep the
+        # similarity and congruence but break conjugate symmetry
+        t0 = matrix_from_json(obj["T0"]["matrix"])
+        nil = np.diag([1.0], 1)
+        t0[:, 2:4] = t0[:, 2:4] @ (np.eye(2) + 0.5 * nil)
+        t0[:, 4:6] = t0[:, 4:6] @ (np.eye(2) - 0.5 * nil)
+        obj["T0"]["matrix"] = matrix_to_json(t0)
+    elif key == "t0_zero_pair_block":
+        t0 = matrix_from_json(obj["T0"]["matrix"])
+        t0[:, 2:4] = 0.0
+        obj["T0"]["matrix"] = matrix_to_json(t0)
+    elif key == "rc_t0_complex":
+        obj = instance_to_json(generate_instance(SPEC, 3, kind="rc"))
+        t0 = matrix_from_json(obj["T0"]["matrix"])
+        obj["T0"]["matrix"] = matrix_to_json(t0 * np.exp(0.3j))
+    elif key == "seed":
         obj["seed"] = 4
     elif key == "h0_zero":
         obj["H0"] = matrix_to_json(np.zeros((n, n)))
@@ -253,6 +303,15 @@ def _probe(obj, key):
     pytest.param("a0_identity", "from the pair that seed 3 generates", id="a0_identity"),
     pytest.param("t0_zero", "t must be nonzero", id="t0_zero"),
     pytest.param("t0_scaled", "T0 misses the instance gate", id="t0_scaled"),
+    pytest.param("shared_eigenvalue", "blocks share the eigenvalue",
+                 id="shared_eigenvalue"),
+    pytest.param("zero_eigenvalue", "is numerically zero", id="zero_eigenvalue"),
+    pytest.param("t0_not_conjugate_symmetric", "conjugate-symmetry residual 1.6",
+                 id="t0_not_conjugate_symmetric"),
+    pytest.param("t0_zero_pair_block", "T0 misses the instance gate: congruence",
+                 id="t0_zero_pair_block"),
+    pytest.param("rc_t0_complex", "T0 misses the instance gate: congruence 8.7",
+                 id="rc_t0_complex"),
 ])
 def test_instance_not_matching_its_pair_exits_2(runner, tmp_path, key, message):
     inst_file = tmp_path / "inst.json"
@@ -262,6 +321,7 @@ def test_instance_not_matching_its_pair_exits_2(runner, tmp_path, key, message):
                   "--trials", "2", "--out-csv", str(tmp_path / "x.csv")]):
         r = runner.invoke(main, args)
         assert r.exit_code == 2, (args[0], r.output)
+        assert isinstance(r.exception, SystemExit)
         assert message in r.output
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 

@@ -61,9 +61,10 @@ def test_generate_invariants(inst):
 
 
 def test_generate_forced_identity_similarity():
-    inst_i = generate_instance(SPEC, 0, w_override=np.eye(SPEC.total_size))
-    np.testing.assert_allclose(inst_i.a0, real_jordan_form(SPEC), atol=1e-15)
-    np.testing.assert_allclose(inst_i.h0, sip_form(SPEC), atol=1e-15)
+    a0, h0 = harness._rebuild_pair(np.eye(SPEC.total_size), real_jordan_form(SPEC),
+                                   sip_form(SPEC))
+    np.testing.assert_allclose(a0, real_jordan_form(SPEC), atol=1e-15)
+    np.testing.assert_allclose(h0, sip_form(SPEC), atol=1e-15)
 
 
 def test_generate_rejects_zero_eigenvalue():
@@ -78,11 +79,12 @@ def test_generate_rejects_shared_eigenvalue():
         generate_instance(bad, 1)
 
 
-def test_generate_retry_exhausted_on_bad_override():
+def test_generate_retry_exhausted_on_bad_override(monkeypatch):
     from indefcanon import RetryExhaustedError
-    singular = np.zeros((SPEC.total_size, SPEC.total_size))
-    with pytest.raises(RetryExhaustedError):
-        generate_instance(SPEC, 1, w_override=singular)
+    # every condition number is at least 1, so no draw passes
+    monkeypatch.setattr(harness, "COND_LIMIT", 1.0)
+    with pytest.raises(RetryExhaustedError, match="no acceptable similarity"):
+        generate_instance(SPEC, 1)
 
 
 def test_perturb_zero_delta_short_circuits(inst):
@@ -107,6 +109,20 @@ def test_perturb_respects_delta_and_quality(inst):
             assert 0.0 < measured <= delta
             assert h_selfadjoint_residual(pair.a, pair.h) <= 1e-10
             assert not np.iscomplexobj(pair.a)
+
+
+@pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+@pytest.mark.parametrize("path", ["fitted", "zero_delta", "best_redraw"])
+def test_perturbed_pair_carries_its_measured_input(inst, monkeypatch, path, norm):
+    if path == "best_redraw":
+        # every redraw misses SELFADJ_TOL; the second is the best, not the last
+        defects = iter(np.array([5.0, 3.0, 4.0, 6.0, 7.0]) * harness.SELFADJ_TOL)
+        monkeypatch.setattr(harness, "_selfadj_defect", lambda a, h: next(defects))
+    pair = perturb_instance(inst, 0.0 if path == "zero_delta" else 1e-4, "weak", 3,
+                            norm=norm)
+    assert pair.measured == (mat_norm(pair.a - inst.a0, norm)
+                             + mat_norm(pair.h - inst.h0, norm))
+    assert (pair.measured == 0.0) == (path == "zero_delta")
 
 
 def test_perturb_strict_preserves_spectrum():

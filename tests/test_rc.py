@@ -1,15 +1,16 @@
 """Real canonical bases and the conversion to and from i-FOCS form."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from indefcanon import (
     BlockSpec,
     JordanSpec,
-    NotConjugateSymmetricError,
     focs_basis,
-    focs_from_rc,
     generate_instance,
+    jordan_form,
     mat_norm,
     mixing_matrix,
     mixing_matrix_inv,
@@ -18,6 +19,7 @@ from indefcanon import (
     sip_form,
 )
 from indefcanon.linalg import affiliation_residuals
+from indefcanon.rc import certify, to_focs
 
 from conftest import cs_gamma, random_spec
 
@@ -61,36 +63,66 @@ def test_rc_single_pair_hand_expansion():
 
 def test_rc_round_trip(ex_a, ex_h, ex_spec):
     basis, _ = rc_basis(ex_a, ex_h, ex_spec)
-    focs = focs_from_rc(basis.matrix, ex_spec, a=ex_a, h=ex_h)
-    assert focs.gamma == pytest.approx(1.0j, abs=1e-10)
-    assert focs.cert.similarity <= 1e-10 and focs.cert.congruence <= 1e-10
-    back = focs.matrix @ mixing_matrix(ex_spec)
+    cert, gamma = certify(ex_a, ex_h, basis.matrix, ex_spec, "rc")
+    assert gamma == pytest.approx(1.0j, abs=1e-10)
+    assert cert.similarity <= 1e-10 and cert.congruence <= 1e-10
+    assert cert.max_imag == 0.0
+    back = to_focs(basis.matrix, ex_spec, "rc") @ mixing_matrix(ex_spec)
     assert mat_norm(back - basis.matrix) <= 1e-12 * max(1.0, mat_norm(basis.matrix))
 
 
 def test_focs_from_rc_paper_r(ex_r, ex_spec, ex_a, ex_h):
-    focs = focs_from_rc(ex_r, ex_spec, a=ex_a, h=ex_h)
-    assert focs.gamma == pytest.approx(1.0j, abs=1e-12)
-    assert focs.cert.similarity <= 1e-10 and focs.cert.congruence <= 1e-10
+    cert, gamma = certify(ex_a, ex_h, ex_r, ex_spec, "rc")
+    assert gamma == pytest.approx(1.0j, abs=1e-12)
+    assert cert.similarity <= 1e-10 and cert.congruence <= 1e-10
 
 
 def test_focs_from_rc_identity_on_canonical(ex_spec):
     # R = I for the real canonical pair recovers the inverse mixing matrix,
     # which is i-conjugate-symmetric by its printed structure
-    t = focs_from_rc(np.eye(4), ex_spec)
-    np.testing.assert_allclose(t.matrix, mixing_matrix_inv(ex_spec), atol=1e-15)
-    assert cs_gamma(t.matrix, ex_spec) == pytest.approx(1.0j)
+    t = to_focs(np.eye(4), ex_spec, "rc")
+    np.testing.assert_allclose(t, mixing_matrix_inv(ex_spec), atol=1e-15)
+    assert cs_gamma(t, ex_spec) == pytest.approx(1.0j)
+    cert, gamma = certify(real_jordan_form(ex_spec), sip_form(ex_spec), np.eye(4),
+                          ex_spec, "rc")
+    assert gamma == pytest.approx(1.0j)
+    assert cert.similarity == 0.0 and cert.congruence == 0.0
 
 
-def test_focs_from_rc_rejects_non_rc(ex_spec):
+def test_focs_from_rc_rejects_non_rc(ex_a, ex_h, ex_spec):
     # any real matrix times the inverse mixing transform is automatically
-    # i-conjugate-symmetric, so the failure mode is a basis that is not real
+    # i-conjugate-symmetric, so the failure mode is a basis that is not real:
+    # its imaginary part is reported, and only its real part is measured
     rng = np.random.default_rng(2)
-    bad = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    with pytest.raises(NotConjugateSymmetricError):
-        focs_from_rc(bad, ex_spec)
     real_r = rng.normal(size=(4, 4))
-    assert focs_from_rc(real_r, ex_spec).gamma == pytest.approx(1.0j)
+    bad = real_r + 1j * rng.normal(size=(4, 4))
+    cert, gamma = certify(ex_a, ex_h, bad, ex_spec, "rc")
+    assert cert.max_imag == np.max(np.abs(bad.imag))
+    real_cert, real_gamma = certify(ex_a, ex_h, real_r, ex_spec, "rc")
+    assert real_cert.max_imag == 0.0
+    assert replace(cert, max_imag=0.0) == real_cert
+    assert gamma == real_gamma == pytest.approx(1.0j)
+
+
+@pytest.mark.parametrize("role", ["focs", "rc"])
+def test_certify_reports_a_zero_first_pair_block(role):
+    spec = JordanSpec((BlockSpec("real", 1.5, 2, 1), BlockSpec("pair", -0.7 - 1.3j, 2)))
+    inst = generate_instance(spec, 3, kind=role)
+    t = inst.t0.matrix.copy()
+    # the first half of the pair block, or every RC column it mixes into
+    t[:, 2:4 if role == "focs" else 6] = 0.0
+    cert, gamma = certify(inst.a0, inst.h0, t, spec, role)
+    assert cert.cs_residual == float("inf")
+    assert np.isnan(gamma)
+    assert cert.congruence > 1e-3
+
+
+def test_certify_fo_fits_no_scalar(ex_a, ex_h, ex_spec):
+    focs, _ = focs_basis(ex_a, ex_h, ex_spec, 1.0)
+    cert, gamma = certify(ex_a, ex_h, focs.matrix, ex_spec, "fo")
+    assert gamma is None and cert.cs_residual is None and cert.max_imag is None
+    assert (cert.similarity, cert.congruence) == affiliation_residuals(
+        ex_a, ex_h, focs.matrix, jordan_form(ex_spec), sip_form(ex_spec))
 
 
 def test_rc_realness_randomized():

@@ -1,5 +1,5 @@
-"""Repository-level guards: the package's import graph and the benchmark's
-tracing tables."""
+"""Repository-level guards: the package's import graph, the home of the
+RC/FOCS relation, and the benchmark's tracing tables."""
 
 import ast
 import importlib.util
@@ -39,6 +39,28 @@ def test_package_import_graph_is_acyclic():
 
     for module in sorted(graph):
         visit(module, [])
+
+
+def _names(path: Path) -> set[str]:
+    """Every identifier ``path`` binds, loads, imports or reads as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(filter(None, (node.name, node.asname)))
+    return found
+
+
+def test_mixing_transform_is_used_only_by_structure_and_rc():
+    # the package root only re-exports the public API
+    mixers = {"mixing_matrix", "mixing_matrix_inv"}
+    users = sorted(p.stem for p in PACKAGE.glob("*.py")
+                   if p.stem not in {"__init__", "structure", "rc"}
+                   and _names(p) & mixers)
+    assert users == [], f"modules naming the mixing transform outside rc: {users}"
 
 
 def test_benchmark_tracing_tables_resolve():
