@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -168,25 +169,29 @@ def fit_chain_to(chain: np.ndarray, target: np.ndarray) -> np.ndarray:
     anchor a freshly extracted chain to a reference basis.
     """
     n, p = chain.shape
-    basis = []
-    shifted = chain.astype(complex)
-    for _ in range(p):
-        basis.append(shifted.ravel())
-        shifted = np.hstack([np.zeros((n, 1)), shifted[:, :-1]])
-    design = np.stack(basis, axis=1)
-    coeffs, *_ = np.linalg.lstsq(design, target.astype(complex).ravel(), rcond=None)
+    # column j of the design is the chain shifted right by j columns,
+    # raveled row-major
+    design = np.zeros((n, p, p), dtype=complex)
+    for j in range(p):
+        design[:, j:, j] = chain[:, :p - j]
+    coeffs, *_ = np.linalg.lstsq(design.reshape(n * p, p),
+                                 target.astype(complex).ravel(), rcond=None)
+    # each coefficient is added to a zero, as in a sum of scaled shifts,
+    # so a -0.0 part of it enters the mix as +0.0
     mix = np.zeros((p, p), dtype=complex)
+    idx = np.arange(p)
     for j, cj in enumerate(coeffs):
-        mix += cj * np.diag(np.ones(p - j), j)
+        mix[idx[:p - j], idx[j:]] += cj
     return chain @ mix
 
 
-def _inv_sqrt_coefficients(count: int) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def _inv_sqrt_coefficients(count: int) -> tuple[Fraction, ...]:
     """Binomial series coefficients of ``(1 + x)^(-1/2)``: 1, -1/2, 3/8, ..."""
     coeffs = [Fraction(1)]
     for k in range(1, count):
         coeffs.append(coeffs[-1] * Fraction(-(2 * k - 1), 2 * k))
-    return coeffs
+    return tuple(coeffs)
 
 
 def toeplitz_inv_sqrt(g3: np.ndarray) -> np.ndarray:
@@ -252,17 +257,24 @@ def reduce_real_chain(chain: np.ndarray, h: np.ndarray,
     Raises
     ------
     DegenerateGramError
-        When ``|g0|`` is below ``GRAM_RTOL * ||h|| * ||chain||^2``.
+        When ``|g0|`` is below ``GRAM_RTOL * ||h|| * ||chain||^2``, spectral
+        norms throughout; the SVD of ``chain`` runs only when ``|g0|`` misses
+        the same floor with the Frobenius norm.
     """
     chain = np.real(require_finite(chain, "chain"))
     p = chain.shape[1]
     x = chain.T @ np.real(h) @ chain
     anti = np.diag(np.fliplr(x))
     g0 = float(np.mean(anti))
-    floor = GRAM_RTOL * max(h_norm * mat_norm(chain) ** 2, np.finfo(float).tiny)
+    # the Frobenius norm bounds ||chain||_2 from above, so a floor it clears
+    # is cleared by the spectral one, and only a miss takes the SVD
+    tiny = np.finfo(float).tiny
+    floor = GRAM_RTOL * max(h_norm * float(np.linalg.norm(chain)) ** 2, tiny)
     if abs(g0) < floor:
-        raise DegenerateGramError(
-            f"chain Gram anchor {g0:.3e} below degeneracy floor {floor:.3e}")
+        floor = GRAM_RTOL * max(h_norm * mat_norm(chain) ** 2, tiny)
+        if abs(g0) < floor:
+            raise DegenerateGramError(
+                f"chain Gram anchor {g0:.3e} below degeneracy floor {floor:.3e}")
     eps = 1 if g0 > 0 else -1
     g3 = (eps / abs(g0)) * (x @ np.fliplr(np.eye(p)))
     f = toeplitz_inv_sqrt(g3)

@@ -26,7 +26,7 @@ from .errors import (
     RetryExhaustedError,
     TrialError,
 )
-from .linalg import mat_norm, refined_inverse
+from .linalg import gate_norm, mat_norm, refined_inverse
 from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, PipelineTrace, focs_basis
 from .rc import IMAG_RTOL, certify, rc_basis, to_focs
 from .structure import (
@@ -150,7 +150,9 @@ def _rebuild_pair(w: np.ndarray, jr: np.ndarray,
 
 
 def _selfadj_defect(a: np.ndarray, h: np.ndarray) -> float:
-    return mat_norm(h @ a - a.T @ h)
+    """``||h a - a^T h||_2``, exact whenever it exceeds :data:`SELFADJ_TOL`;
+    a defect within the gate may come back as its Frobenius bound."""
+    return gate_norm(h @ a - a.T @ h, SELFADJ_TOL)
 
 
 def _draw_similarity(spec: JordanSpec,
@@ -213,8 +215,10 @@ def load_instance(spec: JordanSpec, a0: np.ndarray, h0: np.ndarray,
         its norm, no similarity can be drawn from the seed, ``t0`` has a role
         other than ``focs`` or ``rc``, its residuals against the pair miss
         :data:`INSTANCE_TOL`, its conjugate-symmetry residual misses
-        ``CS_TOL * max(1, ||t0||)``, or (``rc``) its imaginary part misses
-        ``IMAG_RTOL * max(1, ||t0||)``.
+        ``CS_TOL * max(1, ||t0||)``, (``rc``) its imaginary part misses
+        ``IMAG_RTOL * max(1, ||t0||)``, or (``focs``) its stored ``gamma``,
+        1 when absent, is more than ``CS_TOL * |gamma|`` from the scalar
+        its matrix fits.
     """
     validate_experiment_spec(spec)
     try:
@@ -227,13 +231,16 @@ def load_instance(spec: JordanSpec, a0: np.ndarray, h0: np.ndarray,
             f"A0/H0 differ by {gap:.3e} from the pair that seed {seed} generates")
     if t0.role not in (ROLE_FOCS, ROLE_RC):
         raise ValueError(f"T0 has role {t0.role!r}, not {ROLE_FOCS!r} or {ROLE_RC!r}")
-    cert, _ = certify(a0, h0, t0.matrix, spec, t0.role)
+    cert, gamma = certify(a0, h0, t0.matrix, spec, t0.role)
     scale = max(1.0, mat_norm(t0.matrix))
+    # focs trials are built with the stored scalar; rc ones always with i
+    gamma_drift = abs((t0.gamma or 1.0) - gamma) if t0.role == ROLE_FOCS else None
     for name, value, limit in (("similarity", cert.similarity, INSTANCE_TOL),
                                ("congruence", cert.congruence, INSTANCE_TOL),
                                ("conjugate-symmetry residual", cert.cs_residual,
                                 CS_TOL * scale),
-                               ("imaginary part", cert.max_imag, IMAG_RTOL * scale)):
+                               ("imaginary part", cert.max_imag, IMAG_RTOL * scale),
+                               ("gamma drift", gamma_drift, CS_TOL * abs(gamma))):
         if value is not None and not value <= limit:
             raise ValueError(f"T0 misses the instance gate: {name} {value:.3e} "
                              f"vs {limit:.1e}")

@@ -48,21 +48,37 @@ def mat_norm(m: np.ndarray, kind: str = "spectral") -> float:
         return 0.0
     if kind == "frobenius":
         return float(np.linalg.norm(m))
-    return float(np.linalg.norm(m, 2))
+    # the singular-value call and the value of np.linalg.norm(m, 2), without
+    # its axis handling
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def gate_norm(m: np.ndarray, limit: float, kind: str = "spectral") -> float:
     """Norm of ``m`` for a gate ``norm > limit`` whose value is not kept.
 
-    Returns the Frobenius norm when it is within ``limit``: it bounds the
-    spectral norm from above, so the gate passes either way and no SVD runs.
-    Otherwise returns ``mat_norm(m, kind)``, the exact value to compare and
-    to report.
+    Every gate whose value is not reported follows one rule: it may decide on
+    a bound that takes no SVD, and when the bound does not settle it, the
+    exact norm decides and is the value its error reports.  Here the bound
+    is the Frobenius norm, which bounds the spectral norm from above: within
+    ``limit`` it is returned and the gate passes either way.  Otherwise
+    returns ``mat_norm(m, kind)``.  Gates whose *limit* scales with a norm
+    use :func:`_norm_lower_bound` the same way.
     """
     frob = float(np.linalg.norm(m))
     if kind == "frobenius" or frob <= limit:
         return frob
     return mat_norm(m, kind)
+
+
+def _norm_lower_bound(m: np.ndarray, kind: str = "spectral") -> float:
+    """A lower bound of ``mat_norm(m, kind)`` that takes no SVD: the largest
+    column 2-norm for the spectral norm, the exact value for Frobenius."""
+    if kind != "spectral":
+        return mat_norm(m, kind)
+    m = np.atleast_2d(np.asarray(m))
+    if m.size == 0:
+        return 0.0
+    return float(np.max(np.linalg.norm(m, axis=0)))
 
 
 def norm_and_rcond(m: np.ndarray) -> tuple[float, float]:

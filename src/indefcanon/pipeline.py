@@ -42,10 +42,11 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     RCOND_FLOOR,
+    _norm_lower_bound,
     affiliation_residuals,
     gate_norm,
     mat_norm,
-    rcond,
+    norm_and_rcond,
     require_finite,
 )
 from .structure import (
@@ -53,8 +54,8 @@ from .structure import (
     PAIR,
     REAL,
     JordanSpec,
+    _selfadjoint_defect,
     conjugate_symmetry_fit,
-    h_selfadjoint_residual,
     jordan_form,
     sip_form,
 )
@@ -197,6 +198,13 @@ def symmetrize_step(chains: ChainSet, reduced: dict[int, np.ndarray],
     SingularBasisError
         When the assembled factor fails the conditioning check.
     """
+    return _symmetrize(chains, reduced, gamma)[0]
+
+
+def _symmetrize(chains: ChainSet, reduced: dict[int, np.ndarray],
+                gamma: complex) -> tuple[np.ndarray, float]:
+    """:func:`symmetrize_step`, also returning ``||Z1||_2`` from the
+    singular-value call of its conditioning check."""
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
     cols = []
@@ -207,10 +215,10 @@ def symmetrize_step(chains: ChainSet, reduced: dict[int, np.ndarray],
             l = bc.matrix
             cols.append(np.concatenate([l, gamma * np.conj(l)], axis=1))
     z1 = np.concatenate(cols, axis=1)
-    rc = rcond(z1)
+    z1_norm, rc = norm_and_rcond(z1)
     if rc < RCOND_FLOOR:
         raise SingularBasisError(f"chain basis is numerically singular (rcond={rc:.3e})")
-    return z1
+    return z1, z1_norm
 
 
 def _pair_sub_block(gram: np.ndarray, off: int, p: int) -> np.ndarray:
@@ -310,14 +318,20 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     a = np.real(a)
     h = np.real(h)
 
-    # ||h|| serves every gate below; reduce_real_chain needs the spectral one
-    h_norm2 = mat_norm(h)
+    # one singular-value call on h serves every gate below and the
+    # selfadjointness pre-check; reduce_real_chain needs the spectral norm
+    h_norm2, h_rcond = norm_and_rcond(h)
     h_norm = h_norm2 if norm == "spectral" else mat_norm(h, norm)
-    pre = h_selfadjoint_residual(a, h, norm=norm)
-    pre_tol = STRUCT_RTOL * max(1.0, mat_norm(a, norm) * h_norm)
+    defect = _selfadjoint_defect(a, h, h_norm, h_rcond, norm)
+    # the pre-check decides on a lower bound of ||a|| and the Frobenius
+    # bound of the residual first
+    pre_tol = STRUCT_RTOL * max(1.0, _norm_lower_bound(a, norm) * h_norm)
+    pre = gate_norm(defect, pre_tol, norm)
     if pre > pre_tol:
-        raise StructureMismatchError(
-            f"pair is not h-selfadjoint (residual {pre:.3e} > {pre_tol:.3e})")
+        pre_tol = STRUCT_RTOL * max(1.0, mat_norm(a, norm) * h_norm)
+        if pre > pre_tol:
+            raise StructureMismatchError(
+                f"pair is not h-selfadjoint (residual {pre:.3e} > {pre_tol:.3e})")
 
     chains = jordan_chains(a, spec)
 
@@ -349,9 +363,11 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
 
     chain_set = ChainSet(spec, tuple(prepared))
 
-    z1 = symmetrize_step(chain_set, reduced, gamma)
+    z1, z1_norm = _symmetrize(chain_set, reduced, gamma)
+    if norm != "spectral":
+        z1_norm = mat_norm(z1, norm)
     n_dim = spec.total_size
-    stol = STRUCT_RTOL * max(1.0, h_norm * mat_norm(z1, norm) ** 2)
+    stol = STRUCT_RTOL * max(1.0, h_norm * z1_norm ** 2)
 
     gram0 = z1.conj().T @ h @ z1
     _check_gram_structure(gram0, spec, eps, stol)

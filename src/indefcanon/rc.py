@@ -15,7 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotConjugateSymmetricError, NotRealError, StructureMismatchError
-from .linalg import DEFAULT_TOL, affiliation_residuals, mat_norm, require_finite
+from .linalg import (
+    DEFAULT_TOL,
+    _norm_lower_bound,
+    affiliation_residuals,
+    mat_norm,
+    require_finite,
+)
 from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, Certificate, PipelineTrace, focs_basis
 from .structure import (
     JordanSpec,
@@ -57,19 +63,24 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
         anchor = to_focs(anchor, spec, ROLE_RC)
     focs, trace = focs_basis(a, h, spec, 1.0j, anchor=anchor, tol=tol, norm=norm)
     r = focs.matrix @ mixing_matrix(spec)
-    r_norm = mat_norm(r, norm)
+    # both gates scale their limit with a norm whose value is not kept: a
+    # lower bound of it decides first, and the SVD runs only on a miss
     max_imag = float(np.max(np.abs(r.imag))) if np.iscomplexobj(r) else 0.0
-    if max_imag > IMAG_RTOL * max(1.0, r_norm):
-        raise NotRealError(
-            f"mixed basis has imaginary part {max_imag:.3e} "
-            f"(threshold {IMAG_RTOL * max(1.0, r_norm):.3e})")
+    if max_imag > IMAG_RTOL * max(1.0, _norm_lower_bound(r, norm)):
+        threshold = IMAG_RTOL * max(1.0, mat_norm(r, norm))
+        if max_imag > threshold:
+            raise NotRealError(
+                f"mixed basis has imaginary part {max_imag:.3e} "
+                f"(threshold {threshold:.3e})")
     r_real = np.real(r)
     sim, cong = affiliation_residuals(a, h, r_real, real_jordan_form(spec),
                                       sip_form(spec), norm=norm)
-    if max(sim, cong) > tol * max(1.0, mat_norm(h, norm)):
-        raise StructureMismatchError(
-            f"real basis misses its certificate gate: similarity {sim:.3e}, "
-            f"congruence {cong:.3e} vs tol {tol:.1e}")
+    if max(sim, cong) > tol * max(1.0, _norm_lower_bound(h, norm)):
+        limit = tol * max(1.0, mat_norm(h, norm))
+        if max(sim, cong) > limit:
+            raise StructureMismatchError(
+                f"real basis misses its certificate gate: similarity {sim:.3e}, "
+                f"congruence {cong:.3e} vs tol {tol:.1e} (limit {limit:.3e})")
     basis = CanonicalBasis(
         matrix=r_real, role=ROLE_RC, gamma=focs.gamma,
         cert=Certificate(similarity=sim, congruence=cong,

@@ -13,6 +13,9 @@ From a spec this module builds
 * the fixed block-diagonal unitary coupling conjugate chains into real and
   imaginary interleavings.
 
+Each of these forms is memoized for the last spec it was built for and
+returned read-only.
+
 It also hosts the structural predicates: the selfadjointness residual in an
 indefinite inner product and the conjugate-symmetry fit with its scalar.
 """
@@ -20,6 +23,7 @@ indefinite inner product and the conjugate-symmetry fit with its scalar.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -124,6 +128,23 @@ def _sip(p: int) -> np.ndarray:
     return np.fliplr(np.eye(p))
 
 
+def _form(build):
+    """Memoize a form of the last spec asked for, as a read-only array.
+
+    A strict experiment asks for the same spec's forms on every trial; a
+    weak one shifts the spec every time, and a single entry keeps at most
+    one n x n form per function alive either way.
+    """
+    @lru_cache(maxsize=1)
+    @wraps(build)
+    def cached(spec: JordanSpec) -> np.ndarray:
+        out = build(spec)
+        out.flags.writeable = False
+        return out
+    return cached
+
+
+@_form
 def jordan_form(spec: JordanSpec) -> np.ndarray:
     """Complex Jordan form: per pair block, the eigenvalue block is followed
     by its conjugate block."""
@@ -137,6 +158,7 @@ def jordan_form(spec: JordanSpec) -> np.ndarray:
     return _block_diag(cells, complex)
 
 
+@_form
 def sip_form(spec: JordanSpec) -> np.ndarray:
     """Canonical Gram matrix: signed anti-identity per real block, plain
     anti-identity of double size per pair block.  Real, symmetric, and an
@@ -150,6 +172,7 @@ def sip_form(spec: JordanSpec) -> np.ndarray:
     return _block_diag(cells, float)
 
 
+@_form
 def real_jordan_form(spec: JordanSpec) -> np.ndarray:
     """Real Jordan form: real blocks unchanged; a pair block with eigenvalue
     ``sigma + i tau`` contributes 2x2 cells ``[[sigma, tau], [-tau, sigma]]``
@@ -170,6 +193,7 @@ def real_jordan_form(spec: JordanSpec) -> np.ndarray:
     return _block_diag(cells, float)
 
 
+@_form
 def mixing_matrix(spec: JordanSpec) -> np.ndarray:
     """Block-diagonal unitary taking the complex canonical pair to the real one.
 
@@ -212,17 +236,26 @@ def h_selfadjoint_residual(a: np.ndarray, h: np.ndarray, *,
     """
     a = require_finite(a, "a")
     h = require_finite(h, "h")
-    if a.shape != h.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("a and h must be square and of equal size")
     h2, rc = norm_and_rcond(h)
     hn = h2 if norm == "spectral" else mat_norm(h, norm)
-    herm_limit = HERM_TOL * max(1.0, hn)
+    return mat_norm(_selfadjoint_defect(a, h, hn, rc, norm), norm)
+
+
+def _selfadjoint_defect(a: np.ndarray, h: np.ndarray, h_norm: float,
+                        h_rcond: float, norm: str) -> np.ndarray:
+    """The matrix ``h a - a* h`` behind :func:`h_selfadjoint_residual`,
+    after its shape, Hermitian and conditioning gates on ``h``.  ``h_norm``
+    (in ``norm``) and ``h_rcond`` are the caller's, so one singular-value
+    call on ``h`` can serve the caller as well."""
+    if a.shape != h.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("a and h must be square and of equal size")
+    herm_limit = HERM_TOL * max(1.0, h_norm)
     herm = gate_norm(h - h.conj().T, herm_limit, norm)
     if herm > herm_limit:
         raise NotHermitianError(f"h deviates from Hermitian by {herm:.3e}")
-    if rc < RCOND_FLOOR:
-        raise SingularInnerProductError(f"h is numerically singular (rcond={rc:.3e})")
-    return mat_norm(h @ a - a.conj().T @ h, norm)
+    if h_rcond < RCOND_FLOOR:
+        raise SingularInnerProductError(f"h is numerically singular (rcond={h_rcond:.3e})")
+    return h @ a - a.conj().T @ h
 
 
 def conjugate_symmetry_fit(n: np.ndarray, spec: JordanSpec, *,

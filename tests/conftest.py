@@ -361,3 +361,16 @@ def random_spec(rng: np.random.Generator, max_total: int = 12,
     if not blocks:
         blocks = [BlockSpec("real", 1.0, 2, 1)]
     return JordanSpec(tuple(blocks))
+
+
+# ---------------------------------------------------------------------------
+# stand-in for the stage after a gate under test
+
+
+class Reached(Exception):
+    """Raised by :func:`raise_reached`, standing in for the stage after the
+    gate under test, so that passing the gate is observable."""
+
+
+def raise_reached(*args, **kwargs):
+    raise Reached

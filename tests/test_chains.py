@@ -18,6 +18,8 @@ from indefcanon import (
     sip_form,
 )
 
+from indefcanon.chains import GRAM_RTOL
+
 from conftest import crat_from_int_matrix, crat_matmul, crat_rank, random_spec
 
 
@@ -139,6 +141,30 @@ def test_reduce_degenerate_gram():
         reduce_real_chain(chain, h, mat_norm(h))
 
 
+def _gram_probe(g0):
+    """Chain ``[e1, e2]`` (spectral norm 1, Frobenius norm sqrt(2)) and an h
+    of norm 1 giving it the Gram anchor ``g0``."""
+    h = np.zeros((3, 3))
+    h[0, 1] = h[1, 0] = g0
+    h[2, 2] = 1.0
+    return np.eye(3)[:, :2], h
+
+
+def test_reduce_degeneracy_floor_is_spectral():
+    # |g0| between the spectral floor and the Frobenius one passes
+    chain, h = _gram_probe(1.5 * GRAM_RTOL)
+    assert GRAM_RTOL * mat_norm(chain) ** 2 <= 1.5 * GRAM_RTOL
+    assert GRAM_RTOL * np.linalg.norm(chain) ** 2 > 1.5 * GRAM_RTOL
+    red, eps = reduce_real_chain(chain, h, mat_norm(h))
+    assert eps == 1
+    np.testing.assert_allclose(red.T @ h @ red, np.fliplr(np.eye(2)), atol=1e-12)
+    # below the spectral floor it raises, reporting the spectral floor
+    chain, h = _gram_probe(0.5 * GRAM_RTOL)
+    with pytest.raises(DegenerateGramError,
+                       match=r"anchor 5\.000e-11 below degeneracy floor 1\.000e-10"):
+        reduce_real_chain(chain, h, mat_norm(h))
+
+
 def test_reduce_idempotent_and_scale_invariant():
     rng = np.random.default_rng(5)
     spec = JordanSpec((BlockSpec("real", 1.25, 3, -1),))
@@ -185,3 +211,37 @@ def test_fit_chain_recovers_target_combination():
         target[:, k:] += c * chain[:, :3 - k]
     fitted = fit_chain_to(chain, target)
     np.testing.assert_allclose(fitted, target, atol=1e-12)
+
+
+def _fit_chain_by_stacking(chain, target):
+    """The column-stacking form of :func:`fit_chain_to`, kept as its
+    reference: the same design matrix, lstsq call and Toeplitz mix."""
+    n, p = chain.shape
+    basis = []
+    shifted = chain.astype(complex)
+    for _ in range(p):
+        basis.append(shifted.ravel())
+        shifted = np.hstack([np.zeros((n, 1)), shifted[:, :-1]])
+    coeffs, *_ = np.linalg.lstsq(np.stack(basis, axis=1),
+                                 target.astype(complex).ravel(), rcond=None)
+    mix = np.zeros((p, p), dtype=complex)
+    for j, cj in enumerate(coeffs):
+        mix += cj * np.diag(np.ones(p - j), j)
+    return chain @ mix
+
+
+def test_fit_chain_matches_its_stacking_reference_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for p in range(1, 5):
+        for real in (True, False):
+            chain = rng.normal(size=(9, p))
+            target = chain + 0.1 * rng.normal(size=(9, p))
+            if not real:
+                chain = chain + 1j * rng.normal(size=(9, p))
+                target = target + 1j * rng.normal(size=(9, p))
+            want = _fit_chain_by_stacking(chain, target)
+            got = fit_chain_to(chain, target)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            # signed zeros too
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))

@@ -276,6 +276,9 @@ def _probe(obj, key):
         obj = instance_to_json(generate_instance(SPEC, 3, kind="rc"))
         t0 = matrix_from_json(obj["T0"]["matrix"])
         obj["T0"]["matrix"] = matrix_to_json(t0 * np.exp(0.3j))
+    elif key == "t0_gamma":
+        # trials would be built with 2 against a T0 that fits 1
+        obj["T0"]["gamma"] = [2.0, 0.0]
     elif key == "seed":
         obj["seed"] = 4
     elif key == "h0_zero":
@@ -312,6 +315,8 @@ def _probe(obj, key):
                  id="t0_zero_pair_block"),
     pytest.param("rc_t0_complex", "T0 misses the instance gate: congruence 8.7",
                  id="rc_t0_complex"),
+    pytest.param("t0_gamma", "T0 misses the instance gate: gamma drift 1.000e+00 vs 1.0e-08",
+                 id="t0_gamma"),
 ])
 def test_instance_not_matching_its_pair_exits_2(runner, tmp_path, key, message):
     inst_file = tmp_path / "inst.json"

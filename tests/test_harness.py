@@ -125,6 +125,49 @@ def test_perturbed_pair_carries_its_measured_input(inst, monkeypatch, path, norm
     assert (pair.measured == 0.0) == (path == "zero_delta")
 
 
+def _defect_probe(inst, value):
+    """``inst``'s pair with ``a`` moved so that ``h a - a^T h`` gains a skew
+    part of spectral norm ``value`` and Frobenius norm ``2 value``."""
+    d = np.zeros_like(inst.a0)
+    for r, c in ((0, 1), (2, 3)):
+        d[r, c], d[c, r] = value, -value
+    return inst.a0 + np.linalg.solve(inst.h0, d) / 2.0, inst.h0
+
+
+@pytest.mark.parametrize("value, passes", [(0.8e-12, True), (1.5e-12, False)])
+def test_selfadj_defect_is_spectral_at_the_gate(inst, value, passes):
+    a, h = _defect_probe(inst, value)
+    exact = mat_norm(h @ a - a.T @ h)
+    assert exact == pytest.approx(value, rel=1e-2)
+    assert np.linalg.norm(h @ a - a.T @ h) > harness.SELFADJ_TOL
+    defect = harness._selfadj_defect(a, h)
+    assert (defect <= harness.SELFADJ_TOL) == passes
+    if not passes:
+        assert defect == exact
+
+
+@pytest.mark.parametrize("value, passes", [(0.8e-12, True), (1.5e-11, False)])
+def test_perturb_selfadjointness_gate_is_spectral(inst, monkeypatch, value, passes):
+    # every rebuild returns the probe pair: within the gate the first draw
+    # is kept; beyond 10 SELFADJ_TOL the error reports the spectral defect
+    a, h = _defect_probe(inst, value)
+    rebuilds = []
+
+    def rebuild(w, jr, p):
+        rebuilds.append(w)
+        return a, h
+
+    monkeypatch.setattr(harness, "_rebuild_pair", rebuild)
+    if passes:
+        pair = perturb_instance(inst, 1e-3, "strict", 5)
+        assert pair.a is a and len(rebuilds) == 2
+    else:
+        exact = mat_norm(h @ a - a.T @ h)
+        with pytest.raises(harness.RetryExhaustedError,
+                           match=f"quality {exact:.3e} exceeds 1.000e-11"):
+            perturb_instance(inst, 1e-3, "strict", 5)
+
+
 def test_perturb_strict_preserves_spectrum():
     # simple eigenvalues so the computed spectra are trustworthy to 1e-10
     spec = JordanSpec((BlockSpec("real", 1.0, 1, 1),

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from indefcanon import (
     SingularMatrixError,
@@ -77,6 +78,25 @@ def test_norm_and_rcond_match_the_separate_calls():
               np.zeros((3, 3)), np.diag([2.0, 0.0])):
         assert norm_and_rcond(m) == (mat_norm(m), rcond(m))
     assert norm_and_rcond(np.zeros((0, 0))) == (0.0, 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=7),
+               elements=st.floats(-1e6, 1e6, allow_subnormal=False)),
+    hnp.arrays(np.complex128, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=7),
+               elements=st.complex_numbers(max_magnitude=1e6, allow_subnormal=False))))
+@example(np.zeros((0, 0)))
+@example(np.zeros((0, 3)))
+@example(np.zeros((4, 0)))
+@example(np.arange(5.0).reshape(5, 1))
+@example(np.array([[1.0 + 2.0j], [-3.0j]]))
+@example(np.arange(6.0).reshape(2, 3) - 2.5j)
+def test_mat_norm_is_the_spectral_norm_bit_for_bit(m):
+    # real, complex, rectangular, single-column and empty matrices
+    want = float(np.linalg.norm(m, 2))
+    assert mat_norm(m) == want
+    assert norm_and_rcond(m)[0] == mat_norm(m)
 
 
 def test_solve_identity_and_scale():

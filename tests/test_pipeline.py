@@ -27,7 +27,7 @@ from indefcanon import (
 from indefcanon import pipeline
 from indefcanon.chains import BlockChain, ChainSet
 
-from conftest import cs_gamma, frac_identity
+from conftest import Reached, cs_gamma, frac_identity, raise_reached
 
 
 def rand_unit_lower_toeplitz(rng, p, scale=1.0):
@@ -332,6 +332,28 @@ def test_final_sip_gate_is_spectral(ex_a, ex_h, ex_spec, monkeypatch):
         else:
             with pytest.raises(StructureMismatchError, match="final Gram deviates"):
                 focs_basis(ex_a, ex_h, ex_spec, 1.0, tol=1.0)
+
+
+def test_selfadjoint_precheck_limit_is_spectral(ex_spec, monkeypatch):
+    # ||a||_2 = 40 is twice a's largest column norm, so a residual between
+    # STRUCT_RTOL times the two passes
+    monkeypatch.setattr(pipeline, "jordan_chains", raise_reached)
+    h = np.eye(4)
+    skew = np.zeros((4, 4))
+    skew[0, 1], skew[1, 0] = 1.0, -1.0
+    for residual, passes in ((3e-7, True), (5e-7, False)):
+        a = 10.0 * np.ones((4, 4)) + 0.5 * residual * skew
+        limit = pipeline.STRUCT_RTOL * mat_norm(a) * mat_norm(h)
+        assert pipeline.STRUCT_RTOL * np.max(np.linalg.norm(a, axis=0)) < residual
+        assert mat_norm(h @ a - a.T @ h) == pytest.approx(residual, rel=1e-6)
+        if passes:
+            assert residual <= limit
+            with pytest.raises(Reached):
+                focs_basis(a, h, ex_spec)
+        else:
+            with pytest.raises(StructureMismatchError,
+                               match=f"residual {residual:.3e} > {limit:.3e}"):
+                focs_basis(a, h, ex_spec)
 
 
 def test_focs_rejects_wrong_sign_characteristic():

@@ -18,10 +18,13 @@ from indefcanon import (
     real_jordan_form,
     sip_form,
 )
+from indefcanon import rc
+from indefcanon.errors import NotRealError, StructureMismatchError
 from indefcanon.linalg import affiliation_residuals
-from indefcanon.rc import certify, to_focs
+from indefcanon.pipeline import CanonicalBasis, Certificate
+from indefcanon.rc import IMAG_RTOL, certify, to_focs
 
-from conftest import cs_gamma, random_spec
+from conftest import Reached, cs_gamma, raise_reached, random_spec
 
 
 def test_rc_paper_example(ex_a, ex_h, ex_spec, ex_jr, ex_p, ex_r):
@@ -154,3 +157,53 @@ def test_rc_gauge_closure(ex_a, ex_h, ex_spec):
         sim, cong = affiliation_residuals(ex_a, ex_h, np.real(r),
                                           real_jordan_form(ex_spec), sip_form(ex_spec))
         assert sim <= 1e-10 and cong <= 1e-10
+
+
+#: All-real structure, so the mixing transform is the identity.
+REAL4 = JordanSpec(tuple(BlockSpec("real", 1.0 + k, 1, 1) for k in range(4)))
+
+#: Spectral norm 40, twice its largest column norm.
+ONES40 = 10.0 * np.ones((4, 4))
+
+
+def _stub_focs(monkeypatch, matrix):
+    basis = CanonicalBasis(matrix, "focs", 1j, Certificate(0.0, 0.0, 0.0), (1, 1, 1, 1))
+    monkeypatch.setattr(rc, "focs_basis", lambda *args, **kwargs: (basis, None))
+
+
+def test_rc_realness_threshold_is_spectral(monkeypatch):
+    # an imaginary part between IMAG_RTOL times R's largest column norm and
+    # IMAG_RTOL times ||R||_2 passes
+    monkeypatch.setattr(rc, "affiliation_residuals", raise_reached)
+    for imag, passes in ((3e-8, True), (5e-8, False)):
+        m = ONES40 + 0j
+        m[0, 0] += 1j * imag
+        threshold = IMAG_RTOL * mat_norm(m)
+        assert IMAG_RTOL * np.max(np.linalg.norm(m, axis=0)) < imag
+        _stub_focs(monkeypatch, m)
+        if passes:
+            assert imag <= threshold
+            with pytest.raises(Reached):
+                rc_basis(np.eye(4), np.eye(4), REAL4)
+        else:
+            with pytest.raises(NotRealError,
+                               match=f"part {imag:.3e} \\(threshold {threshold:.3e}\\)"):
+                rc_basis(np.eye(4), np.eye(4), REAL4)
+
+
+def test_rc_certificate_limit_is_spectral(monkeypatch):
+    # residuals between tol times H's largest column norm and tol times
+    # ||H||_2 pass
+    _stub_focs(monkeypatch, np.eye(4) + 0j)
+    tol = 1e-10
+    limit = tol * mat_norm(ONES40)
+    assert tol * np.max(np.linalg.norm(ONES40, axis=0)) < 3e-9 <= limit < 5e-9
+    for sim, passes in ((3e-9, True), (5e-9, False)):
+        monkeypatch.setattr(rc, "affiliation_residuals", lambda *args, **kwargs: (sim, 0.0))
+        if passes:
+            basis, _ = rc_basis(np.eye(4), ONES40, REAL4, tol=tol)
+            assert basis.cert.similarity == sim
+        else:
+            with pytest.raises(StructureMismatchError,
+                               match=f"similarity {sim:.3e}, .* \\(limit {limit:.3e}\\)"):
+                rc_basis(np.eye(4), ONES40, REAL4, tol=tol)

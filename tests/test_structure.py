@@ -9,6 +9,8 @@ from indefcanon import (
     NotHermitianError,
     SingularInnerProductError,
     conjugate_symmetry_fit,
+    estimate_lipschitz,
+    generate_instance,
     h_selfadjoint_residual,
     jordan_form,
     mat_norm,
@@ -116,6 +118,52 @@ def test_mixing_identities_randomized():
         jr = real_jordan_form(spec)
         assert mat_norm(s_inv @ jordan_form(spec) @ s - jr) <= 1e-12
         assert not np.iscomplexobj(jr)
+
+
+FORMS = (jordan_form, sip_form, real_jordan_form, mixing_matrix)
+
+
+def _spec(sign=1, lam=-0.7 - 1.3j):
+    return JordanSpec((BlockSpec("real", 1.5, 2, sign), BlockSpec("pair", lam, 2)))
+
+
+@pytest.mark.parametrize("form", FORMS, ids=lambda f: f.__name__)
+def test_cached_forms_are_read_only(form):
+    m = form(_spec())
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        m += 1.0
+
+
+@pytest.mark.parametrize("form", FORMS, ids=lambda f: f.__name__)
+def test_equal_specs_built_separately_give_equal_forms(form):
+    first = form(_spec()).copy()
+    np.testing.assert_array_equal(form(_spec()), first)
+    # __wrapped__ is the builder without the memo
+    np.testing.assert_array_equal(form.__wrapped__(_spec()), first)
+
+
+@pytest.mark.parametrize("form", FORMS, ids=lambda f: f.__name__)
+def test_specs_one_sign_or_eigenvalue_apart_get_their_own_forms(form):
+    specs = [_spec(), _spec(sign=-1), _spec(lam=-0.7 - 1.2j), _spec()]
+    for spec in specs:
+        np.testing.assert_array_equal(form(spec), form.__wrapped__(spec))
+    assert not np.array_equal(sip_form(specs[0]), sip_form(specs[1]))
+    assert not np.array_equal(jordan_form(specs[0]), jordan_form(specs[2]))
+    assert not np.array_equal(real_jordan_form(specs[0]), real_jordan_form(specs[2]))
+
+
+def test_weak_run_leaves_one_entry_per_form_cache():
+    # weak trials shift the eigenvalues, so every trial asks for new forms
+    inst = generate_instance(_spec(), 3, kind="rc")
+    misses = [form.cache_info().misses for form in FORMS]
+    report = estimate_lipschitz(inst, [1e-3, 1e-4], 3, mode="weak")
+    assert all(t.status == "ok" for t in report.trials)
+    for form, before in zip(FORMS, misses):
+        info = form.cache_info()
+        assert info.misses - before >= len(report.trials), form.__name__
+        assert info.maxsize == 1 and info.currsize == 1, form.__name__
 
 
 def test_canonical_pair_is_selfadjoint_randomized():
