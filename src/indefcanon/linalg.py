@@ -146,21 +146,38 @@ def affiliation_residuals(a: np.ndarray, h: np.ndarray, t: np.ndarray,
     return float(sim), float(cong)
 
 
+def require_int(value, name: str, minimum: int | None = None) -> int:
+    """Return ``value`` if it is a JSON integer (an ``int`` that is not a
+    ``bool``) of at least ``minimum``; otherwise raise ``ValueError`` naming
+    the field.  A float or a numeric string is refused, not truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
-    """Encode a matrix as the repo-wide JSON object."""
+    """Encode a matrix as the repo-wide JSON object.
+
+    The data list comes from one array conversion; its entries are the
+    Python floats ``float(x.real), float(x.imag)`` (or ``float(x)``) of each
+    entry, bit for bit, signed zeros and NaN included.
+    """
     m = np.atleast_2d(np.asarray(m))
     rows, cols = m.shape
     if np.iscomplexobj(m):
-        data = [[float(x.real), float(x.imag)] for x in m.ravel()]
+        data = np.ascontiguousarray(m, dtype=complex).view(float).reshape(-1, 2).tolist()
     else:
-        data = [float(x) for x in m.ravel()]
+        data = np.asarray(m, dtype=float).ravel().tolist()
     return {"rows": rows, "cols": cols, "data": data}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode the repo-wide JSON matrix object, accepting real or complex data."""
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows = require_int(obj["rows"], "rows", 0)
+        cols = require_int(obj["cols"], "cols", 0)
         data = obj["data"]
         if len(data) != rows * cols:
             raise ValueError(f"matrix data length {len(data)} != rows*cols {rows * cols}")

@@ -2,7 +2,11 @@
 
 All floating-point values round-trip at full precision (Python's ``repr``
 is exact for doubles), so writing the same object twice produces identical
-bytes.
+bytes.  Every JSON text is one line from :func:`dumps` with no indent:
+any indent switches ``json`` from its C encoder to its pure-Python one,
+which takes nearly three times as long on a basis reply.  Indented files
+from earlier versions still read.  Integer fields (``size``, ``sign``,
+``seed``, ``rows``, ``cols``) accept only JSON integers.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import json
 import numpy as np
 
 from .harness import Instance, StabilityReport, load_instance
-from .linalg import matrix_from_json, matrix_to_json
+from .linalg import matrix_from_json, matrix_to_json, require_int
 from .pipeline import CanonicalBasis, Certificate, PipelineTrace
 from .structure import PAIR, REAL, BlockSpec, JordanSpec
 
@@ -51,11 +55,13 @@ def spec_from_json(obj: dict) -> JordanSpec:
         for rb in obj["blocks"]:
             kind = rb.get("kind")
             if kind == "real":
-                blocks.append(BlockSpec(REAL, float(rb["lambda"]), int(rb["size"]),
-                                        int(rb["sign"])))
+                blocks.append(BlockSpec(REAL, float(rb["lambda"]),
+                                        require_int(rb["size"], "size"),
+                                        require_int(rb["sign"], "sign")))
             elif kind == "pair":
                 lam = rb["lambda"]
-                blocks.append(BlockSpec(PAIR, complex(lam[0], lam[1]), int(rb["size"])))
+                blocks.append(BlockSpec(PAIR, complex(lam[0], lam[1]),
+                                        require_int(rb["size"], "size")))
             else:
                 raise ValueError(f"unknown block kind {kind!r}")
     except (AttributeError, IndexError, KeyError, TypeError) as exc:
@@ -87,6 +93,13 @@ def basis_to_json(basis: CanonicalBasis) -> dict:
     }
 
 
+def _eps_entry(e) -> int | None:
+    """One sign characteristic: ``null`` for a pair block, else ±1."""
+    if e is not None and require_int(e, "eps entry") not in (-1, 1):
+        raise ValueError(f"eps entry must be +1, -1 or null, got {e!r}")
+    return e
+
+
 def basis_from_json(obj: dict) -> CanonicalBasis:
     try:
         res = obj.get("residuals", {})
@@ -99,7 +112,7 @@ def basis_from_json(obj: dict) -> CanonicalBasis:
                 congruence=float(res.get("congruence", 0.0)),
                 cs_residual=res.get("cs"),
                 max_imag=res.get("max_imag")),
-            eps=tuple(obj.get("eps", [])))
+            eps=tuple(_eps_entry(e) for e in obj.get("eps", [])))
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed basis object: {exc}") from exc
 
@@ -122,7 +135,7 @@ def instance_from_json(obj: dict) -> Instance:
         a0 = np.real(matrix_from_json(obj["A0"]))
         h0 = np.real(matrix_from_json(obj["H0"]))
         t0 = basis_from_json(obj["T0"])
-        seed = int(obj["seed"])
+        seed = require_int(obj["seed"], "seed")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance object: {exc}") from exc
     check_sizes(spec, A0=a0, H0=h0, T0=t0.matrix)
@@ -209,5 +222,7 @@ def report_summary_json(report: StabilityReport) -> dict:
 
 
 def dumps(obj: dict) -> str:
-    """Deterministic JSON text used for every file the package writes."""
-    return json.dumps(obj, indent=1, sort_keys=False)
+    """Deterministic one-line JSON text used for every file the package
+    writes.  No indent: any indent makes ``json`` fall back from its C
+    encoder to the pure-Python one."""
+    return json.dumps(obj)

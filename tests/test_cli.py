@@ -64,7 +64,15 @@ def test_gen_bad_json_exits_2(runner, tmp_path):
                  '{"blocks": [1, 2]}',
                  '{"blocks": 5}',
                  '{"blocks": [{"kind": "pair", "lambda": 1.0, "size": 1}]}',
-                 '{"blocks": [{"kind": "real", "lambda": 1.0, "size": 1}]}']:
+                 '{"blocks": [{"kind": "real", "lambda": 1.0, "size": 1}]}',
+                 # integer fields are refused, not truncated
+                 '{"blocks": [{"kind": "real", "lambda": 1.5, "size": 2.7, "sign": 1}]}',
+                 '{"blocks": [{"kind": "real", "lambda": 1.5, "size": 2, "sign": 1.9}]}',
+                 '{"blocks": [{"kind": "real", "lambda": 1.5, "size": 2.0, "sign": 1}]}',
+                 '{"blocks": [{"kind": "real", "lambda": 1.5, "size": "2", "sign": 1}]}',
+                 '{"blocks": [{"kind": "real", "lambda": 1.5, "size": true, "sign": 1}]}',
+                 '{"blocks": [{"kind": "real", "lambda": 1.5, "size": 1, "sign": true}]}',
+                 '{"blocks": [{"kind": "pair", "lambda": [0.5, 1.0], "size": 1.5}]}']:
         bad.write_text(text)
         r = runner.invoke(main, ["gen", "--spec-file", str(bad),
                                  "--out", str(tmp_path / "x.json")])
@@ -281,6 +289,10 @@ def _probe(obj, key):
         obj["T0"]["gamma"] = [2.0, 0.0]
     elif key == "seed":
         obj["seed"] = 4
+    elif key == "seed_fractional":
+        obj["seed"] = 3.9
+    elif key == "seed_string":
+        obj["seed"] = "3"
     elif key == "h0_zero":
         obj["H0"] = matrix_to_json(np.zeros((n, n)))
     elif key == "h0_nonsymmetric":
@@ -300,6 +312,8 @@ def _probe(obj, key):
 
 @pytest.mark.parametrize("key, message", [
     pytest.param("seed", "from the pair that seed 4 generates", id="seed"),
+    pytest.param("seed_fractional", "seed must be an integer, got 3.9", id="seed_fractional"),
+    pytest.param("seed_string", "seed must be an integer, got '3'", id="seed_string"),
     pytest.param("h0_zero", "from the pair that seed 3 generates", id="h0_zero"),
     pytest.param("h0_nonsymmetric", "from the pair that seed 3 generates",
                  id="h0_nonsymmetric"),
@@ -476,6 +490,40 @@ def test_gen_rc_kind_and_verify(runner, tmp_path):
                              "--basis", str(basis_file)])
     assert r.exit_code == 0, r.output
     assert "realness" in r.output
+
+
+def test_indented_files_from_earlier_versions_still_read(runner, tmp_path):
+    # earlier versions wrote every file with json.dumps(obj, indent=1)
+    inst = generate_instance(SPEC, 3)
+    objs = {"inst": instance_to_json(inst), "basis": basis_to_json(inst.t0),
+            "pair": {"A": matrix_to_json(inst.a0), "H": matrix_to_json(inst.h0),
+                     "spec": spec_to_json(SPEC)}}
+    results = {}
+    for layout, encode in (("one_line", dumps),
+                           ("indented", lambda obj: json.dumps(obj, indent=1))):
+        d = tmp_path / layout
+        d.mkdir()
+        for name, obj in objs.items():
+            (d / f"{name}.json").write_text(encode(obj) + "\n")
+        runs = []
+        for src in ("inst", "pair"):
+            out = d / f"{src}_basis.json"
+            r = runner.invoke(main, ["canonize", "--in", str(d / f"{src}.json"),
+                                     "--out", str(out), "--emit-trace"])
+            runs.append((r.exit_code, json.loads(out.read_text()),
+                         json.loads(out.with_suffix(".trace.json").read_text())))
+            r = runner.invoke(main, ["verify", "--in", str(d / f"{src}.json"),
+                                     "--basis", str(d / "basis.json")])
+            runs.append((r.exit_code, r.output))
+        r = runner.invoke(main, ["stability", "--in", str(d / "inst.json"),
+                                 "--deltas", "1e-3,1e-4", "--trials", "2",
+                                 "--out-csv", str(d / "r.csv")])
+        runs.append((r.exit_code, (d / "r.csv").read_text(),
+                     json.loads((d / "r.json").read_text())))
+        results[layout] = runs
+    assert "\n " in (tmp_path / "indented" / "inst.json").read_text()
+    assert [run[0] for run in results["one_line"]] == [0, 0, 0, 0, 0]
+    assert results["indented"] == results["one_line"]
 
 
 def test_environment_variable_overrides(runner, tmp_path):

@@ -188,6 +188,59 @@ def test_matrix_json_roundtrip_complex():
     np.testing.assert_array_equal(back, m)
 
 
+def _per_entry_matrix_to_json(m):
+    """The per-entry construction ``matrix_to_json`` had before it took one
+    array conversion; the reference for the property below."""
+    m = np.atleast_2d(np.asarray(m))
+    rows, cols = m.shape
+    if np.iscomplexobj(m):
+        data = [[float(x.real), float(x.imag)] for x in m.ravel()]
+    else:
+        data = [float(x) for x in m.ravel()]
+    return {"rows": rows, "cols": cols, "data": data}
+
+
+def _bits(obj):
+    """``obj`` with every float as ``float.hex``, so signed zeros count and a
+    non-float entry shows up as itself."""
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_bits(v) for v in obj]
+    if type(obj) is float:
+        return float.hex(obj)
+    return (type(obj).__name__, obj)
+
+
+@st.composite
+def _codec_inputs(draw):
+    """Matrices of every dtype the codec meets, as plain, transposed or
+    strided views, including single rows, empty shapes, NaN, infinities,
+    subnormals and signed zeros (the dtype's full range)."""
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64, np.bool_,
+                                  np.complex128, np.complex64]))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5))
+    m = draw(hnp.arrays(dtype, shape))
+    view = draw(st.sampled_from(["plain", "transposed", "strided"]))
+    if view == "transposed":
+        m = m.T
+    elif view == "strided":
+        m = m[::-1, ::2] if m.ndim == 2 else m[::2]
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_codec_inputs())
+@example(np.array([[5e-324, -0.0, np.nan], [np.inf, -np.inf, 0.0]]))
+@example(np.array([[complex(-0.0, 5e-324), complex(np.nan, -0.0)]]))
+@example(np.array([[complex(-0.0, -0.0), 1 + 0j]], dtype=np.complex64).T)
+@example(np.zeros((0, 3)))
+@example(np.zeros((2, 0), dtype=complex))
+def test_matrix_to_json_matches_the_per_entry_construction(m):
+    got = matrix_to_json(m)
+    assert _bits(got) == _bits(_per_entry_matrix_to_json(m))
+
+
 def test_matrix_json_bare_real_form():
     obj = {"rows": 2, "cols": 2, "data": [1.0, 2.0, 3.0, 4.0]}
     m = matrix_from_json(obj)
@@ -200,3 +253,7 @@ def test_matrix_json_rejects_bad_shape():
         matrix_from_json({"rows": 2, "cols": 2, "data": [1.0, 2.0]})
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "data": [1.0, 2.0]})
+    # rows and cols are JSON integers >= 0: nothing is truncated or coerced
+    for rows, cols in [(2.9, 2), (2.0, 2), ("2", 2), (True, 4), (2, True), (-2, -2)]:
+        with pytest.raises(ValueError, match="rows|cols"):
+            matrix_from_json({"rows": rows, "cols": cols, "data": [1.0, 2.0, 3.0, 4.0]})

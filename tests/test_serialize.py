@@ -1,6 +1,9 @@
 """Wire formats: JSON round trips and the report CSV schema."""
 
+import functools
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,6 +73,53 @@ def test_basis_roundtrip():
     np.testing.assert_array_equal(back.matrix, inst.t0.matrix)
     assert back.cert.similarity == inst.t0.cert.similarity
     assert back.eps == inst.t0.eps
+
+
+def test_basis_eps_is_a_list_of_signs_or_null():
+    obj = basis_to_json(generate_instance(SPEC, 6).t0)
+    assert obj["eps"] == [-1, None]
+    for eps in ([1.0, None], [True, None], ["-1", None], [2, None], [0, None],
+                5, "11", {"a": 1}):
+        with pytest.raises(ValueError, match="eps|malformed"):
+            basis_from_json({**obj, "eps": eps})
+
+
+def _same(x, y) -> bool:
+    """Structural equality of JSON values that counts NaN equal to NaN."""
+    if isinstance(x, dict):
+        return isinstance(y, dict) and list(x) == list(y) and all(
+            _same(x[k], y[k]) for k in x)
+    if isinstance(x, (list, tuple)):
+        return isinstance(y, list) and len(x) == len(y) and all(
+            _same(a, b) for a, b in zip(x, y))
+    if isinstance(x, float) and math.isnan(x):
+        return isinstance(y, float) and math.isnan(y)
+    return type(x) is type(y) and x == y
+
+
+@functools.lru_cache(maxsize=1)
+def _wire_objects():
+    """One of each object the CLI writes, plus a basis carrying NaN, an
+    infinity, a signed zero and a non-ASCII role."""
+    from indefcanon import focs_basis
+    inst = generate_instance(SPEC, 6)
+    _, trace = focs_basis(inst.a0, inst.h0, SPEC)
+    report = estimate_lipschitz(inst, [1e-3, 1e-4], 2, mode="weak")
+    odd = replace(inst.t0, role="fo\u03b3", gamma=complex(float("nan"), -0.0),
+                  matrix=np.array([[np.nan, -0.0], [np.inf, 5e-324]]),
+                  cert=replace(inst.t0.cert, cs_residual=float("inf")))
+    return {"instance": instance_to_json(inst), "basis": basis_to_json(inst.t0),
+            "trace": trace_to_json(trace), "summary": report_summary_json(report),
+            "odd_basis": basis_to_json(odd)}
+
+
+@pytest.mark.parametrize("name", ["instance", "basis", "trace", "summary", "odd_basis"])
+def test_dumps_is_the_stdlib_encoder_and_round_trips(name):
+    obj = _wire_objects()[name]
+    text = dumps(obj)
+    assert text == json.dumps(obj)
+    assert "\n" not in text
+    assert _same(obj, json.loads(text))
 
 
 def test_trace_serializes():

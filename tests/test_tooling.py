@@ -1,5 +1,6 @@
 """Repository-level guards: the package's import graph, the home of the
-RC/FOCS relation, and the benchmark's tracing tables."""
+RC/FOCS relation and of the JSON file layout, and the benchmark's tracing
+tables."""
 
 import ast
 import importlib.util
@@ -61,6 +62,27 @@ def test_mixing_transform_is_used_only_by_structure_and_rc():
                    if p.stem not in {"__init__", "structure", "rc"}
                    and _names(p) & mixers)
     assert users == [], f"modules naming the mixing transform outside rc: {users}"
+
+
+def _json_writes(path: Path) -> list[str]:
+    """Every ``json.dump``/``json.dumps`` call or import in ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr in {"dump", "dumps"}
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.append(f"json.{node.attr} at line {node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [f"from json import {a.name} at line {node.lineno}"
+                      for a in node.names if a.name in {"dump", "dumps"}]
+    return found
+
+
+def test_json_text_is_written_only_by_serialize():
+    # serialize.dumps holds the one file layout (and keeps the C encoder)
+    writers = {p.stem: _json_writes(p) for p in PACKAGE.glob("*.py")
+               if p.stem != "serialize"}
+    assert {m: w for m, w in writers.items() if w} == {}
+    assert _json_writes(PACKAGE / "serialize.py")
 
 
 def test_benchmark_tracing_tables_resolve():
