@@ -12,6 +12,7 @@ eigenvalues are supplied, not estimated.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +25,7 @@ from .errors import (
     NotUnitTriangularError,
     StructureMismatchError,
 )
-from .linalg import mat_norm, require_finite
+from .linalg import anti_diagonal_mean, exchange, mat_norm, require_finite
 from .structure import REAL, BlockSpec, JordanSpec
 
 #: Singular values below this fraction of the shifted matrix's norm count as zero.
@@ -39,6 +40,19 @@ GRAM_RTOL = 1e-10
 
 #: Relative scale for structural zero-pattern assertions on Gram matrices.
 STRUCT_RTOL = 1e-8
+
+_TINY = np.finfo(float).tiny
+
+
+@lru_cache(maxsize=None)
+def _shift_index(p: int) -> np.ndarray:
+    """Read-only p x p index with ``k - j`` at ``[k, j]`` for ``k >= j`` and
+    ``p`` above the diagonal: it gathers a Toeplitz pattern from a length
+    ``p`` vector padded with one zero."""
+    k, j = np.indices((p, p))
+    out = np.where(k >= j, k - j, p)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -67,7 +81,7 @@ def _phase_normalize(v: np.ndarray) -> np.ndarray:
     the choice stable against rounding noise in near-zero entries.
     """
     mags = np.abs(v)
-    idx = int(np.argmax(mags >= 0.1 * mags.max()))
+    idx = int((mags >= 0.1 * np.maximum.reduce(mags)).argmax())
     piv = v[idx]
     return v * (abs(piv) / piv)
 
@@ -95,8 +109,8 @@ def _block_chain(a: np.ndarray, block: BlockSpec) -> np.ndarray:
         projected = b - basis @ (basis.conj().T @ b) if basis.shape[1] else b
         _, s, vh = np.linalg.svd(projected)
         if threshold is None:
-            threshold = RANK_RTOL * max(s[0], np.finfo(float).tiny)
-        basis = vh.conj().T[:, s < threshold]
+            threshold = RANK_RTOL * max(s[0], _TINY)
+        basis = vh[s < threshold].conj().T
         nullities.append(basis.shape[1])
         if basis.shape[1] == 0:
             break
@@ -115,23 +129,23 @@ def _block_chain(a: np.ndarray, block: BlockSpec) -> np.ndarray:
 
     # null(B^p) basis from the staircase; the generator is the direction
     # maximizing the norm of the last chain link
-    null = basis[:, :]
-    last_link = null
+    last_link = basis
     for _ in range(p - 1):
         last_link = b @ last_link
     _, _, wvh = np.linalg.svd(last_link)
-    v = null @ wvh.conj().T[:, 0]
+    v = basis @ wvh.conj().T[:, 0]
     v = v / np.linalg.norm(v)
     v = _phase_normalize(v)
     if real_block:
         # computed in real arithmetic already; normalization keeps it real
         v = np.real(v) if np.iscomplexobj(v) else v
 
-    cols = [v]
-    for _ in range(p - 1):
-        cols.append(b @ cols[-1])
-    cols.reverse()
-    return np.stack(cols, axis=1)
+    out = np.empty((n, p), dtype=v.dtype)
+    out[:, p - 1] = v
+    for k in range(p - 2, -1, -1):
+        v = b @ v
+        out[:, k] = v
+    return out
 
 
 def jordan_chains(a: np.ndarray, spec: JordanSpec) -> ChainSet:
@@ -169,20 +183,19 @@ def fit_chain_to(chain: np.ndarray, target: np.ndarray) -> np.ndarray:
     anchor a freshly extracted chain to a reference basis.
     """
     n, p = chain.shape
+    index = _shift_index(p)
     # column j of the design is the chain shifted right by j columns,
-    # raveled row-major
-    design = np.zeros((n, p, p), dtype=complex)
-    for j in range(p):
-        design[:, j:, j] = chain[:, :p - j]
+    # raveled row-major: design[:, k, j] = chain[:, k - j] for k >= j
+    padded = np.zeros((n, p + 1), dtype=complex)
+    padded[:, :p] = chain
+    design = padded[:, index]
     coeffs, *_ = np.linalg.lstsq(design.reshape(n * p, p),
                                  target.astype(complex).ravel(), rcond=None)
     # each coefficient is added to a zero, as in a sum of scaled shifts,
-    # so a -0.0 part of it enters the mix as +0.0
-    mix = np.zeros((p, p), dtype=complex)
-    idx = np.arange(p)
-    for j, cj in enumerate(coeffs):
-        mix[idx[:p - j], idx[j:]] += cj
-    return chain @ mix
+    # so a -0.0 part of it enters the mix as +0.0; mix[j, k] = coeffs[k - j]
+    shifts = np.zeros(p + 1, dtype=complex)
+    shifts[:p] += coeffs
+    return chain @ shifts[index.T]
 
 
 @lru_cache(maxsize=None)
@@ -192,6 +205,12 @@ def _inv_sqrt_coefficients(count: int) -> tuple[Fraction, ...]:
     for k in range(1, count):
         coeffs.append(coeffs[-1] * Fraction(-(2 * k - 1), 2 * k))
     return tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
+def _float_inv_sqrt_coefficients(count: int) -> tuple[float, ...]:
+    """:func:`_inv_sqrt_coefficients` rounded to floats."""
+    return tuple(float(c) for c in _inv_sqrt_coefficients(count))
 
 
 def toeplitz_inv_sqrt(g3: np.ndarray) -> np.ndarray:
@@ -213,32 +232,40 @@ def toeplitz_inv_sqrt(g3: np.ndarray) -> np.ndarray:
     p = g3.shape[0]
     if g3.shape != (p, p):
         raise ValueError("g3 must be square")
-    exact = g3.dtype == object
+    # the checks read Python scalars, without numpy's per-call cost; abs of
+    # a complex entry is then the scalar hypot, which may differ from
+    # numpy's vector one in the last bit, far inside the gate's tolerance
+    rows = g3.tolist()
+    diag = [row[i] for i, row in enumerate(rows)]
+    upper = [x for i, row in enumerate(rows) for x in row[i + 1:]]
 
-    if exact:
-        if any(g3[i, i] != 1 for i in range(p)):
+    if g3.dtype == object:
+        if any(d != 1 for d in diag):
             raise NotUnitTriangularError("diagonal is not exactly 1")
-        if any(g3[i, j] != 0 for i in range(p) for j in range(i + 1, p)):
+        if any(x != 0 for x in upper):
             raise NotUnitTriangularError("upper part is not exactly 0")
         ident = np.array([[Fraction(int(i == j)) for j in range(p)]
                           for i in range(p)], dtype=object)
+        coeffs = _inv_sqrt_coefficients(p)
     else:
-        g3 = require_finite(g3, "g3")
-        scale = max(1.0, float(np.max(np.abs(g3))))
-        if np.max(np.abs(np.diag(g3) - 1.0)) > STRUCT_RTOL * scale:
+        entries = [x for row in rows for x in row]
+        if not all(map(cmath.isfinite, entries)):
+            raise ValueError("g3 contains non-finite entries")
+        limit = STRUCT_RTOL * max(1.0, max(map(abs, entries)))
+        if any(abs(d - 1.0) > limit for d in diag):
             raise NotUnitTriangularError("diagonal deviates from 1 beyond tolerance")
-        if p > 1 and np.max(np.abs(np.triu(g3, 1))) > STRUCT_RTOL * scale:
+        if any(abs(x) > limit for x in upper):
             raise NotUnitTriangularError("upper part deviates from 0 beyond tolerance")
         ident = np.eye(p, dtype=g3.dtype)
+        coeffs = _float_inv_sqrt_coefficients(p)
 
-    e = np.tril(g3, -1)
-    coeffs = _inv_sqrt_coefficients(p)
-    f = ident.copy()
-    ek = ident.copy()
-    for k in range(1, p):
-        ek = ek @ e
-        c = coeffs[k] if exact else float(coeffs[k])
-        f = f + c * ek
+    # neither f nor the powers of e are changed in place
+    f = ek = ident
+    if p > 1:
+        e = np.tril(g3, -1)
+        for k in range(1, p):
+            ek = ek @ e
+            f = f + coeffs[k] * ek
     return f
 
 
@@ -264,19 +291,17 @@ def reduce_real_chain(chain: np.ndarray, h: np.ndarray,
     chain = np.real(require_finite(chain, "chain"))
     p = chain.shape[1]
     x = chain.T @ np.real(h) @ chain
-    anti = np.diag(np.fliplr(x))
-    g0 = float(np.mean(anti))
+    g0 = float(anti_diagonal_mean(x))
     # the Frobenius norm bounds ||chain||_2 from above, so a floor it clears
     # is cleared by the spectral one, and only a miss takes the SVD
-    tiny = np.finfo(float).tiny
-    floor = GRAM_RTOL * max(h_norm * float(np.linalg.norm(chain)) ** 2, tiny)
+    floor = GRAM_RTOL * max(h_norm * float(np.linalg.norm(chain)) ** 2, _TINY)
     if abs(g0) < floor:
-        floor = GRAM_RTOL * max(h_norm * mat_norm(chain) ** 2, tiny)
+        floor = GRAM_RTOL * max(h_norm * mat_norm(chain) ** 2, _TINY)
         if abs(g0) < floor:
             raise DegenerateGramError(
                 f"chain Gram anchor {g0:.3e} below degeneracy floor {floor:.3e}")
     eps = 1 if g0 > 0 else -1
-    g3 = (eps / abs(g0)) * (x @ np.fliplr(np.eye(p)))
+    g3 = (eps / abs(g0)) * (x @ exchange(p))
     f = toeplitz_inv_sqrt(g3)
     reduced = (chain @ f.T.real) / np.sqrt(abs(g0))
     return reduced, eps

@@ -81,6 +81,13 @@ def _parse_gamma(text: str) -> complex:
     return g
 
 
+def _check_tol(ctx, param, value: float) -> float:
+    # a NaN or infinite tolerance passes every residual
+    if not 0.0 < value < float("inf"):
+        raise click.BadParameter(f"must be finite and positive, got {value!r}")
+    return value
+
+
 def _load_pair(obj: dict):
     """Accept either a full instance file or a bare {A, H, spec} file."""
     if "A0" in obj:
@@ -136,7 +143,8 @@ def gen(spec_file, seed, kind, gamma, out_file):
 @click.option("--out", "out_file", required=True, type=click.Path())
 @click.option("--emit-trace", is_flag=True, default=False,
               help="Write the factor trace next to the basis file.")
-@click.option("--tol", default=DEFAULT_TOL, show_default=True, type=float)
+@click.option("--tol", default=DEFAULT_TOL, show_default=True, type=float,
+              callback=_check_tol, help="Certificate tolerance; finite and positive.")
 @click.option("--norm", type=click.Choice(["spectral", "frobenius"]),
               default="spectral", show_default=True)
 def canonize(in_file, mode, gamma, out_file, emit_trace, tol, norm):
@@ -170,7 +178,8 @@ def canonize(in_file, mode, gamma, out_file, emit_trace, tol, norm):
 @main.command()
 @click.option("--in", "in_file", required=True, type=click.Path())
 @click.option("--basis", "basis_file", required=True, type=click.Path())
-@click.option("--tol", default=DEFAULT_TOL, show_default=True, type=float)
+@click.option("--tol", default=DEFAULT_TOL, show_default=True, type=float,
+              callback=_check_tol, help="Residual tolerance; finite and positive.")
 @click.option("--expect", type=click.Choice(["auto", ROLE_FO, ROLE_FOCS, ROLE_RC]),
               default="auto", show_default=True,
               help="Which canonical role to verify the basis against.")

@@ -26,7 +26,7 @@ from .errors import (
     RetryExhaustedError,
     TrialError,
 )
-from .linalg import gate_norm, mat_norm, refined_inverse
+from .linalg import gate_norm, mat_norm, mat_norms, refined_inverse
 from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, PipelineTrace, focs_basis
 from .rc import IMAG_RTOL, certify, rc_basis, to_focs
 from .structure import (
@@ -304,12 +304,13 @@ def perturb_instance(inst: Instance, delta: float, mode: str, seed: int, *,
                     shifts.append(mag * complex(np.cos(ang), np.sin(ang)))
 
         def build(t: float) -> PerturbedPair:
-            # eigenvalue shifts scale with t but never beyond their cap
-            spec_t = _shift_spec(inst.spec, [min(t, 1.0) * s for s in shifts])
+            # eigenvalue shifts scale with t but never beyond their cap; a
+            # strict pair keeps the instance spec, which zero shifts rebuild
+            spec_t = (inst.spec if mode == MODE_STRICT
+                      else _shift_spec(inst.spec, [min(t, 1.0) * s for s in shifts]))
             a, h = _rebuild_pair(w0 + t * dw, real_jordan_form(spec_t), p)
-            measured = (mat_norm(a - inst.a0, norm)
-                        + mat_norm(h - inst.h0, norm))
-            return PerturbedPair(a, h, spec_t, measured)
+            da, dh = mat_norms([a - inst.a0, h - inst.h0], norm)
+            return PerturbedPair(a, h, spec_t, da + dh)
 
         t = min(1.0, delta)
         pair = build(t)
@@ -436,8 +437,9 @@ def _block_gauge(n_mat: np.ndarray, t0_mat: np.ndarray, spec: JordanSpec,
         nb = n_mat[:, off:off + w]
         tb = t0_mat[:, off:off + w]
         if b.kind == PAIR and continuous_phase:
-            z = np.trace(tb[:, :b.size].conj().T @ nb[:, :b.size])
-            theta = 0.0 if z == 0 else -float(np.angle(z))
+            z = (tb[:, :b.size].conj().T @ nb[:, :b.size]).trace()
+            # np.angle(z) without its wrapper
+            theta = 0.0 if z == 0 else -float(np.arctan2(z.imag, z.real))
             d[off:off + w, off:off + w] = np.exp(1j * theta) * np.eye(w)
         elif np.linalg.norm(nb - tb) > np.linalg.norm(nb + tb):
             d[off:off + w, off:off + w] = -np.eye(w)
@@ -550,18 +552,17 @@ def _run_trial(inst: Instance, delta: float, delta_index: int, trial_index: int,
         basis, trace, matches = anchored_canonize(
             pair.a, pair.h, inst.spec, inst.t0,
             weak=(mode == MODE_WEAK), delta_hint=delta)
-        out = mat_norm(basis.matrix - inst.t0.matrix, norm)
         eye = np.eye(inst.spec.total_size)
-        z_devs = (
-            mat_norm(trace.chain_factor - to_focs(inst.t0.matrix, inst.spec, inst.kind),
-                     norm),
-            mat_norm(trace.phase_factor - eye, norm),
-            mat_norm(trace.scale_factor - eye, norm),
-            mat_norm(trace.flip_factor - eye, norm),
-        )
+        out, *z_devs = mat_norms([
+            basis.matrix - inst.t0.matrix,
+            trace.chain_factor - to_focs(inst.t0.matrix, inst.spec, inst.kind),
+            trace.phase_factor - eye,
+            trace.scale_factor - eye,
+            trace.flip_factor - eye,
+        ], norm)
         true_eigs = tuple(b.lam for b in pair.spec.blocks) if mode == MODE_WEAK else None
-        return TrialRecord(delta, trial_index, float(pair.measured), float(out),
-                           float(out / pair.measured), z_devs, status="ok",
+        return TrialRecord(delta, trial_index, float(pair.measured), out,
+                           out / pair.measured, tuple(z_devs), status="ok",
                            matches=matches, true_eigs=true_eigs)
     except CanonError as exc:
         return TrialRecord(delta, trial_index, float("nan"), None, None, None,

@@ -9,10 +9,13 @@ The JSON wire format for matrices, used across the whole package, is::
     {"rows": r, "cols": c, "data": [[re, im], ...]}   # row-major
 
 Real matrices may abbreviate ``data`` to bare reals ``[x, ...]``; the parser
-accepts both forms.
+accepts both forms.  Every entry must be a JSON number.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -27,12 +30,37 @@ RCOND_FLOOR = 1e3 * np.finfo(float).eps
 _NORM_KINDS = ("spectral", "frobenius")
 
 
+@lru_cache(maxsize=None)
+def exchange(p: int) -> np.ndarray:
+    """The p x p exchange matrix (ones on the anti-diagonal), read-only:
+    the view ``np.fliplr(np.eye(p))``, built once per size."""
+    out = np.fliplr(np.eye(p))
+    out.flags.writeable = False
+    return out
+
+
+def anti_diagonal_mean(z: np.ndarray):
+    """``np.mean(np.diag(np.fliplr(z)))`` of a square ``z``: the same sum of
+    the same entries in the same order, divided by their count, without
+    the wrappers."""
+    return np.add.reduce(z[::-1].diagonal()[::-1]) / z.shape[0]
+
+
 def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return ``m`` as an ndarray, rejecting NaN/Inf entries."""
     m = np.asarray(m)
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def _largest_singular_values(m: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of the stack ``m``: the one
+    implementation of the spectral norm.  The singular-value call and the
+    value of ``np.linalg.norm(m, 2)``, without its axis handling; the
+    gufunc gives each matrix of a stack the value a call on it alone
+    gives."""
+    return np.linalg.svd(m, compute_uv=False)[..., 0]
 
 
 def mat_norm(m: np.ndarray, kind: str = "spectral") -> float:
@@ -48,9 +76,28 @@ def mat_norm(m: np.ndarray, kind: str = "spectral") -> float:
         return 0.0
     if kind == "frobenius":
         return float(np.linalg.norm(m))
-    # the singular-value call and the value of np.linalg.norm(m, 2), without
-    # its axis handling
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return float(_largest_singular_values(m))
+
+
+def mat_norms(ms: list[np.ndarray], kind: str = "spectral") -> list[float]:
+    """``[mat_norm(m, kind) for m in ms]``, bit for bit, with one
+    singular-value call per group of nonempty matrices that share a shape
+    and a dtype."""
+    ms = [np.atleast_2d(np.asarray(m)) for m in ms]
+    if kind != "spectral":
+        return [mat_norm(m, kind) for m in ms]
+    groups: dict[tuple, list[int]] = {}
+    for i, m in enumerate(ms):
+        groups.setdefault((m.shape, m.dtype), []).append(i)
+    out = [0.0] * len(ms)
+    for (shape, _), idx in groups.items():
+        if 0 in shape:
+            continue
+        group = [ms[i] for i in idx]
+        stack = group[0][np.newaxis] if len(group) == 1 else np.stack(group)
+        for i, value in zip(idx, _largest_singular_values(stack).tolist()):
+            out[i] = value
+    return out
 
 
 def gate_norm(m: np.ndarray, limit: float, kind: str = "spectral") -> float:
@@ -114,17 +161,28 @@ def refined_inverse(m: np.ndarray) -> np.ndarray:
     Raises
     ------
     SingularMatrixError
-        If the estimated reciprocal condition number falls below
-        :data:`RCOND_FLOOR`.
+        If the reciprocal condition number falls below :data:`RCOND_FLOOR`.
+        The gate decides on the bound ``1 / (||m||_F ||m^-1||_F)`` of the
+        rcond first, from the inverse the refinement needs anyway; the SVD
+        runs only when the bound is below ``10 * RCOND_FLOOR`` (the margin
+        covers the rounding of a poorly conditioned solve) or the solve
+        fails, and the error reports the exact rcond.
     """
     m = require_finite(m, "m")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("m must be square")
-    rc = rcond(m)
-    if rc < RCOND_FLOOR:
-        raise SingularMatrixError(f"matrix is numerically singular (rcond={rc:.3e})")
     eye = np.eye(m.shape[0], dtype=m.dtype)
-    v = np.linalg.solve(m, eye)
+    try:
+        v = np.linalg.solve(m, eye)
+        settled = np.linalg.norm(m) * np.linalg.norm(v) <= 0.1 / RCOND_FLOOR
+    except np.linalg.LinAlgError:
+        v, settled = None, False
+    if not settled:
+        rc = rcond(m)
+        if rc < RCOND_FLOOR:
+            raise SingularMatrixError(f"matrix is numerically singular (rcond={rc:.3e})")
+        if v is None:
+            v = np.linalg.solve(m, eye)  # the rcond passed: the solve's error stands
     return v @ (2.0 * eye - m @ v)
 
 
@@ -138,12 +196,10 @@ def affiliation_residuals(a: np.ndarray, h: np.ndarray, t: np.ndarray,
     that ill-conditioning of ``t`` is not amplified into the certificate.
     """
     a, h, t, j, p = (np.asarray(x) for x in (a, h, t, j, p))
-    tn = mat_norm(t, norm)
+    tn, sim, cong = mat_norms([t, a @ t - t @ j, t.conj().T @ h @ t - p], norm)
     if tn == 0.0:
         raise ValueError("t must be nonzero")
-    sim = mat_norm(a @ t - t @ j, norm) / tn
-    cong = mat_norm(t.conj().T @ h @ t - p, norm)
-    return float(sim), float(cong)
+    return sim / tn, cong
 
 
 def require_int(value, name: str, minimum: int | None = None) -> int:
@@ -155,6 +211,29 @@ def require_int(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return value
+
+
+def require_number(value, name: str) -> float:
+    """Return ``value`` as a float if it is a JSON number (an ``int`` or a
+    ``float`` that is not a ``bool``); otherwise raise ``ValueError`` naming
+    the field.  A numeric string or a boolean is refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of range, got {value!r}") from None
+
+
+def _require_numbers(values: list, name: str) -> list:
+    """``values``, if every entry passes :func:`require_number`.  The check
+    reads the set of their types, which costs little per entry; only a set
+    beyond ``int`` and ``float`` takes the per-entry check, which names the
+    first offender."""
+    if not set(map(type, values)) <= {int, float}:
+        for value in values:
+            require_number(value, name)
+    return values
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -182,12 +261,17 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         if len(data) != rows * cols:
             raise ValueError(f"matrix data length {len(data)} != rows*cols {rows * cols}")
         if data and isinstance(data[0], (list, tuple)):
-            flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-            if np.all(flat.imag == 0.0):
+            if set(map(len, data)) != {2}:
+                raise ValueError("matrix data must be all [re, im] pairs or all bare reals")
+            values = _require_numbers(list(chain.from_iterable(data)), "matrix entry")
+            # the bytes of complex(re, im) per pair, from one conversion
+            flat = np.fromiter(values, dtype=float, count=len(values)).view(complex)
+            if not flat.imag.any():
                 flat = flat.real
         else:
-            flat = np.array([float(x) for x in data], dtype=float)
-    except (KeyError, TypeError) as exc:
+            values = _require_numbers(data, "matrix entry")
+            flat = np.fromiter(values, dtype=float, count=len(values))
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     m = flat.reshape(rows, cols)
     return require_finite(m)

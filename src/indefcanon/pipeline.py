@@ -44,6 +44,8 @@ from .linalg import (
     RCOND_FLOOR,
     _norm_lower_bound,
     affiliation_residuals,
+    anti_diagonal_mean,
+    exchange,
     gate_norm,
     mat_norm,
     norm_and_rcond,
@@ -101,7 +103,9 @@ class GramAnchor:
                 f"pair block {block_index} Gram anchor {g0:.6e} is numerically "
                 "purely imaginary; the phase step divides by |Re g0|",
                 block_index=block_index)
-        return cls(complex(g0), float(r), float(s), float(np.angle(g0)), block_index)
+        # np.angle(g0) without its wrapper
+        phi = float(np.arctan2(g0.imag, g0.real))
+        return cls(complex(g0), float(r), float(s), phi, block_index)
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,7 @@ def flip_step(gram_pair_block: np.ndarray) -> np.ndarray:
         raise ValueError("pair-block Gram must have even size")
     p = gram_pair_block.shape[0] // 2
     g2 = gram_pair_block[p:, :p]
-    f = toeplitz_inv_sqrt(g2 @ np.fliplr(np.eye(p)))
+    f = toeplitz_inv_sqrt(g2 @ exchange(p))
     f_up = f.T
     out = np.zeros((2 * p, 2 * p), dtype=complex)
     out[:p, :p] = f_up
@@ -229,8 +233,7 @@ def _pair_sub_block(gram: np.ndarray, off: int, p: int) -> np.ndarray:
 
 def _anchor_from_gram(gram: np.ndarray, off: int, p: int,
                       block_index: int) -> GramAnchor:
-    z = _pair_sub_block(gram, off, p)
-    g0 = complex(np.mean(np.diag(np.fliplr(z))))
+    g0 = complex(anti_diagonal_mean(_pair_sub_block(gram, off, p)))
     return GramAnchor.from_g0(g0, block_index)
 
 
@@ -250,7 +253,7 @@ def _check_gram_structure(gram: np.ndarray, spec: JordanSpec,
     for i, (off, b) in enumerate(spec.offsets()):
         blk = gram[off:off + b.width, off:off + b.width]
         if b.kind == REAL:
-            target = eps[i] * np.fliplr(np.eye(b.size))
+            target = eps[i] * exchange(b.size)
             dev = gate_norm(blk - target, stol)
             if dev > stol:
                 raise StructureMismatchError(
@@ -265,12 +268,14 @@ def _check_gram_structure(gram: np.ndarray, spec: JordanSpec,
         if gate_norm(y - z.conj().T, stol) > stol:
             raise StructureMismatchError(
                 f"pair block {i} Gram is not Hermitian across halves")
+        # Python scalars: the same complex arithmetic as numpy's, cheaper
+        zl = z.tolist()
         for r in range(p):
             for c in range(p):
-                if r + c < p - 1 and abs(z[r, c]) > stol:
+                if r + c < p - 1 and abs(zl[r][c]) > stol:
                     raise StructureMismatchError(
                         f"pair block {i} Gram has mass above the anti-diagonal")
-                if r + 1 < p and c >= 1 and abs(z[r, c] - z[r + 1, c - 1]) > stol:
+                if r + 1 < p and c >= 1 and abs(zl[r][c] - zl[r + 1][c - 1]) > stol:
                     raise StructureMismatchError(
                         f"pair block {i} Gram is not Hankel")
 
@@ -297,6 +302,10 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         the pipeline runs.  With an anchor from the same pipeline at a
         nearby pair, all correction factors stay near the identity.  Without
         one, :data:`PHASE_GUARD` applies.
+    tol : float
+        The certificate gate: similarity and congruence residuals must be
+        within ``tol * max(1, ||h||)``.  Must be finite and positive; a NaN
+        or infinite ``tol`` would pass every basis.
     """
     a = require_finite(a, "a")
     h = require_finite(h, "h")
@@ -305,6 +314,8 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     gamma = complex(gamma)
     if not np.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
     # the conjugate-symmetric synthesis needs conj(chain) to be the chain of
     # the conjugate eigenvalue, which holds for real pairs only
@@ -356,7 +367,7 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         elif anchor is None:
             # prospective anchor; rotate the chain off the degenerate axis
             z = (gamma * np.conj(mat)).conj().T @ h @ mat
-            g0 = complex(np.mean(np.diag(np.fliplr(z))))
+            g0 = complex(anti_diagonal_mean(z))
             if abs(g0) > 0.0 and abs(g0.real) < PHASE_GUARD * abs(g0):
                 mat = mat * np.exp(0.25j * np.pi)
         prepared.append(BlockChain(bc.block, bc.offset, mat))

@@ -49,7 +49,8 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
     ``IMAG_RTOL`` times its norm and then truncated to exactly real.
 
     ``anchor``, when given, is an RC reference basis; the pipeline is
-    anchored to its FOCS coordinates.
+    anchored to its FOCS coordinates.  ``tol`` is the certificate gate, as
+    for :func:`pipeline.focs_basis`, and must be finite and positive.
 
     Raises
     ------

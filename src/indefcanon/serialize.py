@@ -6,7 +6,9 @@ bytes.  Every JSON text is one line from :func:`dumps` with no indent:
 any indent switches ``json`` from its C encoder to its pure-Python one,
 which takes nearly three times as long on a basis reply.  Indented files
 from earlier versions still read.  Integer fields (``size``, ``sign``,
-``seed``, ``rows``, ``cols``) accept only JSON integers.
+``seed``, ``rows``, ``cols``) accept only JSON integers, and number fields
+(a spec's ``lambda``, matrix entries, ``gamma`` and the residuals) only
+JSON numbers: never a string or a boolean.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import numpy as np
 
 from .harness import Instance, StabilityReport, load_instance
-from .linalg import matrix_from_json, matrix_to_json, require_int
+from .linalg import matrix_from_json, matrix_to_json, require_int, require_number
 from .pipeline import CanonicalBasis, Certificate, PipelineTrace
 from .structure import PAIR, REAL, BlockSpec, JordanSpec
 
@@ -28,13 +30,24 @@ def _complex_to_json(z: complex | None):
     return [z.real, z.imag]
 
 
-def _complex_from_json(obj) -> complex | None:
+def _pair_from_json(obj, name: str) -> complex:
+    """A complex number written ``[re, im]``."""
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ValueError(f"{name} must be [re, im], got {obj!r}")
+    return complex(require_number(obj[0], name), require_number(obj[1], name))
+
+
+def _complex_from_json(obj, name: str) -> complex | None:
+    """``null``, a bare number or ``[re, im]``."""
     if obj is None:
         return None
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    re, im = obj
-    return complex(re, im)
+    if isinstance(obj, list):
+        return _pair_from_json(obj, name)
+    return complex(require_number(obj, name))
+
+
+def _optional_number(obj, name: str) -> float | None:
+    return None if obj is None else require_number(obj, name)
 
 
 def spec_to_json(spec: JordanSpec) -> dict:
@@ -55,12 +68,11 @@ def spec_from_json(obj: dict) -> JordanSpec:
         for rb in obj["blocks"]:
             kind = rb.get("kind")
             if kind == "real":
-                blocks.append(BlockSpec(REAL, float(rb["lambda"]),
+                blocks.append(BlockSpec(REAL, require_number(rb["lambda"], "lambda"),
                                         require_int(rb["size"], "size"),
                                         require_int(rb["sign"], "sign")))
             elif kind == "pair":
-                lam = rb["lambda"]
-                blocks.append(BlockSpec(PAIR, complex(lam[0], lam[1]),
+                blocks.append(BlockSpec(PAIR, _pair_from_json(rb["lambda"], "lambda"),
                                         require_int(rb["size"], "size")))
             else:
                 raise ValueError(f"unknown block kind {kind!r}")
@@ -106,12 +118,12 @@ def basis_from_json(obj: dict) -> CanonicalBasis:
         return CanonicalBasis(
             matrix=matrix_from_json(obj["matrix"]),
             role=str(obj["role"]),
-            gamma=_complex_from_json(obj.get("gamma")),
+            gamma=_complex_from_json(obj.get("gamma"), "gamma"),
             cert=Certificate(
-                similarity=float(res.get("similarity", 0.0)),
-                congruence=float(res.get("congruence", 0.0)),
-                cs_residual=res.get("cs"),
-                max_imag=res.get("max_imag")),
+                similarity=require_number(res.get("similarity", 0.0), "similarity"),
+                congruence=require_number(res.get("congruence", 0.0), "congruence"),
+                cs_residual=_optional_number(res.get("cs"), "cs"),
+                max_imag=_optional_number(res.get("max_imag"), "max_imag")),
             eps=tuple(_eps_entry(e) for e in obj.get("eps", [])))
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed basis object: {exc}") from exc

@@ -22,7 +22,8 @@ indefinite inner product and the conjugate-symmetry fit with its scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+from dataclasses import dataclass, fields
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -32,7 +33,15 @@ from .errors import (
     NotHermitianError,
     SingularInnerProductError,
 )
-from .linalg import RCOND_FLOOR, gate_norm, mat_norm, norm_and_rcond, require_finite
+from .linalg import (
+    RCOND_FLOOR,
+    exchange,
+    gate_norm,
+    mat_norm,
+    mat_norms,
+    norm_and_rcond,
+    require_finite,
+)
 
 REAL = "real"
 PAIR = "pair"
@@ -45,6 +54,19 @@ HERM_TOL = 1e-10
 CS_TOL = 1e-8
 
 
+def _field_state(self) -> dict:
+    """Pickled state of a spec object: its dataclass fields only.  The
+    derived layout is rebuilt on load, so it adds nothing to the pool tasks
+    that carry a spec."""
+    return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _rebuild_from_fields(self, state: dict) -> None:
+    """Restore the fields and derive the layout again."""
+    self.__dict__.update(state)
+    self.__post_init__()
+
+
 @dataclass(frozen=True)
 class BlockSpec:
     """One block of a Jordan structure.
@@ -53,7 +75,8 @@ class BlockSpec:
     blocks store one representative of the conjugate pair and ``size`` is
     the dimension of a single Jordan block (a pair block therefore occupies
     ``2 * size`` rows).  ``sign`` is the +-1 sign characteristic, present on
-    real blocks only.
+    real blocks only.  ``width``, derived at construction, is the number of
+    rows/columns the block occupies in assembled matrices.
     """
 
     kind: str
@@ -67,6 +90,8 @@ class BlockSpec:
         if self.size < 1:
             raise ValueError("block size must be >= 1")
         lam = complex(self.lam)
+        if not cmath.isfinite(lam):
+            raise ValueError(f"eigenvalue must be finite, got {lam}")
         object.__setattr__(self, "lam", lam)
         if self.kind == REAL:
             if lam.imag != 0.0:
@@ -78,16 +103,18 @@ class BlockSpec:
                 raise ValueError("pair block must have a nonreal eigenvalue")
             if self.sign is not None:
                 raise ValueError("pair block carries no sign characteristic")
+        object.__setattr__(self, "width", self.size if self.kind == REAL else 2 * self.size)
 
-    @property
-    def width(self) -> int:
-        """Number of rows/columns the block occupies in assembled matrices."""
-        return self.size if self.kind == REAL else 2 * self.size
+    __getstate__ = _field_state
+    __setstate__ = _rebuild_from_fields
 
 
 @dataclass(frozen=True)
 class JordanSpec:
-    """Ordered list of blocks; block order is honored exactly as given."""
+    """Ordered list of blocks; block order is honored exactly as given.
+
+    ``total_size`` and :meth:`offsets` are derived once, at construction.
+    """
 
     blocks: tuple[BlockSpec, ...]
 
@@ -95,18 +122,19 @@ class JordanSpec:
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise ValueError("spec needs at least one block")
-
-    @property
-    def total_size(self) -> int:
-        return sum(b.width for b in self.blocks)
-
-    def offsets(self) -> list[tuple[int, BlockSpec]]:
-        """Starting column of each block, in order."""
         out, off = [], 0
         for b in self.blocks:
             out.append((off, b))
             off += b.width
-        return out
+        object.__setattr__(self, "_offsets", tuple(out))
+        object.__setattr__(self, "total_size", off)
+
+    def offsets(self) -> tuple[tuple[int, BlockSpec], ...]:
+        """Starting column of each block, in order."""
+        return self._offsets
+
+    __getstate__ = _field_state
+    __setstate__ = _rebuild_from_fields
 
 
 def _block_diag(cells: list[np.ndarray], dtype) -> np.ndarray:
@@ -120,12 +148,11 @@ def _block_diag(cells: list[np.ndarray], dtype) -> np.ndarray:
     return out
 
 
-def _jordan_cell(lam: complex, p: int, dtype=complex) -> np.ndarray:
-    return np.diag(np.full(p, lam, dtype=dtype)) + np.diag(np.ones(p - 1, dtype=dtype), 1)
-
-
-def _sip(p: int) -> np.ndarray:
-    return np.fliplr(np.eye(p))
+def _scatter(n: int, dtype, rows: list[int], cols: list[int], vals: list) -> np.ndarray:
+    """n x n zeros with ``vals`` at the positions ``(rows, cols)``."""
+    out = np.zeros((n, n), dtype=dtype)
+    out[rows, cols] = vals
+    return out
 
 
 def _form(build):
@@ -148,14 +175,23 @@ def _form(build):
 def jordan_form(spec: JordanSpec) -> np.ndarray:
     """Complex Jordan form: per pair block, the eigenvalue block is followed
     by its conjugate block."""
-    cells = []
-    for b in spec.blocks:
-        if b.kind == REAL:
-            cells.append(_jordan_cell(b.lam, b.size))
-        else:
-            cells.append(_block_diag([_jordan_cell(b.lam, b.size),
-                                      _jordan_cell(np.conj(b.lam), b.size)], complex))
-    return _block_diag(cells, complex)
+    rows, cols, vals = [], [], []
+    for off, b in spec.offsets():
+        cells = [(off, b.lam)]
+        if b.kind == PAIR:
+            cells.append((off + b.size, b.lam.conjugate()))
+        for start, lam in cells:
+            k = range(start, start + b.size)
+            # each diagonal entry is the eigenvalue added to a zero, as in a
+            # sum of diagonal and superdiagonal matrices, so a -0.0 part of
+            # it enters the form as +0.0
+            rows += k
+            cols += k
+            vals += [lam + 0j] * b.size
+            rows += k[:-1]
+            cols += k[1:]
+            vals += [1.0] * (b.size - 1)
+    return _scatter(spec.total_size, complex, rows, cols, vals)
 
 
 @_form
@@ -166,9 +202,9 @@ def sip_form(spec: JordanSpec) -> np.ndarray:
     cells = []
     for b in spec.blocks:
         if b.kind == REAL:
-            cells.append(b.sign * _sip(b.size))
+            cells.append(b.sign * exchange(b.size))
         else:
-            cells.append(_sip(2 * b.size))
+            cells.append(exchange(2 * b.size))
     return _block_diag(cells, float)
 
 
@@ -177,20 +213,32 @@ def real_jordan_form(spec: JordanSpec) -> np.ndarray:
     """Real Jordan form: real blocks unchanged; a pair block with eigenvalue
     ``sigma + i tau`` contributes 2x2 cells ``[[sigma, tau], [-tau, sigma]]``
     on the diagonal and identity cells on the superdiagonal."""
-    cells = []
-    for b in spec.blocks:
+    rows, cols, vals = [], [], []
+    for off, b in spec.offsets():
+        k = range(off, off + b.width)
+        rows += k
+        cols += k
         if b.kind == REAL:
-            cells.append(_jordan_cell(b.lam.real, b.size, dtype=float))
-        else:
-            p = b.size
-            sg, tu = b.lam.real, b.lam.imag
-            cell = np.zeros((2 * p, 2 * p))
-            for i in range(p):
-                cell[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[sg, tu], [-tu, sg]]
-                if i + 1 < p:
-                    cell[2 * i:2 * i + 2, 2 * i + 2:2 * i + 4] = np.eye(2)
-            cells.append(cell)
-    return _block_diag(cells, float)
+            # "+ 0.0" as in jordan_form
+            vals += [b.lam.real + 0.0] * b.size
+            rows += k[:-1]
+            cols += k[1:]
+            vals += [1.0] * (b.size - 1)
+            continue
+        sg, tu = b.lam.real, b.lam.imag
+        vals += [sg] * b.width
+        even = k[::2]
+        odd = k[1::2]
+        rows += even
+        cols += odd
+        vals += [tu] * b.size
+        rows += odd
+        cols += even
+        vals += [-tu] * b.size
+        rows += k[:-2]
+        cols += k[2:]
+        vals += [1.0] * (b.width - 2)
+    return _scatter(spec.total_size, float, rows, cols, vals)
 
 
 @_form
@@ -287,11 +335,11 @@ def conjugate_symmetry_fit(n: np.ndarray, spec: JordanSpec, *,
                                          residual=float("inf"))
     gamma = complex(second[k] / ref[k])
 
+    residuals = mat_norms([n[:, off + b.size:off + 2 * b.size]
+                           - gamma * np.conj(n[:, off:off + b.size])
+                           for _, off, b in pair_blocks], norm)
     worst, worst_i = -1.0, None
-    for i, off, b in pair_blocks:
-        q = n[:, off:off + b.size]
-        q2 = n[:, off + b.size:off + 2 * b.size]
-        res = mat_norm(q2 - gamma * np.conj(q), norm)
+    for (i, _, _), res in zip(pair_blocks, residuals):
         if res > worst:
-            worst, worst_i = float(res), i
+            worst, worst_i = res, i
     return gamma, worst, worst_i

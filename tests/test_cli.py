@@ -72,7 +72,16 @@ def test_gen_bad_json_exits_2(runner, tmp_path):
                  '{"blocks": [{"kind": "real", "lambda": 1.5, "size": "2", "sign": 1}]}',
                  '{"blocks": [{"kind": "real", "lambda": 1.5, "size": true, "sign": 1}]}',
                  '{"blocks": [{"kind": "real", "lambda": 1.5, "size": 1, "sign": true}]}',
-                 '{"blocks": [{"kind": "pair", "lambda": [0.5, 1.0], "size": 1.5}]}']:
+                 '{"blocks": [{"kind": "pair", "lambda": [0.5, 1.0], "size": 1.5}]}',
+                 # number fields take JSON numbers only, never strings or booleans
+                 '{"blocks": [{"kind": "real", "lambda": "1.5", "size": 2, "sign": 1}]}',
+                 '{"blocks": [{"kind": "real", "lambda": true, "size": 2, "sign": 1}]}',
+                 '{"blocks": [{"kind": "pair", "lambda": [-0.7, true], "size": 2}]}',
+                 '{"blocks": [{"kind": "pair", "lambda": ["-0.7", 1.3], "size": 2}]}',
+                 '{"blocks": [{"kind": "pair", "lambda": [-0.7, 1.3, 0.0], "size": 2}]}',
+                 # 1e400 reads as an infinite float
+                 '{"blocks": [{"kind": "real", "lambda": 1e400, "size": 2, "sign": 1}]}',
+                 '{"blocks": [{"kind": "pair", "lambda": [-0.7, -1e400], "size": 2}]}']:
         bad.write_text(text)
         r = runner.invoke(main, ["gen", "--spec-file", str(bad),
                                  "--out", str(tmp_path / "x.json")])
@@ -303,6 +312,18 @@ def _probe(obj, key):
         obj["A0"] = matrix_to_json(np.eye(n))
     elif key == "t0_zero":
         obj["T0"]["matrix"] = matrix_to_json(np.zeros((n, n)))
+    elif key == "a0_numeric_string":
+        obj["A0"]["data"][1] = str(obj["A0"]["data"][1])
+    elif key == "t0_entry_bool":
+        obj["T0"]["matrix"]["data"][0] = [True, 0.0]
+    elif key == "t0_similarity_string":
+        obj["T0"]["residuals"]["similarity"] = "1e-3"
+    elif key == "t0_cs_string":
+        obj["T0"]["residuals"]["cs"] = "0"
+    elif key == "t0_gamma_true":
+        obj["T0"]["gamma"] = True
+    elif key == "spec_lambda_string":
+        obj["spec"]["blocks"][0]["lambda"] = "1.5"
     elif key == "t0_scaled":
         # similarity unchanged, congruence off by about 2e-6
         t0 = matrix_from_json(obj["T0"]["matrix"])
@@ -331,6 +352,16 @@ def _probe(obj, key):
                  id="rc_t0_complex"),
     pytest.param("t0_gamma", "T0 misses the instance gate: gamma drift 1.000e+00 vs 1.0e-08",
                  id="t0_gamma"),
+    pytest.param("a0_numeric_string", "matrix entry must be a number, got '",
+                 id="a0_numeric_string"),
+    pytest.param("t0_entry_bool", "matrix entry must be a number, got True",
+                 id="t0_entry_bool"),
+    pytest.param("t0_similarity_string", "similarity must be a number, got '1e-3'",
+                 id="t0_similarity_string"),
+    pytest.param("t0_cs_string", "cs must be a number, got '0'", id="t0_cs_string"),
+    pytest.param("t0_gamma_true", "gamma must be a number, got True", id="t0_gamma_true"),
+    pytest.param("spec_lambda_string", "lambda must be a number, got '1.5'",
+                 id="spec_lambda_string"),
 ])
 def test_instance_not_matching_its_pair_exits_2(runner, tmp_path, key, message):
     inst_file = tmp_path / "inst.json"
@@ -343,6 +374,23 @@ def test_instance_not_matching_its_pair_exits_2(runner, tmp_path, key, message):
         assert isinstance(r.exception, SystemExit)
         assert message in r.output
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "0"])
+@pytest.mark.parametrize("command", ["canonize", "verify"])
+def test_tol_not_finite_and_positive_exits_2(runner, tmp_path, command, tol):
+    # a NaN or infinite tolerance passed every basis (exit 0), and a
+    # nonpositive one failed it as a construction error (exit 4)
+    inst = generate_instance(SPEC, 3)
+    inst_file, basis_file = tmp_path / "inst.json", tmp_path / "basis.json"
+    inst_file.write_text(dumps(instance_to_json(inst)))
+    basis_file.write_text(dumps(basis_to_json(inst.t0)))
+    args = {"canonize": ["canonize", "--in", str(inst_file), "--out", str(tmp_path / "x.json")],
+            "verify": ["verify", "--in", str(inst_file), "--basis", str(basis_file)]}[command]
+    r = runner.invoke(main, args + ["--tol", tol])
+    assert r.exit_code == 2, r.output
+    assert "finite and positive" in r.output
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_instance_seed_without_a_similarity_exits_2(runner, tmp_path, monkeypatch):

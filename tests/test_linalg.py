@@ -120,6 +120,94 @@ def test_solve_requires_finite():
         refined_inverse(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def _svd_gated_refined_inverse(m):
+    """``refined_inverse`` as it took the rcond from an SVD before every
+    solve; the reference for the property below."""
+    m = linalg.require_finite(m, "m")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("m must be square")
+    rc = rcond(m)
+    if rc < linalg.RCOND_FLOOR:
+        raise SingularMatrixError(f"matrix is numerically singular (rcond={rc:.3e})")
+    eye = np.eye(m.shape[0], dtype=m.dtype)
+    v = np.linalg.solve(m, eye)
+    return v @ (2.0 * eye - m @ v)
+
+
+#: Condition numbers around both ends of the bound's margin: the floor
+#: itself and ten times it.
+_CONDS = (1.0, 1e3, 1e8, 1e11, 0.05 / linalg.RCOND_FLOOR, 0.1 / linalg.RCOND_FLOOR,
+          0.2 / linalg.RCOND_FLOOR, 0.5 / linalg.RCOND_FLOOR, 0.99 / linalg.RCOND_FLOOR,
+          1.01 / linalg.RCOND_FLOOR, 2.0 / linalg.RCOND_FLOOR, 1e16, float("inf"))
+
+
+@st.composite
+def _conditioned_matrices(draw):
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cplx = draw(st.booleans())
+
+    def orthogonal():
+        g = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if cplx else 0.0)
+        return np.linalg.qr(g)[0]
+
+    cond = draw(st.sampled_from(_CONDS))
+    s = np.geomspace(1.0, 1.0 / cond, n) if np.isfinite(cond) else np.ones(n)
+    if not np.isfinite(cond):
+        s[draw(st.integers(0, n - 1)):] = 0.0
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return (orthogonal() * (scale * s)) @ orthogonal()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_conditioned_matrices())
+@example(np.diag([1.0, 1e-14]))
+@example(np.zeros((3, 3)))
+@example(np.array([[1.0, 2.0], [2.0, 4.0]]))
+def test_refined_inverse_matches_its_svd_gated_construction_bit_for_bit(m):
+    try:
+        want = _svd_gated_refined_inverse(m)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            refined_inverse(m)
+        assert str(got.value) == str(exc)
+        return
+    got = refined_inverse(m)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_refined_inverse_reports_the_exact_rcond():
+    with pytest.raises(SingularMatrixError, match=r"rcond=1\.000e-14"):
+        refined_inverse(np.diag([1.0, 1e-14]))
+
+
+def test_refined_inverse_takes_the_svd_only_when_its_bound_misses(monkeypatch):
+    calls = []
+    real = linalg.norm_and_rcond
+    monkeypatch.setattr(linalg, "norm_and_rcond", lambda m: calls.append(m) or real(m))
+    rng = np.random.default_rng(5)
+    refined_inverse(rng.normal(size=(6, 6)) + 6.0 * np.eye(6))
+    assert calls == []
+    # rcond 1e-12 clears the floor, but the bound misses its margin of 10
+    refined_inverse(np.diag([1.0, 1e-12]))
+    assert len(calls) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([(0, 0), (1, 3), (3, 3), (4, 4), (4, 2)]),
+                          st.booleans(), st.integers(0, 2**32 - 1)), min_size=1, max_size=6),
+       st.sampled_from(["spectral", "frobenius"]))
+def test_mat_norms_match_mat_norm_bit_for_bit(specs, kind):
+    ms = []
+    for shape, cplx, seed in specs:
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=shape) * 10.0 ** rng.uniform(-5, 5)
+        ms.append(m + 1j * rng.normal(size=shape) if cplx else m)
+    got = linalg.mat_norms(ms, kind)
+    assert [float.hex(x) for x in got] == [float.hex(mat_norm(m, kind)) for m in ms]
+
+
 def test_affiliation_paper_fixture(ex_a, ex_h, ex_t, ex_j, ex_p):
     sim, cong = affiliation_residuals(ex_a, ex_h, ex_t, ex_j, ex_p)
     assert sim <= 1e-10 and cong <= 1e-10

@@ -88,6 +88,101 @@ def test_toeplitz_exact_rational_contract(subdiagonals):
     assert all(res[i, j] == ident[i, j] for i in range(p) for j in range(p))
 
 
+def _numpy_checked_toeplitz_inv_sqrt(g3):
+    """``toeplitz_inv_sqrt`` as it checked its input with numpy reductions
+    and rounded its coefficients on every call; the reference for the
+    property below."""
+    from fractions import Fraction
+
+    from indefcanon.chains import STRUCT_RTOL, _inv_sqrt_coefficients
+    g3 = np.atleast_2d(np.asarray(g3))
+    p = g3.shape[0]
+    if g3.shape != (p, p):
+        raise ValueError("g3 must be square")
+    exact = g3.dtype == object
+    if exact:
+        if any(g3[i, i] != 1 for i in range(p)):
+            raise NotUnitTriangularError("diagonal is not exactly 1")
+        if any(g3[i, j] != 0 for i in range(p) for j in range(i + 1, p)):
+            raise NotUnitTriangularError("upper part is not exactly 0")
+        ident = np.array([[Fraction(int(i == j)) for j in range(p)]
+                          for i in range(p)], dtype=object)
+    else:
+        if g3.size and not np.all(np.isfinite(g3)):
+            raise ValueError("g3 contains non-finite entries")
+        scale = max(1.0, float(np.max(np.abs(g3))))
+        if np.max(np.abs(np.diag(g3) - 1.0)) > STRUCT_RTOL * scale:
+            raise NotUnitTriangularError("diagonal deviates from 1 beyond tolerance")
+        if p > 1 and np.max(np.abs(np.triu(g3, 1))) > STRUCT_RTOL * scale:
+            raise NotUnitTriangularError("upper part deviates from 0 beyond tolerance")
+        ident = np.eye(p, dtype=g3.dtype)
+    e = np.tril(g3, -1)
+    coeffs = _inv_sqrt_coefficients(p)
+    f = ident.copy()
+    ek = ident.copy()
+    for k in range(1, p):
+        ek = ek @ e
+        c = coeffs[k] if exact else float(coeffs[k])
+        f = f + c * ek
+    return f
+
+
+#: Entry edits: a factor of the gate's limit on the diagonal's deviation or
+#: on one upper entry (away from 1 by far more than the last-bit difference
+#: between numpy's vector hypot and the scalar one), a signed zero, or a
+#: value no gate lets through.
+_TOEPLITZ_EDITS = ("none", "diag", "upper", "minus_zero", "nan", "inf", "-inf",
+                   "bad_diag", "bad_upper")
+
+
+@st.composite
+def _toeplitz_inputs(draw):
+    p = draw(st.integers(1, 5))
+    dtype = draw(st.sampled_from([np.float64, np.complex128]))
+    sub = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
+    g3 = np.eye(p, dtype=dtype)
+    for i in range(1, p):
+        for j in range(i):
+            g3[i, j] = draw(sub)
+            if dtype is np.complex128:
+                g3[i, j] += 1j * draw(sub)
+    limit = 1e-8 * max(1.0, float(np.max(np.abs(g3))))
+    phase = 1.0 if dtype is np.float64 else np.exp(1j * draw(st.floats(0.0, 6.28)))
+    edit = draw(st.sampled_from(_TOEPLITZ_EDITS))
+    i = draw(st.integers(0, p - 1))
+    j = draw(st.integers(i, p - 1))
+    factor = draw(st.sampled_from([0.5, 0.999, 1.001, 2.0]))
+    if edit == "diag":
+        g3[i, i] = 1.0 + factor * limit * phase
+    elif edit == "upper" and j > i:
+        g3[i, j] = factor * limit * phase
+    elif edit == "minus_zero":
+        g3[i, j] = -0.0
+    elif edit in ("nan", "inf", "-inf"):
+        g3[draw(st.integers(0, p - 1)), i] = float(edit)
+    elif edit == "bad_diag":
+        g3[i, i] = 2.0
+    elif edit == "bad_upper" and j > i:
+        g3[i, j] = 0.5
+    return g3
+
+
+@settings(max_examples=400, deadline=None)
+@given(_toeplitz_inputs())
+def test_toeplitz_matches_its_numpy_checked_construction_bit_for_bit(g3):
+    try:
+        want = _numpy_checked_toeplitz_inv_sqrt(g3)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            toeplitz_inv_sqrt(g3)
+        assert str(got.value) == str(exc)
+        return
+    got = toeplitz_inv_sqrt(g3)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_toeplitz_numeric_contract():
     rng = np.random.default_rng(41)
     for _ in range(100):
@@ -391,6 +486,12 @@ def test_phase_guard_saves_systematic_degenerate_case(ex_spec, monkeypatch):
 def test_focs_rejects_non_finite_gamma(ex_a, ex_h, ex_spec, gamma):
     with pytest.raises(ValueError, match="finite"):
         focs_basis(ex_a, ex_h, ex_spec, gamma)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+def test_focs_rejects_a_tol_that_is_not_finite_and_positive(ex_a, ex_h, ex_spec, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        focs_basis(ex_a, ex_h, ex_spec, 1.0, tol=tol)
 
 
 def test_focs_anchored_reproduces_reference(ex_a, ex_h, ex_spec):

@@ -207,3 +207,9 @@ def test_rc_certificate_limit_is_spectral(monkeypatch):
             with pytest.raises(StructureMismatchError,
                                match=f"similarity {sim:.3e}, .* \\(limit {limit:.3e}\\)"):
                 rc_basis(np.eye(4), ONES40, REAL4, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+def test_rc_rejects_a_tol_that_is_not_finite_and_positive(ex_a, ex_h, ex_spec, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        rc_basis(ex_a, ex_h, ex_spec, tol=tol)

@@ -1,7 +1,12 @@
 """Canonical target builders and structural predicates."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indefcanon import (
     BlockSpec,
@@ -35,6 +40,9 @@ def test_block_spec_validation():
         BlockSpec("pair", 1j, 0)             # empty block
     with pytest.raises(ValueError):
         BlockSpec("diag", 1.0, 1, 1)
+    for lam in (float("inf"), complex(0.5, float("nan"))):
+        with pytest.raises(ValueError, match="eigenvalue must be finite"):
+            BlockSpec("pair" if lam.imag else "real", lam, 1, None if lam.imag else 1)
 
 
 def test_build_j_paper_pair(ex_spec, ex_j):
@@ -164,6 +172,118 @@ def test_weak_run_leaves_one_entry_per_form_cache():
         info = form.cache_info()
         assert info.misses - before >= len(report.trials), form.__name__
         assert info.maxsize == 1 and info.currsize == 1, form.__name__
+
+
+# ---------------------------------------------------------------------------
+# the forms and the spec layout against the constructions they replaced
+
+
+def _cell_block_diag(cells, dtype):
+    n = sum(c.shape[0] for c in cells)
+    out = np.zeros((n, n), dtype=dtype)
+    off = 0
+    for c in cells:
+        k = c.shape[0]
+        out[off:off + k, off:off + k] = c
+        off += k
+    return out
+
+
+def _diag_sum_jordan_cell(lam, p, dtype=complex):
+    return np.diag(np.full(p, lam, dtype=dtype)) + np.diag(np.ones(p - 1, dtype=dtype), 1)
+
+
+def _per_cell_jordan_form(spec):
+    """``jordan_form`` as it was built from per-cell ``np.diag`` sums."""
+    cells = []
+    for b in spec.blocks:
+        if b.kind == "real":
+            cells.append(_diag_sum_jordan_cell(b.lam, b.size))
+        else:
+            cells.append(_cell_block_diag([_diag_sum_jordan_cell(b.lam, b.size),
+                                             _diag_sum_jordan_cell(np.conj(b.lam), b.size)],
+                                            complex))
+    return _cell_block_diag(cells, complex)
+
+
+def _per_cell_real_jordan_form(spec):
+    """``real_jordan_form`` as it was built from per-cell copies."""
+    cells = []
+    for b in spec.blocks:
+        if b.kind == "real":
+            cells.append(_diag_sum_jordan_cell(b.lam.real, b.size, dtype=float))
+        else:
+            p = b.size
+            sg, tu = b.lam.real, b.lam.imag
+            cell = np.zeros((2 * p, 2 * p))
+            for i in range(p):
+                cell[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[sg, tu], [-tu, sg]]
+                if i + 1 < p:
+                    cell[2 * i:2 * i + 2, 2 * i + 2:2 * i + 4] = np.eye(2)
+            cells.append(cell)
+    return _cell_block_diag(cells, float)
+
+
+def _recomputed_layout(spec):
+    """``(total_size, offsets, widths)`` as the properties computed them on
+    every call."""
+    widths = [b.size if b.kind == "real" else 2 * b.size for b in spec.blocks]
+    offsets, off = [], 0
+    for b, w in zip(spec.blocks, widths):
+        offsets.append((off, b))
+        off += w
+    return sum(widths), offsets, widths
+
+
+#: Eigenvalue parts, signed zeros included.
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.5]),
+                   st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _any_spec(draw):
+    """Any valid spec of up to 5 blocks of size 1-4; eigenvalues may repeat."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        size = draw(st.integers(1, 4))
+        re = draw(_PARTS)
+        if draw(st.booleans()):
+            im = draw(_PARTS.filter(lambda x: x != 0.0))
+            blocks.append(BlockSpec("pair", complex(re, im), size))
+        else:
+            im = draw(st.sampled_from([0.0, -0.0]))
+            blocks.append(BlockSpec("real", complex(re, im), size, draw(st.sampled_from([-1, 1]))))
+    return JordanSpec(tuple(blocks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_spec())
+def test_forms_match_their_per_cell_construction_bit_for_bit(spec):
+    for form, reference in ((jordan_form, _per_cell_jordan_form),
+                         (real_jordan_form, _per_cell_real_jordan_form)):
+        got, want = form.__wrapped__(spec), reference(spec)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes(), form.__name__
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_spec())
+def test_spec_layout_equality_hash_and_pickle_are_unchanged(spec):
+    total, offsets, widths = _recomputed_layout(spec)
+    assert spec.total_size == total
+    assert list(spec.offsets()) == offsets
+    assert [b.width for b in spec.blocks] == widths
+    twin = JordanSpec(tuple(BlockSpec(b.kind, b.lam, b.size, b.sign) for b in spec.blocks))
+    assert twin == spec and hash(twin) == hash(spec)
+    # a pickle holds the dataclass fields only, as before the layout was kept
+    assert spec.__reduce_ex__(4)[2] == {"blocks": spec.blocks}
+    for b in spec.blocks:
+        assert list(b.__reduce_ex__(4)[2]) == ["kind", "lam", "size", "sign"]
+    for back in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert back == spec and hash(back) == hash(spec)
+        assert back.total_size == total and list(back.offsets()) == offsets
+        assert [b.width for b in back.blocks] == widths
+        assert pickle.dumps(back) == pickle.dumps(spec)
 
 
 def test_canonical_pair_is_selfadjoint_randomized():

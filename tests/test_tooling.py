@@ -94,3 +94,59 @@ def test_benchmark_tracing_tables_resolve():
     for home, attr, name in tracing.SPANNED + tracing.COUNTED:
         assert callable(getattr(home, attr, None)), \
             f"{home.__name__}.{attr} (traced as {name}) does not resolve"
+
+
+def _private_numpy_uses(path: Path) -> list[str]:
+    """Imports of, and attribute chains into, a numpy module or name whose
+    dotted path has a ``_``-prefixed component (dunders aside), such as
+    ``numpy.linalg._umath_linalg``."""
+    def private(dotted: str) -> bool:
+        parts = dotted.split(".")
+        return parts[0] == "numpy" and any(
+            p.startswith("_") and not (p.startswith("__") and p.endswith("__"))
+            for p in parts)
+
+    tree = ast.parse(path.read_text())
+    aliases = {"numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name == "numpy" or a.name.startswith("numpy."):
+                    aliases.add(a.asname or a.name.split(".")[0])
+                    if private(a.name):
+                        found.append(f"import {a.name} at line {node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            for a in node.names:
+                if private(f"{node.module}.{a.name}"):
+                    found.append(f"from {node.module} import {a.name} at line {node.lineno}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            chain, inner = [node.attr], node.value
+            while isinstance(inner, ast.Attribute):
+                chain.append(inner.attr)
+                inner = inner.value
+            if isinstance(inner, ast.Name) and inner.id in aliases:
+                dotted = ".".join(["numpy"] + chain[::-1])
+                if private(dotted):
+                    found.append(f"{dotted} at line {node.lineno}")
+    return found
+
+
+def test_no_private_numpy_api():
+    # private numpy modules (the linalg gufuncs under numpy.linalg._umath_linalg,
+    # say) change without notice between releases
+    uses = {p.stem: _private_numpy_uses(p) for p in PACKAGE.glob("*.py")}
+    assert {m: u for m, u in uses.items() if u} == {}
+
+
+def test_private_numpy_api_check_catches_each_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\n"
+                     "import numpy.linalg._umath_linalg\n"
+                     "from numpy.linalg import _umath_linalg\n"
+                     "from numpy._core import multiarray\n"
+                     "x = np.linalg._umath_linalg.svd_f\n"
+                     "y = np.__version__\n")
+    flagged = {int(use.rsplit(" ", 1)[1]) for use in _private_numpy_uses(probe)}
+    assert flagged == {2, 3, 4, 5}
