@@ -37,12 +37,6 @@ class NotConjugateSymmetricError(CanonError):
 
     code = "NOT_CS"
 
-    def __init__(self, message: str = "", block_index: int | None = None,
-                 residual: float | None = None):
-        super().__init__(message)
-        self.block_index = block_index
-        self.residual = residual
-
 
 class StructureMismatchError(CanonError):
     """The matrix contradicts the declared Jordan structure."""

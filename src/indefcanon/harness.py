@@ -448,8 +448,7 @@ def _block_gauge(n_mat: np.ndarray, t0_mat: np.ndarray, spec: JordanSpec,
 
 def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                       t0: CanonicalBasis, *,
-                      weak: bool = False,
-                      delta_hint: float | None = None
+                      weak_delta: float | None = None
                       ) -> tuple[CanonicalBasis, PipelineTrace, tuple[complex, ...] | None]:
     """Canonical basis of ``(a, h)`` chosen near the reference ``t0``.
 
@@ -457,9 +456,10 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     squares over chain-preserving recombinations) and the residual gauge is
     resolved toward it afterwards, so the output converges to ``t0`` as the
     pair approaches the reference pair.  The basis kind and the
-    conjugate-symmetry scalar are those of ``t0``.  Weak mode first matches
-    the spec eigenvalues onto the spectrum of ``a``, clustering it at a
-    radius derived from ``delta_hint``.
+    conjugate-symmetry scalar are those of ``t0``.  ``weak_delta`` selects
+    weak mode (None is strict): the spec eigenvalues are first matched onto
+    the spectrum of ``a``, clustering it at a radius derived from this
+    perturbation size.
 
     Returns the basis, the pipeline trace (gauge already applied to the
     chain factor and basis), and the matched eigenvalues (weak mode only).
@@ -470,15 +470,13 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
 
     matches: tuple[complex, ...] | None = None
     work_spec = spec
-    if weak:
-        if delta_hint is None:
-            raise ValueError("weak mode needs delta_hint")
+    if weak_delta is not None:
         # the radius tracks the perturbation scale but may not undercut
         # the eigensolver's scatter for a defective block of size p,
         # which is of order (eps ||a||)^(1/p)
         p_max = max(b.size for b in spec.blocks)
         scatter = (np.finfo(float).eps * max(1.0, mat_norm(a))) ** (1.0 / p_max)
-        cluster_radius = max(CLUSTER_RADIUS_FACTOR * delta_hint, 10.0 * scatter)
+        cluster_radius = max(CLUSTER_RADIUS_FACTOR * weak_delta, 10.0 * scatter)
         matches, work_spec = match_eigenvalues(spec, a, cluster_radius=cluster_radius)
 
     construct = rc_basis if kind == ROLE_RC else partial(focs_basis, gamma=t0.gamma or 1.0)
@@ -551,7 +549,7 @@ def _run_trial(inst: Instance, delta: float, delta_index: int, trial_index: int,
                                status="degenerate")
         basis, trace, matches = anchored_canonize(
             pair.a, pair.h, inst.spec, inst.t0,
-            weak=(mode == MODE_WEAK), delta_hint=delta)
+            weak_delta=delta if mode == MODE_WEAK else None)
         eye = np.eye(inst.spec.total_size)
         out, *z_devs = mat_norms([
             basis.matrix - inst.t0.matrix,
@@ -615,24 +613,23 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
             records = list(pool.map(_trial_star, tasks))
     else:
         records = [_trial_star(t) for t in tasks]
-    records.sort(key=lambda r: (deltas.index(r.delta), r.index))
 
     per_delta = []
     medians = []
     factor_medians: list[list[float]] = [[], [], [], []]
     k_hat = 0.0
-    for d in deltas:
-        ratios = [r.ratio for r in records
-                  if r.delta == d and r.status == "ok" and r.ratio is not None]
-        if ratios:
+    for di, d in enumerate(deltas):
+        # records come back in task order: each delta's trials in one slice
+        ok = [r for r in records[di * trials_per_delta:(di + 1) * trials_per_delta]
+              if r.status == "ok"]
+        if ok:
+            ratios = [r.ratio for r in ok]
             k_hat = max(k_hat, max(ratios))
             per_delta.append(DeltaStats(d, len(ratios), min(ratios),
                                         median(ratios), max(ratios)))
             medians.append(median(ratios))
             for k in range(4):
-                devs = [r.z_devs[k] / r.input for r in records
-                        if r.delta == d and r.status == "ok" and r.z_devs]
-                factor_medians[k].append(median(devs))
+                factor_medians[k].append(median(r.z_devs[k] / r.input for r in ok))
         else:
             per_delta.append(DeltaStats(d, 0, None, None, None))
 

@@ -144,12 +144,6 @@ def norm_and_rcond(m: np.ndarray) -> tuple[float, float]:
     return float(s[0]), float(s[-1] / s[0])
 
 
-def rcond(m: np.ndarray) -> float:
-    """Reciprocal condition number from the singular values; 0 for a
-    rank-deficient matrix."""
-    return norm_and_rcond(m)[1]
-
-
 def refined_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of square, numerically nonsingular ``m`` with one Newton
     refinement step.
@@ -178,7 +172,7 @@ def refined_inverse(m: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         v, settled = None, False
     if not settled:
-        rc = rcond(m)
+        rc = norm_and_rcond(m)[1]
         if rc < RCOND_FLOOR:
             raise SingularMatrixError(f"matrix is numerically singular (rcond={rc:.3e})")
         if v is None:

@@ -193,22 +193,18 @@ def flip_step(gram_pair_block: np.ndarray) -> np.ndarray:
 
 
 def symmetrize_step(chains: ChainSet, reduced: dict[int, np.ndarray],
-                    gamma: complex) -> np.ndarray:
-    """Assemble the chain factor from reduced real chains and symmetrized
-    pair blocks ``[L | gamma conj(L)]``.
+                    gamma: complex) -> tuple[np.ndarray, float]:
+    """Assemble the chain factor ``Z1`` from reduced real chains and
+    symmetrized pair blocks ``[L | gamma conj(L)]``.
+
+    Returns ``(Z1, ||Z1||_2)``; the norm comes from the singular-value call
+    of the conditioning check.
 
     Raises
     ------
     SingularBasisError
         When the assembled factor fails the conditioning check.
     """
-    return _symmetrize(chains, reduced, gamma)[0]
-
-
-def _symmetrize(chains: ChainSet, reduced: dict[int, np.ndarray],
-                gamma: complex) -> tuple[np.ndarray, float]:
-    """:func:`symmetrize_step`, also returning ``||Z1||_2`` from the
-    singular-value call of its conditioning check."""
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
     cols = []
@@ -225,15 +221,11 @@ def _symmetrize(chains: ChainSet, reduced: dict[int, np.ndarray],
     return z1, z1_norm
 
 
-def _pair_sub_block(gram: np.ndarray, off: int, p: int) -> np.ndarray:
-    """Lower-left p x p part of the pair block at ``off`` (conjugate-chain
-    against chain inner products)."""
-    return gram[off + p:off + 2 * p, off:off + p]
-
-
 def _anchor_from_gram(gram: np.ndarray, off: int, p: int,
                       block_index: int) -> GramAnchor:
-    g0 = complex(anti_diagonal_mean(_pair_sub_block(gram, off, p)))
+    # the lower-left p x p part of the pair block at off: conjugate chain
+    # against chain inner products
+    g0 = complex(anti_diagonal_mean(gram[off + p:off + 2 * p, off:off + p]))
     return GramAnchor.from_g0(g0, block_index)
 
 
@@ -374,7 +366,7 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
 
     chain_set = ChainSet(spec, tuple(prepared))
 
-    z1, z1_norm = _symmetrize(chain_set, reduced, gamma)
+    z1, z1_norm = symmetrize_step(chain_set, reduced, gamma)
     if norm != "spectral":
         z1_norm = mat_norm(z1, norm)
     n_dim = spec.total_size
@@ -383,35 +375,31 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     gram0 = z1.conj().T @ h @ z1
     _check_gram_structure(gram0, spec, eps, stol)
 
+    # (block index, offset, size, rows) of each pair block
+    pairs = [(i, off, b.size, slice(off, off + b.width))
+             for i, (off, b) in enumerate(spec.offsets()) if b.kind == PAIR]
     z2 = np.eye(n_dim, dtype=complex)
     z3 = np.eye(n_dim, dtype=complex)
-    for i, (off, b) in enumerate(spec.offsets()):
-        if b.kind != PAIR:
-            continue
-        anc = _anchor_from_gram(gram0, off, b.size, i)
-        z2[off:off + b.width, off:off + b.width] = phase_step(anc, b.size)
-        z3[off:off + b.width, off:off + b.width] = scale_step(anc, b.size)
+    for i, off, p, rows in pairs:
+        anc = _anchor_from_gram(gram0, off, p, i)
+        z2[rows, rows] = phase_step(anc, p)
+        z3[rows, rows] = scale_step(anc, p)
 
     gram1 = z2.conj().T @ gram0 @ z2
-    for i, (off, b) in enumerate(spec.offsets()):
-        if b.kind != PAIR:
-            continue
-        anc1 = _anchor_from_gram(gram1, off, b.size, i)
+    for i, off, p, _ in pairs:
+        anc1 = _anchor_from_gram(gram1, off, p, i)
         if abs(anc1.g0.imag) > stol or anc1.g0.real <= 0.0:
             raise StructureMismatchError(
                 f"pair block {i} anchor {anc1.g0:.3e} not real positive after phase step")
 
     gram2 = z3.conj().T @ gram1 @ z3
     z4 = np.eye(n_dim, dtype=complex)
-    for i, (off, b) in enumerate(spec.offsets()):
-        if b.kind != PAIR:
-            continue
-        anc2 = _anchor_from_gram(gram2, off, b.size, i)
+    for i, off, p, rows in pairs:
+        anc2 = _anchor_from_gram(gram2, off, p, i)
         if abs(anc2.g0 - 1.0) > stol:
             raise StructureMismatchError(
                 f"pair block {i} anchor {anc2.g0:.3e} not unit after scale step")
-        blk = gram2[off:off + b.width, off:off + b.width]
-        z4[off:off + b.width, off:off + b.width] = flip_step(blk)
+        z4[rows, rows] = flip_step(gram2[rows, rows])
 
     basis_mat = z1 @ z2 @ z3 @ z4
     p_target = sip_form(spec)
@@ -428,8 +416,7 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
             f"constructed basis misses its certificate gate: similarity "
             f"{sim:.3e}, congruence {cong:.3e} vs tol {tol:.1e}")
     gamma_out, cs_res, _ = conjugate_symmetry_fit(basis_mat, spec, norm=norm)
-    has_pairs = any(b.kind == PAIR for b in spec.blocks)
-    if has_pairs and abs(abs(gamma_out) - abs(gamma)) > CS_TOL * abs(gamma):
+    if pairs and abs(abs(gamma_out) - abs(gamma)) > CS_TOL * abs(gamma):
         raise StructureMismatchError(
             f"conjugate-symmetry scalar drifted in modulus: requested "
             f"|{gamma}| = {abs(gamma):.6g}, got {abs(gamma_out):.6g}")

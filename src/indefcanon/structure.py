@@ -23,7 +23,7 @@ indefinite inner product and the conjugate-symmetry fit with its scalar.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -52,19 +52,6 @@ HERM_TOL = 1e-10
 #: Conjugate-symmetry residuals, and drifts of the fitted scalar, are
 #: accepted up to this fraction of the basis (or scalar) scale.
 CS_TOL = 1e-8
-
-
-def _field_state(self) -> dict:
-    """Pickled state of a spec object: its dataclass fields only.  The
-    derived layout is rebuilt on load, so it adds nothing to the pool tasks
-    that carry a spec."""
-    return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def _rebuild_from_fields(self, state: dict) -> None:
-    """Restore the fields and derive the layout again."""
-    self.__dict__.update(state)
-    self.__post_init__()
 
 
 @dataclass(frozen=True)
@@ -105,9 +92,6 @@ class BlockSpec:
                 raise ValueError("pair block carries no sign characteristic")
         object.__setattr__(self, "width", self.size if self.kind == REAL else 2 * self.size)
 
-    __getstate__ = _field_state
-    __setstate__ = _rebuild_from_fields
-
 
 @dataclass(frozen=True)
 class JordanSpec:
@@ -132,9 +116,6 @@ class JordanSpec:
     def offsets(self) -> tuple[tuple[int, BlockSpec], ...]:
         """Starting column of each block, in order."""
         return self._offsets
-
-    __getstate__ = _field_state
-    __setstate__ = _rebuild_from_fields
 
 
 def _block_diag(cells: list[np.ndarray], dtype) -> np.ndarray:
@@ -330,9 +311,7 @@ def conjugate_symmetry_fit(n: np.ndarray, spec: JordanSpec, *,
     ref = np.conj(first)
     k = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
     if abs(ref[k]) == 0.0:
-        raise NotConjugateSymmetricError("first pair block is zero",
-                                         block_index=pair_blocks[0][0],
-                                         residual=float("inf"))
+        raise NotConjugateSymmetricError("first pair block is zero")
     gamma = complex(second[k] / ref[k])
 
     residuals = mat_norms([n[:, off + b.size:off + 2 * b.size]

@@ -16,7 +16,14 @@ from indefcanon import BlockSpec, JordanSpec, generate_instance, harness
 from indefcanon.cli import main
 from indefcanon.linalg import matrix_from_json, matrix_to_json
 from indefcanon.pipeline import CanonicalBasis, Certificate
-from indefcanon.serialize import basis_to_json, dumps, instance_to_json, spec_to_json
+from indefcanon.rc import certify
+from indefcanon.serialize import (
+    basis_from_json,
+    basis_to_json,
+    dumps,
+    instance_to_json,
+    spec_to_json,
+)
 
 from conftest import random_spec
 
@@ -491,6 +498,70 @@ def test_verify_frobenius_norm_flag(runner, tmp_path, paper_pair_file, ex_m):
                              "--basis", str(bf), "--expect", "focs",
                              "--norm", "frobenius"])
     assert r.exit_code == 0, r.output
+
+
+@pytest.mark.parametrize("mode", ["fo", "focs", "rc"])
+def test_canonize_frobenius_norm_certificate(runner, tmp_path, mode):
+    inst = generate_instance(SPEC, 3)
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(dumps(instance_to_json(inst)))
+    out = tmp_path / "basis.json"
+    r = runner.invoke(main, ["canonize", "--in", str(inst_file), "--mode", mode,
+                             "--norm", "frobenius", "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    basis = basis_from_json(json.loads(out.read_text()))
+    assert basis.role == mode
+    cert, _ = certify(inst.a0, inst.h0, basis.matrix, SPEC, mode, norm="frobenius")
+    assert (basis.cert.similarity, basis.cert.congruence) == \
+        (cert.similarity, cert.congruence)
+    r = runner.invoke(main, ["verify", "--in", str(inst_file), "--basis", str(out),
+                             "--norm", "frobenius"])
+    assert r.exit_code == 0, r.output
+
+
+def test_verify_pair_with_non_hermitian_h_exits_2(runner, tmp_path, ex_a, ex_h,
+                                                  ex_spec, ex_m):
+    h = ex_h.copy()
+    h[0, 1] += 1e-3
+    pair_file = tmp_path / "pair.json"
+    write_pair_file(pair_file, ex_a, h, ex_spec)
+    basis_file = tmp_path / "m.json"
+    basis_file.write_text(dumps(matrix_to_json(ex_m)))
+    r = runner.invoke(main, ["verify", "--in", str(pair_file), "--basis", str(basis_file)])
+    assert r.exit_code == 2, r.output
+    assert "NOT_HERMITIAN: h deviates from Hermitian by 1.000e-03" in r.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--deltas", "1e-4,1e-3"], "deltas must be strictly decreasing"),
+    (["--deltas", "0.1,1e-3"], "deltas must not exceed 0.05"),
+    (["--kind", "rc"], "requested kind 'rc' but the instance reference basis has role 'focs'"),
+])
+def test_stability_rejected_experiment_exits_2(runner, tmp_path, args, message):
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(dumps(instance_to_json(generate_instance(SPEC, 3))))
+    r = runner.invoke(main, ["stability", "--in", str(inst_file), "--trials", "1",
+                             "--out-csv", str(tmp_path / "x.csv"), *args])
+    assert r.exit_code == 2, r.output
+    assert f"experiment rejected: {message}" in r.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
+@pytest.mark.parametrize("gamma, message", [("abc", "cannot parse gamma 'abc'"),
+                                            ("0", "gamma must be nonzero")])
+@pytest.mark.parametrize("command", ["gen", "canonize"])
+def test_bad_gamma_exits_2(runner, tmp_path, paper_pair_file, command, gamma, message):
+    if command == "gen":
+        spec_file = tmp_path / "spec.json"
+        write_spec(spec_file)
+        args = ["gen", "--spec-file", str(spec_file)]
+    else:
+        args = ["canonize", "--in", str(paper_pair_file)]
+    out = tmp_path / "out.json"
+    r = runner.invoke(main, [*args, "--gamma", gamma, "--out", str(out)])
+    assert r.exit_code == 2, r.output
+    assert message in r.output
+    assert not out.exists()
 
 
 def test_stability_zero_trials_exits_2(runner, tmp_path):

@@ -1,6 +1,8 @@
 """Instance generation, perturbation, matching, anchoring, and the experiment."""
 
 import functools
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,9 +26,12 @@ from indefcanon import (
     real_jordan_form,
     sip_form,
 )
-from indefcanon import harness
+from indefcanon import StructureMismatchError, harness, serialize
 from indefcanon.linalg import affiliation_residuals
+from indefcanon.pipeline import CanonicalBasis
 from indefcanon.structure import h_selfadjoint_residual
+
+from conftest import cs_gamma
 
 SPEC = JordanSpec((
     BlockSpec("real", 1.5, 2, 1),
@@ -245,6 +250,47 @@ def test_anchored_recovers_gauge_flip(inst):
     assert basis.cert.congruence <= 1e-9
 
 
+@pytest.mark.parametrize("kind, cols", [("focs", slice(0, 2)), ("rc", slice(2, 6))])
+@pytest.mark.parametrize("negated", ["reference", "construction"])
+def test_anchored_recovers_a_negated_block(inst, inst_rc, monkeypatch, kind, cols, negated):
+    # negated columns keep a basis canonical.  Negated on the reference, the
+    # chain fit at extraction takes the sign over; negated on the
+    # constructed basis, the real gauge turns it back (on a real block of a
+    # focs basis, on any block of an rc basis)
+    ref = inst.t0 if kind == "focs" else inst_rc.t0
+    flip = np.ones(ref.matrix.shape[1])
+    flip[cols] = -1.0
+    target, t0 = ref.matrix, ref
+    if negated == "reference":
+        target = ref.matrix * flip
+        t0 = replace(ref, matrix=target)
+    else:
+        name = "rc_basis" if kind == "rc" else "focs_basis"
+        construct = getattr(harness, name)
+
+        def negating(*args, **kwargs):
+            basis, trace = construct(*args, **kwargs)
+            return replace(basis, matrix=basis.matrix * flip), trace
+
+        monkeypatch.setattr(harness, name, negating)
+    basis, _, _ = anchored_canonize(inst.a0, inst.h0, inst.spec, t0)
+    assert basis.role == kind
+    assert mat_norm(basis.matrix - target) <= 1e-12 * mat_norm(target)
+    assert mat_norm(basis.matrix - target * flip) > 1.0
+
+
+@pytest.mark.xfail(strict=True, reason="the gauge gives each pair block its own "
+                   "phase, which moves that block's scalar to gamma e^(2i theta_b)")
+def test_anchored_focs_basis_keeps_one_scalar_across_pair_blocks():
+    spec = JordanSpec((BlockSpec("real", 1.5, 2, 1), BlockSpec("pair", -0.7 - 1.3j, 2),
+                       BlockSpec("pair", 0.9 + 0.6j, 1)))
+    two_pairs = generate_instance(spec, 7)
+    pair = perturb_instance(two_pairs, 1e-2, "strict", 11)
+    basis, _, _ = anchored_canonize(pair.a, pair.h, spec, two_pairs.t0)
+    # cs_gamma asserts the residual is within CS_TOL * max(1, ||basis||)
+    assert abs(abs(cs_gamma(basis.matrix, spec)) - 1.0) <= 1e-10
+
+
 def test_anchored_output_certificates(inst):
     pair = perturb_instance(inst, 1e-3, "strict", 9)
     basis, trace, _ = anchored_canonize(pair.a, pair.h, inst.spec, inst.t0)
@@ -352,7 +398,7 @@ def test_trial_fault_keeps_its_coordinates(inst, fake_pool, monkeypatch, jobs):
     real = harness.anchored_canonize
 
     def flaky(*args, **kwargs):
-        calls.append(kwargs["delta_hint"])
+        calls.append(kwargs["weak_delta"])
         if len(calls) == 4:
             raise np.linalg.LinAlgError("SVD did not converge")
         return real(*args, **kwargs)
@@ -368,6 +414,68 @@ def test_trial_fault_keeps_its_coordinates(inst, fake_pool, monkeypatch, jobs):
     assert "LinAlgError: SVD did not converge" in str(err)
     assert isinstance(err.__cause__, np.linalg.LinAlgError)
     assert not isinstance(err, CanonError)
+
+
+def test_trial_library_error_is_recorded_and_reported(inst, monkeypatch):
+    ref = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
+    calls = []
+    real = harness.anchored_canonize
+
+    def mismatching(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise StructureMismatchError("forced mismatch")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "anchored_canonize", mismatching)
+    report = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
+    failed = report.trials[1]
+    assert (failed.delta, failed.index, failed.status) == (1e-3, 1, "STRUCTURE_MISMATCH")
+    assert np.isnan(failed.input)
+    assert (failed.output, failed.ratio, failed.z_devs) == (None, None, None)
+    # every other trial is the one the unpatched run made
+    assert [t for t in report.trials if t is not failed] == \
+        [t for t in ref.trials if t.index != 1 or t.delta != 1e-3]
+    assert [s.n_ok for s in report.per_delta] == [2, 3]
+    assert report.per_delta[1] == ref.per_delta[1]
+    kept = sorted(t.ratio for t in ref.trials[:3] if t.index != 1)
+    assert (report.per_delta[0].ratio_min, report.per_delta[0].ratio_max) == \
+        (kept[0], kept[-1])
+
+    lines = serialize.report_csv_lines(report)
+    assert len(lines) == 1 + 6
+    assert lines[2] == "0.001,1,,,,,,,,STRUCTURE_MISMATCH"
+    summary = json.loads(serialize.dumps(serialize.report_summary_json(report)))
+    assert summary["trials"][1] == {
+        "delta": 1e-3, "trial": 1, "input": None, "output": None, "ratio": None,
+        "z_devs": None, "status": "STRUCTURE_MISMATCH", "matches": None,
+        "true_eigs": None}
+    assert [d["n_ok"] for d in summary["per_delta"]] == [2, 3]
+
+
+@pytest.mark.parametrize("max_bisect", [0, 3])
+def test_perturbation_out_of_reach_is_recorded(inst, monkeypatch, max_bisect):
+    # every pair measures 2, far above any delta: the corrected fit misses
+    # and each halving misses again
+    rebuilds = []
+    real = harness._rebuild_pair
+
+    def counted(*args):
+        rebuilds.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "MAX_BISECT", max_bisect)
+    monkeypatch.setattr(harness, "mat_norms", lambda ms, norm: [1.0] * len(ms))
+    monkeypatch.setattr(harness, "_rebuild_pair", counted)
+    with pytest.raises(harness.DeltaUnreachableError,
+                       match=f"under 1.000e-03 in {max_bisect} halvings"):
+        perturb_instance(inst, 1e-3, "strict", 5)
+    # the first fit, its linear correction and one rebuild per halving
+    assert len(rebuilds) == 2 + max_bisect
+    report = estimate_lipschitz(inst, [1e-3], 1)
+    (trial,) = report.trials
+    assert trial.status == "DELTA_UNREACHABLE" and np.isnan(trial.input)
+    assert trial.ratio is None and report.per_delta[0].n_ok == 0
 
 
 def test_trial_error_survives_pickling():

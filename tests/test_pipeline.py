@@ -1,5 +1,8 @@
 """The four-factor FOCS construction and its Toeplitz kernel."""
 
+import functools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -286,7 +289,8 @@ def _chainset_from_matrix(l_cols, spec):
 
 def test_symmetrize_reproduces_paper_gram(ex_l, ex_h, ex_spec, ex_l_gram):
     chains = _chainset_from_matrix(ex_l[:, :2], ex_spec)
-    z1 = symmetrize_step(chains, {}, 1.0)
+    z1, z1_norm = symmetrize_step(chains, {}, 1.0)
+    assert z1_norm == mat_norm(z1)
     np.testing.assert_allclose(z1, ex_l, atol=1e-14)
     np.testing.assert_allclose(z1.conj().T @ ex_h @ z1, ex_l_gram, atol=1e-13)
 
@@ -300,12 +304,12 @@ def test_symmetrize_conditioning_check(ex_spec):
 
 def test_symmetrize_gamma_scales_second_half(ex_l, ex_h, ex_spec):
     chains = _chainset_from_matrix(ex_l[:, :2], ex_spec)
-    z1 = symmetrize_step(chains, {}, 1j)
+    z1, _ = symmetrize_step(chains, {}, 1j)
     np.testing.assert_allclose(z1[:, 2:], 1j * np.conj(ex_l[:, :2]), atol=1e-14)
     # the conjugate-against-plain Gram block picks up conj(gamma); verify
     # against a direct recomputation from the gamma = 1 assembly
     direct = z1.conj().T @ ex_h @ z1
-    base = symmetrize_step(chains, {}, 1.0)
+    base, _ = symmetrize_step(chains, {}, 1.0)
     base_gram = base.conj().T @ ex_h @ base
     np.testing.assert_allclose(direct[2:, :2], -1j * base_gram[2:, :2], atol=1e-13)
 
@@ -501,3 +505,80 @@ def test_focs_anchored_reproduces_reference(ex_a, ex_h, ex_spec):
     n = ex_a.shape[0]
     for z in (tr.phase_factor, tr.scale_factor, tr.flip_factor):
         assert mat_norm(z - np.eye(n)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# each construction gate trips on one corrupted upstream value
+
+
+def _gram_gate(spec, eps, edits):
+    """``_check_gram_structure`` on the sip form of ``spec`` with the
+    entries of ``edits`` added, at stol 1e-8."""
+    def trip():
+        gram = sip_form(spec).astype(complex)
+        for (r, c), v in edits.items():
+            gram[r, c] += v
+        pipeline._check_gram_structure(gram, spec, eps, 1e-8)
+    return trip
+
+
+_REAL = JordanSpec((BlockSpec("real", 2.0, 2, 1), BlockSpec("real", -1.0, 1, -1)))
+_PAIR = JordanSpec((BlockSpec("real", 2.0, 1, 1), BlockSpec("pair", 1j, 2)))
+_PAIR_EPS = {0: 1}
+
+
+def _corrupt(monkeypatch, name, corrupt):
+    """Replace ``pipeline.<name>`` by ``corrupt`` of the real function's result."""
+    real = getattr(pipeline, name)
+    monkeypatch.setattr(pipeline, name, lambda *a, **k: corrupt(real(*a, **k)))
+
+
+def _negate_second_half(z2):
+    p = z2.shape[0] // 2
+    out = z2.copy()
+    out[p:, p:] *= -1.0
+    return out
+
+
+_GRAM_GATES = {
+    "real_block_sip": (_gram_gate(_REAL, {0: 1, 1: -1}, {(0, 0): 2e-8}),
+                       r"real block 0 Gram deviates from signed sip by 2\.000e-08"),
+    "pair_diagonal_sub_block": (_gram_gate(_PAIR, _PAIR_EPS, {(2, 2): 3e-8}),
+                                "pair block 1 Gram has nonzero diagonal sub-blocks"),
+    "pair_not_hermitian": (_gram_gate(_PAIR, _PAIR_EPS, {(1, 4): 3e-8}),
+                           "pair block 1 Gram is not Hermitian across halves"),
+    # each edit below keeps the cross part Hermitian
+    "pair_above_anti_diagonal": (_gram_gate(_PAIR, _PAIR_EPS, {(3, 1): 3e-8j, (1, 3): -3e-8j}),
+                                 "pair block 1 Gram has mass above the anti-diagonal"),
+    "pair_not_hankel": (_gram_gate(_PAIR, _PAIR_EPS, {(4, 1): 3e-8, (1, 4): 3e-8}),
+                        "pair block 1 Gram is not Hankel"),
+}
+
+
+@pytest.mark.parametrize("case", [*_GRAM_GATES, "phase_step", "scale_step",
+                                  "certificate", "gamma_drift"])
+def test_each_construction_gate_trips(ex_a, ex_h, ex_spec, monkeypatch, case):
+    gamma = 1.0
+    if case in _GRAM_GATES:
+        trip, message = _GRAM_GATES[case]
+    elif case == "phase_step":
+        # the anchor after the phase step, which the corruption negates exactly
+        _, tr = focs_basis(ex_a, ex_h, ex_spec, 1.0)
+        anchor = -pipeline.anti_diagonal_mean(tr.gram_phased[2:, :2])
+        _corrupt(monkeypatch, "phase_step", _negate_second_half)
+        message = (rf"pair block 0 anchor {re.escape(f'{anchor:.3e}')} "
+                   "not real positive after phase step")
+    elif case == "scale_step":
+        _corrupt(monkeypatch, "scale_step", lambda z3: 2.0 * z3)
+        message = r"pair block 0 anchor 4\.000e\+00\S* not unit after scale step"
+    elif case == "certificate":
+        monkeypatch.setattr(pipeline, "affiliation_residuals", lambda *a, **k: (2e-9, 3e-9))
+        message = r"similarity 2\.000e-09, congruence 3\.000e-09 vs tol 1\.0e-10"
+    else:
+        gamma = 1.0j
+        _corrupt(monkeypatch, "conjugate_symmetry_fit", lambda fit: (1.5 * fit[0], *fit[1:]))
+        message = r"requested \|1j\| = 1, got 1\.5"
+    if case not in _GRAM_GATES:
+        trip = functools.partial(focs_basis, ex_a, ex_h, ex_spec, gamma)
+    with pytest.raises(StructureMismatchError, match=message):
+        trip()
