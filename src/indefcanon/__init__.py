@@ -6,7 +6,6 @@ stability under structure-preserving perturbations.
 """
 
 from .chains import (
-    ChainSet,
     fit_chain_to,
     jordan_chains,
     reduce_real_chain,

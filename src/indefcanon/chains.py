@@ -13,7 +13,6 @@ eigenvalues are supplied, not estimated.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -55,25 +54,6 @@ def _shift_index(p: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BlockChain:
-    """Chain matrix for one block, columns ordered eigenvector first.
-
-    For pair blocks only the chain of the stored eigenvalue is kept; the
-    conjugate side is synthesized downstream.
-    """
-
-    block: BlockSpec
-    offset: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChainSet:
-    spec: JordanSpec
-    chains: tuple[BlockChain, ...]
-
-
 def _phase_normalize(v: np.ndarray) -> np.ndarray:
     """Rotate ``v`` so its first significant entry is real positive.
 
@@ -89,8 +69,7 @@ def _phase_normalize(v: np.ndarray) -> np.ndarray:
 def _block_chain(a: np.ndarray, block: BlockSpec) -> np.ndarray:
     n = a.shape[0]
     p = block.size
-    real_block = block.kind == REAL
-    if real_block:
+    if block.kind == REAL:
         b = a.real - block.lam.real * np.eye(n)
     else:
         b = a.astype(complex) - block.lam * np.eye(n)
@@ -136,9 +115,6 @@ def _block_chain(a: np.ndarray, block: BlockSpec) -> np.ndarray:
     v = basis @ wvh.conj().T[:, 0]
     v = v / np.linalg.norm(v)
     v = _phase_normalize(v)
-    if real_block:
-        # computed in real arithmetic already; normalization keeps it real
-        v = np.real(v) if np.iscomplexobj(v) else v
 
     out = np.empty((n, p), dtype=v.dtype)
     out[:, p - 1] = v
@@ -148,13 +124,17 @@ def _block_chain(a: np.ndarray, block: BlockSpec) -> np.ndarray:
     return out
 
 
-def jordan_chains(a: np.ndarray, spec: JordanSpec) -> ChainSet:
-    """Extract one Jordan chain per block of ``spec`` from ``a``.
+def jordan_chains(a: np.ndarray, spec: JordanSpec) -> tuple[np.ndarray, ...]:
+    """Extract one Jordan chain per block of ``spec`` from ``a``, in block
+    order.
 
-    Each chain matrix has full column rank, satisfies the chain recurrences
-    for the block eigenvalue, and is deterministic for deterministic input:
-    the generator is the nullspace direction of maximal last-link norm,
-    unit-normalized with a fixed phase convention.
+    Each chain matrix has its columns ordered eigenvector first; for a pair
+    block only the chain of the stored eigenvalue is kept, and the conjugate
+    side is synthesized downstream.  Each has full column rank, satisfies
+    the chain recurrences for the block eigenvalue, and is deterministic for
+    deterministic input: the generator is the nullspace direction of maximal
+    last-link norm, unit-normalized with a fixed phase convention.  A real
+    block's chain is real.
 
     Raises
     ------
@@ -168,10 +148,7 @@ def jordan_chains(a: np.ndarray, spec: JordanSpec) -> ChainSet:
     if a.shape != (spec.total_size, spec.total_size):
         raise StructureMismatchError(
             f"matrix size {a.shape} does not match spec size {spec.total_size}")
-    chains = []
-    for off, block in spec.offsets():
-        chains.append(BlockChain(block, off, _block_chain(a, block)))
-    return ChainSet(spec, tuple(chains))
+    return tuple(_block_chain(a, block) for block in spec.blocks)
 
 
 def fit_chain_to(chain: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 from . import serialize
 from .errors import CanonError, TrialError
 from .harness import MODE_STRICT, MODE_WEAK, estimate_lipschitz, generate_instance
-from .linalg import DEFAULT_TOL, mat_norm
+from .linalg import DEFAULT_TOL, mat_norm, require_int
 from .pipeline import ROLE_FO, ROLE_FOCS, ROLE_RC, focs_basis
 from .rc import certify, rc_basis, to_focs
 from .structure import CS_TOL, h_selfadjoint_residual
@@ -40,17 +40,22 @@ def _fail(code: int, message: str):
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and a rename; a path
+    that cannot be written exits 2."""
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."),
-                               prefix=target.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name,
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        _fail(2, f"cannot write {path}: {exc}")
 
 
 def _load_json(path: str) -> dict:
@@ -123,6 +128,7 @@ def gen(spec_file, seed, kind, gamma, out_file):
     obj = _load_json(spec_file)
     try:
         spec = serialize.spec_from_json(obj)
+        require_int(seed, "seed", 0)
     except ValueError as exc:
         _fail(2, str(exc))
     try:
@@ -248,9 +254,12 @@ def stability(in_file, deltas, trials, mode, kind, out_csv, out_json, jobs, norm
     """Run the Lipschitz stability experiment for an instance file; exits 0
     only if the per-delta median ratios stay bounded across decades."""
     json_path = out_json or str(Path(out_csv).with_suffix(".json"))
+    # the experiment runs long: an output it cannot write fails before it
     for flag, path in (("--out-csv", out_csv), ("--out-json", json_path)):
         if Path(path).resolve() == Path(in_file).resolve():
             _fail(2, f"{flag} path {path} would overwrite the input file")
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            _fail(2, f"cannot write {path}: not a file in an existing directory")
     obj = _load_json(in_file)
     try:
         inst = serialize.instance_from_json(obj)
@@ -259,6 +268,9 @@ def stability(in_file, deltas, trials, mode, kind, out_csv, out_json, jobs, norm
         _fail(2, str(exc))
     if trials < 1:
         _fail(2, "trials must be >= 1")
+    # a zero delta has only degenerate trials, which would decide the verdict
+    if any(d <= 0.0 for d in delta_list):
+        _fail(2, "experiment rejected: deltas must be positive")
     try:
         report = estimate_lipschitz(inst, delta_list, trials, mode=mode,
                                     kind=kind, jobs=max(1, jobs), norm=norm)

@@ -92,10 +92,6 @@ class Instance:
     seed: int
     w: np.ndarray
 
-    @property
-    def kind(self) -> str:
-        return self.t0.role
-
 
 @dataclass(frozen=True)
 class PerturbedPair:
@@ -553,7 +549,7 @@ def _run_trial(inst: Instance, delta: float, delta_index: int, trial_index: int,
         eye = np.eye(inst.spec.total_size)
         out, *z_devs = mat_norms([
             basis.matrix - inst.t0.matrix,
-            trace.chain_factor - to_focs(inst.t0.matrix, inst.spec, inst.kind),
+            trace.chain_factor - to_focs(inst.t0.matrix, inst.spec, inst.t0.role),
             trace.phase_factor - eye,
             trace.scale_factor - eye,
             trace.flip_factor - eye,
@@ -599,11 +595,11 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
         raise ValueError("deltas must be strictly decreasing")
     if mode not in (MODE_STRICT, MODE_WEAK):
         raise ValueError(f"unknown mode {mode!r}")
-    kind = kind or inst.kind
-    if kind != inst.kind:
+    kind = kind or inst.t0.role
+    if kind != inst.t0.role:
         raise ValueError(
             f"requested kind {kind!r} but the instance reference basis has "
-            f"role {inst.kind!r}")
+            f"role {inst.t0.role!r}")
 
     tasks = [(inst, d, di, ti, mode, norm)
              for di, d in enumerate(deltas) for ti in range(trials_per_delta)]

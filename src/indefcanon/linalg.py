@@ -54,38 +54,26 @@ def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _largest_singular_values(m: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of the stack ``m``: the one
-    implementation of the spectral norm.  The singular-value call and the
-    value of ``np.linalg.norm(m, 2)``, without its axis handling; the
-    gufunc gives each matrix of a stack the value a call on it alone
-    gives."""
-    return np.linalg.svd(m, compute_uv=False)[..., 0]
-
-
 def mat_norm(m: np.ndarray, kind: str = "spectral") -> float:
-    """Matrix norm used for residuals and stability ratios.
-
-    ``spectral`` is the largest singular value; ``frobenius`` is the
-    entrywise 2-norm.  An empty matrix has norm 0.
-    """
-    if kind not in _NORM_KINDS:
-        raise ValueError(f"unknown norm kind {kind!r}")
-    m = np.atleast_2d(np.asarray(m))
-    if m.size == 0:
-        return 0.0
-    if kind == "frobenius":
-        return float(np.linalg.norm(m))
-    return float(_largest_singular_values(m))
+    """Matrix norm used for residuals and stability ratios:
+    ``mat_norms([m], kind)[0]``."""
+    return mat_norms([m], kind)[0]
 
 
 def mat_norms(ms: list[np.ndarray], kind: str = "spectral") -> list[float]:
-    """``[mat_norm(m, kind) for m in ms]``, bit for bit, with one
-    singular-value call per group of nonempty matrices that share a shape
-    and a dtype."""
+    """Norm of each matrix of ``ms``: the one implementation of both norms.
+
+    ``spectral`` is the largest singular value; ``frobenius`` is the
+    entrywise 2-norm.  An empty matrix has norm 0.  One singular-value call
+    serves each group of nonempty matrices that share a shape and a dtype;
+    the gufunc gives each matrix of a stack the value a call on it alone
+    gives.
+    """
+    if kind not in _NORM_KINDS:
+        raise ValueError(f"unknown norm kind {kind!r}")
     ms = [np.atleast_2d(np.asarray(m)) for m in ms]
-    if kind != "spectral":
-        return [mat_norm(m, kind) for m in ms]
+    if kind == "frobenius":
+        return [float(np.linalg.norm(m)) for m in ms]
     groups: dict[tuple, list[int]] = {}
     for i, m in enumerate(ms):
         groups.setdefault((m.shape, m.dtype), []).append(i)
@@ -95,7 +83,8 @@ def mat_norms(ms: list[np.ndarray], kind: str = "spectral") -> list[float]:
             continue
         group = [ms[i] for i in idx]
         stack = group[0][np.newaxis] if len(group) == 1 else np.stack(group)
-        for i, value in zip(idx, _largest_singular_values(stack).tolist()):
+        s = np.linalg.svd(stack, compute_uv=False)
+        for i, value in zip(idx, s[:, 0].tolist()):
             out[i] = value
     return out
 
@@ -132,8 +121,8 @@ def norm_and_rcond(m: np.ndarray) -> tuple[float, float]:
     """Spectral norm and reciprocal condition number from one singular-value
     call; the rcond is 0 for a rank-deficient matrix.
 
-    The norm is bit-identical to ``mat_norm(m)``, which takes the largest
-    singular value of the same call.
+    The norm is bit-identical to ``mat_norm(m)``; the SVD is its own because
+    the rcond needs the smallest singular value too.
     """
     m = np.atleast_2d(np.asarray(m))
     if m.size == 0:

@@ -26,8 +26,6 @@ import numpy as np
 
 from .chains import (
     STRUCT_RTOL,
-    BlockChain,
-    ChainSet,
     fit_chain_to,
     jordan_chains,
     reduce_real_chain,
@@ -192,10 +190,13 @@ def flip_step(gram_pair_block: np.ndarray) -> np.ndarray:
     return out
 
 
-def symmetrize_step(chains: ChainSet, reduced: dict[int, np.ndarray],
+def symmetrize_step(spec: JordanSpec, chains: list[np.ndarray],
+                    reduced: dict[int, np.ndarray],
                     gamma: complex) -> tuple[np.ndarray, float]:
     """Assemble the chain factor ``Z1`` from reduced real chains and
-    symmetrized pair blocks ``[L | gamma conj(L)]``.
+    symmetrized pair blocks ``[L | gamma conj(L)]``.  ``chains`` holds one
+    chain matrix per block of ``spec``; ``reduced`` maps the index of each
+    real block to its reduced chain.
 
     Returns ``(Z1, ||Z1||_2)``; the norm comes from the singular-value call
     of the conditioning check.
@@ -208,11 +209,10 @@ def symmetrize_step(chains: ChainSet, reduced: dict[int, np.ndarray],
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
     cols = []
-    for i, bc in enumerate(chains.chains):
-        if bc.block.kind == REAL:
+    for i, (b, l) in enumerate(zip(spec.blocks, chains)):
+        if b.kind == REAL:
             cols.append(reduced[i].astype(complex))
         else:
-            l = bc.matrix
             cols.append(np.concatenate([l, gamma * np.conj(l)], axis=1))
     z1 = np.concatenate(cols, axis=1)
     z1_norm, rc = norm_and_rcond(z1)
@@ -336,24 +336,20 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
             raise StructureMismatchError(
                 f"pair is not h-selfadjoint (residual {pre:.3e} > {pre_tol:.3e})")
 
-    chains = jordan_chains(a, spec)
-
     prepared = []
     reduced: dict[int, np.ndarray] = {}
     eps: dict[int, int] = {}
-    for i, bc in enumerate(chains.chains):
-        mat = bc.matrix
+    for i, ((off, b), mat) in enumerate(zip(spec.offsets(), jordan_chains(a, spec))):
         if anchor is not None:
-            target = anchor[:, bc.offset:bc.offset + bc.block.size]
-            mat = fit_chain_to(mat, target)
-            if bc.block.kind == REAL:
+            mat = fit_chain_to(mat, anchor[:, off:off + b.size])
+            if b.kind == REAL:
                 mat = np.real(mat)
-        if bc.block.kind == REAL:
+        if b.kind == REAL:
             red, sign = reduce_real_chain(mat, h, h_norm2)
-            if sign != bc.block.sign:
+            if sign != b.sign:
                 raise StructureMismatchError(
                     f"block {i}: computed sign characteristic {sign:+d} "
-                    f"contradicts declared {bc.block.sign:+d}")
+                    f"contradicts declared {b.sign:+d}")
             reduced[i] = red
             eps[i] = sign
         elif anchor is None:
@@ -362,11 +358,9 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
             g0 = complex(anti_diagonal_mean(z))
             if abs(g0) > 0.0 and abs(g0.real) < PHASE_GUARD * abs(g0):
                 mat = mat * np.exp(0.25j * np.pi)
-        prepared.append(BlockChain(bc.block, bc.offset, mat))
+        prepared.append(mat)
 
-    chain_set = ChainSet(spec, tuple(prepared))
-
-    z1, z1_norm = symmetrize_step(chain_set, reduced, gamma)
+    z1, z1_norm = symmetrize_step(spec, prepared, reduced, gamma)
     if norm != "spectral":
         z1_norm = mat_norm(z1, norm)
     n_dim = spec.total_size

@@ -147,7 +147,7 @@ def instance_from_json(obj: dict) -> Instance:
         a0 = np.real(matrix_from_json(obj["A0"]))
         h0 = np.real(matrix_from_json(obj["H0"]))
         t0 = basis_from_json(obj["T0"])
-        seed = require_int(obj["seed"], "seed")
+        seed = require_int(obj["seed"], "seed", 0)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance object: {exc}") from exc
     check_sizes(spec, A0=a0, H0=h0, T0=t0.matrix)

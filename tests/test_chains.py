@@ -35,14 +35,12 @@ def chain_residuals(a, lam, chain):
 
 def test_chains_of_canonical_form_are_standard_basis(ex_spec):
     j = jordan_form(ex_spec)
-    cs = jordan_chains(j, ex_spec)
-    chain = cs.chains[0].matrix
+    chain = jordan_chains(j, ex_spec)[0]
     np.testing.assert_allclose(chain, np.eye(4, dtype=complex)[:, :2], atol=1e-12)
 
 
 def test_chains_paper_example(ex_a, ex_spec):
-    cs = jordan_chains(ex_a, ex_spec)
-    chain = cs.chains[0].matrix
+    chain = jordan_chains(ex_a, ex_spec)[0]
     assert chain_residuals(ex_a, -2j, chain) <= 1e-10
     b = ex_a.astype(complex) + 2j * np.eye(4)
     assert np.linalg.norm(b @ chain[:, 1]) > 0.1  # generator genuinely order 2
@@ -74,8 +72,7 @@ def test_chains_eigenvalue_drift(ex_a, ex_spec):
 def test_chains_real_blocks_stay_real():
     spec = JordanSpec((BlockSpec("real", 2.0, 2, 1),))
     j = np.array([[2.0, 1.0], [0.0, 2.0]])
-    cs = jordan_chains(j, spec)
-    assert not np.iscomplexobj(cs.chains[0].matrix)
+    assert not np.iscomplexobj(jordan_chains(j, spec)[0])
 
 
 def test_chain_recurrences_randomized():
@@ -87,16 +84,15 @@ def test_chain_recurrences_randomized():
         while np.linalg.cond(w) > 50:
             w = rng.uniform(-1, 1, (n, n))
         a = w @ real_jordan_form(spec) @ np.linalg.inv(w)
-        cs = jordan_chains(a, spec)
-        for bc in cs.chains:
-            assert chain_residuals(a, bc.block.lam, bc.matrix) <= 1e-8
-            assert np.linalg.matrix_rank(bc.matrix) == bc.block.size
+        for b, chain in zip(spec.blocks, jordan_chains(a, spec)):
+            assert chain_residuals(a, b.lam, chain) <= 1e-8
+            assert np.linalg.matrix_rank(chain) == b.size
 
 
 def test_pair_gram_has_expected_block_shape(ex_a, ex_h, ex_spec):
     # with the conjugate side synthesized, the pair Gram must have zero
     # diagonal sub-blocks and an anti-triangular Hankel cross block
-    chain = jordan_chains(ex_a, ex_spec).chains[0].matrix
+    chain = jordan_chains(ex_a, ex_spec)[0]
     full = np.concatenate([chain, np.conj(chain)], axis=1)
     g = full.conj().T @ ex_h @ full
     p = 2
@@ -173,7 +169,7 @@ def test_reduce_idempotent_and_scale_invariant():
     a = w @ real_jordan_form(spec) @ np.linalg.inv(w)
     h = np.linalg.inv(w).T @ sip_form(spec) @ np.linalg.inv(w)
     h = (h + h.T) / 2
-    chain = jordan_chains(a, spec).chains[0].matrix
+    chain = jordan_chains(a, spec)[0]
     red, eps = reduce_real_chain(chain, h, mat_norm(h))
     assert eps == -1
     again, eps2 = reduce_real_chain(red, h, mat_norm(h))
@@ -193,9 +189,8 @@ def test_chains_survive_large_norms():
                        BlockSpec("pair", 1.4 + 0.8j, 2), BlockSpec("real", -2.8, 2, -1),
                        BlockSpec("pair", 0.5 + 2.6j, 2)))
     inst = generate_instance(spec, 13)
-    cs = jordan_chains(inst.a0, spec)
-    for bc in cs.chains:
-        assert chain_residuals(inst.a0, bc.block.lam, bc.matrix) \
+    for b, chain in zip(spec.blocks, jordan_chains(inst.a0, spec)):
+        assert chain_residuals(inst.a0, b.lam, chain) \
             <= 1e-8 * max(1.0, mat_norm(inst.a0))
 
 
@@ -203,7 +198,7 @@ def test_fit_chain_recovers_target_combination():
     rng = np.random.default_rng(9)
     spec = JordanSpec((BlockSpec("pair", 1 - 1j, 3),))
     j = jordan_form(spec)
-    chain = jordan_chains(j, spec).chains[0].matrix
+    chain = jordan_chains(j, spec)[0]
     coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
     coeffs[0] += 3.0
     target = np.zeros_like(chain)

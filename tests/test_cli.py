@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indefcanon import BlockSpec, JordanSpec, generate_instance, harness
+from indefcanon import BlockSpec, JordanSpec, cli, generate_instance, harness
 from indefcanon.cli import main
 from indefcanon.linalg import matrix_from_json, matrix_to_json
 from indefcanon.pipeline import CanonicalBasis, Certificate
@@ -25,7 +25,7 @@ from indefcanon.serialize import (
     spec_to_json,
 )
 
-from conftest import random_spec
+from conftest import raise_reached, random_spec
 
 SPEC = JordanSpec((BlockSpec("real", 1.5, 2, 1), BlockSpec("pair", -0.7 - 1.3j, 2)))
 
@@ -94,6 +94,11 @@ def test_gen_bad_json_exits_2(runner, tmp_path):
                                  "--out", str(tmp_path / "x.json")])
         assert r.exit_code == 2, (text, r.output)
         assert r.exception is None or isinstance(r.exception, SystemExit), text
+    write_spec(bad)
+    r = runner.invoke(main, ["gen", "--spec-file", str(bad), "--seed", "-1",
+                             "--out", str(tmp_path / "x.json")])
+    assert r.exit_code == 2, r.output
+    assert "seed must be at least 0, got -1" in r.output
 
 
 def test_gen_zero_eigenvalue_exits_3(runner, tmp_path):
@@ -309,6 +314,8 @@ def _probe(obj, key):
         obj["seed"] = 3.9
     elif key == "seed_string":
         obj["seed"] = "3"
+    elif key == "seed_negative":
+        obj["seed"] = -1
     elif key == "h0_zero":
         obj["H0"] = matrix_to_json(np.zeros((n, n)))
     elif key == "h0_nonsymmetric":
@@ -342,6 +349,7 @@ def _probe(obj, key):
     pytest.param("seed", "from the pair that seed 4 generates", id="seed"),
     pytest.param("seed_fractional", "seed must be an integer, got 3.9", id="seed_fractional"),
     pytest.param("seed_string", "seed must be an integer, got '3'", id="seed_string"),
+    pytest.param("seed_negative", "seed must be at least 0, got -1", id="seed_negative"),
     pytest.param("h0_zero", "from the pair that seed 3 generates", id="h0_zero"),
     pytest.param("h0_nonsymmetric", "from the pair that seed 3 generates",
                  id="h0_nonsymmetric"),
@@ -536,6 +544,8 @@ def test_verify_pair_with_non_hermitian_h_exits_2(runner, tmp_path, ex_a, ex_h,
     (["--deltas", "1e-4,1e-3"], "deltas must be strictly decreasing"),
     (["--deltas", "0.1,1e-3"], "deltas must not exceed 0.05"),
     (["--kind", "rc"], "requested kind 'rc' but the instance reference basis has role 'focs'"),
+    # a zero delta has only degenerate trials, which decided the verdict
+    (["--deltas", "1e-3,1e-4,0"], "deltas must be positive"),
 ])
 def test_stability_rejected_experiment_exits_2(runner, tmp_path, args, message):
     inst_file = tmp_path / "inst.json"
@@ -545,6 +555,37 @@ def test_stability_rejected_experiment_exits_2(runner, tmp_path, args, message):
     assert r.exit_code == 2, r.output
     assert f"experiment rejected: {message}" in r.output
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
+@pytest.mark.parametrize("case", ["gen", "canonize", "canonize_onto_directory",
+                                  "canonize_trace", "stability_csv", "stability_json"])
+def test_unwritable_output_exits_2(runner, tmp_path, monkeypatch, paper_pair_file, case):
+    # each ended in an OSError traceback with exit 1, stability only after
+    # its whole experiment
+    spec_file, inst_file = tmp_path / "spec.json", tmp_path / "inst.json"
+    write_spec(spec_file)
+    inst_file.write_text(dumps(instance_to_json(generate_instance(SPEC, 3))))
+    missing, occupied = tmp_path / "missing", tmp_path / "occupied"
+    occupied.mkdir()
+    (tmp_path / "b.trace.json").mkdir()
+    path = {"gen": missing / "x.json", "canonize": missing / "b.json",
+            "canonize_onto_directory": occupied, "canonize_trace": tmp_path / "b.trace.json",
+            "stability_csv": missing / "s.csv", "stability_json": missing / "s.json"}[case]
+    canonize = ["canonize", "--in", str(paper_pair_file), "--out"]
+    stability = ["stability", "--in", str(inst_file), "--trials", "1", "--out-csv"]
+    args = {
+        "gen": ["gen", "--spec-file", str(spec_file), "--out", str(path)],
+        "canonize": [*canonize, str(path)],
+        "canonize_onto_directory": [*canonize, str(path)],
+        "canonize_trace": [*canonize, str(tmp_path / "b.json"), "--emit-trace"],
+        "stability_csv": [*stability, str(path)],
+        "stability_json": [*stability, str(tmp_path / "s.csv"), "--out-json", str(path)],
+    }[case]
+    monkeypatch.setattr(cli, "estimate_lipschitz", raise_reached)
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert f"cannot write {path}: " in r.output
 
 
 @pytest.mark.parametrize("gamma, message", [("abc", "cannot parse gamma 'abc'"),

@@ -28,7 +28,6 @@ from indefcanon import (
     toeplitz_inv_sqrt,
 )
 from indefcanon import pipeline
-from indefcanon.chains import BlockChain, ChainSet
 
 from conftest import Reached, cs_gamma, frac_identity, raise_reached
 
@@ -283,13 +282,8 @@ def test_flip_step_random_hankel_blocks():
 # symmetrize and the full pipeline
 
 
-def _chainset_from_matrix(l_cols, spec):
-    return ChainSet(spec, (BlockChain(spec.blocks[0], 0, l_cols),))
-
-
 def test_symmetrize_reproduces_paper_gram(ex_l, ex_h, ex_spec, ex_l_gram):
-    chains = _chainset_from_matrix(ex_l[:, :2], ex_spec)
-    z1, z1_norm = symmetrize_step(chains, {}, 1.0)
+    z1, z1_norm = symmetrize_step(ex_spec, [ex_l[:, :2]], {}, 1.0)
     assert z1_norm == mat_norm(z1)
     np.testing.assert_allclose(z1, ex_l, atol=1e-14)
     np.testing.assert_allclose(z1.conj().T @ ex_h @ z1, ex_l_gram, atol=1e-13)
@@ -297,19 +291,18 @@ def test_symmetrize_reproduces_paper_gram(ex_l, ex_h, ex_spec, ex_l_gram):
 
 def test_symmetrize_conditioning_check(ex_spec):
     # a real chain makes both halves collide, which must be rejected
-    chains = _chainset_from_matrix(np.eye(4, dtype=complex)[:, :2], ex_spec)
     with pytest.raises(SingularBasisError):
-        symmetrize_step(chains, {}, 1.0)
+        symmetrize_step(ex_spec, [np.eye(4, dtype=complex)[:, :2]], {}, 1.0)
 
 
 def test_symmetrize_gamma_scales_second_half(ex_l, ex_h, ex_spec):
-    chains = _chainset_from_matrix(ex_l[:, :2], ex_spec)
-    z1, _ = symmetrize_step(chains, {}, 1j)
+    chains = [ex_l[:, :2]]
+    z1, _ = symmetrize_step(ex_spec, chains, {}, 1j)
     np.testing.assert_allclose(z1[:, 2:], 1j * np.conj(ex_l[:, :2]), atol=1e-14)
     # the conjugate-against-plain Gram block picks up conj(gamma); verify
     # against a direct recomputation from the gamma = 1 assembly
     direct = z1.conj().T @ ex_h @ z1
-    base, _ = symmetrize_step(chains, {}, 1.0)
+    base, _ = symmetrize_step(ex_spec, chains, {}, 1.0)
     base_gram = base.conj().T @ ex_h @ base
     np.testing.assert_allclose(direct[2:, :2], -1j * base_gram[2:, :2], atol=1e-13)
 
