@@ -19,12 +19,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    CanonError,
     DegenerateGramError,
     EigenvalueDriftError,
     NotUnitTriangularError,
     StructureMismatchError,
 )
-from .linalg import anti_diagonal_mean, exchange, mat_norm, require_finite
+from .linalg import Stack, anti_diagonal_mean, exchange, mat_norm, one, require_finite
 from .structure import REAL, BlockSpec, JordanSpec
 
 #: Singular values below this fraction of the shifted matrix's norm count as zero.
@@ -54,8 +55,9 @@ def _shift_index(p: int) -> np.ndarray:
     return out
 
 
-def _phase_normalize(v: np.ndarray) -> np.ndarray:
-    """Rotate ``v`` so its first significant entry is real positive.
+def _phase_factor(v: np.ndarray):
+    """Unit scalar rotating ``v`` so its first significant entry is real
+    positive.
 
     'Significant' means at least 10% of the largest magnitude, which keeps
     the choice stable against rounding noise in near-zero entries.
@@ -63,11 +65,26 @@ def _phase_normalize(v: np.ndarray) -> np.ndarray:
     mags = np.abs(v)
     idx = int((mags >= 0.1 * np.maximum.reduce(mags)).argmax())
     piv = v[idx]
-    return v * (abs(piv) / piv)
+    return abs(piv) / piv
 
 
-def _block_chain(a: np.ndarray, block: BlockSpec) -> np.ndarray:
-    n = a.shape[0]
+def _staircase_error(a: np.ndarray, block: BlockSpec, nullities: list[int]) -> CanonError:
+    if not nullities or nullities[0] == 0:
+        eigs = np.linalg.eigvals(a)
+        dist = float(np.min(np.abs(eigs - block.lam)))
+        if dist > DRIFT_RADIUS * max(1.0, mat_norm(a)):
+            return EigenvalueDriftError(
+                f"no spectrum point within {DRIFT_RADIUS:.1e} of {block.lam} "
+                f"(nearest at distance {dist:.3e})")
+    return StructureMismatchError(
+        f"nullity staircase {nullities} contradicts a single block of "
+        f"size {block.size} at eigenvalue {block.lam}")
+
+
+def _block_chains(a: np.ndarray, block: BlockSpec) -> list:
+    """The chain of ``block`` in each matrix of the stack ``a``, or the error
+    it trips."""
+    k, n, _ = a.shape
     p = block.size
     if block.kind == REAL:
         b = a.real - block.lam.real * np.eye(n)
@@ -80,47 +97,61 @@ def _block_chain(a: np.ndarray, block: BlockSpec) -> np.ndarray:
     # largest singular values grow like ||B||^j and would swallow genuine
     # small directions (and a power of the nilpotent part may be the zero
     # matrix, carrying no scale at all).  The first step is an SVD of B
-    # itself, so its largest singular value is ||B||_2
-    threshold = None
-    basis = np.zeros((n, 0), dtype=b.dtype)
-    nullities = []
+    # itself, so its largest singular value is ||B||_2.  The singular values
+    # fall, so the nullspace rows are the last ones of V*.  An item whose
+    # nullity leaves the expected staircase is redone alone, where the
+    # staircase follows its own nullities
+    items = list(range(k))
+    alone: list[int] = []
+    threshold = basis = None
+    nullities: list[int] = []
     for _ in range(p + 1):
-        projected = b - basis @ (basis.conj().T @ b) if basis.shape[1] else b
+        projected = b if basis is None else b - basis @ (basis.conj().swapaxes(1, 2) @ b)
         _, s, vh = np.linalg.svd(projected)
         if threshold is None:
-            threshold = RANK_RTOL * max(s[0], _TINY)
-        basis = vh[s < threshold].conj().T
-        nullities.append(basis.shape[1])
-        if basis.shape[1] == 0:
+            threshold = RANK_RTOL * np.maximum(s[:, 0], _TINY)
+        counts = (s < threshold[:, np.newaxis]).sum(axis=1)
+        c = min(len(nullities) + 1, p) if len(items) > 1 else int(counts[0])
+        off = counts != c
+        if off.any():
+            alone += [items[j] for j in np.flatnonzero(off)]
+            keep = np.flatnonzero(~off)
+            items = [items[j] for j in keep]
+            if not items:
+                break
+            b, threshold, vh = b[keep], threshold[keep], vh[keep]
+        nullities.append(c)
+        basis = vh[:, n - c:].conj().swapaxes(1, 2)
+        if c == 0:
             break
-    expected = [min(j, p) for j in range(1, p + 2)]
-    if nullities != expected:
-        if not nullities or nullities[0] == 0:
-            eigs = np.linalg.eigvals(a)
-            dist = float(np.min(np.abs(eigs - block.lam)))
-            if dist > DRIFT_RADIUS * max(1.0, mat_norm(a)):
-                raise EigenvalueDriftError(
-                    f"no spectrum point within {DRIFT_RADIUS:.1e} of {block.lam} "
-                    f"(nearest at distance {dist:.3e})")
-        raise StructureMismatchError(
-            f"nullity staircase {nullities} contradicts a single block of "
-            f"size {p} at eigenvalue {block.lam}")
+
+    out: list = [None] * k
+    for i in alone:
+        (out[i],) = _block_chains(a[i:i + 1], block)
+    if not items:
+        return out
+    if nullities != [min(j, p) for j in range(1, p + 2)]:
+        (i,) = items
+        out[i] = _staircase_error(a[i], block, nullities)
+        return out
 
     # null(B^p) basis from the staircase; the generator is the direction
     # maximizing the norm of the last chain link
     last_link = basis
     for _ in range(p - 1):
         last_link = b @ last_link
-    _, _, wvh = np.linalg.svd(last_link)
-    v = basis @ wvh.conj().T[:, 0]
-    v = v / np.linalg.norm(v)
-    v = _phase_normalize(v)
+    _, _, wvh = np.linalg.svd(last_link, full_matrices=False)
+    v = (basis @ wvh.conj()[:, 0, :, np.newaxis])[..., 0]
+    v = v / np.array([np.linalg.norm(x) for x in v])[:, np.newaxis]
+    v = v * np.array([_phase_factor(x) for x in v])[:, np.newaxis]
 
-    out = np.empty((n, p), dtype=v.dtype)
-    out[:, p - 1] = v
-    for k in range(p - 2, -1, -1):
-        v = b @ v
-        out[:, k] = v
+    chains = np.empty((len(items), n, p), dtype=v.dtype)
+    chains[:, :, p - 1] = v
+    for j in range(p - 2, -1, -1):
+        v = (b @ v[..., np.newaxis])[..., 0]
+        chains[:, :, j] = v
+    for i, chain in zip(items, chains):
+        out[i] = chain
     return out
 
 
@@ -136,6 +167,10 @@ def jordan_chains(a: np.ndarray, spec: JordanSpec) -> tuple[np.ndarray, ...]:
     last-link norm, unit-normalized with a fixed phase convention.  A real
     block's chain is real.
 
+    ``a`` may also be a stack ``(k, n, n)``: the result is then a list with
+    one entry per matrix, its tuple of chains or the error it trips, each
+    bit for bit what a call on the matrix alone returns or raises.
+
     Raises
     ------
     StructureMismatchError
@@ -145,10 +180,21 @@ def jordan_chains(a: np.ndarray, spec: JordanSpec) -> tuple[np.ndarray, ...]:
         When ``a`` has no spectrum point near a declared eigenvalue.
     """
     a = require_finite(a, "a")
-    if a.shape != (spec.total_size, spec.total_size):
+    if a.ndim == 3:
+        return Stack.run(_jordan_chains, len(a), a, spec)
+    return one(Stack.run(_jordan_chains, 1, a[np.newaxis], spec))
+
+
+def _jordan_chains(st: Stack, a: np.ndarray, spec: JordanSpec) -> list[tuple]:
+    size = spec.total_size
+    if a.shape[1:] != (size, size):
         raise StructureMismatchError(
-            f"matrix size {a.shape} does not match spec size {spec.total_size}")
-    return tuple(_block_chain(a, block) for block in spec.blocks)
+            f"matrix size {a.shape[1:]} does not match spec size {size}")
+    per_block: list[list[np.ndarray]] = []
+    for block in spec.blocks:
+        found, a, *per_block = st.take(_block_chains(a, block), a, *per_block)
+        per_block.append(found)
+    return list(zip(*per_block))
 
 
 def fit_chain_to(chain: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -197,7 +243,9 @@ def toeplitz_inv_sqrt(g3: np.ndarray) -> np.ndarray:
     strictly lower triangular (hence nilpotent), ``F`` is the binomial series
     of ``(1 + E)^(-1/2)`` truncated by nilpotency, so the defining identity
     holds as a finite polynomial identity in ``E``.  Exact inputs (object
-    arrays of Fractions) are processed in exact arithmetic.
+    arrays of Fractions) are processed in exact arithmetic.  ``g3`` may also
+    be a stack ``(k, p, p)``: the result is then a list with one entry per
+    matrix, its ``F`` or the error it trips.
 
     Raises
     ------
@@ -205,45 +253,55 @@ def toeplitz_inv_sqrt(g3: np.ndarray) -> np.ndarray:
         If the diagonal deviates from 1 or the upper part from 0 beyond
         :data:`STRUCT_RTOL` (exactly, for exact inputs).
     """
-    g3 = np.atleast_2d(np.asarray(g3))
-    p = g3.shape[0]
-    if g3.shape != (p, p):
+    g3 = np.asarray(g3)
+    if g3.ndim == 3:
+        return Stack.run(_toeplitz_inv_sqrt, len(g3), g3)
+    return one(Stack.run(_toeplitz_inv_sqrt, 1, np.atleast_2d(g3)[np.newaxis]))
+
+
+def _toeplitz_inv_sqrt(st: Stack, g3: np.ndarray) -> list[np.ndarray]:
+    p = g3.shape[1]
+    if g3.shape[2] != p:
         raise ValueError("g3 must be square")
     # the checks read Python scalars, without numpy's per-call cost; abs of
     # a complex entry is then the scalar hypot, which may differ from
     # numpy's vector one in the last bit, far inside the gate's tolerance
-    rows = g3.tolist()
-    diag = [row[i] for i, row in enumerate(rows)]
-    upper = [x for i, row in enumerate(rows) for x in row[i + 1:]]
-
-    if g3.dtype == object:
-        if any(d != 1 for d in diag):
-            raise NotUnitTriangularError("diagonal is not exactly 1")
-        if any(x != 0 for x in upper):
-            raise NotUnitTriangularError("upper part is not exactly 0")
-        ident = np.array([[Fraction(int(i == j)) for j in range(p)]
-                          for i in range(p)], dtype=object)
-        coeffs = _inv_sqrt_coefficients(p)
-    else:
+    exact = g3.dtype == object
+    failed = {}
+    for j, rows in enumerate(g3.tolist()):
+        diag = [row[i] for i, row in enumerate(rows)]
+        upper = [x for i, row in enumerate(rows) for x in row[i + 1:]]
+        if exact:
+            if any(d != 1 for d in diag):
+                failed[j] = NotUnitTriangularError("diagonal is not exactly 1")
+            elif any(x != 0 for x in upper):
+                failed[j] = NotUnitTriangularError("upper part is not exactly 0")
+            continue
         entries = [x for row in rows for x in row]
         if not all(map(cmath.isfinite, entries)):
             raise ValueError("g3 contains non-finite entries")
         limit = STRUCT_RTOL * max(1.0, max(map(abs, entries)))
         if any(abs(d - 1.0) > limit for d in diag):
-            raise NotUnitTriangularError("diagonal deviates from 1 beyond tolerance")
-        if any(abs(x) > limit for x in upper):
-            raise NotUnitTriangularError("upper part deviates from 0 beyond tolerance")
+            failed[j] = NotUnitTriangularError("diagonal deviates from 1 beyond tolerance")
+        elif any(abs(x) > limit for x in upper):
+            failed[j] = NotUnitTriangularError("upper part deviates from 0 beyond tolerance")
+    (g3,) = st.drop(failed, g3)
+    if exact:
+        ident = np.array([[Fraction(int(i == j)) for j in range(p)]
+                          for i in range(p)], dtype=object)
+        coeffs = _inv_sqrt_coefficients(p)
+    else:
         ident = np.eye(p, dtype=g3.dtype)
         coeffs = _float_inv_sqrt_coefficients(p)
 
     # neither f nor the powers of e are changed in place
-    f = ek = ident
+    f = ek = np.broadcast_to(ident, g3.shape)
     if p > 1:
         e = np.tril(g3, -1)
         for k in range(1, p):
             ek = ek @ e
             f = f + coeffs[k] * ek
-    return f
+    return list(f.copy() if p == 1 else f)
 
 
 def reduce_real_chain(chain: np.ndarray, h: np.ndarray,
@@ -258,6 +316,10 @@ def reduce_real_chain(chain: np.ndarray, h: np.ndarray,
     mix is the transposed Toeplitz inverse square root of the normalized
     Gram, scaled by ``1/sqrt(|g0|)``.
 
+    ``chain`` and ``h`` may also be stacks ``(k, n, p)`` and ``(k, n, n)``,
+    with one norm per item in ``h_norm``: the result is then a list with one
+    entry per item, its ``(reduced, eps)`` or the error it trips.
+
     Raises
     ------
     DegenerateGramError
@@ -265,20 +327,40 @@ def reduce_real_chain(chain: np.ndarray, h: np.ndarray,
         norms throughout; the SVD of ``chain`` runs only when ``|g0|`` misses
         the same floor with the Frobenius norm.
     """
-    chain = np.real(require_finite(chain, "chain"))
-    p = chain.shape[1]
-    x = chain.T @ np.real(h) @ chain
-    g0 = float(anti_diagonal_mean(x))
-    # the Frobenius norm bounds ||chain||_2 from above, so a floor it clears
-    # is cleared by the spectral one, and only a miss takes the SVD
-    floor = GRAM_RTOL * max(h_norm * float(np.linalg.norm(chain)) ** 2, _TINY)
-    if abs(g0) < floor:
-        floor = GRAM_RTOL * max(h_norm * mat_norm(chain) ** 2, _TINY)
+    chain = require_finite(chain, "chain")
+    if chain.ndim == 3:
+        return Stack.run(_reduce_real_chain, len(chain), chain, h, h_norm)
+    return one(Stack.run(_reduce_real_chain, 1, chain[np.newaxis],
+                         np.asarray(h)[np.newaxis], [h_norm]))
+
+
+def _reduce_real_chain(st: Stack, chain: np.ndarray, h: np.ndarray,
+                       h_norms: list[float]) -> list[tuple[np.ndarray, int]]:
+    # the real part is taken again after each drop, so every item keeps the
+    # operand layout a call on it alone has
+    real = np.real(chain)
+    p = real.shape[2]
+    x = real.swapaxes(1, 2) @ np.real(h) @ real
+    failed = {}
+    scales = []
+    for j, (xj, cj, h_norm) in enumerate(zip(x, real, h_norms)):
+        g0 = float(anti_diagonal_mean(xj))
+        # the Frobenius norm bounds ||chain||_2 from above, so a floor it
+        # clears is cleared by the spectral one, and only a miss takes the SVD
+        floor = GRAM_RTOL * max(h_norm * float(np.linalg.norm(cj)) ** 2, _TINY)
         if abs(g0) < floor:
-            raise DegenerateGramError(
-                f"chain Gram anchor {g0:.3e} below degeneracy floor {floor:.3e}")
-    eps = 1 if g0 > 0 else -1
-    g3 = (eps / abs(g0)) * (x @ exchange(p))
-    f = toeplitz_inv_sqrt(g3)
-    reduced = (chain @ f.T.real) / np.sqrt(abs(g0))
-    return reduced, eps
+            floor = GRAM_RTOL * max(h_norm * mat_norm(cj) ** 2, _TINY)
+            if abs(g0) < floor:
+                failed[j] = DegenerateGramError(
+                    f"chain Gram anchor {g0:.3e} below degeneracy floor {floor:.3e}")
+                continue
+        scales.append(g0)
+    chain, x = st.drop(failed, chain, x)
+    eps = [1 if g0 > 0 else -1 for g0 in scales]
+    mix = np.array([e / abs(g0) for e, g0 in zip(eps, scales)])
+    g3 = mix[:, np.newaxis, np.newaxis] * (x @ exchange(p))
+    fs, chain, scales, eps = st.take(toeplitz_inv_sqrt(g3), chain, scales, eps)
+    f = np.stack(fs)
+    root = np.sqrt(np.abs(scales))
+    reduced = (np.real(chain) @ f.swapaxes(1, 2).real) / root[:, np.newaxis, np.newaxis]
+    return list(zip(reduced, eps))

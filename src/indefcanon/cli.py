@@ -58,6 +58,13 @@ def _atomic_write(path: str, text: str) -> None:
         _fail(2, f"cannot write {path}: {exc}")
 
 
+def _require_writable(path: str) -> None:
+    """Exit 2 unless ``path`` names a file in an existing directory, so a
+    command checks every output before it writes any."""
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
+        _fail(2, f"cannot write {path}: not a file in an existing directory")
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -171,9 +178,11 @@ def canonize(in_file, mode, gamma, out_file, emit_trace, tol, norm):
                 basis = replace(basis, role=ROLE_FO)
     except CanonError as exc:
         _fail(4, f"{exc.code}: {exc}")
+    trace_file = str(Path(out_file).with_suffix(".trace.json"))
+    for path in (out_file, trace_file) if emit_trace else (out_file,):
+        _require_writable(path)
     _atomic_write(out_file, serialize.dumps(serialize.basis_to_json(basis)) + "\n")
     if emit_trace:
-        trace_file = str(Path(out_file).with_suffix(".trace.json"))
         _atomic_write(trace_file, serialize.dumps(serialize.trace_to_json(trace)) + "\n")
         click.echo(f"trace written to {trace_file}")
     click.echo(f"{basis.role} basis written to {out_file} "
@@ -258,8 +267,7 @@ def stability(in_file, deltas, trials, mode, kind, out_csv, out_json, jobs, norm
     for flag, path in (("--out-csv", out_csv), ("--out-json", json_path)):
         if Path(path).resolve() == Path(in_file).resolve():
             _fail(2, f"{flag} path {path} would overwrite the input file")
-        if Path(path).is_dir() or not Path(path).parent.is_dir():
-            _fail(2, f"cannot write {path}: not a file in an existing directory")
+        _require_writable(path)
     obj = _load_json(in_file)
     try:
         inst = serialize.instance_from_json(obj)

@@ -26,7 +26,7 @@ from .errors import (
     RetryExhaustedError,
     TrialError,
 )
-from .linalg import gate_norm, mat_norm, mat_norms, refined_inverse
+from .linalg import Stack, gate_norm, mat_norm, mat_norms, one, refined_inverse
 from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, PipelineTrace, focs_basis
 from .rc import IMAG_RTOL, certify, rc_basis, to_focs
 from .structure import (
@@ -459,36 +459,66 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
 
     Returns the basis, the pipeline trace (gauge already applied to the
     chain factor and basis), and the matched eigenvalues (weak mode only).
+    ``a`` and ``h`` may also be stacks ``(k, n, n)``: the result is then a
+    list with one entry per pair, that triple or the :class:`CanonError` the
+    pair trips, each bit for bit what a call on the pair alone gives.  A
+    strict stack is built as one; weak pairs, whose matched specs differ,
+    are built one by one.
     """
-    kind = t0.role
-    if kind not in (ROLE_FOCS, ROLE_RC):
-        raise ValueError(f"unsupported reference role {kind!r}")
+    if t0.role not in (ROLE_FOCS, ROLE_RC):
+        raise ValueError(f"unsupported reference role {t0.role!r}")
+    a = np.asarray(a)
+    h = np.asarray(h)
+    if a.ndim != 3:
+        return one(Stack.run(_anchored_canonize, 1, a[np.newaxis], h[np.newaxis],
+                             spec, t0, weak_delta))
+    if weak_delta is None:
+        return Stack.run(_anchored_canonize, len(a), a, h, spec, t0, None)
+    return [Stack.run(_anchored_canonize, 1, x[np.newaxis], y[np.newaxis],
+                      spec, t0, weak_delta)[0] for x, y in zip(a, h)]
 
+
+def _anchored_canonize(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
+                       t0: CanonicalBasis, weak_delta: float | None) -> list:
+    kind = t0.role
     matches: tuple[complex, ...] | None = None
     work_spec = spec
     if weak_delta is not None:
-        # the radius tracks the perturbation scale but may not undercut
-        # the eigensolver's scatter for a defective block of size p,
-        # which is of order (eps ||a||)^(1/p)
+        # weak pairs come one at a time.  The radius tracks the perturbation
+        # scale but may not undercut the eigensolver's scatter for a
+        # defective block of size p, which is of order (eps ||a||)^(1/p)
+        (a1,) = a
         p_max = max(b.size for b in spec.blocks)
-        scatter = (np.finfo(float).eps * max(1.0, mat_norm(a))) ** (1.0 / p_max)
+        scatter = (np.finfo(float).eps * max(1.0, mat_norm(a1))) ** (1.0 / p_max)
         cluster_radius = max(CLUSTER_RADIUS_FACTOR * weak_delta, 10.0 * scatter)
-        matches, work_spec = match_eigenvalues(spec, a, cluster_radius=cluster_radius)
+        try:
+            matches, work_spec = match_eigenvalues(spec, a1, cluster_radius=cluster_radius)
+        except CanonError as exc:
+            st.drop({0: exc})
 
     construct = rc_basis if kind == ROLE_RC else partial(focs_basis, gamma=t0.gamma or 1.0)
-    basis, trace = construct(a, h, work_spec, anchor=t0.matrix)
-    gauge = _block_gauge(basis.matrix, t0.matrix, work_spec,
-                         continuous_phase=kind == ROLE_FOCS)
-    new_mat = basis.matrix @ gauge
+    (built,) = st.take(construct(a, h, work_spec, anchor=t0.matrix))
+    gauge = np.stack([_block_gauge(basis.matrix, t0.matrix, work_spec,
+                                   continuous_phase=kind == ROLE_FOCS)
+                      for basis, _ in built])
+    # one product per basis: an rc basis is a real view of a complex matrix,
+    # and a stack of them would not keep that operand layout
+    new_mat = np.stack([basis.matrix @ g for (basis, _), g in zip(built, gauge)])
+    chain_factor = np.stack([trace.chain_factor for _, trace in built]) @ gauge
+    trace_basis = np.stack([trace.basis for _, trace in built]) @ gauge
 
-    gamma_out, cs_res, _ = conjugate_symmetry_fit(to_focs(new_mat, work_spec, kind),
-                                                  work_spec)
-    basis = replace(basis, matrix=new_mat,
-                    gamma=gamma_out if kind == ROLE_FOCS else basis.gamma,
-                    cert=replace(basis.cert, cs_residual=cs_res))
-    trace = replace(trace, chain_factor=trace.chain_factor @ gauge,
-                    basis=trace.basis @ gauge, gamma=basis.gamma)
-    return basis, trace, matches
+    fits, built, new_mat, chain_factor, trace_basis = st.take(
+        conjugate_symmetry_fit(to_focs(new_mat, work_spec, kind), work_spec),
+        built, new_mat, chain_factor, trace_basis)
+    out = []
+    for (basis, trace), (gamma_out, cs_res, _), mat, z1, tb in zip(
+            built, fits, new_mat, chain_factor, trace_basis):
+        basis = replace(basis, matrix=mat,
+                        gamma=gamma_out if kind == ROLE_FOCS else basis.gamma,
+                        cert=replace(basis.cert, cs_residual=cs_res))
+        trace = replace(trace, chain_factor=z1, basis=tb, gamma=basis.gamma)
+        out.append((basis, trace, matches))
+    return out
 
 
 @dataclass(frozen=True)
@@ -534,38 +564,96 @@ class StabilityReport:
     boundedness_flag: bool
 
 
-def _run_trial(inst: Instance, delta: float, delta_index: int, trial_index: int,
-               mode: str, norm: str) -> TrialRecord:
+def _trial_seed(inst: Instance, delta_index: int, trial_index: int) -> int:
     seed = np.random.SeedSequence([abs(int(inst.seed)), delta_index, trial_index])
-    trial_seed = int(seed.generate_state(1)[0])
-    try:
-        pair = perturb_instance(inst, delta, mode, trial_seed, norm=norm)
+    return int(seed.generate_state(1)[0])
+
+
+def _trial_fault(exc: Exception, delta: float, trial_index: int, seed: int) -> TrialError:
+    return TrialError(
+        f"trial {trial_index} at delta {delta:g} (seed {seed}) "
+        f"failed: {type(exc).__name__}: {exc}",
+        delta=delta, index=trial_index, seed=seed)
+
+
+def _run_trials(inst: Instance, delta: float, delta_index: int, indices,
+                mode: str, norm: str) -> list[TrialRecord]:
+    """Records of the trials ``indices`` at one delta, in order.
+
+    Each trial is perturbed on its own.  In strict mode the anchored bases
+    of all of them are then built as one stack; weak pairs are matched one
+    by one, so each is a stack of one.  Library errors of a trial are
+    recorded in its status.  Any other error of a stack of several trials
+    reruns them one by one, so the :class:`TrialError` carries the
+    coordinates of the first trial that raises it.
+    """
+    records: dict[int, TrialRecord] = {}
+    pairs = []
+    cause = fault = None
+    for ti in indices:
+        seed = _trial_seed(inst, delta_index, ti)
+        try:
+            pair = perturb_instance(inst, delta, mode, seed, norm=norm)
+        except CanonError as exc:
+            records[ti] = TrialRecord(delta, ti, float("nan"), None, None, None,
+                                      status=exc.code)
+            continue
+        except Exception as exc:
+            # the trials before it are built first: a fault of theirs comes first
+            cause, fault = exc, _trial_fault(exc, delta, ti, seed)
+            break
         if pair.measured == 0.0:
-            return TrialRecord(delta, trial_index, 0.0, 0.0, None, None,
-                               status="degenerate")
-        basis, trace, matches = anchored_canonize(
-            pair.a, pair.h, inst.spec, inst.t0,
+            records[ti] = TrialRecord(delta, ti, 0.0, 0.0, None, None, status="degenerate")
+        else:
+            pairs.append((ti, seed, pair))
+    for group in ([pairs] if mode == MODE_STRICT and pairs else [[p] for p in pairs]):
+        records.update(_build_trials(inst, delta, group, mode, norm))
+    if fault is not None:
+        raise fault from cause
+    return [records[ti] for ti in indices]
+
+
+def _build_trials(inst: Instance, delta: float, group: list, mode: str,
+                  norm: str) -> dict[int, TrialRecord]:
+    """Records of the perturbed trials ``group`` (index, seed, pair), built
+    as one stack."""
+    try:
+        outcomes = anchored_canonize(
+            np.stack([pair.a for _, _, pair in group]),
+            np.stack([pair.h for _, _, pair in group]), inst.spec, inst.t0,
             weak_delta=delta if mode == MODE_WEAK else None)
         eye = np.eye(inst.spec.total_size)
-        out, *z_devs = mat_norms([
+        chain_ref = to_focs(inst.t0.matrix, inst.spec, inst.t0.role)
+        built = [out for out in outcomes if not isinstance(out, CanonError)]
+        devs = mat_norms([m for basis, trace, _ in built for m in (
             basis.matrix - inst.t0.matrix,
-            trace.chain_factor - to_focs(inst.t0.matrix, inst.spec, inst.t0.role),
+            trace.chain_factor - chain_ref,
             trace.phase_factor - eye,
             trace.scale_factor - eye,
-            trace.flip_factor - eye,
-        ], norm)
-        true_eigs = tuple(b.lam for b in pair.spec.blocks) if mode == MODE_WEAK else None
-        return TrialRecord(delta, trial_index, float(pair.measured), out,
-                           out / pair.measured, tuple(z_devs), status="ok",
-                           matches=matches, true_eigs=true_eigs)
-    except CanonError as exc:
-        return TrialRecord(delta, trial_index, float("nan"), None, None, None,
-                           status=exc.code)
+            trace.flip_factor - eye)], norm)
     except Exception as exc:
-        raise TrialError(
-            f"trial {trial_index} at delta {delta:g} (seed {trial_seed}) "
-            f"failed: {type(exc).__name__}: {exc}",
-            delta=delta, index=trial_index, seed=trial_seed) from exc
+        if len(group) == 1:
+            (ti, seed, _), = group
+            raise _trial_fault(exc, delta, ti, seed) from exc
+        records = {}
+        for item in group:
+            records.update(_build_trials(inst, delta, [item], mode, norm))
+        return records
+
+    records = {}
+    k = 0
+    for (ti, _, pair), out in zip(group, outcomes):
+        if isinstance(out, CanonError):
+            records[ti] = TrialRecord(delta, ti, float("nan"), None, None, None,
+                                      status=out.code)
+            continue
+        dev, *z_devs = devs[k:k + 5]
+        k += 5
+        true_eigs = tuple(b.lam for b in pair.spec.blocks) if mode == MODE_WEAK else None
+        records[ti] = TrialRecord(delta, ti, float(pair.measured), dev,
+                                  dev / pair.measured, tuple(z_devs), status="ok",
+                                  matches=out[2], true_eigs=true_eigs)
+    return records
 
 
 def estimate_lipschitz(inst: Instance, deltas: list[float],
@@ -577,9 +665,10 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
     """Run the perturbation experiment and aggregate the deviation ratios.
 
     Trials are independent and seeded from ``(instance seed, delta index,
-    trial index)``; results are identical for any ``jobs`` count.  Each
-    trial is its own pool task, and at most one worker process per trial is
-    started.  Library errors of a trial are recorded in its status, not
+    trial index)``; results are identical for any ``jobs`` count.  With
+    ``jobs=1`` each delta's strict trials are built as one stack, bit for
+    bit as one at a time; otherwise each trial is its own pool task, and at
+    most one worker process per trial is started.  Library errors of a trial are recorded in its status, not
     raised; any other error is raised as :class:`TrialError` with the
     trial's coordinates.
     """
@@ -608,7 +697,9 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_trial_star, tasks))
     else:
-        records = [_trial_star(t) for t in tasks]
+        # in-process, each delta's trials are one stack
+        records = [r for di, d in enumerate(deltas)
+                   for r in _run_trials(inst, d, di, range(trials_per_delta), mode, norm)]
 
     per_delta = []
     medians = []
@@ -651,4 +742,6 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
 
 
 def _trial_star(args) -> TrialRecord:
-    return _run_trial(*args)
+    inst, delta, delta_index, trial_index, mode, norm = args
+    (record,) = _run_trials(inst, delta, delta_index, [trial_index], mode, norm)
+    return record

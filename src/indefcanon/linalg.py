@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import CanonError, SingularMatrixError
 
 #: Default absolute tolerance for residual certificates on exact fixtures.
 DEFAULT_TOL = 1e-10
@@ -124,13 +124,22 @@ def norm_and_rcond(m: np.ndarray) -> tuple[float, float]:
     The norm is bit-identical to ``mat_norm(m)``; the SVD is its own because
     the rcond needs the smallest singular value too.
     """
-    m = np.atleast_2d(np.asarray(m))
-    if m.size == 0:
-        return 0.0, 1.0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0.0, 0.0
-    return float(s[0]), float(s[-1] / s[0])
+    norms, rconds = norms_and_rconds(np.atleast_2d(np.asarray(m))[np.newaxis])
+    return norms[0], rconds[0]
+
+
+def norms_and_rconds(ms: np.ndarray) -> tuple[list[float], list[float]]:
+    """:func:`norm_and_rcond` of each matrix of the stack ``ms``, from one
+    singular-value call; the gufunc gives each matrix the values a call on
+    it alone gives."""
+    if ms.size == 0:
+        return [0.0] * len(ms), [1.0] * len(ms)
+    s = np.linalg.svd(ms, compute_uv=False)
+    norms, rconds = [], []
+    for largest, smallest in zip(s[:, 0].tolist(), s[:, -1].tolist()):
+        norms.append(largest)
+        rconds.append(smallest / largest if largest else 0.0)
+    return norms, rconds
 
 
 def refined_inverse(m: np.ndarray) -> np.ndarray:
@@ -177,12 +186,88 @@ def affiliation_residuals(a: np.ndarray, h: np.ndarray, t: np.ndarray,
     Returns ``(||a t - t j|| / ||t||, ||t* h t - p||)``.  The similarity
     residual is formed multiplication-side rather than via ``t``-inverse so
     that ill-conditioning of ``t`` is not amplified into the certificate.
+    ``a``, ``h`` and ``t`` may also be stacks ``(k, n, n)``: the result is
+    then a list with one pair of residuals per item, from one singular-value
+    call.
     """
     a, h, t, j, p = (np.asarray(x) for x in (a, h, t, j, p))
-    tn, sim, cong = mat_norms([t, a @ t - t @ j, t.conj().T @ h @ t - p], norm)
-    if tn == 0.0:
-        raise ValueError("t must be nonzero")
-    return sim / tn, cong
+    if t.ndim == 3:
+        return _affiliation_residuals(a, h, t, j, p, norm)
+    return _affiliation_residuals(a[np.newaxis], h[np.newaxis], t[np.newaxis], j, p, norm)[0]
+
+
+def _affiliation_residuals(a: np.ndarray, h: np.ndarray, t: np.ndarray,
+                           j: np.ndarray, p: np.ndarray,
+                           norm: str) -> list[tuple[float, float]]:
+    norms = mat_norms([*t, *(a @ t - t @ j), *(t.conj().swapaxes(1, 2) @ h @ t - p)], norm)
+    k = len(t)
+    out = []
+    for tn, sim, cong in zip(norms[:k], norms[k:2 * k], norms[2 * k:]):
+        if tn == 0.0:
+            raise ValueError("t must be nonzero")
+        out.append((sim / tn, cong))
+    return out
+
+
+class Stack:
+    """Bookkeeping of a stacked computation whose items fail one by one.
+
+    Each stage runs on the items still live, ``live`` holding their
+    positions in the original stack.  An item that trips a gate leaves with
+    its :class:`CanonError`, which ``errors`` keeps at that position, and the
+    other items go on unchanged.  A stage that finds a fault of the whole
+    stack raises it instead.
+    """
+
+    class Emptied(Exception):
+        """Every item has left the stack."""
+
+    def __init__(self, size: int):
+        self.live = list(range(size))
+        self.errors: list[CanonError | None] = [None] * size
+
+    @classmethod
+    def run(cls, body, size: int, *args) -> list:
+        """One outcome per item of ``body(stack, *args)``, which returns the
+        values of the items still live: the item's value or its error."""
+        st = cls(size)
+        try:
+            values = body(st, *args)
+        except cls.Emptied:
+            values = []
+        out: list = list(st.errors)
+        for pos, value in zip(st.live, values):
+            out[pos] = value
+        return out
+
+    def drop(self, failed: dict[int, CanonError], *stacks) -> tuple:
+        """Record ``failed``, keyed by live position, and return each of
+        ``stacks`` (arrays or lists over the live items) without them."""
+        if not failed:
+            return stacks
+        for j, exc in failed.items():
+            self.errors[self.live[j]] = exc
+        keep = [j for j in range(len(self.live)) if j not in failed]
+        self.live = [self.live[j] for j in keep]
+        if not keep:
+            raise self.Emptied
+        return tuple(s[keep] if isinstance(s, np.ndarray) else [s[j] for j in keep]
+                     for s in stacks)
+
+    def take(self, outcomes: list, *stacks) -> tuple:
+        """The values among ``outcomes``, one per live item, followed by
+        ``stacks`` without the items whose outcome is an error."""
+        failed = {j: o for j, o in enumerate(outcomes) if isinstance(o, CanonError)}
+        values = [o for o in outcomes if not isinstance(o, CanonError)]
+        return (values, *self.drop(failed, *stacks))
+
+
+def one(outcomes: list):
+    """The value of a stack of one item, or its error raised."""
+    (out,) = outcomes
+    if isinstance(out, CanonError):
+        raise out
+    return out
 
 
 def require_int(value, name: str, minimum: int | None = None) -> int:

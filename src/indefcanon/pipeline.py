@@ -32,6 +32,7 @@ from .chains import (
     toeplitz_inv_sqrt,
 )
 from .errors import (
+    CanonError,
     NotRealError,
     PureImaginaryAnchorError,
     SingularBasisError,
@@ -40,13 +41,15 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     RCOND_FLOOR,
+    Stack,
     _norm_lower_bound,
     affiliation_residuals,
     anti_diagonal_mean,
     exchange,
     gate_norm,
     mat_norm,
-    norm_and_rcond,
+    norms_and_rconds,
+    one,
     require_finite,
 )
 from .structure import (
@@ -54,7 +57,7 @@ from .structure import (
     PAIR,
     REAL,
     JordanSpec,
-    _selfadjoint_defect,
+    _selfadjoint_defects,
     conjugate_symmetry_fit,
     jordan_form,
     sip_form,
@@ -175,19 +178,26 @@ def flip_step(gram_pair_block: np.ndarray) -> np.ndarray:
     Hankel with unit anti-diagonal) is flipped into a unit lower-triangular
     Toeplitz matrix; its inverse square root ``F`` then satisfies
     ``F_up^T G2 F_up = sip`` with ``F_up = F^T``, and the block factor is
-    ``diag(F_up, conj(F_up))``.
+    ``diag(F_up, conj(F_up))``.  ``gram_pair_block`` may also be a stack
+    ``(k, 2p, 2p)``: the result is then a list with one entry per Gram, its
+    factor or the error it trips.
     """
     gram_pair_block = np.asarray(gram_pair_block)
-    if gram_pair_block.shape[0] % 2:
+    if gram_pair_block.ndim == 3:
+        return Stack.run(_flip_step, len(gram_pair_block), gram_pair_block)
+    return one(Stack.run(_flip_step, 1, gram_pair_block[np.newaxis]))
+
+
+def _flip_step(st: Stack, grams: np.ndarray) -> list[np.ndarray]:
+    if grams.shape[1] % 2:
         raise ValueError("pair-block Gram must have even size")
-    p = gram_pair_block.shape[0] // 2
-    g2 = gram_pair_block[p:, :p]
-    f = toeplitz_inv_sqrt(g2 @ exchange(p))
-    f_up = f.T
-    out = np.zeros((2 * p, 2 * p), dtype=complex)
-    out[:p, :p] = f_up
-    out[p:, p:] = np.conj(f_up)
-    return out
+    p = grams.shape[1] // 2
+    (fs,) = st.take(toeplitz_inv_sqrt(grams[:, p:, :p] @ exchange(p)))
+    f_up = np.stack(fs).swapaxes(1, 2)
+    out = np.zeros((len(fs), 2 * p, 2 * p), dtype=complex)
+    out[:, :p, :p] = f_up
+    out[:, p:, p:] = np.conj(f_up)
+    return list(out)
 
 
 def symmetrize_step(spec: JordanSpec, chains: list[np.ndarray],
@@ -199,7 +209,9 @@ def symmetrize_step(spec: JordanSpec, chains: list[np.ndarray],
     real block to its reduced chain.
 
     Returns ``(Z1, ||Z1||_2)``; the norm comes from the singular-value call
-    of the conditioning check.
+    of the conditioning check.  The chains and reduced chains may also be
+    stacks ``(k, n, p)``: the result is then a list with one entry per item,
+    its ``(Z1, ||Z1||_2)`` or the error it trips.
 
     Raises
     ------
@@ -208,17 +220,27 @@ def symmetrize_step(spec: JordanSpec, chains: list[np.ndarray],
     """
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
+    if np.ndim(chains[0]) == 3:
+        return Stack.run(_symmetrize_step, len(chains[0]), spec, chains, reduced, gamma)
+    return one(Stack.run(_symmetrize_step, 1, spec, [c[np.newaxis] for c in chains],
+                         {i: r[np.newaxis] for i, r in reduced.items()}, gamma))
+
+
+def _symmetrize_step(st: Stack, spec: JordanSpec, chains: list[np.ndarray],
+                     reduced: dict[int, np.ndarray],
+                     gamma: complex) -> list[tuple[np.ndarray, float]]:
     cols = []
     for i, (b, l) in enumerate(zip(spec.blocks, chains)):
         if b.kind == REAL:
             cols.append(reduced[i].astype(complex))
         else:
-            cols.append(np.concatenate([l, gamma * np.conj(l)], axis=1))
-    z1 = np.concatenate(cols, axis=1)
-    z1_norm, rc = norm_and_rcond(z1)
-    if rc < RCOND_FLOOR:
-        raise SingularBasisError(f"chain basis is numerically singular (rcond={rc:.3e})")
-    return z1, z1_norm
+            cols.append(np.concatenate([l, gamma * np.conj(l)], axis=2))
+    z1 = np.concatenate(cols, axis=2)
+    z1_norms, rconds = norms_and_rconds(z1)
+    failed = {j: SingularBasisError(f"chain basis is numerically singular (rcond={rc:.3e})")
+              for j, rc in enumerate(rconds) if rc < RCOND_FLOOR}
+    z1, z1_norms = st.drop(failed, z1, z1_norms)
+    return list(zip(z1, z1_norms))
 
 
 def _anchor_from_gram(gram: np.ndarray, off: int, p: int,
@@ -272,6 +294,13 @@ def _check_gram_structure(gram: np.ndarray, spec: JordanSpec,
                         f"pair block {i} Gram is not Hankel")
 
 
+def _eyes(k: int, n: int) -> np.ndarray:
+    """``k`` complex n x n identities, for the factors filled block by block."""
+    out = np.zeros((k, n, n), dtype=complex)
+    out[:, range(n), range(n)] = 1.0
+    return out
+
+
 def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                gamma: complex = 1.0, *,
                anchor: np.ndarray | None = None,
@@ -284,6 +313,12 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     with ``|gamma'| = |gamma|`` (for cold starts ``gamma'`` equals ``gamma``
     up to roundoff).  The trace carries the four factors and intermediate
     Grams for factor-wise diagnostics.
+
+    ``a`` and ``h`` may also be stacks ``(k, n, n)`` of pairs that share
+    ``spec`` and the other arguments.  The result is then a list with one
+    entry per pair: its ``(basis, trace)``, or the :class:`CanonError` of
+    the first gate it trips.  Each entry is bit for bit what a call on that
+    pair alone returns or raises; every stage runs once per stack.
 
     Parameters
     ----------
@@ -308,119 +343,194 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         raise ValueError(f"gamma must be finite, got {gamma}")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    args = (spec, gamma, anchor, tol, norm)
+    if a.ndim == 3:
+        return Stack.run(_focs_basis, len(a), a, h, *args)
+    return one(Stack.run(_focs_basis, 1, a[np.newaxis], h[np.newaxis], *args))
 
+
+def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
+                gamma: complex, anchor: np.ndarray | None, tol: float,
+                norm: str) -> list[tuple[CanonicalBasis, PipelineTrace]]:
+    if a.shape != h.shape or a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("a and h must be square and of equal size")
     # the conjugate-symmetric synthesis needs conj(chain) to be the chain of
     # the conjugate eigenvalue, which holds for real pairs only
-    for name, m in (("a", a), ("h", h)):
-        if np.iscomplexobj(m):
-            imag = float(np.max(np.abs(m.imag))) if m.size else 0.0
-            if imag > STRUCT_RTOL * max(1.0, mat_norm(m, norm)):
-                raise NotRealError(
-                    f"{name} has imaginary part {imag:.3e}; the "
-                    "conjugate-symmetric construction needs a real pair")
+    for name in ("a", "h"):
+        failed = {}
+        for j, m in enumerate(a if name == "a" else h):
+            if np.iscomplexobj(m):
+                imag = float(np.max(np.abs(m.imag))) if m.size else 0.0
+                if imag > STRUCT_RTOL * max(1.0, mat_norm(m, norm)):
+                    failed[j] = NotRealError(
+                        f"{name} has imaginary part {imag:.3e}; the "
+                        "conjugate-symmetric construction needs a real pair")
+        a, h = st.drop(failed, a, h)
     a = np.real(a)
     h = np.real(h)
 
     # one singular-value call on h serves every gate below and the
     # selfadjointness pre-check; reduce_real_chain needs the spectral norm
-    h_norm2, h_rcond = norm_and_rcond(h)
-    h_norm = h_norm2 if norm == "spectral" else mat_norm(h, norm)
-    defect = _selfadjoint_defect(a, h, h_norm, h_rcond, norm)
-    # the pre-check decides on a lower bound of ||a|| and the Frobenius
-    # bound of the residual first
-    pre_tol = STRUCT_RTOL * max(1.0, _norm_lower_bound(a, norm) * h_norm)
-    pre = gate_norm(defect, pre_tol, norm)
-    if pre > pre_tol:
-        pre_tol = STRUCT_RTOL * max(1.0, mat_norm(a, norm) * h_norm)
+    h_norms2, h_rconds = norms_and_rconds(h)
+    h_norms = h_norms2 if norm == "spectral" else [mat_norm(m, norm) for m in h]
+    defects, a, h, h_norms2, h_norms = st.take(
+        _selfadjoint_defects(a, h, h_norms, h_rconds, norm), a, h, h_norms2, h_norms)
+    failed = {}
+    for j, (aj, defect, h_norm) in enumerate(zip(a, defects, h_norms)):
+        # the pre-check decides on a lower bound of ||a|| and the Frobenius
+        # bound of the residual first
+        pre_tol = STRUCT_RTOL * max(1.0, _norm_lower_bound(aj, norm) * h_norm)
+        pre = gate_norm(defect, pre_tol, norm)
         if pre > pre_tol:
-            raise StructureMismatchError(
-                f"pair is not h-selfadjoint (residual {pre:.3e} > {pre_tol:.3e})")
+            pre_tol = STRUCT_RTOL * max(1.0, mat_norm(aj, norm) * h_norm)
+            if pre > pre_tol:
+                failed[j] = StructureMismatchError(
+                    f"pair is not h-selfadjoint (residual {pre:.3e} > {pre_tol:.3e})")
+    a, h, h_norms2, h_norms = st.drop(failed, a, h, h_norms2, h_norms)
 
+    # an item that trips a gate in the block loop goes on with placeholder
+    # chains and leaves with its first error after the loop
+    found, a, h, h_norms2, h_norms = st.take(jordan_chains(a, spec), a, h, h_norms2, h_norms)
+    n_dim = spec.total_size
+    failed = {}
     prepared = []
     reduced: dict[int, np.ndarray] = {}
     eps: dict[int, int] = {}
-    for i, ((off, b), mat) in enumerate(zip(spec.offsets(), jordan_chains(a, spec))):
+    for i, ((off, b), mats) in enumerate(zip(spec.offsets(), zip(*found))):
+        mat = np.stack(mats)
         if anchor is not None:
-            mat = fit_chain_to(mat, anchor[:, off:off + b.size])
-            if b.kind == REAL:
-                mat = np.real(mat)
+            # a real block's fit is reduced through its real part
+            mat = np.stack([fit_chain_to(m, anchor[:, off:off + b.size]) for m in mat])
         if b.kind == REAL:
-            red, sign = reduce_real_chain(mat, h, h_norm2)
-            if sign != b.sign:
-                raise StructureMismatchError(
-                    f"block {i}: computed sign characteristic {sign:+d} "
-                    f"contradicts declared {b.sign:+d}")
-            reduced[i] = red
-            eps[i] = sign
+            reds = []
+            for j, out in enumerate(reduce_real_chain(mat, h, h_norms2)):
+                if isinstance(out, CanonError):
+                    failed.setdefault(j, out)
+                    out = (np.zeros((n_dim, b.size)), b.sign)
+                elif out[1] != b.sign:
+                    failed.setdefault(j, StructureMismatchError(
+                        f"block {i}: computed sign characteristic {out[1]:+d} "
+                        f"contradicts declared {b.sign:+d}"))
+                reds.append(out[0])
+            reduced[i] = np.stack(reds)
+            eps[i] = b.sign
         elif anchor is None:
             # prospective anchor; rotate the chain off the degenerate axis
-            z = (gamma * np.conj(mat)).conj().T @ h @ mat
-            g0 = complex(anti_diagonal_mean(z))
-            if abs(g0) > 0.0 and abs(g0.real) < PHASE_GUARD * abs(g0):
-                mat = mat * np.exp(0.25j * np.pi)
+            z = (gamma * np.conj(mat)).conj().swapaxes(1, 2) @ h @ mat
+            turn = []
+            for zj in z:
+                g0 = complex(anti_diagonal_mean(zj))
+                turn.append(abs(g0) > 0.0 and abs(g0.real) < PHASE_GUARD * abs(g0))
+            if any(turn):
+                mat = np.where(np.array(turn)[:, np.newaxis, np.newaxis],
+                               mat * np.exp(0.25j * np.pi), mat)
         prepared.append(mat)
 
-    z1, z1_norm = symmetrize_step(spec, prepared, reduced, gamma)
+    sym = symmetrize_step(spec, prepared, reduced, gamma)
+    for j, out in enumerate(sym):
+        if isinstance(out, CanonError):
+            failed.setdefault(j, out)
+    sym, a, h, h_norms = st.drop(failed, sym, a, h, h_norms)
+    z1 = np.stack([z for z, _ in sym])
+    z1_norms = [z_norm for _, z_norm in sym]
     if norm != "spectral":
-        z1_norm = mat_norm(z1, norm)
-    n_dim = spec.total_size
-    stol = STRUCT_RTOL * max(1.0, h_norm * z1_norm ** 2)
+        z1_norms = [mat_norm(z, norm) for z in z1]
+    stols = [STRUCT_RTOL * max(1.0, h_norm * z_norm ** 2)
+             for h_norm, z_norm in zip(h_norms, z1_norms)]
 
-    gram0 = z1.conj().T @ h @ z1
-    _check_gram_structure(gram0, spec, eps, stol)
-
+    gram0 = z1.conj().swapaxes(1, 2) @ h @ z1
     # (block index, offset, size, rows) of each pair block
     pairs = [(i, off, b.size, slice(off, off + b.width))
              for i, (off, b) in enumerate(spec.offsets()) if b.kind == PAIR]
-    z2 = np.eye(n_dim, dtype=complex)
-    z3 = np.eye(n_dim, dtype=complex)
+    k = len(z1)
+    z2 = _eyes(k, n_dim)
+    z3 = _eyes(k, n_dim)
+    failed = {}
+    for j, (gram, stol) in enumerate(zip(gram0, stols)):
+        try:
+            _check_gram_structure(gram, spec, eps, stol)
+            for i, off, p, rows in pairs:
+                anc = _anchor_from_gram(gram, off, p, i)
+                z2[j, rows, rows] = phase_step(anc, p)
+                z3[j, rows, rows] = scale_step(anc, p)
+        except CanonError as exc:
+            failed[j] = exc
+    a, h, h_norms, stols, z1, gram0, z2, z3 = st.drop(
+        failed, a, h, h_norms, stols, z1, gram0, z2, z3)
+
+    gram1 = z2.conj().swapaxes(1, 2) @ gram0 @ z2
+    failed = {}
+    for j, (gram, stol) in enumerate(zip(gram1, stols)):
+        for i, off, p, _ in pairs:
+            anc1 = _anchor_from_gram(gram, off, p, i)
+            if abs(anc1.g0.imag) > stol or anc1.g0.real <= 0.0:
+                failed[j] = StructureMismatchError(
+                    f"pair block {i} anchor {anc1.g0:.3e} not real positive after phase step")
+                break
+    a, h, h_norms, stols, z1, gram0, z2, z3, gram1 = st.drop(
+        failed, a, h, h_norms, stols, z1, gram0, z2, z3, gram1)
+
+    gram2 = z3.conj().swapaxes(1, 2) @ gram1 @ z3
+    z4 = _eyes(len(z1), n_dim)
+    failed = {}
     for i, off, p, rows in pairs:
-        anc = _anchor_from_gram(gram0, off, p, i)
-        z2[rows, rows] = phase_step(anc, p)
-        z3[rows, rows] = scale_step(anc, p)
+        for j, (gram, stol) in enumerate(zip(gram2, stols)):
+            anc2 = _anchor_from_gram(gram, off, p, i)
+            if abs(anc2.g0 - 1.0) > stol:
+                failed.setdefault(j, StructureMismatchError(
+                    f"pair block {i} anchor {anc2.g0:.3e} not unit after scale step"))
+        for j, out in enumerate(flip_step(gram2[:, rows, rows])):
+            if isinstance(out, CanonError):
+                failed.setdefault(j, out)
+            else:
+                z4[j, rows, rows] = out
+    a, h, h_norms, stols, z1, gram0, z2, z3, gram1, gram2, z4 = st.drop(
+        failed, a, h, h_norms, stols, z1, gram0, z2, z3, gram1, gram2, z4)
 
-    gram1 = z2.conj().T @ gram0 @ z2
-    for i, off, p, _ in pairs:
-        anc1 = _anchor_from_gram(gram1, off, p, i)
-        if abs(anc1.g0.imag) > stol or anc1.g0.real <= 0.0:
-            raise StructureMismatchError(
-                f"pair block {i} anchor {anc1.g0:.3e} not real positive after phase step")
-
-    gram2 = z3.conj().T @ gram1 @ z3
-    z4 = np.eye(n_dim, dtype=complex)
-    for i, off, p, rows in pairs:
-        anc2 = _anchor_from_gram(gram2, off, p, i)
-        if abs(anc2.g0 - 1.0) > stol:
-            raise StructureMismatchError(
-                f"pair block {i} anchor {anc2.g0:.3e} not unit after scale step")
-        z4[rows, rows] = flip_step(gram2[rows, rows])
-
-    basis_mat = z1 @ z2 @ z3 @ z4
+    basis = z1 @ z2 @ z3 @ z4
     p_target = sip_form(spec)
-    gram_final = z4.conj().T @ gram2 @ z4
-    final_dev = gate_norm(gram_final - p_target, stol, norm)
-    if final_dev > stol:
-        raise StructureMismatchError(
-            f"final Gram deviates from sip form by {final_dev:.3e}")
+    gram_final = z4.conj().swapaxes(1, 2) @ gram2 @ z4
+    failed = {}
+    for j, (gram, stol) in enumerate(zip(gram_final, stols)):
+        final_dev = gate_norm(gram - p_target, stol, norm)
+        if final_dev > stol:
+            failed[j] = StructureMismatchError(
+                f"final Gram deviates from sip form by {final_dev:.3e}")
+    a, h, h_norms, z1, gram0, z2, z3, gram1, gram2, z4, basis = st.drop(
+        failed, a, h, h_norms, z1, gram0, z2, z3, gram1, gram2, z4, basis)
 
-    sim, cong = affiliation_residuals(a, h, basis_mat, jordan_form(spec),
-                                      p_target, norm=norm)
-    if max(sim, cong) > tol * max(1.0, h_norm):
-        raise StructureMismatchError(
-            f"constructed basis misses its certificate gate: similarity "
-            f"{sim:.3e}, congruence {cong:.3e} vs tol {tol:.1e}")
-    gamma_out, cs_res, _ = conjugate_symmetry_fit(basis_mat, spec, norm=norm)
-    if pairs and abs(abs(gamma_out) - abs(gamma)) > CS_TOL * abs(gamma):
-        raise StructureMismatchError(
-            f"conjugate-symmetry scalar drifted in modulus: requested "
-            f"|{gamma}| = {abs(gamma):.6g}, got {abs(gamma_out):.6g}")
+    certs = affiliation_residuals(a, h, basis, jordan_form(spec), p_target, norm=norm)
+    failed = {}
+    for j, ((sim, cong), h_norm) in enumerate(zip(certs, h_norms)):
+        if max(sim, cong) > tol * max(1.0, h_norm):
+            failed[j] = StructureMismatchError(
+                f"constructed basis misses its certificate gate: similarity "
+                f"{sim:.3e}, congruence {cong:.3e} vs tol {tol:.1e}")
+    certs, z1, gram0, z2, z3, gram1, gram2, z4, basis = st.drop(
+        failed, certs, z1, gram0, z2, z3, gram1, gram2, z4, basis)
+
+    fits, certs, z1, gram0, z2, z3, gram1, gram2, z4, basis = st.take(
+        conjugate_symmetry_fit(basis, spec, norm=norm),
+        certs, z1, gram0, z2, z3, gram1, gram2, z4, basis)
+    failed = {}
+    for j, (gamma_out, _, _) in enumerate(fits):
+        if pairs and abs(abs(gamma_out) - abs(gamma)) > CS_TOL * abs(gamma):
+            failed[j] = StructureMismatchError(
+                f"conjugate-symmetry scalar drifted in modulus: requested "
+                f"|{gamma}| = {abs(gamma):.6g}, got {abs(gamma_out):.6g}")
+    fits, certs, z1, gram0, z2, z3, gram1, gram2, z4, basis = st.drop(
+        failed, fits, certs, z1, gram0, z2, z3, gram1, gram2, z4, basis)
+
     eps_tuple = tuple(eps.get(i) for i in range(len(spec.blocks)))
-    basis = CanonicalBasis(
-        matrix=basis_mat, role=ROLE_FOCS, gamma=gamma_out,
-        cert=Certificate(similarity=sim, congruence=cong, cs_residual=cs_res),
-        eps=eps_tuple)
-    trace = PipelineTrace(
-        chain_factor=z1, phase_factor=z2, scale_factor=z3, flip_factor=z4,
-        gram_raw=gram0, gram_phased=gram1, gram_scaled=gram2,
-        basis=basis_mat, gamma=gamma_out)
-    return basis, trace
+    out = []
+    for j, ((gamma_out, cs_res, _), (sim, cong)) in enumerate(zip(fits, certs)):
+        basis_j = CanonicalBasis(
+            matrix=basis[j], role=ROLE_FOCS, gamma=gamma_out,
+            cert=Certificate(similarity=sim, congruence=cong, cs_residual=cs_res),
+            eps=eps_tuple)
+        trace = PipelineTrace(
+            chain_factor=z1[j], phase_factor=z2[j], scale_factor=z3[j], flip_factor=z4[j],
+            gram_raw=gram0[j], gram_phased=gram1[j], gram_scaled=gram2[j],
+            basis=basis[j], gamma=gamma_out)
+        out.append((basis_j, trace))
+    return out

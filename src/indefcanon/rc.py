@@ -17,9 +17,11 @@ import numpy as np
 from .errors import NotConjugateSymmetricError, NotRealError, StructureMismatchError
 from .linalg import (
     DEFAULT_TOL,
+    Stack,
     _norm_lower_bound,
     affiliation_residuals,
     mat_norm,
+    one,
     require_finite,
 )
 from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, Certificate, PipelineTrace, focs_basis
@@ -62,32 +64,52 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
     h = np.real(require_finite(h, "h"))
     if anchor is not None:
         anchor = to_focs(anchor, spec, ROLE_RC)
-    focs, trace = focs_basis(a, h, spec, 1.0j, anchor=anchor, tol=tol, norm=norm)
-    r = focs.matrix @ mixing_matrix(spec)
+    if a.ndim == 3:
+        return Stack.run(_rc_basis, len(a), a, h, spec, anchor, tol, norm)
+    return one(Stack.run(_rc_basis, 1, a[np.newaxis], h[np.newaxis], spec, anchor, tol, norm))
+
+
+def _rc_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
+              anchor: np.ndarray | None, tol: float,
+              norm: str) -> list[tuple[CanonicalBasis, PipelineTrace]]:
+    built, a, h = st.take(focs_basis(a, h, spec, 1.0j, anchor=anchor, tol=tol, norm=norm), a, h)
+    r = np.stack([focs.matrix for focs, _ in built]) @ mixing_matrix(spec)
     # both gates scale their limit with a norm whose value is not kept: a
     # lower bound of it decides first, and the SVD runs only on a miss
-    max_imag = float(np.max(np.abs(r.imag))) if np.iscomplexobj(r) else 0.0
-    if max_imag > IMAG_RTOL * max(1.0, _norm_lower_bound(r, norm)):
-        threshold = IMAG_RTOL * max(1.0, mat_norm(r, norm))
-        if max_imag > threshold:
-            raise NotRealError(
-                f"mixed basis has imaginary part {max_imag:.3e} "
-                f"(threshold {threshold:.3e})")
+    failed = {}
+    max_imags = []
+    for j, rj in enumerate(r):
+        max_imag = float(np.max(np.abs(rj.imag))) if np.iscomplexobj(rj) else 0.0
+        max_imags.append(max_imag)
+        if max_imag > IMAG_RTOL * max(1.0, _norm_lower_bound(rj, norm)):
+            threshold = IMAG_RTOL * max(1.0, mat_norm(rj, norm))
+            if max_imag > threshold:
+                failed[j] = NotRealError(
+                    f"mixed basis has imaginary part {max_imag:.3e} "
+                    f"(threshold {threshold:.3e})")
+    built, r, a, h, max_imags = st.drop(failed, built, r, a, h, max_imags)
+    # the real part stays a view, the operand layout of a single call
     r_real = np.real(r)
-    sim, cong = affiliation_residuals(a, h, r_real, real_jordan_form(spec),
-                                      sip_form(spec), norm=norm)
-    if max(sim, cong) > tol * max(1.0, _norm_lower_bound(h, norm)):
-        limit = tol * max(1.0, mat_norm(h, norm))
-        if max(sim, cong) > limit:
-            raise StructureMismatchError(
-                f"real basis misses its certificate gate: similarity {sim:.3e}, "
-                f"congruence {cong:.3e} vs tol {tol:.1e} (limit {limit:.3e})")
-    basis = CanonicalBasis(
-        matrix=r_real, role=ROLE_RC, gamma=focs.gamma,
-        cert=Certificate(similarity=sim, congruence=cong,
-                         cs_residual=focs.cert.cs_residual, max_imag=max_imag),
-        eps=focs.eps)
-    return basis, trace
+    certs = affiliation_residuals(a, h, r_real, real_jordan_form(spec), sip_form(spec),
+                                  norm=norm)
+    failed = {}
+    for j, ((sim, cong), hj) in enumerate(zip(certs, h)):
+        if max(sim, cong) > tol * max(1.0, _norm_lower_bound(hj, norm)):
+            limit = tol * max(1.0, mat_norm(hj, norm))
+            if max(sim, cong) > limit:
+                failed[j] = StructureMismatchError(
+                    f"real basis misses its certificate gate: similarity {sim:.3e}, "
+                    f"congruence {cong:.3e} vs tol {tol:.1e} (limit {limit:.3e})")
+    built, r, max_imags, certs = st.drop(failed, built, r, max_imags, certs)
+    out = []
+    for (focs, trace), matrix, max_imag, (sim, cong) in zip(built, np.real(r), max_imags, certs):
+        basis = CanonicalBasis(
+            matrix=matrix, role=ROLE_RC, gamma=focs.gamma,
+            cert=Certificate(similarity=sim, congruence=cong,
+                             cs_residual=focs.cert.cs_residual, max_imag=max_imag),
+            eps=focs.eps)
+        out.append((basis, trace))
+    return out
 
 
 def to_focs(matrix: np.ndarray, spec: JordanSpec, role: str) -> np.ndarray:

@@ -63,6 +63,12 @@ def test_chains_wrong_size_spec_is_rejected(ex_a):
         jordan_chains(ex_a, bad)
 
 
+def test_chains_wrong_size_matrix_is_rejected(ex_a, ex_spec):
+    with pytest.raises(StructureMismatchError,
+                       match=r"matrix size \(3, 3\) does not match spec size 4"):
+        jordan_chains(ex_a[:3, :3], ex_spec)
+
+
 def test_chains_eigenvalue_drift(ex_a, ex_spec):
     shifted = JordanSpec((BlockSpec("pair", -2j + 0.5, 2),))
     with pytest.raises(EigenvalueDriftError):

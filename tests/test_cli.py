@@ -164,6 +164,16 @@ def test_canonize_gamma_i(runner, tmp_path, paper_pair_file):
     assert gamma[1] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_canonize_gamma_minus_i(runner, tmp_path, paper_pair_file):
+    out = tmp_path / "basis.json"
+    r = runner.invoke(main, ["canonize", "--in", str(paper_pair_file),
+                             "--gamma", "-i", "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    gamma = json.loads(out.read_text())["gamma"]
+    assert gamma[0] == pytest.approx(0.0, abs=1e-10)
+    assert gamma[1] == pytest.approx(-1.0, abs=1e-10)
+
+
 @pytest.mark.parametrize("gamma", ["nan", "1e400", "1+1e400i"])
 def test_canonize_non_finite_gamma_exits_2(runner, tmp_path, paper_pair_file, gamma):
     r = runner.invoke(main, ["canonize", "--in", str(paper_pair_file),
@@ -586,6 +596,8 @@ def test_unwritable_output_exits_2(runner, tmp_path, monkeypatch, paper_pair_fil
     assert r.exit_code == 2, r.output
     assert isinstance(r.exception, SystemExit)
     assert f"cannot write {path}: " in r.output
+    # no output is written when another one cannot be
+    assert not (tmp_path / "b.json").exists()
 
 
 @pytest.mark.parametrize("gamma, message", [("abc", "cannot parse gamma 'abc'"),

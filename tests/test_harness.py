@@ -218,6 +218,14 @@ def test_match_ambiguous_equidistant():
         match_eigenvalues(spec, a, cluster_radius=1e-3)
 
 
+def test_match_two_blocks_claiming_one_cluster():
+    # spectrum {1.05, 10}: 1.0 and 1.1 both take 1.05, each clearly nearest
+    spec = JordanSpec((BlockSpec("real", 1.0, 1, 1), BlockSpec("real", 1.1, 1, 1)))
+    with pytest.raises(AmbiguousMatchError,
+                       match=r"two blocks claim the cluster at \(1\.05\+0j\)"):
+        match_eigenvalues(spec, np.diag([1.05, 10.0]), cluster_radius=1e-3)
+
+
 def test_match_kind_mismatch():
     spec = JordanSpec((BlockSpec("pair", 1j, 1),))
     a = np.diag([1.0, 2.0])
@@ -268,9 +276,10 @@ def test_anchored_recovers_a_negated_block(inst, inst_rc, monkeypatch, kind, col
         name = "rc_basis" if kind == "rc" else "focs_basis"
         construct = getattr(harness, name)
 
+        # the harness builds a stack: one (basis, trace) per pair
         def negating(*args, **kwargs):
-            basis, trace = construct(*args, **kwargs)
-            return replace(basis, matrix=basis.matrix * flip), trace
+            return [(replace(basis, matrix=basis.matrix * flip), trace)
+                    for basis, trace in construct(*args, **kwargs)]
 
         monkeypatch.setattr(harness, name, negating)
     basis, _, _ = anchored_canonize(inst.a0, inst.h0, inst.spec, t0)
@@ -394,16 +403,18 @@ def test_estimate_lipschitz_caps_pool_at_task_count(inst, fake_pool):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_trial_fault_keeps_its_coordinates(inst, fake_pool, monkeypatch, jobs):
+    # a delta's trials are built as one stack, so the fault is injected
+    # where each trial still runs alone: its perturbation
     calls = []
-    real = harness.anchored_canonize
+    real = harness.perturb_instance
 
     def flaky(*args, **kwargs):
-        calls.append(kwargs["weak_delta"])
+        calls.append(kwargs["norm"])
         if len(calls) == 4:
             raise np.linalg.LinAlgError("SVD did not converge")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "anchored_canonize", flaky)
+    monkeypatch.setattr(harness, "perturb_instance", flaky)
     with pytest.raises(TrialError) as info:
         estimate_lipschitz(inst, [1e-3, 1e-4], 3, jobs=jobs)
     err = info.value
@@ -416,10 +427,34 @@ def test_trial_fault_keeps_its_coordinates(inst, fake_pool, monkeypatch, jobs):
     assert not isinstance(err, CanonError)
 
 
+def test_stack_fault_is_rerun_one_trial_at_a_time(inst, monkeypatch):
+    # trial 1 at the first delta perturbs into a pair with a NaN entry, which
+    # fails its delta's whole stack; rerun one by one, the fault is that trial's
+    poisoned = int(np.random.SeedSequence([inst.seed, 0, 1]).generate_state(1)[0])
+    real = harness.perturb_instance
+
+    def poisoning(inst_, delta, mode, seed, **kwargs):
+        pair = real(inst_, delta, mode, seed, **kwargs)
+        if seed != poisoned:
+            return pair
+        a = pair.a.copy()
+        a[0, 0] = np.nan
+        return replace(pair, a=a)
+
+    monkeypatch.setattr(harness, "perturb_instance", poisoning)
+    with pytest.raises(TrialError) as info:
+        estimate_lipschitz(inst, [1e-3, 1e-4], 3)
+    err = info.value
+    assert (err.delta, err.index, err.seed) == (1e-3, 1, poisoned)
+    assert "ValueError: a contains non-finite entries" in str(err)
+
+
 def test_trial_library_error_is_recorded_and_reported(inst, monkeypatch):
     ref = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
+    # injected per trial, in its perturbation: a delta's trials are built
+    # as one stack
     calls = []
-    real = harness.anchored_canonize
+    real = harness.perturb_instance
 
     def mismatching(*args, **kwargs):
         calls.append(None)
@@ -427,7 +462,7 @@ def test_trial_library_error_is_recorded_and_reported(inst, monkeypatch):
             raise StructureMismatchError("forced mismatch")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "anchored_canonize", mismatching)
+    monkeypatch.setattr(harness, "perturb_instance", mismatching)
     report = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
     failed = report.trials[1]
     assert (failed.delta, failed.index, failed.status) == (1e-3, 1, "STRUCTURE_MISMATCH")

@@ -14,7 +14,7 @@ from indefcanon import (
     matrix_to_json,
 )
 from indefcanon import linalg
-from indefcanon.linalg import gate_norm, norm_and_rcond, refined_inverse
+from indefcanon.linalg import gate_norm, norm_and_rcond, refined_inverse, require_number
 
 from conftest import bisect_largest_root, frac_charpoly, frac_inv, frac_matmul, frac_transpose
 
@@ -346,3 +346,14 @@ def test_matrix_json_rejects_bad_shape():
     for rows, cols in [(2.9, 2), (2.0, 2), ("2", 2), (True, 4), (2, True), (-2, -2)]:
         with pytest.raises(ValueError, match="rows|cols"):
             matrix_from_json({"rows": rows, "cols": cols, "data": [1.0, 2.0, 3.0, 4.0]})
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: require_number(10**400, "lambda"),
+                 r"lambda is out of range, got 1000", id="number_out_of_range"),
+    pytest.param(lambda: matrix_from_json({"rows": 1, "cols": 2, "data": [[1.0, 0.0], [2.0]]}),
+                 r"all \[re, im\] pairs or all bare reals", id="pairs_and_bare_entries"),
+])
+def test_json_values_are_refused_with_their_reason(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

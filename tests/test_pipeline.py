@@ -2,6 +2,7 @@
 
 import functools
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +75,22 @@ def test_toeplitz_rejects_bad_input():
         toeplitz_inv_sqrt(np.array([[2.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(NotUnitTriangularError):
         toeplitz_inv_sqrt(np.array([[1.0, 0.5], [1.0, 1.0]]))
+
+
+def _exact(rows):
+    return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
+
+
+@pytest.mark.parametrize("g3, error, message", [
+    pytest.param(np.ones((2, 3)), ValueError, "g3 must be square", id="not_square"),
+    pytest.param(_exact([[1, 0], [3, 2]]), NotUnitTriangularError,
+                 "diagonal is not exactly 1", id="exact_diagonal"),
+    pytest.param(_exact([[1, Fraction(1, 3)], [3, 1]]), NotUnitTriangularError,
+                 "upper part is not exactly 0", id="exact_upper"),
+])
+def test_toeplitz_rejects_a_malformed_input(g3, error, message):
+    with pytest.raises(error, match=message):
+        toeplitz_inv_sqrt(g3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -565,11 +582,13 @@ def test_each_construction_gate_trips(ex_a, ex_h, ex_spec, monkeypatch, case):
         _corrupt(monkeypatch, "scale_step", lambda z3: 2.0 * z3)
         message = r"pair block 0 anchor 4\.000e\+00\S* not unit after scale step"
     elif case == "certificate":
-        monkeypatch.setattr(pipeline, "affiliation_residuals", lambda *a, **k: (2e-9, 3e-9))
+        # one pair of residuals per item of the stack the pipeline builds
+        monkeypatch.setattr(pipeline, "affiliation_residuals", lambda *a, **k: [(2e-9, 3e-9)])
         message = r"similarity 2\.000e-09, congruence 3\.000e-09 vs tol 1\.0e-10"
     else:
         gamma = 1.0j
-        _corrupt(monkeypatch, "conjugate_symmetry_fit", lambda fit: (1.5 * fit[0], *fit[1:]))
+        _corrupt(monkeypatch, "conjugate_symmetry_fit",
+                 lambda fits: [(1.5 * fit[0], *fit[1:]) for fit in fits])
         message = r"requested \|1j\| = 1, got 1\.5"
     if case not in _GRAM_GATES:
         trip = functools.partial(focs_basis, ex_a, ex_h, ex_spec, gamma)
