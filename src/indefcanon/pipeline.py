@@ -438,13 +438,15 @@ def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     stols = [STRUCT_RTOL * max(1.0, h_norm * z_norm ** 2)
              for h_norm, z_norm in zip(h_norms, z1_norms)]
 
+    # from here on every factor of an item stays finite and invertible
+    # whatever gate it trips, so an item that trips one goes on with identity
+    # factors and leaves with its first error at the end
     gram0 = z1.conj().swapaxes(1, 2) @ h @ z1
     # (block index, offset, size, rows) of each pair block
     pairs = [(i, off, b.size, slice(off, off + b.width))
              for i, (off, b) in enumerate(spec.offsets()) if b.kind == PAIR]
-    k = len(z1)
-    z2 = _eyes(k, n_dim)
-    z3 = _eyes(k, n_dim)
+    z2 = _eyes(len(z1), n_dim)
+    z3 = _eyes(len(z1), n_dim)
     failed = {}
     for j, (gram, stol) in enumerate(zip(gram0, stols)):
         try:
@@ -455,75 +457,71 @@ def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                 z3[j, rows, rows] = scale_step(anc, p)
         except CanonError as exc:
             failed[j] = exc
-    a, h, h_norms, stols, z1, gram0, z2, z3 = st.drop(
-        failed, a, h, h_norms, stols, z1, gram0, z2, z3)
 
     gram1 = z2.conj().swapaxes(1, 2) @ gram0 @ z2
-    failed = {}
     for j, (gram, stol) in enumerate(zip(gram1, stols)):
-        for i, off, p, _ in pairs:
-            anc1 = _anchor_from_gram(gram, off, p, i)
-            if abs(anc1.g0.imag) > stol or anc1.g0.real <= 0.0:
-                failed[j] = StructureMismatchError(
-                    f"pair block {i} anchor {anc1.g0:.3e} not real positive after phase step")
-                break
-    a, h, h_norms, stols, z1, gram0, z2, z3, gram1 = st.drop(
-        failed, a, h, h_norms, stols, z1, gram0, z2, z3, gram1)
+        if j in failed:
+            continue
+        try:
+            for i, off, p, _ in pairs:
+                anc1 = _anchor_from_gram(gram, off, p, i)
+                if abs(anc1.g0.imag) > stol or anc1.g0.real <= 0.0:
+                    raise StructureMismatchError(
+                        f"pair block {i} anchor {anc1.g0:.3e} not real positive "
+                        "after phase step")
+        except CanonError as exc:
+            failed[j] = exc
 
     gram2 = z3.conj().swapaxes(1, 2) @ gram1 @ z3
     z4 = _eyes(len(z1), n_dim)
-    failed = {}
     for i, off, p, rows in pairs:
         for j, (gram, stol) in enumerate(zip(gram2, stols)):
-            anc2 = _anchor_from_gram(gram, off, p, i)
-            if abs(anc2.g0 - 1.0) > stol:
-                failed.setdefault(j, StructureMismatchError(
-                    f"pair block {i} anchor {anc2.g0:.3e} not unit after scale step"))
+            if j in failed:
+                continue
+            try:
+                anc2 = _anchor_from_gram(gram, off, p, i)
+                if abs(anc2.g0 - 1.0) > stol:
+                    raise StructureMismatchError(
+                        f"pair block {i} anchor {anc2.g0:.3e} not unit after scale step")
+            except CanonError as exc:
+                failed[j] = exc
         for j, out in enumerate(flip_step(gram2[:, rows, rows])):
             if isinstance(out, CanonError):
                 failed.setdefault(j, out)
             else:
                 z4[j, rows, rows] = out
-    a, h, h_norms, stols, z1, gram0, z2, z3, gram1, gram2, z4 = st.drop(
-        failed, a, h, h_norms, stols, z1, gram0, z2, z3, gram1, gram2, z4)
 
     basis = z1 @ z2 @ z3 @ z4
     p_target = sip_form(spec)
     gram_final = z4.conj().swapaxes(1, 2) @ gram2 @ z4
-    failed = {}
     for j, (gram, stol) in enumerate(zip(gram_final, stols)):
-        final_dev = gate_norm(gram - p_target, stol, norm)
-        if final_dev > stol:
-            failed[j] = StructureMismatchError(
-                f"final Gram deviates from sip form by {final_dev:.3e}")
-    a, h, h_norms, z1, gram0, z2, z3, gram1, gram2, z4, basis = st.drop(
-        failed, a, h, h_norms, z1, gram0, z2, z3, gram1, gram2, z4, basis)
+        if j not in failed:
+            final_dev = gate_norm(gram - p_target, stol, norm)
+            if final_dev > stol:
+                failed[j] = StructureMismatchError(
+                    f"final Gram deviates from sip form by {final_dev:.3e}")
 
     certs = affiliation_residuals(a, h, basis, jordan_form(spec), p_target, norm=norm)
-    failed = {}
     for j, ((sim, cong), h_norm) in enumerate(zip(certs, h_norms)):
         if max(sim, cong) > tol * max(1.0, h_norm):
-            failed[j] = StructureMismatchError(
+            failed.setdefault(j, StructureMismatchError(
                 f"constructed basis misses its certificate gate: similarity "
-                f"{sim:.3e}, congruence {cong:.3e} vs tol {tol:.1e}")
-    certs, z1, gram0, z2, z3, gram1, gram2, z4, basis = st.drop(
-        failed, certs, z1, gram0, z2, z3, gram1, gram2, z4, basis)
-
-    fits, certs, z1, gram0, z2, z3, gram1, gram2, z4, basis = st.take(
-        conjugate_symmetry_fit(basis, spec, norm=norm),
-        certs, z1, gram0, z2, z3, gram1, gram2, z4, basis)
-    failed = {}
-    for j, (gamma_out, _, _) in enumerate(fits):
-        if pairs and abs(abs(gamma_out) - abs(gamma)) > CS_TOL * abs(gamma):
-            failed[j] = StructureMismatchError(
+                f"{sim:.3e}, congruence {cong:.3e} vs tol {tol:.1e}"))
+    fits = conjugate_symmetry_fit(basis, spec, norm=norm)
+    for j, fit in enumerate(fits):
+        if isinstance(fit, CanonError):
+            failed.setdefault(j, fit)
+        elif pairs and abs(abs(fit[0]) - abs(gamma)) > CS_TOL * abs(gamma):
+            failed.setdefault(j, StructureMismatchError(
                 f"conjugate-symmetry scalar drifted in modulus: requested "
-                f"|{gamma}| = {abs(gamma):.6g}, got {abs(gamma_out):.6g}")
-    fits, certs, z1, gram0, z2, z3, gram1, gram2, z4, basis = st.drop(
-        failed, fits, certs, z1, gram0, z2, z3, gram1, gram2, z4, basis)
+                f"|{gamma}| = {abs(gamma):.6g}, got {abs(fit[0]):.6g}"))
 
     eps_tuple = tuple(eps.get(i) for i in range(len(spec.blocks)))
     out = []
-    for j, ((gamma_out, cs_res, _), (sim, cong)) in enumerate(zip(fits, certs)):
+    for j in range(len(z1)):
+        if j in failed:
+            continue
+        (gamma_out, cs_res, _), (sim, cong) = fits[j], certs[j]
         basis_j = CanonicalBasis(
             matrix=basis[j], role=ROLE_FOCS, gamma=gamma_out,
             cert=Certificate(similarity=sim, congruence=cong, cs_residual=cs_res),
@@ -533,4 +531,5 @@ def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
             gram_raw=gram0[j], gram_phased=gram1[j], gram_scaled=gram2[j],
             basis=basis[j], gamma=gamma_out)
         out.append((basis_j, trace))
+    st.drop(failed)
     return out

@@ -23,6 +23,7 @@ from indefcanon import (
     focs_basis,
     generate_instance,
     perturb_instance,
+    pipeline,
     rc_basis,
 )
 from indefcanon.serialize import spec_from_json
@@ -41,26 +42,39 @@ def _instance(entry: int, kind: str):
     return generate_instance(spec, seed, kind=kind)
 
 
-def _not_hermitian(inst, a, h):
+def _not_hermitian(monkeypatch, a, h):
     h = h.copy()
     h[0, -1] += 1e-3
     return a, h
 
 
-def _shifted_spectrum(inst, a, h):
+def _shifted_spectrum(monkeypatch, a, h):
     # still h-selfadjoint, but no eigenvalue is where the spec puts one
     return a + 0.25 * np.eye(len(a)), h
 
 
-def _flipped_signs(inst, a, h):
+def _flipped_signs(monkeypatch, a, h):
     # the sign characteristic of every real block flips
     return a, -h
 
 
+def _missed_certificate(monkeypatch, a, h):
+    # the residuals of this pair's FOCS basis read 1, in a stack or alone
+    real = pipeline.affiliation_residuals
+
+    def residuals(a_, *args, **kwargs):
+        out = real(a_, *args, **kwargs)
+        return [(1.0, 1.0) if np.array_equal(x, a) else r for x, r in zip(a_, out)]
+
+    monkeypatch.setattr(pipeline, "affiliation_residuals", residuals)
+    return a, h
+
+
 #: One failing pair each, tripping a gate at another stage: the Hermitian
-#: gate on h, the chain staircase, and the sign check of the block loop.
+#: gate on h, the chain staircase, the sign check of the block loop, and the
+#: certificate gate after every factor is built.
 FAULTS = {"not_hermitian": _not_hermitian, "shifted_spectrum": _shifted_spectrum,
-          "flipped_signs": _flipped_signs}
+          "flipped_signs": _flipped_signs, "missed_certificate": _missed_certificate}
 
 
 def _build(inst, a, h, anchored):
@@ -133,12 +147,13 @@ def test_a_failing_item_leaves_the_others_unchanged(entry, kind, anchored, seed,
     assume(fault != "flipped_signs" or any(b.kind == REAL for b in inst.spec.blocks))
     a, h = _pairs(inst, deltas, seed)
     position %= len(deltas)
-    a[position], h[position] = FAULTS[fault](inst, a[position], h[position])
-    stacked = _build(inst, a, h, anchored)
-    for j, (x, y, got) in enumerate(zip(a, h, stacked)):
-        want = _single(inst, x, y, anchored)
-        assert isinstance(want, CanonError) == (j == position)
-        _assert_same(got, want)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        a[position], h[position] = FAULTS[fault](monkeypatch, a[position], h[position])
+        stacked = _build(inst, a, h, anchored)
+        for j, (x, y, got) in enumerate(zip(a, h, stacked)):
+            want = _single(inst, x, y, anchored)
+            assert isinstance(want, CanonError) == (j == position)
+            _assert_same(got, want)
 
 
 def test_a_stack_whose_items_all_fail_gives_each_its_error():
