@@ -13,6 +13,7 @@ eigenvalues are supplied, not estimated.
 from __future__ import annotations
 
 import cmath
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 
@@ -103,23 +104,25 @@ def _block_chains(a: np.ndarray, block: BlockSpec) -> list:
     # staircase follows its own nullities
     items = list(range(k))
     alone: list[int] = []
-    threshold = basis = None
+    thresholds = basis = None
     nullities: list[int] = []
     for _ in range(p + 1):
         projected = b if basis is None else b - basis @ (basis.conj().swapaxes(1, 2) @ b)
         _, s, vh = np.linalg.svd(projected)
-        if threshold is None:
-            threshold = RANK_RTOL * np.maximum(s[:, 0], _TINY)
-        counts = (s < threshold[:, np.newaxis]).sum(axis=1)
-        c = min(len(nullities) + 1, p) if len(items) > 1 else int(counts[0])
-        off = counts != c
-        if off.any():
-            alone += [items[j] for j in np.flatnonzero(off)]
-            keep = np.flatnonzero(~off)
+        # the singular values fall: reversed, a bisection counts those below
+        rows = s[:, ::-1].tolist()
+        if thresholds is None:
+            thresholds = [RANK_RTOL * max(row[-1], _TINY) for row in rows]
+        counts = [bisect_left(row, t) for row, t in zip(rows, thresholds)]
+        c = min(len(nullities) + 1, p) if len(items) > 1 else counts[0]
+        if any(count != c for count in counts):
+            keep = [j for j, count in enumerate(counts) if count == c]
+            alone += [items[j] for j, count in enumerate(counts) if count != c]
             items = [items[j] for j in keep]
             if not items:
                 break
-            b, threshold, vh = b[keep], threshold[keep], vh[keep]
+            b, vh = b[keep], vh[keep]
+            thresholds = [thresholds[j] for j in keep]
         nullities.append(c)
         basis = vh[:, n - c:].conj().swapaxes(1, 2)
         if c == 0:
@@ -243,9 +246,7 @@ def toeplitz_inv_sqrt(g3: np.ndarray) -> np.ndarray:
     strictly lower triangular (hence nilpotent), ``F`` is the binomial series
     of ``(1 + E)^(-1/2)`` truncated by nilpotency, so the defining identity
     holds as a finite polynomial identity in ``E``.  Exact inputs (object
-    arrays of Fractions) are processed in exact arithmetic.  ``g3`` may also
-    be a stack ``(k, p, p)``: the result is then a list with one entry per
-    matrix, its ``F`` or the error it trips.
+    arrays of Fractions) are processed in exact arithmetic.
 
     Raises
     ------
@@ -253,55 +254,45 @@ def toeplitz_inv_sqrt(g3: np.ndarray) -> np.ndarray:
         If the diagonal deviates from 1 or the upper part from 0 beyond
         :data:`STRUCT_RTOL` (exactly, for exact inputs).
     """
-    g3 = np.asarray(g3)
-    if g3.ndim == 3:
-        return Stack.run(_toeplitz_inv_sqrt, len(g3), g3)
-    return one(Stack.run(_toeplitz_inv_sqrt, 1, np.atleast_2d(g3)[np.newaxis]))
-
-
-def _toeplitz_inv_sqrt(st: Stack, g3: np.ndarray) -> list[np.ndarray]:
-    p = g3.shape[1]
-    if g3.shape[2] != p:
+    g3 = np.atleast_2d(np.asarray(g3))
+    p = g3.shape[0]
+    if g3.shape != (p, p):
         raise ValueError("g3 must be square")
     # the checks read Python scalars, without numpy's per-call cost; abs of
     # a complex entry is then the scalar hypot, which may differ from
     # numpy's vector one in the last bit, far inside the gate's tolerance
-    exact = g3.dtype == object
-    failed = {}
-    for j, rows in enumerate(g3.tolist()):
-        diag = [row[i] for i, row in enumerate(rows)]
-        upper = [x for i, row in enumerate(rows) for x in row[i + 1:]]
-        if exact:
-            if any(d != 1 for d in diag):
-                failed[j] = NotUnitTriangularError("diagonal is not exactly 1")
-            elif any(x != 0 for x in upper):
-                failed[j] = NotUnitTriangularError("upper part is not exactly 0")
-            continue
+    rows = g3.tolist()
+    diag = [row[i] for i, row in enumerate(rows)]
+    upper = [x for i, row in enumerate(rows) for x in row[i + 1:]]
+
+    if g3.dtype == object:
+        if any(d != 1 for d in diag):
+            raise NotUnitTriangularError("diagonal is not exactly 1")
+        if any(x != 0 for x in upper):
+            raise NotUnitTriangularError("upper part is not exactly 0")
+        ident = np.array([[Fraction(int(i == j)) for j in range(p)]
+                          for i in range(p)], dtype=object)
+        coeffs = _inv_sqrt_coefficients(p)
+    else:
         entries = [x for row in rows for x in row]
         if not all(map(cmath.isfinite, entries)):
             raise ValueError("g3 contains non-finite entries")
         limit = STRUCT_RTOL * max(1.0, max(map(abs, entries)))
         if any(abs(d - 1.0) > limit for d in diag):
-            failed[j] = NotUnitTriangularError("diagonal deviates from 1 beyond tolerance")
-        elif any(abs(x) > limit for x in upper):
-            failed[j] = NotUnitTriangularError("upper part deviates from 0 beyond tolerance")
-    (g3,) = st.drop(failed, g3)
-    if exact:
-        ident = np.array([[Fraction(int(i == j)) for j in range(p)]
-                          for i in range(p)], dtype=object)
-        coeffs = _inv_sqrt_coefficients(p)
-    else:
+            raise NotUnitTriangularError("diagonal deviates from 1 beyond tolerance")
+        if any(abs(x) > limit for x in upper):
+            raise NotUnitTriangularError("upper part deviates from 0 beyond tolerance")
         ident = np.eye(p, dtype=g3.dtype)
         coeffs = _float_inv_sqrt_coefficients(p)
 
     # neither f nor the powers of e are changed in place
-    f = ek = np.broadcast_to(ident, g3.shape)
+    f = ek = ident
     if p > 1:
         e = np.tril(g3, -1)
         for k in range(1, p):
             ek = ek @ e
             f = f + coeffs[k] * ek
-    return list(f.copy() if p == 1 else f)
+    return f
 
 
 def reduce_real_chain(chain: np.ndarray, h: np.ndarray,
@@ -316,10 +307,6 @@ def reduce_real_chain(chain: np.ndarray, h: np.ndarray,
     mix is the transposed Toeplitz inverse square root of the normalized
     Gram, scaled by ``1/sqrt(|g0|)``.
 
-    ``chain`` and ``h`` may also be stacks ``(k, n, p)`` and ``(k, n, n)``,
-    with one norm per item in ``h_norm``: the result is then a list with one
-    entry per item, its ``(reduced, eps)`` or the error it trips.
-
     Raises
     ------
     DegenerateGramError
@@ -327,40 +314,20 @@ def reduce_real_chain(chain: np.ndarray, h: np.ndarray,
         norms throughout; the SVD of ``chain`` runs only when ``|g0|`` misses
         the same floor with the Frobenius norm.
     """
-    chain = require_finite(chain, "chain")
-    if chain.ndim == 3:
-        return Stack.run(_reduce_real_chain, len(chain), chain, h, h_norm)
-    return one(Stack.run(_reduce_real_chain, 1, chain[np.newaxis],
-                         np.asarray(h)[np.newaxis], [h_norm]))
-
-
-def _reduce_real_chain(st: Stack, chain: np.ndarray, h: np.ndarray,
-                       h_norms: list[float]) -> list[tuple[np.ndarray, int]]:
-    # the real part is taken again after each drop, so every item keeps the
-    # operand layout a call on it alone has
-    real = np.real(chain)
-    p = real.shape[2]
-    x = real.swapaxes(1, 2) @ np.real(h) @ real
-    failed = {}
-    scales = []
-    for j, (xj, cj, h_norm) in enumerate(zip(x, real, h_norms)):
-        g0 = float(anti_diagonal_mean(xj))
-        # the Frobenius norm bounds ||chain||_2 from above, so a floor it
-        # clears is cleared by the spectral one, and only a miss takes the SVD
-        floor = GRAM_RTOL * max(h_norm * float(np.linalg.norm(cj)) ** 2, _TINY)
+    chain = np.real(require_finite(chain, "chain"))
+    p = chain.shape[1]
+    x = chain.T @ np.real(h) @ chain
+    g0 = float(anti_diagonal_mean(x))
+    # the Frobenius norm bounds ||chain||_2 from above, so a floor it clears
+    # is cleared by the spectral one, and only a miss takes the SVD
+    floor = GRAM_RTOL * max(h_norm * float(np.linalg.norm(chain)) ** 2, _TINY)
+    if abs(g0) < floor:
+        floor = GRAM_RTOL * max(h_norm * mat_norm(chain) ** 2, _TINY)
         if abs(g0) < floor:
-            floor = GRAM_RTOL * max(h_norm * mat_norm(cj) ** 2, _TINY)
-            if abs(g0) < floor:
-                failed[j] = DegenerateGramError(
-                    f"chain Gram anchor {g0:.3e} below degeneracy floor {floor:.3e}")
-                continue
-        scales.append(g0)
-    chain, x = st.drop(failed, chain, x)
-    eps = [1 if g0 > 0 else -1 for g0 in scales]
-    mix = np.array([e / abs(g0) for e, g0 in zip(eps, scales)])
-    g3 = mix[:, np.newaxis, np.newaxis] * (x @ exchange(p))
-    fs, chain, scales, eps = st.take(toeplitz_inv_sqrt(g3), chain, scales, eps)
-    f = np.stack(fs)
-    root = np.sqrt(np.abs(scales))
-    reduced = (np.real(chain) @ f.swapaxes(1, 2).real) / root[:, np.newaxis, np.newaxis]
-    return list(zip(reduced, eps))
+            raise DegenerateGramError(
+                f"chain Gram anchor {g0:.3e} below degeneracy floor {floor:.3e}")
+    eps = 1 if g0 > 0 else -1
+    g3 = (eps / abs(g0)) * (x @ exchange(p))
+    f = toeplitz_inv_sqrt(g3)
+    reduced = (chain @ f.T.real) / np.sqrt(abs(g0))
+    return reduced, eps

@@ -498,14 +498,14 @@ def _anchored_canonize(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec
 
     construct = rc_basis if kind == ROLE_RC else partial(focs_basis, gamma=t0.gamma or 1.0)
     (built,) = st.take(construct(a, h, work_spec, anchor=t0.matrix))
-    gauge = np.stack([_block_gauge(basis.matrix, t0.matrix, work_spec,
+    gauge = np.array([_block_gauge(basis.matrix, t0.matrix, work_spec,
                                    continuous_phase=kind == ROLE_FOCS)
                       for basis, _ in built])
     # one product per basis: an rc basis is a real view of a complex matrix,
     # and a stack of them would not keep that operand layout
-    new_mat = np.stack([basis.matrix @ g for (basis, _), g in zip(built, gauge)])
-    chain_factor = np.stack([trace.chain_factor for _, trace in built]) @ gauge
-    trace_basis = np.stack([trace.basis for _, trace in built]) @ gauge
+    new_mat = np.array([basis.matrix @ g for (basis, _), g in zip(built, gauge)])
+    chain_factor = np.array([trace.chain_factor for _, trace in built]) @ gauge
+    trace_basis = np.array([trace.basis for _, trace in built]) @ gauge
 
     fits, built, new_mat, chain_factor, trace_basis = st.take(
         conjugate_symmetry_fit(to_focs(new_mat, work_spec, kind), work_spec),
@@ -576,6 +576,10 @@ def _trial_fault(exc: Exception, delta: float, trial_index: int, seed: int) -> T
         delta=delta, index=trial_index, seed=seed)
 
 
+def _failed_trial(delta: float, trial_index: int, exc: CanonError) -> TrialRecord:
+    return TrialRecord(delta, trial_index, float("nan"), None, None, None, status=exc.code)
+
+
 def _run_trials(inst: Instance, delta: float, delta_index: int, indices,
                 mode: str, norm: str) -> list[TrialRecord]:
     """Records of the trials ``indices`` at one delta, in order.
@@ -595,8 +599,7 @@ def _run_trials(inst: Instance, delta: float, delta_index: int, indices,
         try:
             pair = perturb_instance(inst, delta, mode, seed, norm=norm)
         except CanonError as exc:
-            records[ti] = TrialRecord(delta, ti, float("nan"), None, None, None,
-                                      status=exc.code)
+            records[ti] = _failed_trial(delta, ti, exc)
             continue
         except Exception as exc:
             # the trials before it are built first: a fault of theirs comes first
@@ -619,8 +622,8 @@ def _build_trials(inst: Instance, delta: float, group: list, mode: str,
     as one stack."""
     try:
         outcomes = anchored_canonize(
-            np.stack([pair.a for _, _, pair in group]),
-            np.stack([pair.h for _, _, pair in group]), inst.spec, inst.t0,
+            np.array([pair.a for _, _, pair in group]),
+            np.array([pair.h for _, _, pair in group]), inst.spec, inst.t0,
             weak_delta=delta if mode == MODE_WEAK else None)
         eye = np.eye(inst.spec.total_size)
         chain_ref = to_focs(inst.t0.matrix, inst.spec, inst.t0.role)
@@ -632,20 +635,21 @@ def _build_trials(inst: Instance, delta: float, group: list, mode: str,
             trace.scale_factor - eye,
             trace.flip_factor - eye)], norm)
     except Exception as exc:
-        if len(group) == 1:
-            (ti, seed, _), = group
-            raise _trial_fault(exc, delta, ti, seed) from exc
-        records = {}
-        for item in group:
-            records.update(_build_trials(inst, delta, [item], mode, norm))
-        return records
+        if len(group) > 1:
+            records = {}
+            for item in group:
+                records.update(_build_trials(inst, delta, [item], mode, norm))
+            return records
+        ((ti, seed, _),) = group
+        if isinstance(exc, CanonError):
+            return {ti: _failed_trial(delta, ti, exc)}
+        raise _trial_fault(exc, delta, ti, seed) from exc
 
     records = {}
     k = 0
     for (ti, _, pair), out in zip(group, outcomes):
         if isinstance(out, CanonError):
-            records[ti] = TrialRecord(delta, ti, float("nan"), None, None, None,
-                                      status=out.code)
+            records[ti] = _failed_trial(delta, ti, out)
             continue
         dev, *z_devs = devs[k:k + 5]
         k += 5

@@ -234,7 +234,9 @@ class Stack:
         try:
             values = body(st, *args)
         except cls.Emptied:
-            values = []
+            return st.errors
+        if len(st.live) == size:
+            return list(values)
         out: list = list(st.errors)
         for pos, value in zip(st.live, values):
             out[pos] = value
@@ -258,6 +260,8 @@ class Stack:
         """The values among ``outcomes``, one per live item, followed by
         ``stacks`` without the items whose outcome is an error."""
         failed = {j: o for j, o in enumerate(outcomes) if isinstance(o, CanonError)}
+        if not failed:
+            return (outcomes, *stacks)
         values = [o for o in outcomes if not isinstance(o, CanonError)]
         return (values, *self.drop(failed, *stacks))
 

@@ -178,26 +178,19 @@ def flip_step(gram_pair_block: np.ndarray) -> np.ndarray:
     Hankel with unit anti-diagonal) is flipped into a unit lower-triangular
     Toeplitz matrix; its inverse square root ``F`` then satisfies
     ``F_up^T G2 F_up = sip`` with ``F_up = F^T``, and the block factor is
-    ``diag(F_up, conj(F_up))``.  ``gram_pair_block`` may also be a stack
-    ``(k, 2p, 2p)``: the result is then a list with one entry per Gram, its
-    factor or the error it trips.
+    ``diag(F_up, conj(F_up))``.
     """
     gram_pair_block = np.asarray(gram_pair_block)
-    if gram_pair_block.ndim == 3:
-        return Stack.run(_flip_step, len(gram_pair_block), gram_pair_block)
-    return one(Stack.run(_flip_step, 1, gram_pair_block[np.newaxis]))
-
-
-def _flip_step(st: Stack, grams: np.ndarray) -> list[np.ndarray]:
-    if grams.shape[1] % 2:
+    if gram_pair_block.shape[0] % 2:
         raise ValueError("pair-block Gram must have even size")
-    p = grams.shape[1] // 2
-    (fs,) = st.take(toeplitz_inv_sqrt(grams[:, p:, :p] @ exchange(p)))
-    f_up = np.stack(fs).swapaxes(1, 2)
-    out = np.zeros((len(fs), 2 * p, 2 * p), dtype=complex)
-    out[:, :p, :p] = f_up
-    out[:, p:, p:] = np.conj(f_up)
-    return list(out)
+    p = gram_pair_block.shape[0] // 2
+    g2 = gram_pair_block[p:, :p]
+    f = toeplitz_inv_sqrt(g2 @ exchange(p))
+    f_up = f.T
+    out = np.zeros((2 * p, 2 * p), dtype=complex)
+    out[:p, :p] = f_up
+    out[p:, p:] = np.conj(f_up)
+    return out
 
 
 def symmetrize_step(spec: JordanSpec, chains: list[np.ndarray],
@@ -297,7 +290,7 @@ def _check_gram_structure(gram: np.ndarray, spec: JordanSpec,
 def _eyes(k: int, n: int) -> np.ndarray:
     """``k`` complex n x n identities, for the factors filled block by block."""
     out = np.zeros((k, n, n), dtype=complex)
-    out[:, range(n), range(n)] = 1.0
+    out.reshape(k, n * n)[:, ::n + 1] = 1.0
     return out
 
 
@@ -397,22 +390,25 @@ def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     reduced: dict[int, np.ndarray] = {}
     eps: dict[int, int] = {}
     for i, ((off, b), mats) in enumerate(zip(spec.offsets(), zip(*found))):
-        mat = np.stack(mats)
+        mat = np.array(mats)
         if anchor is not None:
             # a real block's fit is reduced through its real part
-            mat = np.stack([fit_chain_to(m, anchor[:, off:off + b.size]) for m in mat])
+            mat = np.array([fit_chain_to(m, anchor[:, off:off + b.size]) for m in mat])
         if b.kind == REAL:
             reds = []
-            for j, out in enumerate(reduce_real_chain(mat, h, h_norms2)):
-                if isinstance(out, CanonError):
-                    failed.setdefault(j, out)
-                    out = (np.zeros((n_dim, b.size)), b.sign)
-                elif out[1] != b.sign:
-                    failed.setdefault(j, StructureMismatchError(
-                        f"block {i}: computed sign characteristic {out[1]:+d} "
-                        f"contradicts declared {b.sign:+d}"))
-                reds.append(out[0])
-            reduced[i] = np.stack(reds)
+            for j, (m, hj, h_norm) in enumerate(zip(mat, h, h_norms2)):
+                red = np.zeros((n_dim, b.size))
+                if j not in failed:
+                    try:
+                        red, sign = reduce_real_chain(m, hj, h_norm)
+                        if sign != b.sign:
+                            failed[j] = StructureMismatchError(
+                                f"block {i}: computed sign characteristic {sign:+d} "
+                                f"contradicts declared {b.sign:+d}")
+                    except CanonError as exc:
+                        failed[j] = exc
+                reds.append(red)
+            reduced[i] = np.array(reds)
             eps[i] = b.sign
         elif anchor is None:
             # prospective anchor; rotate the chain off the degenerate axis
@@ -431,7 +427,7 @@ def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         if isinstance(out, CanonError):
             failed.setdefault(j, out)
     sym, a, h, h_norms = st.drop(failed, sym, a, h, h_norms)
-    z1 = np.stack([z for z, _ in sym])
+    z1 = np.array([z for z, _ in sym])
     z1_norms = [z_norm for _, z_norm in sym]
     if norm != "spectral":
         z1_norms = [mat_norm(z, norm) for z in z1]
@@ -485,11 +481,12 @@ def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                         f"pair block {i} anchor {anc2.g0:.3e} not unit after scale step")
             except CanonError as exc:
                 failed[j] = exc
-        for j, out in enumerate(flip_step(gram2[:, rows, rows])):
-            if isinstance(out, CanonError):
-                failed.setdefault(j, out)
-            else:
-                z4[j, rows, rows] = out
+        for j, gram in enumerate(gram2):
+            if j not in failed:
+                try:
+                    z4[j, rows, rows] = flip_step(gram[rows, rows])
+                except CanonError as exc:
+                    failed[j] = exc
 
     basis = z1 @ z2 @ z3 @ z4
     p_target = sip_form(spec)

@@ -73,7 +73,7 @@ def _rc_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
               anchor: np.ndarray | None, tol: float,
               norm: str) -> list[tuple[CanonicalBasis, PipelineTrace]]:
     built, a, h = st.take(focs_basis(a, h, spec, 1.0j, anchor=anchor, tol=tol, norm=norm), a, h)
-    r = np.stack([focs.matrix for focs, _ in built]) @ mixing_matrix(spec)
+    r = np.array([focs.matrix for focs, _ in built]) @ mixing_matrix(spec)
     # both gates scale their limit with a norm whose value is not kept: a
     # lower bound of it decides first, and the SVD runs only on a miss
     failed = {}
