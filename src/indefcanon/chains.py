@@ -193,11 +193,16 @@ def _jordan_chains(st: Stack, a: np.ndarray, spec: JordanSpec) -> list[tuple]:
     if a.shape[1:] != (size, size):
         raise StructureMismatchError(
             f"matrix size {a.shape[1:]} does not match spec size {size}")
-    per_block: list[list[np.ndarray]] = []
-    for block in spec.blocks:
-        found, a, *per_block = st.take(_block_chains(a, block), a, *per_block)
-        per_block.append(found)
-    return list(zip(*per_block))
+    # an item that trips a block goes on through the later ones and leaves
+    # with the error of the first block it trips
+    found = list(zip(*(_block_chains(a, block) for block in spec.blocks)))
+    failed = {}
+    for j, outs in enumerate(found):
+        errors = [o for o in outs if isinstance(o, CanonError)]
+        if errors:
+            failed[j] = errors[0]
+    (found,) = st.drop(failed, found)
+    return found
 
 
 def fit_chain_to(chain: np.ndarray, target: np.ndarray) -> np.ndarray:

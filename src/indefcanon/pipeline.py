@@ -350,15 +350,16 @@ def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     # the conjugate-symmetric synthesis needs conj(chain) to be the chain of
     # the conjugate eigenvalue, which holds for real pairs only
     for name in ("a", "h"):
-        failed = {}
-        for j, m in enumerate(a if name == "a" else h):
-            if np.iscomplexobj(m):
+        stack = a if name == "a" else h
+        if np.iscomplexobj(stack):
+            failed = {}
+            for j, m in enumerate(stack):
                 imag = float(np.max(np.abs(m.imag))) if m.size else 0.0
                 if imag > STRUCT_RTOL * max(1.0, mat_norm(m, norm)):
                     failed[j] = NotRealError(
                         f"{name} has imaginary part {imag:.3e}; the "
                         "conjugate-symmetric construction needs a real pair")
-        a, h = st.drop(failed, a, h)
+            a, h = st.drop(failed, a, h)
     a = np.real(a)
     h = np.real(h)
 
@@ -381,8 +382,9 @@ def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                     f"pair is not h-selfadjoint (residual {pre:.3e} > {pre_tol:.3e})")
     a, h, h_norms2, h_norms = st.drop(failed, a, h, h_norms2, h_norms)
 
-    # an item that trips a gate in the block loop goes on with placeholder
-    # chains and leaves with its first error after the loop
+    # an item that trips a gate in the block loop goes on with zero reduced
+    # chains in place of those not built, and leaves with its first error
+    # once the chain factors are assembled
     found, a, h, h_norms2, h_norms = st.take(jordan_chains(a, spec), a, h, h_norms2, h_norms)
     n_dim = spec.total_size
     failed = {}
@@ -392,7 +394,8 @@ def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     for i, ((off, b), mats) in enumerate(zip(spec.offsets(), zip(*found))):
         mat = np.array(mats)
         if anchor is not None:
-            # a real block's fit is reduced through its real part
+            # a real block's complex fit goes to reduce_real_chain, which
+            # takes its real part, as on one chain
             mat = np.array([fit_chain_to(m, anchor[:, off:off + b.size]) for m in mat])
         if b.kind == REAL:
             reds = []

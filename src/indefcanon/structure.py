@@ -329,8 +329,8 @@ def _conjugate_symmetry_fit(st: Stack, n: np.ndarray, spec: JordanSpec,
     if not pair_blocks:
         return [(1.0 + 0.0j, 0.0, None)] * len(n)
 
-    # the scalar is read per basis: numpy's vector abs of a larger array may
-    # differ from that of one block in the last bit
+    # the scalar is read basis by basis; the residuals of the whole stack
+    # then take one norm call
     _, off0, b0 = pair_blocks[0]
     gammas = []
     failed = {}
