@@ -56,9 +56,8 @@ def _shift_index(p: int) -> np.ndarray:
     return out
 
 
-def _phase_factor(v: np.ndarray):
-    """Unit scalar rotating ``v`` so its first significant entry is real
-    positive.
+def _phase_normalize(v: np.ndarray) -> np.ndarray:
+    """Rotate ``v`` so its first significant entry is real positive.
 
     'Significant' means at least 10% of the largest magnitude, which keeps
     the choice stable against rounding noise in near-zero entries.
@@ -66,7 +65,7 @@ def _phase_factor(v: np.ndarray):
     mags = np.abs(v)
     idx = int((mags >= 0.1 * np.maximum.reduce(mags)).argmax())
     piv = v[idx]
-    return abs(piv) / piv
+    return v * (abs(piv) / piv)
 
 
 def _staircase_error(a: np.ndarray, block: BlockSpec, nullities: list[int]) -> CanonError:
@@ -144,16 +143,17 @@ def _block_chains(a: np.ndarray, block: BlockSpec) -> list:
     for _ in range(p - 1):
         last_link = b @ last_link
     _, _, wvh = np.linalg.svd(last_link, full_matrices=False)
-    v = (basis @ wvh.conj()[:, 0, :, np.newaxis])[..., 0]
-    v = v / np.array([np.linalg.norm(x) for x in v])[:, np.newaxis]
-    v = v * np.array([_phase_factor(x) for x in v])[:, np.newaxis]
-
-    chains = np.empty((len(items), n, p), dtype=v.dtype)
-    chains[:, :, p - 1] = v
-    for j in range(p - 2, -1, -1):
-        v = (b @ v[..., np.newaxis])[..., 0]
-        chains[:, :, j] = v
-    for i, chain in zip(items, chains):
+    generators = (basis @ wvh.conj()[:, 0, :, np.newaxis])[..., 0]
+    # the chain of each item grows from its generator by matrix-vector
+    # products, as cheap one by one as stacked
+    for i, v, bi in zip(items, generators, b):
+        v = v / np.linalg.norm(v)
+        v = _phase_normalize(v)
+        chain = np.empty((n, p), dtype=v.dtype)
+        chain[:, p - 1] = v
+        for j in range(p - 2, -1, -1):
+            v = bi @ v
+            chain[:, j] = v
         out[i] = chain
     return out
 

@@ -82,7 +82,7 @@ def mat_norms(ms: list[np.ndarray], kind: str = "spectral") -> list[float]:
         if 0 in shape:
             continue
         group = [ms[i] for i in idx]
-        stack = group[0][np.newaxis] if len(group) == 1 else np.stack(group)
+        stack = group[0][np.newaxis] if len(group) == 1 else np.array(group)
         s = np.linalg.svd(stack, compute_uv=False)
         for i, value in zip(idx, s[:, 0].tolist()):
             out[i] = value

@@ -213,7 +213,7 @@ def symmetrize_step(spec: JordanSpec, chains: list[np.ndarray],
     """
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
-    if np.ndim(chains[0]) == 3:
+    if chains[0].ndim == 3:
         return Stack.run(_symmetrize_step, len(chains[0]), spec, chains, reduced, gamma)
     return one(Stack.run(_symmetrize_step, 1, spec, [c[np.newaxis] for c in chains],
                          {i: r[np.newaxis] for i, r in reduced.items()}, gamma))
@@ -311,7 +311,8 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     ``spec`` and the other arguments.  The result is then a list with one
     entry per pair: its ``(basis, trace)``, or the :class:`CanonError` of
     the first gate it trips.  Each entry is bit for bit what a call on that
-    pair alone returns or raises; every stage runs once per stack.
+    pair alone returns or raises; the SVDs, n x n products and norms take
+    one call per stack.
 
     Parameters
     ----------
@@ -400,17 +401,18 @@ def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         if b.kind == REAL:
             reds = []
             for j, (m, hj, h_norm) in enumerate(zip(mat, h, h_norms2)):
-                red = np.zeros((n_dim, b.size))
                 if j not in failed:
                     try:
                         red, sign = reduce_real_chain(m, hj, h_norm)
+                        reds.append(red)
                         if sign != b.sign:
                             failed[j] = StructureMismatchError(
                                 f"block {i}: computed sign characteristic {sign:+d} "
                                 f"contradicts declared {b.sign:+d}")
+                        continue
                     except CanonError as exc:
                         failed[j] = exc
-                reds.append(red)
+                reds.append(np.zeros((n_dim, b.size)))
             reduced[i] = np.array(reds)
             eps[i] = b.sign
         elif anchor is None:
