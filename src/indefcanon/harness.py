@@ -507,9 +507,14 @@ def _anchored_canonize(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec
     chain_factor = np.array([trace.chain_factor for _, trace in built]) @ gauge
     trace_basis = np.array([trace.basis for _, trace in built]) @ gauge
 
+    fits = []
+    for m in to_focs(new_mat, work_spec, kind):
+        try:
+            fits.append(conjugate_symmetry_fit(m, work_spec))
+        except CanonError as exc:
+            fits.append(exc)
     fits, built, new_mat, chain_factor, trace_basis = st.take(
-        conjugate_symmetry_fit(to_focs(new_mat, work_spec, kind), work_spec),
-        built, new_mat, chain_factor, trace_basis)
+        fits, built, new_mat, chain_factor, trace_basis)
     out = []
     for (basis, trace), (gamma_out, cs_res, _), mat, z1, tb in zip(
             built, fits, new_mat, chain_factor, trace_basis):

@@ -186,27 +186,12 @@ def affiliation_residuals(a: np.ndarray, h: np.ndarray, t: np.ndarray,
     Returns ``(||a t - t j|| / ||t||, ||t* h t - p||)``.  The similarity
     residual is formed multiplication-side rather than via ``t``-inverse so
     that ill-conditioning of ``t`` is not amplified into the certificate.
-    ``a``, ``h`` and ``t`` may also be stacks ``(k, n, n)``: the result is
-    then a list with one pair of residuals per item, from one singular-value
-    call.
     """
     a, h, t, j, p = (np.asarray(x) for x in (a, h, t, j, p))
-    if t.ndim == 3:
-        return _affiliation_residuals(a, h, t, j, p, norm)
-    return _affiliation_residuals(a[np.newaxis], h[np.newaxis], t[np.newaxis], j, p, norm)[0]
-
-
-def _affiliation_residuals(a: np.ndarray, h: np.ndarray, t: np.ndarray,
-                           j: np.ndarray, p: np.ndarray,
-                           norm: str) -> list[tuple[float, float]]:
-    norms = mat_norms([*t, *(a @ t - t @ j), *(t.conj().swapaxes(1, 2) @ h @ t - p)], norm)
-    k = len(t)
-    out = []
-    for tn, sim, cong in zip(norms[:k], norms[k:2 * k], norms[2 * k:]):
-        if tn == 0.0:
-            raise ValueError("t must be nonzero")
-        out.append((sim / tn, cong))
-    return out
+    tn, sim, cong = mat_norms([t, a @ t - t @ j, t.conj().T @ h @ t - p], norm)
+    if tn == 0.0:
+        raise ValueError("t must be nonzero")
+    return sim / tn, cong
 
 
 class Stack:

@@ -48,6 +48,7 @@ from .linalg import (
     exchange,
     gate_norm,
     mat_norm,
+    norm_and_rcond,
     norms_and_rconds,
     one,
     require_finite,
@@ -57,7 +58,7 @@ from .structure import (
     PAIR,
     REAL,
     JordanSpec,
-    _selfadjoint_defects,
+    _selfadjoint_defect,
     conjugate_symmetry_fit,
     jordan_form,
     sip_form,
@@ -202,9 +203,7 @@ def symmetrize_step(spec: JordanSpec, chains: list[np.ndarray],
     real block to its reduced chain.
 
     Returns ``(Z1, ||Z1||_2)``; the norm comes from the singular-value call
-    of the conditioning check.  The chains and reduced chains may also be
-    stacks ``(k, n, p)``: the result is then a list with one entry per item,
-    its ``(Z1, ||Z1||_2)`` or the error it trips.
+    of the conditioning check.
 
     Raises
     ------
@@ -213,27 +212,17 @@ def symmetrize_step(spec: JordanSpec, chains: list[np.ndarray],
     """
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
-    if chains[0].ndim == 3:
-        return Stack.run(_symmetrize_step, len(chains[0]), spec, chains, reduced, gamma)
-    return one(Stack.run(_symmetrize_step, 1, spec, [c[np.newaxis] for c in chains],
-                         {i: r[np.newaxis] for i, r in reduced.items()}, gamma))
-
-
-def _symmetrize_step(st: Stack, spec: JordanSpec, chains: list[np.ndarray],
-                     reduced: dict[int, np.ndarray],
-                     gamma: complex) -> list[tuple[np.ndarray, float]]:
     cols = []
     for i, (b, l) in enumerate(zip(spec.blocks, chains)):
         if b.kind == REAL:
             cols.append(reduced[i].astype(complex))
         else:
-            cols.append(np.concatenate([l, gamma * np.conj(l)], axis=2))
-    z1 = np.concatenate(cols, axis=2)
-    z1_norms, rconds = norms_and_rconds(z1)
-    failed = {j: SingularBasisError(f"chain basis is numerically singular (rcond={rc:.3e})")
-              for j, rc in enumerate(rconds) if rc < RCOND_FLOOR}
-    z1, z1_norms = st.drop(failed, z1, z1_norms)
-    return list(zip(z1, z1_norms))
+            cols.append(np.concatenate([l, gamma * np.conj(l)], axis=1))
+    z1 = np.concatenate(cols, axis=1)
+    z1_norm, rc = norm_and_rcond(z1)
+    if rc < RCOND_FLOOR:
+        raise SingularBasisError(f"chain basis is numerically singular (rcond={rc:.3e})")
+    return z1, z1_norm
 
 
 def _anchor_from_gram(gram: np.ndarray, off: int, p: int,
@@ -368,10 +357,13 @@ def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     # selfadjointness pre-check; reduce_real_chain needs the spectral norm
     h_norms2, h_rconds = norms_and_rconds(h)
     h_norms = h_norms2 if norm == "spectral" else [mat_norm(m, norm) for m in h]
-    defects, a, h, h_norms2, h_norms = st.take(
-        _selfadjoint_defects(a, h, h_norms, h_rconds, norm), a, h, h_norms2, h_norms)
     failed = {}
-    for j, (aj, defect, h_norm) in enumerate(zip(a, defects, h_norms)):
+    for j, (aj, hj, h_norm, h_rcond) in enumerate(zip(a, h, h_norms, h_rconds)):
+        try:
+            defect = _selfadjoint_defect(aj, hj, h_norm, h_rcond, norm)
+        except CanonError as exc:
+            failed[j] = exc
+            continue
         # the pre-check decides on a lower bound of ||a|| and the Frobenius
         # bound of the residual first
         pre_tol = STRUCT_RTOL * max(1.0, _norm_lower_bound(aj, norm) * h_norm)
@@ -383,14 +375,12 @@ def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                     f"pair is not h-selfadjoint (residual {pre:.3e} > {pre_tol:.3e})")
     a, h, h_norms2, h_norms = st.drop(failed, a, h, h_norms2, h_norms)
 
-    # an item that trips a gate in the block loop goes on with zero reduced
-    # chains in place of those not built, and leaves with its first error
-    # once the chain factors are assembled
+    # an item that trips a gate in the block loop is reduced no further and
+    # leaves with its first error after the loop
     found, a, h, h_norms2, h_norms = st.take(jordan_chains(a, spec), a, h, h_norms2, h_norms)
-    n_dim = spec.total_size
     failed = {}
     prepared = []
-    reduced: dict[int, np.ndarray] = {}
+    reduced: dict[int, list] = {}
     eps: dict[int, int] = {}
     for i, ((off, b), mats) in enumerate(zip(spec.offsets(), zip(*found))):
         mat = np.array(mats)
@@ -399,21 +389,19 @@ def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
             # takes its real part, as on one chain
             mat = np.array([fit_chain_to(m, anchor[:, off:off + b.size]) for m in mat])
         if b.kind == REAL:
-            reds = []
+            reduced[i] = []
             for j, (m, hj, h_norm) in enumerate(zip(mat, h, h_norms2)):
+                red = None
                 if j not in failed:
                     try:
                         red, sign = reduce_real_chain(m, hj, h_norm)
-                        reds.append(red)
                         if sign != b.sign:
                             failed[j] = StructureMismatchError(
                                 f"block {i}: computed sign characteristic {sign:+d} "
                                 f"contradicts declared {b.sign:+d}")
-                        continue
                     except CanonError as exc:
                         failed[j] = exc
-                reds.append(np.zeros((n_dim, b.size)))
-            reduced[i] = np.array(reds)
+                reduced[i].append(red)
             eps[i] = b.sign
         elif anchor is None:
             # prospective anchor; rotate the chain off the degenerate axis
@@ -427,15 +415,22 @@ def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                                mat * np.exp(0.25j * np.pi), mat)
         prepared.append(mat)
 
-    sym = symmetrize_step(spec, prepared, reduced, gamma)
-    for j, out in enumerate(sym):
-        if isinstance(out, CanonError):
-            failed.setdefault(j, out)
-    sym, a, h, h_norms = st.drop(failed, sym, a, h, h_norms)
-    z1 = np.array([z for z, _ in sym])
-    z1_norms = [z_norm for _, z_norm in sym]
-    if norm != "spectral":
-        z1_norms = [mat_norm(z, norm) for z in z1]
+    z1s = []
+    z1_norms = []
+    for j in range(len(a)):
+        if j in failed:
+            continue
+        try:
+            z1, z1_norm = symmetrize_step(spec, [m[j] for m in prepared],
+                                          {i: r[j] for i, r in reduced.items()}, gamma)
+        except CanonError as exc:
+            failed[j] = exc
+            continue
+        z1s.append(z1)
+        z1_norms.append(z1_norm if norm == "spectral" else mat_norm(z1, norm))
+    a, h, h_norms = st.drop(failed, a, h, h_norms)
+    z1 = np.array(z1s)
+    n_dim = spec.total_size
     stols = [STRUCT_RTOL * max(1.0, h_norm * z_norm ** 2)
              for h_norm, z_norm in zip(h_norms, z1_norms)]
 
@@ -503,20 +498,32 @@ def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                 failed[j] = StructureMismatchError(
                     f"final Gram deviates from sip form by {final_dev:.3e}")
 
-    certs = affiliation_residuals(a, h, basis, jordan_form(spec), p_target, norm=norm)
-    for j, ((sim, cong), h_norm) in enumerate(zip(certs, h_norms)):
+    j_target = jordan_form(spec)
+    certs = []
+    fits = []
+    for j, (aj, hj, bj, h_norm) in enumerate(zip(a, h, basis, h_norms)):
+        if j in failed:
+            certs.append(None)
+            fits.append(None)
+            continue
+        sim, cong = affiliation_residuals(aj, hj, bj, j_target, p_target, norm=norm)
+        certs.append((sim, cong))
+        fits.append(None)
         if max(sim, cong) > tol * max(1.0, h_norm):
-            failed.setdefault(j, StructureMismatchError(
+            failed[j] = StructureMismatchError(
                 f"constructed basis misses its certificate gate: similarity "
-                f"{sim:.3e}, congruence {cong:.3e} vs tol {tol:.1e}"))
-    fits = conjugate_symmetry_fit(basis, spec, norm=norm)
-    for j, fit in enumerate(fits):
-        if isinstance(fit, CanonError):
-            failed.setdefault(j, fit)
-        elif pairs and abs(abs(fit[0]) - abs(gamma)) > CS_TOL * abs(gamma):
-            failed.setdefault(j, StructureMismatchError(
+                f"{sim:.3e}, congruence {cong:.3e} vs tol {tol:.1e}")
+            continue
+        try:
+            fits[j] = conjugate_symmetry_fit(bj, spec, norm=norm)
+        except CanonError as exc:
+            failed[j] = exc
+            continue
+        gamma_out = fits[j][0]
+        if pairs and abs(abs(gamma_out) - abs(gamma)) > CS_TOL * abs(gamma):
+            failed[j] = StructureMismatchError(
                 f"conjugate-symmetry scalar drifted in modulus: requested "
-                f"|{gamma}| = {abs(gamma):.6g}, got {abs(fit[0]):.6g}"))
+                f"|{gamma}| = {abs(gamma):.6g}, got {abs(gamma_out):.6g}")
 
     eps_tuple = tuple(eps.get(i) for i in range(len(spec.blocks)))
     out = []

@@ -88,12 +88,13 @@ def _rc_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                     f"mixed basis has imaginary part {max_imag:.3e} "
                     f"(threshold {threshold:.3e})")
     built, r, a, h, max_imags = st.drop(failed, built, r, a, h, max_imags)
-    # the real part stays a view, the operand layout of a single call
-    r_real = np.real(r)
-    certs = affiliation_residuals(a, h, r_real, real_jordan_form(spec), sip_form(spec),
-                                  norm=norm)
+    jr, p_target = real_jordan_form(spec), sip_form(spec)
+    certs = []
     failed = {}
-    for j, ((sim, cong), hj) in enumerate(zip(certs, h)):
+    # the real part stays a view, the operand layout of a single call
+    for j, (aj, hj, rj) in enumerate(zip(a, h, np.real(r))):
+        sim, cong = affiliation_residuals(aj, hj, rj, jr, p_target, norm=norm)
+        certs.append((sim, cong))
         if max(sim, cong) > tol * max(1.0, _norm_lower_bound(hj, norm)):
             limit = tol * max(1.0, mat_norm(hj, norm))
             if max(sim, cong) > limit:

@@ -35,13 +35,11 @@ from .errors import (
 )
 from .linalg import (
     RCOND_FLOOR,
-    Stack,
     exchange,
     gate_norm,
     mat_norm,
     mat_norms,
     norm_and_rcond,
-    one,
     require_finite,
 )
 
@@ -269,36 +267,24 @@ def h_selfadjoint_residual(a: np.ndarray, h: np.ndarray, *,
     h = require_finite(h, "h")
     h2, rc = norm_and_rcond(h)
     hn = h2 if norm == "spectral" else mat_norm(h, norm)
-    defect = one(_selfadjoint_defects(a[np.newaxis], h[np.newaxis], [hn], [rc], norm))
-    return mat_norm(defect, norm)
+    return mat_norm(_selfadjoint_defect(a, h, hn, rc, norm), norm)
 
 
-def _selfadjoint_defects(a: np.ndarray, h: np.ndarray, h_norms: list[float],
-                         h_rconds: list[float], norm: str) -> list:
-    """The matrix ``h a - a* h`` behind :func:`h_selfadjoint_residual` for
-    each pair of the stacks ``a`` and ``h``, or the error of the first of its
-    Hermitian and conditioning gates on ``h`` that it trips.  The norms of
-    ``h`` (in ``norm``) and its rconds are the caller's, so one
-    singular-value call on ``h`` can serve the caller as well."""
-    if a.shape != h.shape or a.ndim != 3 or a.shape[1] != a.shape[2]:
+def _selfadjoint_defect(a: np.ndarray, h: np.ndarray, h_norm: float,
+                        h_rcond: float, norm: str) -> np.ndarray:
+    """The matrix ``h a - a* h`` behind :func:`h_selfadjoint_residual`,
+    after its shape, Hermitian and conditioning gates on ``h``.  ``h_norm``
+    (in ``norm``) and ``h_rcond`` are the caller's, so one singular-value
+    call on ``h`` can serve the caller as well."""
+    if a.shape != h.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("a and h must be square and of equal size")
-    return Stack.run(_selfadjoint_defect, len(a), a, h, h_norms, h_rconds, norm)
-
-
-def _selfadjoint_defect(st: Stack, a: np.ndarray, h: np.ndarray, h_norms: list[float],
-                        h_rconds: list[float], norm: str) -> list[np.ndarray]:
-    failed = {}
-    for j, (skew, h_norm, h_rcond) in enumerate(
-            zip(h - h.conj().swapaxes(1, 2), h_norms, h_rconds)):
-        herm_limit = HERM_TOL * max(1.0, h_norm)
-        herm = gate_norm(skew, herm_limit, norm)
-        if herm > herm_limit:
-            failed[j] = NotHermitianError(f"h deviates from Hermitian by {herm:.3e}")
-        elif h_rcond < RCOND_FLOOR:
-            failed[j] = SingularInnerProductError(
-                f"h is numerically singular (rcond={h_rcond:.3e})")
-    a, h = st.drop(failed, a, h)
-    return list(h @ a - a.conj().swapaxes(1, 2) @ h)
+    herm_limit = HERM_TOL * max(1.0, h_norm)
+    herm = gate_norm(h - h.conj().T, herm_limit, norm)
+    if herm > herm_limit:
+        raise NotHermitianError(f"h deviates from Hermitian by {herm:.3e}")
+    if h_rcond < RCOND_FLOOR:
+        raise SingularInnerProductError(f"h is numerically singular (rcond={h_rcond:.3e})")
+    return h @ a - a.conj().T @ h
 
 
 def conjugate_symmetry_fit(n: np.ndarray, spec: JordanSpec, *,
@@ -309,50 +295,30 @@ def conjugate_symmetry_fit(n: np.ndarray, spec: JordanSpec, *,
     pair block (avoiding division by near-zero entries), then the deviation
     ``||second_half - gamma * conj(first_half)||`` is measured on every pair
     block.  Returns ``(gamma, worst_residual, worst_block_index)``; a spec
-    without pair blocks degenerates to ``(1, 0.0, None)``.  ``n`` may also be
-    a stack ``(k, n, n)`` of bases: the result is then a list with one entry
-    per basis, its fit or the error it trips, and one singular-value call
-    measures every residual of the stack.
+    without pair blocks degenerates to ``(1, 0.0, None)``.
     """
     n = require_finite(n, "basis")
-    if n.ndim == 3:
-        return Stack.run(_conjugate_symmetry_fit, len(n), n, spec, norm)
-    return one(Stack.run(_conjugate_symmetry_fit, 1, n[np.newaxis], spec, norm))
-
-
-def _conjugate_symmetry_fit(st: Stack, n: np.ndarray, spec: JordanSpec,
-                            norm: str) -> list[tuple[complex, float, int | None]]:
-    if n.shape[1:] != (spec.total_size, spec.total_size):
+    if n.shape != (spec.total_size, spec.total_size):
         raise ValueError("basis size does not match spec")
     pair_blocks = [(i, off, b) for i, (off, b) in enumerate(spec.offsets())
                    if b.kind == PAIR]
     if not pair_blocks:
-        return [(1.0 + 0.0j, 0.0, None)] * len(n)
+        return 1.0 + 0.0j, 0.0, None
 
-    # the scalar is read basis by basis; the residuals of the whole stack
-    # then take one norm call
     _, off0, b0 = pair_blocks[0]
-    gammas = []
-    failed = {}
-    for j, m in enumerate(n):
-        first = m[:, off0:off0 + b0.size]
-        second = m[:, off0 + b0.size:off0 + 2 * b0.size]
-        ref = np.conj(first)
-        k = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
-        if abs(ref[k]) == 0.0:
-            failed[j] = NotConjugateSymmetricError("first pair block is zero")
-            continue
-        gammas.append(complex(second[k] / ref[k]))
-    (n,) = st.drop(failed, n)
+    first = n[:, off0:off0 + b0.size]
+    second = n[:, off0 + b0.size:off0 + 2 * b0.size]
+    ref = np.conj(first)
+    k = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
+    if abs(ref[k]) == 0.0:
+        raise NotConjugateSymmetricError("first pair block is zero")
+    gamma = complex(second[k] / ref[k])
 
-    residuals = mat_norms([m[:, off + b.size:off + 2 * b.size]
-                           - gamma * np.conj(m[:, off:off + b.size])
-                           for m, gamma in zip(n, gammas) for _, off, b in pair_blocks], norm)
-    out = []
-    for j, gamma in enumerate(gammas):
-        worst, worst_i = -1.0, None
-        for (i, _, _), res in zip(pair_blocks, residuals[j * len(pair_blocks):]):
-            if res > worst:
-                worst, worst_i = res, i
-        out.append((gamma, worst, worst_i))
-    return out
+    residuals = mat_norms([n[:, off + b.size:off + 2 * b.size]
+                           - gamma * np.conj(n[:, off:off + b.size])
+                           for _, off, b in pair_blocks], norm)
+    worst, worst_i = -1.0, None
+    for (i, _, _), res in zip(pair_blocks, residuals):
+        if res > worst:
+            worst, worst_i = res, i
+    return gamma, worst, worst_i

@@ -582,13 +582,11 @@ def test_each_construction_gate_trips(ex_a, ex_h, ex_spec, monkeypatch, case):
         _corrupt(monkeypatch, "scale_step", lambda z3: 2.0 * z3)
         message = r"pair block 0 anchor 4\.000e\+00\S* not unit after scale step"
     elif case == "certificate":
-        # one pair of residuals per item of the stack the pipeline builds
-        monkeypatch.setattr(pipeline, "affiliation_residuals", lambda *a, **k: [(2e-9, 3e-9)])
+        monkeypatch.setattr(pipeline, "affiliation_residuals", lambda *a, **k: (2e-9, 3e-9))
         message = r"similarity 2\.000e-09, congruence 3\.000e-09 vs tol 1\.0e-10"
     else:
         gamma = 1.0j
-        _corrupt(monkeypatch, "conjugate_symmetry_fit",
-                 lambda fits: [(1.5 * fit[0], *fit[1:]) for fit in fits])
+        _corrupt(monkeypatch, "conjugate_symmetry_fit", lambda fit: (1.5 * fit[0], *fit[1:]))
         message = r"requested \|1j\| = 1, got 1\.5"
     if case not in _GRAM_GATES:
         trip = functools.partial(focs_basis, ex_a, ex_h, ex_spec, gamma)

@@ -200,7 +200,7 @@ def test_rc_certificate_limit_is_spectral(monkeypatch):
     limit = tol * mat_norm(ONES40)
     assert tol * np.max(np.linalg.norm(ONES40, axis=0)) < 3e-9 <= limit < 5e-9
     for sim, passes in ((3e-9, True), (5e-9, False)):
-        monkeypatch.setattr(rc, "affiliation_residuals", lambda *args, **kwargs: [(sim, 0.0)])
+        monkeypatch.setattr(rc, "affiliation_residuals", lambda *args, **kwargs: (sim, 0.0))
         if passes:
             basis, _ = rc_basis(np.eye(4), ONES40, REAL4, tol=tol)
             assert basis.cert.similarity == sim

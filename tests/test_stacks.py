@@ -63,8 +63,7 @@ def _missed_certificate(monkeypatch, a, h):
     real = pipeline.affiliation_residuals
 
     def residuals(a_, *args, **kwargs):
-        out = real(a_, *args, **kwargs)
-        return [(1.0, 1.0) if np.array_equal(x, a) else r for x, r in zip(a_, out)]
+        return (1.0, 1.0) if np.array_equal(a_, a) else real(a_, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "affiliation_residuals", residuals)
     return a, h
