@@ -52,7 +52,10 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
 
     ``anchor``, when given, is an RC reference basis; the pipeline is
     anchored to its FOCS coordinates.  ``tol`` is the certificate gate, as
-    for :func:`pipeline.focs_basis`, and must be finite and positive.
+    for :func:`pipeline.focs_basis`, and must be finite and positive.  ``a``
+    and ``h`` may also be stacks ``(k, n, n)``, as for ``focs_basis``: the
+    result is then a list with one entry per pair, its ``(basis, trace)`` or
+    the :class:`CanonError` it trips.
 
     Raises
     ------
