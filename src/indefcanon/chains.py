@@ -81,15 +81,17 @@ def _staircase_error(a: np.ndarray, block: BlockSpec, nullities: list[int]) -> C
         f"size {block.size} at eigenvalue {block.lam}")
 
 
-def _block_chains(a: np.ndarray, block: BlockSpec) -> list:
-    """The chain of ``block`` in each matrix of the stack ``a``, or the error
-    it trips."""
+def _block_chains(a: np.ndarray, block: BlockSpec,
+                  eye: np.ndarray) -> tuple[list, dict[int, CanonError]]:
+    """The chain of ``block`` in each matrix of the stack ``a`` (None where
+    it fails), and the error of each matrix that trips it, by position;
+    ``eye`` is the identity of the matrices' size."""
     k, n, _ = a.shape
     p = block.size
     if block.kind == REAL:
-        b = a.real - block.lam.real * np.eye(n)
+        b = a.real - block.lam.real * eye
     else:
-        b = a.astype(complex) - block.lam * np.eye(n)
+        b = a.astype(complex) - block.lam * eye
 
     # staircase: null(B^j) = {x : B x in null(B^{j-1})} computed as the
     # nullspace of (I - V V*) B.  Every step is thresholded against the
@@ -114,7 +116,7 @@ def _block_chains(a: np.ndarray, block: BlockSpec) -> list:
             thresholds = [RANK_RTOL * max(row[-1], _TINY) for row in rows]
         counts = [bisect_left(row, t) for row, t in zip(rows, thresholds)]
         c = min(len(nullities) + 1, p) if len(items) > 1 else counts[0]
-        if any(count != c for count in counts):
+        if counts.count(c) != len(counts):
             keep = [j for j, count in enumerate(counts) if count == c]
             alone += [items[j] for j, count in enumerate(counts) if count != c]
             items = [items[j] for j in keep]
@@ -128,14 +130,17 @@ def _block_chains(a: np.ndarray, block: BlockSpec) -> list:
             break
 
     out: list = [None] * k
+    failed = {}
     for i in alone:
-        (out[i],) = _block_chains(a[i:i + 1], block)
+        (out[i],), alone_failed = _block_chains(a[i:i + 1], block, eye)
+        if alone_failed:
+            failed[i] = alone_failed[0]
     if not items:
-        return out
+        return out, failed
     if nullities != [min(j, p) for j in range(1, p + 2)]:
         (i,) = items
-        out[i] = _staircase_error(a[i], block, nullities)
-        return out
+        failed[i] = _staircase_error(a[i], block, nullities)
+        return out, failed
 
     # null(B^p) basis from the staircase; the generator is the direction
     # maximizing the norm of the last chain link
@@ -155,7 +160,7 @@ def _block_chains(a: np.ndarray, block: BlockSpec) -> list:
             v = bi @ v
             chain[:, j] = v
         out[i] = chain
-    return out
+    return out, failed
 
 
 def jordan_chains(a: np.ndarray, spec: JordanSpec) -> tuple[np.ndarray, ...]:
@@ -170,10 +175,6 @@ def jordan_chains(a: np.ndarray, spec: JordanSpec) -> tuple[np.ndarray, ...]:
     last-link norm, unit-normalized with a fixed phase convention.  A real
     block's chain is real.
 
-    ``a`` may also be a stack ``(k, n, n)``: the result is then a list with
-    one entry per matrix, its tuple of chains or the error it trips, each
-    bit for bit what a call on the matrix alone returns or raises.
-
     Raises
     ------
     StructureMismatchError
@@ -183,26 +184,22 @@ def jordan_chains(a: np.ndarray, spec: JordanSpec) -> tuple[np.ndarray, ...]:
         When ``a`` has no spectrum point near a declared eigenvalue.
     """
     a = require_finite(a, "a")
-    if a.ndim == 3:
-        return Stack.run(_jordan_chains, len(a), a, spec)
     return one(Stack.run(_jordan_chains, 1, a[np.newaxis], spec))
 
 
 def _jordan_chains(st: Stack, a: np.ndarray, spec: JordanSpec) -> list[tuple]:
+    """:func:`jordan_chains` of each matrix of the stack ``a``; an item
+    leaves at the first block it trips."""
     size = spec.total_size
     if a.shape[1:] != (size, size):
         raise StructureMismatchError(
             f"matrix size {a.shape[1:]} does not match spec size {size}")
-    # an item that trips a block goes on through the later ones and leaves
-    # with the error of the first block it trips
-    found = list(zip(*(_block_chains(a, block) for block in spec.blocks)))
-    failed = {}
-    for j, outs in enumerate(found):
-        errors = [o for o in outs if isinstance(o, CanonError)]
-        if errors:
-            failed[j] = errors[0]
-    (found,) = st.drop(failed, found)
-    return found
+    eye = np.eye(size)
+    per_block: list[list] = []
+    for block in spec.blocks:
+        chains, failed = _block_chains(a, block, eye)
+        a, *per_block = st.drop(failed, a, *per_block, chains)
+    return list(zip(*per_block))
 
 
 def fit_chain_to(chain: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -178,9 +178,11 @@ def canonize(in_file, mode, gamma, out_file, emit_trace, tol, norm):
                 basis = replace(basis, role=ROLE_FO)
     except CanonError as exc:
         _fail(4, f"{exc.code}: {exc}")
-    trace_file = str(Path(out_file).with_suffix(".trace.json"))
-    for path in (out_file, trace_file) if emit_trace else (out_file,):
-        _require_writable(path)
+    if emit_trace:
+        # two outputs: neither is written unless both can be
+        trace_file = str(Path(out_file).with_suffix(".trace.json"))
+        _require_writable(out_file)
+        _require_writable(trace_file)
     _atomic_write(out_file, serialize.dumps(serialize.basis_to_json(basis)) + "\n")
     if emit_trace:
         _atomic_write(trace_file, serialize.dumps(serialize.trace_to_json(trace)) + "\n")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, replace
-from functools import partial
 from statistics import median
 
 import numpy as np
@@ -26,9 +25,9 @@ from .errors import (
     RetryExhaustedError,
     TrialError,
 )
-from .linalg import Stack, gate_norm, mat_norm, mat_norms, one, refined_inverse
-from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, PipelineTrace, focs_basis
-from .rc import IMAG_RTOL, certify, rc_basis, to_focs
+from .linalg import DEFAULT_TOL, Stack, gate_norm, mat_norm, mat_norms, one, refined_inverse
+from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, PipelineTrace, _focs_stack, focs_basis
+from .rc import IMAG_RTOL, _rc_stack, certify, rc_basis, to_focs
 from .structure import (
     CS_TOL,
     PAIR,
@@ -467,8 +466,7 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     """
     if t0.role not in (ROLE_FOCS, ROLE_RC):
         raise ValueError(f"unsupported reference role {t0.role!r}")
-    a = np.asarray(a)
-    h = np.asarray(h)
+    a, h = np.asarray(a), np.asarray(h)
     if a.ndim != 3:
         return one(Stack.run(_anchored_canonize, 1, a[np.newaxis], h[np.newaxis],
                              spec, t0, weak_delta))
@@ -496,33 +494,31 @@ def _anchored_canonize(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec
         except CanonError as exc:
             st.drop({0: exc})
 
-    construct = rc_basis if kind == ROLE_RC else partial(focs_basis, gamma=t0.gamma or 1.0)
-    (built,) = st.take(construct(a, h, work_spec, anchor=t0.matrix))
-    gauge = np.array([_block_gauge(basis.matrix, t0.matrix, work_spec,
-                                   continuous_phase=kind == ROLE_FOCS)
-                      for basis, _ in built])
-    # one product per basis: an rc basis is a real view of a complex matrix,
-    # and a stack of them would not keep that operand layout
-    new_mat = np.array([basis.matrix @ g for (basis, _), g in zip(built, gauge)])
-    chain_factor = np.array([trace.chain_factor for _, trace in built]) @ gauge
-    trace_basis = np.array([trace.basis for _, trace in built]) @ gauge
-
-    fits = []
-    for m in to_focs(new_mat, work_spec, kind):
-        try:
-            fits.append(conjugate_symmetry_fit(m, work_spec))
-        except CanonError as exc:
-            fits.append(exc)
-    fits, built, new_mat, chain_factor, trace_basis = st.take(
-        fits, built, new_mat, chain_factor, trace_basis)
+    if kind == ROLE_RC:
+        outcomes = _rc_stack(a, h, work_spec, t0.matrix, DEFAULT_TOL, "spectral")
+    else:
+        outcomes = _focs_stack(a, h, work_spec, t0.gamma or 1.0, t0.matrix,
+                               DEFAULT_TOL, "spectral")
+    (built,) = st.take(outcomes)
     out = []
-    for (basis, trace), (gamma_out, cs_res, _), mat, z1, tb in zip(
-            built, fits, new_mat, chain_factor, trace_basis):
-        basis = replace(basis, matrix=mat,
+    failed = {}
+    for j, (basis, trace) in enumerate(built):
+        gauge = _block_gauge(basis.matrix, t0.matrix, work_spec,
+                             continuous_phase=kind == ROLE_FOCS)
+        new_mat = basis.matrix @ gauge
+        try:
+            gamma_out, cs_res, _ = conjugate_symmetry_fit(
+                to_focs(new_mat, work_spec, kind), work_spec)
+        except CanonError as exc:
+            failed[j] = exc
+            continue
+        basis = replace(basis, matrix=new_mat,
                         gamma=gamma_out if kind == ROLE_FOCS else basis.gamma,
                         cert=replace(basis.cert, cs_residual=cs_res))
-        trace = replace(trace, chain_factor=z1, basis=tb, gamma=basis.gamma)
+        trace = replace(trace, chain_factor=trace.chain_factor @ gauge,
+                        basis=trace.basis @ gauge, gamma=basis.gamma)
         out.append((basis, trace, matches))
+    st.drop(failed)
     return out
 
 
@@ -677,9 +673,9 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
     trial index)``; results are identical for any ``jobs`` count.  With
     ``jobs=1`` each delta's strict trials are built as one stack, bit for
     bit as one at a time; otherwise each trial is its own pool task, and at
-    most one worker process per trial is started.  Library errors of a trial are recorded in its status, not
-    raised; any other error is raised as :class:`TrialError` with the
-    trial's coordinates.
+    most one worker process per trial is started.  Library errors of a
+    trial are recorded in its status, not raised; any other error is raised
+    as :class:`TrialError` with the trial's coordinates.
     """
     if trials_per_delta < 1:
         raise ValueError("trials_per_delta must be >= 1")

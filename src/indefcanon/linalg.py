@@ -124,8 +124,13 @@ def norm_and_rcond(m: np.ndarray) -> tuple[float, float]:
     The norm is bit-identical to ``mat_norm(m)``; the SVD is its own because
     the rcond needs the smallest singular value too.
     """
-    norms, rconds = norms_and_rconds(np.atleast_2d(np.asarray(m))[np.newaxis])
-    return norms[0], rconds[0]
+    m = np.atleast_2d(np.asarray(m))
+    if m.size == 0:
+        return 0.0, 1.0
+    s = np.linalg.svd(m, compute_uv=False)
+    if s[0] == 0.0:
+        return 0.0, 0.0
+    return float(s[0]), float(s[-1] / s[0])
 
 
 def norms_and_rconds(ms: np.ndarray) -> tuple[list[float], list[float]]:
@@ -220,9 +225,7 @@ class Stack:
             values = body(st, *args)
         except cls.Emptied:
             return st.errors
-        if len(st.live) == size:
-            return list(values)
-        out: list = list(st.errors)
+        out: list = st.errors
         for pos, value in zip(st.live, values):
             out[pos] = value
         return out

@@ -26,8 +26,8 @@ import numpy as np
 
 from .chains import (
     STRUCT_RTOL,
+    _jordan_chains,
     fit_chain_to,
-    jordan_chains,
     reduce_real_chain,
     toeplitz_inv_sqrt,
 )
@@ -276,13 +276,6 @@ def _check_gram_structure(gram: np.ndarray, spec: JordanSpec,
                         f"pair block {i} Gram is not Hankel")
 
 
-def _eyes(k: int, n: int) -> np.ndarray:
-    """``k`` complex n x n identities, for the factors filled block by block."""
-    out = np.zeros((k, n, n), dtype=complex)
-    out.reshape(k, n * n)[:, ::n + 1] = 1.0
-    return out
-
-
 def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                gamma: complex = 1.0, *,
                anchor: np.ndarray | None = None,
@@ -295,13 +288,6 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     with ``|gamma'| = |gamma|`` (for cold starts ``gamma'`` equals ``gamma``
     up to roundoff).  The trace carries the four factors and intermediate
     Grams for factor-wise diagnostics.
-
-    ``a`` and ``h`` may also be stacks ``(k, n, n)`` of pairs that share
-    ``spec`` and the other arguments.  The result is then a list with one
-    entry per pair: its ``(basis, trace)``, or the :class:`CanonError` of
-    the first gate it trips.  Each entry is bit for bit what a call on that
-    pair alone returns or raises; the SVDs, n x n products and norms take
-    one call per stack.
 
     Parameters
     ----------
@@ -317,6 +303,17 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         within ``tol * max(1, ||h||)``.  Must be finite and positive; a NaN
         or infinite ``tol`` would pass every basis.
     """
+    a, h = np.asarray(a), np.asarray(h)
+    return one(_focs_stack(a[np.newaxis], h[np.newaxis], spec, gamma, anchor, tol, norm))
+
+
+def _focs_stack(a: np.ndarray, h: np.ndarray, spec: JordanSpec, gamma: complex,
+                anchor: np.ndarray | None, tol: float, norm: str) -> list:
+    """:func:`focs_basis` of each pair of the stacks ``a`` and ``h``
+    ``(k, n, n)``: its ``(basis, trace)`` or the :class:`CanonError` of the
+    first gate it trips, bit for bit a call on that pair alone.  The
+    singular values of ``h`` and the staircase SVDs of the chains take one
+    call per stack; the assembly from the chains runs pair by pair."""
     a = require_finite(a, "a")
     h = require_finite(h, "h")
     if gamma == 0:
@@ -326,17 +323,14 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         raise ValueError(f"gamma must be finite, got {gamma}")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    args = (spec, gamma, anchor, tol, norm)
-    if a.ndim == 3:
-        return Stack.run(_focs_basis, len(a), a, h, *args)
-    return one(Stack.run(_focs_basis, 1, a[np.newaxis], h[np.newaxis], *args))
+    if a.shape != h.shape or a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("a and h must be square and of equal size")
+    return Stack.run(_focs_basis, len(a), a, h, spec, gamma, anchor, tol, norm)
 
 
 def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                 gamma: complex, anchor: np.ndarray | None, tol: float,
                 norm: str) -> list[tuple[CanonicalBasis, PipelineTrace]]:
-    if a.shape != h.shape or a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError("a and h must be square and of equal size")
     # the conjugate-symmetric synthesis needs conj(chain) to be the chain of
     # the conjugate eigenvalue, which holds for real pairs only
     for name in ("a", "h"):
@@ -375,170 +369,113 @@ def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                     f"pair is not h-selfadjoint (residual {pre:.3e} > {pre_tol:.3e})")
     a, h, h_norms2, h_norms = st.drop(failed, a, h, h_norms2, h_norms)
 
-    # an item that trips a gate in the block loop is reduced no further and
-    # leaves with its first error after the loop
-    found, a, h, h_norms2, h_norms = st.take(jordan_chains(a, spec), a, h, h_norms2, h_norms)
+    found, a, h, h_norms2, h_norms = st.take(
+        Stack.run(_jordan_chains, len(a), a, spec), a, h, h_norms2, h_norms)
+    # the assembly runs per item: its n x n products cost a stack of one
+    # more than they save a larger stack
+    out = []
     failed = {}
-    prepared = []
-    reduced: dict[int, list] = {}
-    eps: dict[int, int] = {}
-    for i, ((off, b), mats) in enumerate(zip(spec.offsets(), zip(*found))):
-        mat = np.array(mats)
-        if anchor is not None:
-            # a real block's complex fit goes to reduce_real_chain, which
-            # takes its real part, as on one chain
-            mat = np.array([fit_chain_to(m, anchor[:, off:off + b.size]) for m in mat])
-        if b.kind == REAL:
-            reduced[i] = []
-            for j, (m, hj, h_norm) in enumerate(zip(mat, h, h_norms2)):
-                red = None
-                if j not in failed:
-                    try:
-                        red, sign = reduce_real_chain(m, hj, h_norm)
-                        if sign != b.sign:
-                            failed[j] = StructureMismatchError(
-                                f"block {i}: computed sign characteristic {sign:+d} "
-                                f"contradicts declared {b.sign:+d}")
-                    except CanonError as exc:
-                        failed[j] = exc
-                reduced[i].append(red)
-            eps[i] = b.sign
-        elif anchor is None:
-            # prospective anchor; rotate the chain off the degenerate axis
-            z = (gamma * np.conj(mat)).conj().swapaxes(1, 2) @ h @ mat
-            turn = []
-            for zj in z:
-                g0 = complex(anti_diagonal_mean(zj))
-                turn.append(abs(g0) > 0.0 and abs(g0.real) < PHASE_GUARD * abs(g0))
-            if any(turn):
-                mat = np.where(np.array(turn)[:, np.newaxis, np.newaxis],
-                               mat * np.exp(0.25j * np.pi), mat)
-        prepared.append(mat)
-
-    z1s = []
-    z1_norms = []
-    for j in range(len(a)):
-        if j in failed:
-            continue
+    for j, args in enumerate(zip(a, h, found, h_norms2, h_norms)):
         try:
-            z1, z1_norm = symmetrize_step(spec, [m[j] for m in prepared],
-                                          {i: r[j] for i, r in reduced.items()}, gamma)
+            out.append(_assemble(*args, spec, gamma, anchor, tol, norm))
         except CanonError as exc:
             failed[j] = exc
-            continue
-        z1s.append(z1)
-        z1_norms.append(z1_norm if norm == "spectral" else mat_norm(z1, norm))
-    a, h, h_norms = st.drop(failed, a, h, h_norms)
-    z1 = np.array(z1s)
-    n_dim = spec.total_size
-    stols = [STRUCT_RTOL * max(1.0, h_norm * z_norm ** 2)
-             for h_norm, z_norm in zip(h_norms, z1_norms)]
+    st.drop(failed)
+    return out
 
-    # from here on every factor of an item stays finite and invertible
-    # whatever gate it trips, so an item that trips one goes on with identity
-    # factors and leaves with its first error at the end
-    gram0 = z1.conj().swapaxes(1, 2) @ h @ z1
+
+def _assemble(a: np.ndarray, h: np.ndarray, chains: tuple[np.ndarray, ...],
+              h_norm2: float, h_norm: float, spec: JordanSpec, gamma: complex,
+              anchor: np.ndarray | None, tol: float,
+              norm: str) -> tuple[CanonicalBasis, PipelineTrace]:
+    """The FOCS basis of one pair from its chains; ``h_norm2`` is
+    ``||h||_2`` and ``h_norm`` the norm of ``h`` the gates take."""
+    prepared = []
+    reduced: dict[int, np.ndarray] = {}
+    eps: dict[int, int] = {}
+    for i, ((off, b), mat) in enumerate(zip(spec.offsets(), chains)):
+        if anchor is not None:
+            mat = fit_chain_to(mat, anchor[:, off:off + b.size])
+            if b.kind == REAL:
+                mat = np.real(mat)
+        if b.kind == REAL:
+            red, sign = reduce_real_chain(mat, h, h_norm2)
+            if sign != b.sign:
+                raise StructureMismatchError(
+                    f"block {i}: computed sign characteristic {sign:+d} "
+                    f"contradicts declared {b.sign:+d}")
+            reduced[i] = red
+            eps[i] = sign
+        elif anchor is None:
+            # prospective anchor; rotate the chain off the degenerate axis
+            z = (gamma * np.conj(mat)).conj().T @ h @ mat
+            g0 = complex(anti_diagonal_mean(z))
+            if abs(g0) > 0.0 and abs(g0.real) < PHASE_GUARD * abs(g0):
+                mat = mat * np.exp(0.25j * np.pi)
+        prepared.append(mat)
+
+    z1, z1_norm = symmetrize_step(spec, prepared, reduced, gamma)
+    if norm != "spectral":
+        z1_norm = mat_norm(z1, norm)
+    n_dim = spec.total_size
+    stol = STRUCT_RTOL * max(1.0, h_norm * z1_norm ** 2)
+
+    gram0 = z1.conj().T @ h @ z1
+    _check_gram_structure(gram0, spec, eps, stol)
+
     # (block index, offset, size, rows) of each pair block
     pairs = [(i, off, b.size, slice(off, off + b.width))
              for i, (off, b) in enumerate(spec.offsets()) if b.kind == PAIR]
-    z2 = _eyes(len(z1), n_dim)
-    z3 = _eyes(len(z1), n_dim)
-    failed = {}
-    for j, (gram, stol) in enumerate(zip(gram0, stols)):
-        try:
-            _check_gram_structure(gram, spec, eps, stol)
-            for i, off, p, rows in pairs:
-                anc = _anchor_from_gram(gram, off, p, i)
-                z2[j, rows, rows] = phase_step(anc, p)
-                z3[j, rows, rows] = scale_step(anc, p)
-        except CanonError as exc:
-            failed[j] = exc
-
-    gram1 = z2.conj().swapaxes(1, 2) @ gram0 @ z2
-    for j, (gram, stol) in enumerate(zip(gram1, stols)):
-        if j in failed:
-            continue
-        try:
-            for i, off, p, _ in pairs:
-                anc1 = _anchor_from_gram(gram, off, p, i)
-                if abs(anc1.g0.imag) > stol or anc1.g0.real <= 0.0:
-                    raise StructureMismatchError(
-                        f"pair block {i} anchor {anc1.g0:.3e} not real positive "
-                        "after phase step")
-        except CanonError as exc:
-            failed[j] = exc
-
-    gram2 = z3.conj().swapaxes(1, 2) @ gram1 @ z3
-    z4 = _eyes(len(z1), n_dim)
+    # the three factors start as identities, filled block by block
+    z4 = np.eye(n_dim, dtype=complex)
+    z2 = z4.copy()
+    z3 = z4.copy()
     for i, off, p, rows in pairs:
-        for j, (gram, stol) in enumerate(zip(gram2, stols)):
-            if j in failed:
-                continue
-            try:
-                anc2 = _anchor_from_gram(gram, off, p, i)
-                if abs(anc2.g0 - 1.0) > stol:
-                    raise StructureMismatchError(
-                        f"pair block {i} anchor {anc2.g0:.3e} not unit after scale step")
-            except CanonError as exc:
-                failed[j] = exc
-        for j, gram in enumerate(gram2):
-            if j not in failed:
-                try:
-                    z4[j, rows, rows] = flip_step(gram[rows, rows])
-                except CanonError as exc:
-                    failed[j] = exc
+        anc = _anchor_from_gram(gram0, off, p, i)
+        z2[rows, rows] = phase_step(anc, p)
+        z3[rows, rows] = scale_step(anc, p)
 
-    basis = z1 @ z2 @ z3 @ z4
+    gram1 = z2.conj().T @ gram0 @ z2
+    for i, off, p, _ in pairs:
+        anc1 = _anchor_from_gram(gram1, off, p, i)
+        if abs(anc1.g0.imag) > stol or anc1.g0.real <= 0.0:
+            raise StructureMismatchError(
+                f"pair block {i} anchor {anc1.g0:.3e} not real positive after phase step")
+
+    gram2 = z3.conj().T @ gram1 @ z3
+    for i, off, p, rows in pairs:
+        anc2 = _anchor_from_gram(gram2, off, p, i)
+        if abs(anc2.g0 - 1.0) > stol:
+            raise StructureMismatchError(
+                f"pair block {i} anchor {anc2.g0:.3e} not unit after scale step")
+        z4[rows, rows] = flip_step(gram2[rows, rows])
+
+    basis_mat = z1 @ z2 @ z3 @ z4
     p_target = sip_form(spec)
-    gram_final = z4.conj().swapaxes(1, 2) @ gram2 @ z4
-    for j, (gram, stol) in enumerate(zip(gram_final, stols)):
-        if j not in failed:
-            final_dev = gate_norm(gram - p_target, stol, norm)
-            if final_dev > stol:
-                failed[j] = StructureMismatchError(
-                    f"final Gram deviates from sip form by {final_dev:.3e}")
+    gram_final = z4.conj().T @ gram2 @ z4
+    final_dev = gate_norm(gram_final - p_target, stol, norm)
+    if final_dev > stol:
+        raise StructureMismatchError(
+            f"final Gram deviates from sip form by {final_dev:.3e}")
 
-    j_target = jordan_form(spec)
-    certs = []
-    fits = []
-    for j, (aj, hj, bj, h_norm) in enumerate(zip(a, h, basis, h_norms)):
-        if j in failed:
-            certs.append(None)
-            fits.append(None)
-            continue
-        sim, cong = affiliation_residuals(aj, hj, bj, j_target, p_target, norm=norm)
-        certs.append((sim, cong))
-        fits.append(None)
-        if max(sim, cong) > tol * max(1.0, h_norm):
-            failed[j] = StructureMismatchError(
-                f"constructed basis misses its certificate gate: similarity "
-                f"{sim:.3e}, congruence {cong:.3e} vs tol {tol:.1e}")
-            continue
-        try:
-            fits[j] = conjugate_symmetry_fit(bj, spec, norm=norm)
-        except CanonError as exc:
-            failed[j] = exc
-            continue
-        gamma_out = fits[j][0]
-        if pairs and abs(abs(gamma_out) - abs(gamma)) > CS_TOL * abs(gamma):
-            failed[j] = StructureMismatchError(
-                f"conjugate-symmetry scalar drifted in modulus: requested "
-                f"|{gamma}| = {abs(gamma):.6g}, got {abs(gamma_out):.6g}")
-
+    sim, cong = affiliation_residuals(a, h, basis_mat, jordan_form(spec),
+                                      p_target, norm=norm)
+    if max(sim, cong) > tol * max(1.0, h_norm):
+        raise StructureMismatchError(
+            f"constructed basis misses its certificate gate: similarity "
+            f"{sim:.3e}, congruence {cong:.3e} vs tol {tol:.1e}")
+    gamma_out, cs_res, _ = conjugate_symmetry_fit(basis_mat, spec, norm=norm)
+    if pairs and abs(abs(gamma_out) - abs(gamma)) > CS_TOL * abs(gamma):
+        raise StructureMismatchError(
+            f"conjugate-symmetry scalar drifted in modulus: requested "
+            f"|{gamma}| = {abs(gamma):.6g}, got {abs(gamma_out):.6g}")
     eps_tuple = tuple(eps.get(i) for i in range(len(spec.blocks)))
-    out = []
-    for j in range(len(z1)):
-        if j in failed:
-            continue
-        (gamma_out, cs_res, _), (sim, cong) = fits[j], certs[j]
-        basis_j = CanonicalBasis(
-            matrix=basis[j], role=ROLE_FOCS, gamma=gamma_out,
-            cert=Certificate(similarity=sim, congruence=cong, cs_residual=cs_res),
-            eps=eps_tuple)
-        trace = PipelineTrace(
-            chain_factor=z1[j], phase_factor=z2[j], scale_factor=z3[j], flip_factor=z4[j],
-            gram_raw=gram0[j], gram_phased=gram1[j], gram_scaled=gram2[j],
-            basis=basis[j], gamma=gamma_out)
-        out.append((basis_j, trace))
-    st.drop(failed)
-    return out
+    basis = CanonicalBasis(
+        matrix=basis_mat, role=ROLE_FOCS, gamma=gamma_out,
+        cert=Certificate(similarity=sim, congruence=cong, cs_residual=cs_res),
+        eps=eps_tuple)
+    trace = PipelineTrace(
+        chain_factor=z1, phase_factor=z2, scale_factor=z3, flip_factor=z4,
+        gram_raw=gram0, gram_phased=gram1, gram_scaled=gram2,
+        basis=basis_mat, gamma=gamma_out)
+    return basis, trace

@@ -24,7 +24,14 @@ from .linalg import (
     one,
     require_finite,
 )
-from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, Certificate, PipelineTrace, focs_basis
+from .pipeline import (
+    ROLE_FOCS,
+    ROLE_RC,
+    CanonicalBasis,
+    Certificate,
+    PipelineTrace,
+    _focs_stack,
+)
 from .structure import (
     JordanSpec,
     conjugate_symmetry_fit,
@@ -52,10 +59,7 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
 
     ``anchor``, when given, is an RC reference basis; the pipeline is
     anchored to its FOCS coordinates.  ``tol`` is the certificate gate, as
-    for :func:`pipeline.focs_basis`, and must be finite and positive.  ``a``
-    and ``h`` may also be stacks ``(k, n, n)``, as for ``focs_basis``: the
-    result is then a list with one entry per pair, its ``(basis, trace)`` or
-    the :class:`CanonError` it trips.
+    for :func:`pipeline.focs_basis`, and must be finite and positive.
 
     Raises
     ------
@@ -63,56 +67,58 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
         When the pre-truncation imaginary part exceeds the threshold, which
         signals a non-i conjugate-symmetry scalar or pipeline failure.
     """
+    a, h = np.asarray(a), np.asarray(h)
+    return one(_rc_stack(a[np.newaxis], h[np.newaxis], spec, anchor, tol, norm))
+
+
+def _rc_stack(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
+              anchor: np.ndarray | None, tol: float, norm: str) -> list:
+    """:func:`rc_basis` of each pair of the stacks ``a`` and ``h``: its
+    ``(basis, trace)`` or the :class:`CanonError` it trips, bit for bit a
+    call on that pair alone."""
     a = np.real(require_finite(a, "a"))
     h = np.real(require_finite(h, "h"))
     if anchor is not None:
         anchor = to_focs(anchor, spec, ROLE_RC)
-    if a.ndim == 3:
-        return Stack.run(_rc_basis, len(a), a, h, spec, anchor, tol, norm)
-    return one(Stack.run(_rc_basis, 1, a[np.newaxis], h[np.newaxis], spec, anchor, tol, norm))
+    return Stack.run(_rc_basis, len(a), a, h, spec, anchor, tol, norm)
 
 
 def _rc_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
               anchor: np.ndarray | None, tol: float,
               norm: str) -> list[tuple[CanonicalBasis, PipelineTrace]]:
-    built, a, h = st.take(focs_basis(a, h, spec, 1.0j, anchor=anchor, tol=tol, norm=norm), a, h)
-    r = np.array([focs.matrix for focs, _ in built]) @ mixing_matrix(spec)
-    # both gates scale their limit with a norm whose value is not kept: a
-    # lower bound of it decides first, and the SVD runs only on a miss
+    built, a, h = st.take(_focs_stack(a, h, spec, 1.0j, anchor, tol, norm), a, h)
+    mixing = mixing_matrix(spec)
+    jr, p_target = real_jordan_form(spec), sip_form(spec)
+    out = []
     failed = {}
-    max_imags = []
-    for j, rj in enumerate(r):
-        max_imag = float(np.max(np.abs(rj.imag))) if np.iscomplexobj(rj) else 0.0
-        max_imags.append(max_imag)
-        if max_imag > IMAG_RTOL * max(1.0, _norm_lower_bound(rj, norm)):
-            threshold = IMAG_RTOL * max(1.0, mat_norm(rj, norm))
+    for j, ((focs, trace), aj, hj) in enumerate(zip(built, a, h)):
+        r = focs.matrix @ mixing
+        # both gates scale their limit with a norm whose value is not kept: a
+        # lower bound of it decides first, and the SVD runs only on a miss
+        max_imag = float(np.max(np.abs(r.imag))) if np.iscomplexobj(r) else 0.0
+        if max_imag > IMAG_RTOL * max(1.0, _norm_lower_bound(r, norm)):
+            threshold = IMAG_RTOL * max(1.0, mat_norm(r, norm))
             if max_imag > threshold:
                 failed[j] = NotRealError(
                     f"mixed basis has imaginary part {max_imag:.3e} "
                     f"(threshold {threshold:.3e})")
-    built, r, a, h, max_imags = st.drop(failed, built, r, a, h, max_imags)
-    jr, p_target = real_jordan_form(spec), sip_form(spec)
-    certs = []
-    failed = {}
-    # the real part stays a view, the operand layout of a single call
-    for j, (aj, hj, rj) in enumerate(zip(a, h, np.real(r))):
-        sim, cong = affiliation_residuals(aj, hj, rj, jr, p_target, norm=norm)
-        certs.append((sim, cong))
+                continue
+        r_real = np.real(r)
+        sim, cong = affiliation_residuals(aj, hj, r_real, jr, p_target, norm=norm)
         if max(sim, cong) > tol * max(1.0, _norm_lower_bound(hj, norm)):
             limit = tol * max(1.0, mat_norm(hj, norm))
             if max(sim, cong) > limit:
                 failed[j] = StructureMismatchError(
                     f"real basis misses its certificate gate: similarity {sim:.3e}, "
                     f"congruence {cong:.3e} vs tol {tol:.1e} (limit {limit:.3e})")
-    built, r, max_imags, certs = st.drop(failed, built, r, max_imags, certs)
-    out = []
-    for (focs, trace), matrix, max_imag, (sim, cong) in zip(built, np.real(r), max_imags, certs):
+                continue
         basis = CanonicalBasis(
-            matrix=matrix, role=ROLE_RC, gamma=focs.gamma,
+            matrix=r_real, role=ROLE_RC, gamma=focs.gamma,
             cert=Certificate(similarity=sim, congruence=cong,
                              cs_residual=focs.cert.cs_residual, max_imag=max_imag),
             eps=focs.eps)
         out.append((basis, trace))
+    st.drop(failed)
     return out
 
 

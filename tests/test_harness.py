@@ -273,7 +273,7 @@ def test_anchored_recovers_a_negated_block(inst, inst_rc, monkeypatch, kind, col
         target = ref.matrix * flip
         t0 = replace(ref, matrix=target)
     else:
-        name = "rc_basis" if kind == "rc" else "focs_basis"
+        name = "_rc_stack" if kind == "rc" else "_focs_stack"
         construct = getattr(harness, name)
 
         # the harness builds a stack: one (basis, trace) per pair
@@ -451,18 +451,19 @@ def test_stack_fault_is_rerun_one_trial_at_a_time(inst, monkeypatch):
 
 def test_trial_library_error_is_recorded_and_reported(inst, monkeypatch):
     ref = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
-    # injected per trial, in its perturbation: a delta's trials are built
-    # as one stack
+    # a delta's trials are built as one stack: trial 1 of the first delta's
+    # stack trips a gate, and the other trials must keep their own numbers
     calls = []
-    real = harness.perturb_instance
+    real = harness.anchored_canonize
 
     def mismatching(*args, **kwargs):
+        outcomes = real(*args, **kwargs)
         calls.append(None)
-        if len(calls) == 2:
-            raise StructureMismatchError("forced mismatch")
-        return real(*args, **kwargs)
+        if len(calls) == 1:
+            outcomes[1] = StructureMismatchError("forced mismatch")
+        return outcomes
 
-    monkeypatch.setattr(harness, "perturb_instance", mismatching)
+    monkeypatch.setattr(harness, "anchored_canonize", mismatching)
     report = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
     failed = report.trials[1]
     assert (failed.delta, failed.index, failed.status) == (1e-3, 1, "STRUCTURE_MISMATCH")

@@ -1,7 +1,7 @@
 """Stacked constructions against one pair at a time.
 
-A stack of pairs that share a spec runs every stage once for the whole
-stack.  Each item must come out bit for bit as a call on its pair alone: the
+A stack of pairs that share a spec takes the staircase SVDs of its chains
+once for the whole stack.  Each item must come out bit for bit as a call on its pair alone: the
 basis, the four factors and the certificate.  An item that trips a gate must
 leave with the error a call on it alone raises, and the other items must come
 out as if it had not been there.  The structures are the block mixes of the
@@ -24,8 +24,10 @@ from indefcanon import (
     generate_instance,
     perturb_instance,
     pipeline,
+    rc,
     rc_basis,
 )
+from indefcanon.linalg import DEFAULT_TOL
 from indefcanon.serialize import spec_from_json
 from indefcanon.structure import REAL
 
@@ -77,7 +79,15 @@ FAULTS = {"not_hermitian": _not_hermitian, "shifted_spectrum": _shifted_spectrum
 
 
 def _build(inst, a, h, anchored):
-    """The construction a trial runs (anchored) or a cold one."""
+    """The construction a trial runs (anchored) or a cold one, on one pair
+    or on a stack of pairs."""
+    if a.ndim == 3:
+        if anchored:
+            return anchored_canonize(a, h, inst.spec, inst.t0)
+        if inst.t0.role == "rc":
+            return rc._rc_stack(a, h, inst.spec, None, DEFAULT_TOL, "spectral")
+        return pipeline._focs_stack(a, h, inst.spec, inst.t0.gamma, None, DEFAULT_TOL,
+                                    "spectral")
     if anchored:
         return anchored_canonize(a, h, inst.spec, inst.t0)
     if inst.t0.role == "rc":
