@@ -26,7 +26,7 @@ from .errors import (
     NotUnitTriangularError,
     StructureMismatchError,
 )
-from .linalg import Stack, anti_diagonal_mean, exchange, mat_norm, one, require_finite
+from .linalg import anti_diagonal_mean, exchange, mat_norm, require_finite
 from .structure import REAL, BlockSpec, JordanSpec
 
 #: Singular values below this fraction of the shifted matrix's norm count as zero.
@@ -81,11 +81,10 @@ def _staircase_error(a: np.ndarray, block: BlockSpec, nullities: list[int]) -> C
         f"size {block.size} at eigenvalue {block.lam}")
 
 
-def _block_chains(a: np.ndarray, block: BlockSpec,
-                  eye: np.ndarray) -> tuple[list, dict[int, CanonError]]:
-    """The chain of ``block`` in each matrix of the stack ``a`` (None where
-    it fails), and the error of each matrix that trips it, by position;
-    ``eye`` is the identity of the matrices' size."""
+def _block_chains(a: np.ndarray, block: BlockSpec, eye: np.ndarray) -> list:
+    """The chain of ``block`` in each matrix of the stack ``a``, or the
+    :class:`CanonError` of a matrix that trips it; ``eye`` is the identity
+    of the matrices' size."""
     k, n, _ = a.shape
     p = block.size
     if block.kind == REAL:
@@ -130,17 +129,14 @@ def _block_chains(a: np.ndarray, block: BlockSpec,
             break
 
     out: list = [None] * k
-    failed = {}
     for i in alone:
-        (out[i],), alone_failed = _block_chains(a[i:i + 1], block, eye)
-        if alone_failed:
-            failed[i] = alone_failed[0]
+        (out[i],) = _block_chains(a[i:i + 1], block, eye)
     if not items:
-        return out, failed
+        return out
     if nullities != [min(j, p) for j in range(1, p + 2)]:
         (i,) = items
-        failed[i] = _staircase_error(a[i], block, nullities)
-        return out, failed
+        out[i] = _staircase_error(a[i], block, nullities)
+        return out
 
     # null(B^p) basis from the staircase; the generator is the direction
     # maximizing the norm of the last chain link
@@ -160,7 +156,7 @@ def _block_chains(a: np.ndarray, block: BlockSpec,
             v = bi @ v
             chain[:, j] = v
         out[i] = chain
-    return out, failed
+    return out
 
 
 def jordan_chains(a: np.ndarray, spec: JordanSpec) -> tuple[np.ndarray, ...]:
@@ -184,22 +180,37 @@ def jordan_chains(a: np.ndarray, spec: JordanSpec) -> tuple[np.ndarray, ...]:
         When ``a`` has no spectrum point near a declared eigenvalue.
     """
     a = require_finite(a, "a")
-    return one(Stack.run(_jordan_chains, 1, a[np.newaxis], spec))
+    (out,) = _jordan_chains(a[np.newaxis], spec)
+    if isinstance(out, CanonError):
+        raise out
+    return out
 
 
-def _jordan_chains(st: Stack, a: np.ndarray, spec: JordanSpec) -> list[tuple]:
-    """:func:`jordan_chains` of each matrix of the stack ``a``; an item
-    leaves at the first block it trips."""
+def _jordan_chains(a: np.ndarray, spec: JordanSpec) -> list:
+    """:func:`jordan_chains` of each matrix of the stack ``a``: its chains,
+    or the :class:`CanonError` of the first block it trips.  The staircase
+    SVDs of each block take one call for the items still live."""
     size = spec.total_size
     if a.shape[1:] != (size, size):
         raise StructureMismatchError(
             f"matrix size {a.shape[1:]} does not match spec size {size}")
     eye = np.eye(size)
-    per_block: list[list] = []
+    out: list = [[] for _ in range(len(a))]
+    live = list(range(len(a)))
     for block in spec.blocks:
-        chains, failed = _block_chains(a, block, eye)
-        a, *per_block = st.drop(failed, a, *per_block, chains)
-    return list(zip(*per_block))
+        keep = []
+        for j, chain in enumerate(_block_chains(a, block, eye)):
+            if isinstance(chain, CanonError):
+                out[live[j]] = chain
+            else:
+                out[live[j]].append(chain)
+                keep.append(j)
+        if not keep:
+            break
+        if len(keep) < len(live):
+            a = a[keep]
+            live = [live[j] for j in keep]
+    return [x if isinstance(x, CanonError) else tuple(x) for x in out]
 
 
 def fit_chain_to(chain: np.ndarray, target: np.ndarray) -> np.ndarray:

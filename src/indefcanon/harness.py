@@ -25,9 +25,18 @@ from .errors import (
     RetryExhaustedError,
     TrialError,
 )
-from .linalg import DEFAULT_TOL, Stack, gate_norm, mat_norm, mat_norms, one, refined_inverse
-from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, PipelineTrace, _focs_stack, focs_basis
-from .rc import IMAG_RTOL, _rc_stack, certify, rc_basis, to_focs
+from .chains import _jordan_chains
+from .linalg import DEFAULT_TOL, gate_norm, mat_norm, mat_norms, refined_inverse
+from .pipeline import (
+    ROLE_FOCS,
+    ROLE_RC,
+    CanonicalBasis,
+    PipelineTrace,
+    _check_pair_shape,
+    _focs_basis,
+    focs_basis,
+)
+from .rc import IMAG_RTOL, _rc_basis, certify, rc_basis, to_focs
 from .structure import (
     CS_TOL,
     PAIR,
@@ -458,68 +467,51 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
 
     Returns the basis, the pipeline trace (gauge already applied to the
     chain factor and basis), and the matched eigenvalues (weak mode only).
-    ``a`` and ``h`` may also be stacks ``(k, n, n)``: the result is then a
-    list with one entry per pair, that triple or the :class:`CanonError` the
-    pair trips, each bit for bit what a call on the pair alone gives.  A
-    strict stack is built as one; weak pairs, whose matched specs differ,
-    are built one by one.
     """
-    if t0.role not in (ROLE_FOCS, ROLE_RC):
-        raise ValueError(f"unsupported reference role {t0.role!r}")
-    a, h = np.asarray(a), np.asarray(h)
-    if a.ndim != 3:
-        return one(Stack.run(_anchored_canonize, 1, a[np.newaxis], h[np.newaxis],
-                             spec, t0, weak_delta))
-    if weak_delta is None:
-        return Stack.run(_anchored_canonize, len(a), a, h, spec, t0, None)
-    return [Stack.run(_anchored_canonize, 1, x[np.newaxis], y[np.newaxis],
-                      spec, t0, weak_delta)[0] for x, y in zip(a, h)]
+    return _anchored_canonize(a, h, spec, t0, weak_delta, None)
 
 
-def _anchored_canonize(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
-                       t0: CanonicalBasis, weak_delta: float | None) -> list:
+def _anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
+                       t0: CanonicalBasis, weak_delta: float | None,
+                       chains: tuple | CanonError | None
+                       ) -> tuple[CanonicalBasis, PipelineTrace, tuple[complex, ...] | None]:
+    """:func:`anchored_canonize`, given ``chains`` as for
+    :func:`pipeline._focs_basis`; weak mode builds on the matched spec, so
+    its ``chains`` is None."""
     kind = t0.role
+    if kind not in (ROLE_FOCS, ROLE_RC):
+        raise ValueError(f"unsupported reference role {kind!r}")
+    a, h = np.asarray(a), np.asarray(h)
+    _check_pair_shape(a, h, spec)
+
     matches: tuple[complex, ...] | None = None
     work_spec = spec
     if weak_delta is not None:
-        # weak pairs come one at a time.  The radius tracks the perturbation
-        # scale but may not undercut the eigensolver's scatter for a
-        # defective block of size p, which is of order (eps ||a||)^(1/p)
-        (a1,) = a
+        # the radius tracks the perturbation scale but may not undercut
+        # the eigensolver's scatter for a defective block of size p,
+        # which is of order (eps ||a||)^(1/p)
         p_max = max(b.size for b in spec.blocks)
-        scatter = (np.finfo(float).eps * max(1.0, mat_norm(a1))) ** (1.0 / p_max)
+        scatter = (np.finfo(float).eps * max(1.0, mat_norm(a))) ** (1.0 / p_max)
         cluster_radius = max(CLUSTER_RADIUS_FACTOR * weak_delta, 10.0 * scatter)
-        try:
-            matches, work_spec = match_eigenvalues(spec, a1, cluster_radius=cluster_radius)
-        except CanonError as exc:
-            st.drop({0: exc})
+        matches, work_spec = match_eigenvalues(spec, a, cluster_radius=cluster_radius)
 
     if kind == ROLE_RC:
-        outcomes = _rc_stack(a, h, work_spec, t0.matrix, DEFAULT_TOL, "spectral")
+        basis, trace = _rc_basis(a, h, work_spec, t0.matrix, DEFAULT_TOL, "spectral", chains)
     else:
-        outcomes = _focs_stack(a, h, work_spec, t0.gamma or 1.0, t0.matrix,
-                               DEFAULT_TOL, "spectral")
-    (built,) = st.take(outcomes)
-    out = []
-    failed = {}
-    for j, (basis, trace) in enumerate(built):
-        gauge = _block_gauge(basis.matrix, t0.matrix, work_spec,
-                             continuous_phase=kind == ROLE_FOCS)
-        new_mat = basis.matrix @ gauge
-        try:
-            gamma_out, cs_res, _ = conjugate_symmetry_fit(
-                to_focs(new_mat, work_spec, kind), work_spec)
-        except CanonError as exc:
-            failed[j] = exc
-            continue
-        basis = replace(basis, matrix=new_mat,
-                        gamma=gamma_out if kind == ROLE_FOCS else basis.gamma,
-                        cert=replace(basis.cert, cs_residual=cs_res))
-        trace = replace(trace, chain_factor=trace.chain_factor @ gauge,
-                        basis=trace.basis @ gauge, gamma=basis.gamma)
-        out.append((basis, trace, matches))
-    st.drop(failed)
-    return out
+        basis, trace = _focs_basis(a, h, work_spec, t0.gamma or 1.0, t0.matrix,
+                                   DEFAULT_TOL, "spectral", chains)
+    gauge = _block_gauge(basis.matrix, t0.matrix, work_spec,
+                         continuous_phase=kind == ROLE_FOCS)
+    new_mat = basis.matrix @ gauge
+
+    gamma_out, cs_res, _ = conjugate_symmetry_fit(to_focs(new_mat, work_spec, kind),
+                                                  work_spec)
+    basis = replace(basis, matrix=new_mat,
+                    gamma=gamma_out if kind == ROLE_FOCS else basis.gamma,
+                    cert=replace(basis.cert, cs_residual=cs_res))
+    trace = replace(trace, chain_factor=trace.chain_factor @ gauge,
+                    basis=trace.basis @ gauge, gamma=basis.gamma)
+    return basis, trace, matches
 
 
 @dataclass(frozen=True)
@@ -585,12 +577,12 @@ def _run_trials(inst: Instance, delta: float, delta_index: int, indices,
                 mode: str, norm: str) -> list[TrialRecord]:
     """Records of the trials ``indices`` at one delta, in order.
 
-    Each trial is perturbed on its own.  In strict mode the anchored bases
-    of all of them are then built as one stack; weak pairs are matched one
-    by one, so each is a stack of one.  Library errors of a trial are
-    recorded in its status.  Any other error of a stack of several trials
-    reruns them one by one, so the :class:`TrialError` carries the
-    coordinates of the first trial that raises it.
+    Each trial is perturbed and built on its own.  In strict mode the chains
+    of all the perturbed pairs are extracted first, as one stack; if that
+    raises anything but a per-item :class:`CanonError`, each trial extracts
+    its own.  Library errors of a trial are recorded in its status; any
+    other error is raised as :class:`TrialError` with the coordinates of the
+    first trial that raises it.
     """
     records: dict[int, TrialRecord] = {}
     pairs = []
@@ -610,55 +602,53 @@ def _run_trials(inst: Instance, delta: float, delta_index: int, indices,
             records[ti] = TrialRecord(delta, ti, 0.0, 0.0, None, None, status="degenerate")
         else:
             pairs.append((ti, seed, pair))
-    for group in ([pairs] if mode == MODE_STRICT and pairs else [[p] for p in pairs]):
-        records.update(_build_trials(inst, delta, group, mode, norm))
-    if fault is not None:
-        raise fault from cause
-    return [records[ti] for ti in indices]
 
-
-def _build_trials(inst: Instance, delta: float, group: list, mode: str,
-                  norm: str) -> dict[int, TrialRecord]:
-    """Records of the perturbed trials ``group`` (index, seed, pair), built
-    as one stack."""
-    try:
-        outcomes = anchored_canonize(
-            np.array([pair.a for _, _, pair in group]),
-            np.array([pair.h for _, _, pair in group]), inst.spec, inst.t0,
-            weak_delta=delta if mode == MODE_WEAK else None)
-        eye = np.eye(inst.spec.total_size)
-        chain_ref = to_focs(inst.t0.matrix, inst.spec, inst.t0.role)
-        built = [out for out in outcomes if not isinstance(out, CanonError)]
-        devs = mat_norms([m for basis, trace, _ in built for m in (
+    found = [None] * len(pairs)
+    if mode == MODE_STRICT and len(pairs) > 1:
+        try:
+            found = _jordan_chains(np.array([pair.a for _, _, pair in pairs]), inst.spec)
+        except Exception:
+            pass  # each trial extracts its own chains
+    weak_delta = delta if mode == MODE_WEAK else None
+    eye = np.eye(inst.spec.total_size)
+    chain_ref = to_focs(inst.t0.matrix, inst.spec, inst.t0.role)
+    built = []
+    for (ti, seed, pair), chains in zip(pairs, found):
+        try:
+            basis, trace, matches = _anchored_canonize(
+                pair.a, pair.h, inst.spec, inst.t0, weak_delta, chains)
+        except CanonError as exc:
+            records[ti] = _failed_trial(delta, ti, exc)
+            continue
+        except Exception as exc:
+            raise _trial_fault(exc, delta, ti, seed) from exc
+        built.append((ti, seed, pair, matches, [
             basis.matrix - inst.t0.matrix,
             trace.chain_factor - chain_ref,
             trace.phase_factor - eye,
             trace.scale_factor - eye,
-            trace.flip_factor - eye)], norm)
-    except Exception as exc:
-        if len(group) > 1:
-            records = {}
-            for item in group:
-                records.update(_build_trials(inst, delta, [item], mode, norm))
-            return records
-        ((ti, seed, _),) = group
-        if isinstance(exc, CanonError):
-            return {ti: _failed_trial(delta, ti, exc)}
-        raise _trial_fault(exc, delta, ti, seed) from exc
+            trace.flip_factor - eye]))
 
-    records = {}
-    k = 0
-    for (ti, _, pair), out in zip(group, outcomes):
-        if isinstance(out, CanonError):
-            records[ti] = _failed_trial(delta, ti, out)
-            continue
-        dev, *z_devs = devs[k:k + 5]
-        k += 5
+    # the five reported norms of every built trial take one call; if it
+    # raises, one call per trial finds the trial whose norms raise
+    try:
+        devs = mat_norms([m for *_, diffs in built for m in diffs], norm)
+    except Exception:
+        devs = []
+        for ti, seed, *_, diffs in built:
+            try:
+                devs += mat_norms(diffs, norm)
+            except Exception as exc:
+                raise _trial_fault(exc, delta, ti, seed) from exc
+    for k, (ti, _, pair, matches, _) in enumerate(built):
+        dev, *z_devs = devs[5 * k:5 * k + 5]
         true_eigs = tuple(b.lam for b in pair.spec.blocks) if mode == MODE_WEAK else None
         records[ti] = TrialRecord(delta, ti, float(pair.measured), dev,
                                   dev / pair.measured, tuple(z_devs), status="ok",
-                                  matches=out[2], true_eigs=true_eigs)
-    return records
+                                  matches=matches, true_eigs=true_eigs)
+    if fault is not None:
+        raise fault from cause
+    return [records[ti] for ti in indices]
 
 
 def estimate_lipschitz(inst: Instance, deltas: list[float],
@@ -671,11 +661,12 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
 
     Trials are independent and seeded from ``(instance seed, delta index,
     trial index)``; results are identical for any ``jobs`` count.  With
-    ``jobs=1`` each delta's strict trials are built as one stack, bit for
-    bit as one at a time; otherwise each trial is its own pool task, and at
-    most one worker process per trial is started.  Library errors of a
-    trial are recorded in its status, not raised; any other error is raised
-    as :class:`TrialError` with the trial's coordinates.
+    ``jobs=1`` each delta's strict trials share one chain extraction and are
+    built one by one, bit for bit as one at a time; otherwise each trial is
+    its own pool task, and at most one worker process per trial is started.
+    Library errors of a trial are recorded in its status, not raised; any
+    other error is raised as :class:`TrialError` with the trial's
+    coordinates.
     """
     if trials_per_delta < 1:
         raise ValueError("trials_per_delta must be >= 1")
@@ -702,7 +693,7 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_trial_star, tasks))
     else:
-        # in-process, each delta's trials are one stack
+        # in-process, each delta's trials are one task
         records = [r for di, d in enumerate(deltas)
                    for r in _run_trials(inst, d, di, range(trials_per_delta), mode, norm)]
 

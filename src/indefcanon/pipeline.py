@@ -26,8 +26,8 @@ import numpy as np
 
 from .chains import (
     STRUCT_RTOL,
-    _jordan_chains,
     fit_chain_to,
+    jordan_chains,
     reduce_real_chain,
     toeplitz_inv_sqrt,
 )
@@ -41,7 +41,6 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     RCOND_FLOOR,
-    Stack,
     _norm_lower_bound,
     affiliation_residuals,
     anti_diagonal_mean,
@@ -49,8 +48,6 @@ from .linalg import (
     gate_norm,
     mat_norm,
     norm_and_rcond,
-    norms_and_rconds,
-    one,
     require_finite,
 )
 from .structure import (
@@ -303,17 +300,24 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         within ``tol * max(1, ||h||)``.  Must be finite and positive; a NaN
         or infinite ``tol`` would pass every basis.
     """
-    a, h = np.asarray(a), np.asarray(h)
-    return one(_focs_stack(a[np.newaxis], h[np.newaxis], spec, gamma, anchor, tol, norm))
+    return _focs_basis(a, h, spec, gamma, anchor, tol, norm, None)
 
 
-def _focs_stack(a: np.ndarray, h: np.ndarray, spec: JordanSpec, gamma: complex,
-                anchor: np.ndarray | None, tol: float, norm: str) -> list:
-    """:func:`focs_basis` of each pair of the stacks ``a`` and ``h``
-    ``(k, n, n)``: its ``(basis, trace)`` or the :class:`CanonError` of the
-    first gate it trips, bit for bit a call on that pair alone.  The
-    singular values of ``h`` and the staircase SVDs of the chains take one
-    call per stack; the assembly from the chains runs pair by pair."""
+def _check_pair_shape(a: np.ndarray, h: np.ndarray, spec: JordanSpec) -> None:
+    """Reject a pair that is not two square matrices of one size, or whose
+    size is not the size of ``spec``."""
+    if a.shape != h.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("a and h must be square and of equal size")
+    if a.shape[0] != spec.total_size:
+        raise StructureMismatchError(
+            f"matrix size {a.shape} does not match spec size {spec.total_size}")
+
+
+def _focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, gamma: complex,
+                anchor: np.ndarray | None, tol: float, norm: str,
+                chains: tuple | CanonError | None) -> tuple[CanonicalBasis, PipelineTrace]:
+    """:func:`focs_basis`, given ``chains``: what ``jordan_chains(a, spec)``
+    returned or raised, taken by the caller, or None to take it here."""
     a = require_finite(a, "a")
     h = require_finite(h, "h")
     if gamma == 0:
@@ -323,73 +327,39 @@ def _focs_stack(a: np.ndarray, h: np.ndarray, spec: JordanSpec, gamma: complex,
         raise ValueError(f"gamma must be finite, got {gamma}")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if a.shape != h.shape or a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError("a and h must be square and of equal size")
-    return Stack.run(_focs_basis, len(a), a, h, spec, gamma, anchor, tol, norm)
+    _check_pair_shape(a, h, spec)
 
-
-def _focs_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
-                gamma: complex, anchor: np.ndarray | None, tol: float,
-                norm: str) -> list[tuple[CanonicalBasis, PipelineTrace]]:
     # the conjugate-symmetric synthesis needs conj(chain) to be the chain of
     # the conjugate eigenvalue, which holds for real pairs only
-    for name in ("a", "h"):
-        stack = a if name == "a" else h
-        if np.iscomplexobj(stack):
-            failed = {}
-            for j, m in enumerate(stack):
-                imag = float(np.max(np.abs(m.imag))) if m.size else 0.0
-                if imag > STRUCT_RTOL * max(1.0, mat_norm(m, norm)):
-                    failed[j] = NotRealError(
-                        f"{name} has imaginary part {imag:.3e}; the "
-                        "conjugate-symmetric construction needs a real pair")
-            a, h = st.drop(failed, a, h)
+    for name, m in (("a", a), ("h", h)):
+        if np.iscomplexobj(m):
+            imag = float(np.max(np.abs(m.imag))) if m.size else 0.0
+            if imag > STRUCT_RTOL * max(1.0, mat_norm(m, norm)):
+                raise NotRealError(
+                    f"{name} has imaginary part {imag:.3e}; the "
+                    "conjugate-symmetric construction needs a real pair")
     a = np.real(a)
     h = np.real(h)
 
     # one singular-value call on h serves every gate below and the
     # selfadjointness pre-check; reduce_real_chain needs the spectral norm
-    h_norms2, h_rconds = norms_and_rconds(h)
-    h_norms = h_norms2 if norm == "spectral" else [mat_norm(m, norm) for m in h]
-    failed = {}
-    for j, (aj, hj, h_norm, h_rcond) in enumerate(zip(a, h, h_norms, h_rconds)):
-        try:
-            defect = _selfadjoint_defect(aj, hj, h_norm, h_rcond, norm)
-        except CanonError as exc:
-            failed[j] = exc
-            continue
-        # the pre-check decides on a lower bound of ||a|| and the Frobenius
-        # bound of the residual first
-        pre_tol = STRUCT_RTOL * max(1.0, _norm_lower_bound(aj, norm) * h_norm)
-        pre = gate_norm(defect, pre_tol, norm)
+    h_norm2, h_rcond = norm_and_rcond(h)
+    h_norm = h_norm2 if norm == "spectral" else mat_norm(h, norm)
+    defect = _selfadjoint_defect(a, h, h_norm, h_rcond, norm)
+    # the pre-check decides on a lower bound of ||a|| and the Frobenius
+    # bound of the residual first
+    pre_tol = STRUCT_RTOL * max(1.0, _norm_lower_bound(a, norm) * h_norm)
+    pre = gate_norm(defect, pre_tol, norm)
+    if pre > pre_tol:
+        pre_tol = STRUCT_RTOL * max(1.0, mat_norm(a, norm) * h_norm)
         if pre > pre_tol:
-            pre_tol = STRUCT_RTOL * max(1.0, mat_norm(aj, norm) * h_norm)
-            if pre > pre_tol:
-                failed[j] = StructureMismatchError(
-                    f"pair is not h-selfadjoint (residual {pre:.3e} > {pre_tol:.3e})")
-    a, h, h_norms2, h_norms = st.drop(failed, a, h, h_norms2, h_norms)
+            raise StructureMismatchError(
+                f"pair is not h-selfadjoint (residual {pre:.3e} > {pre_tol:.3e})")
 
-    found, a, h, h_norms2, h_norms = st.take(
-        Stack.run(_jordan_chains, len(a), a, spec), a, h, h_norms2, h_norms)
-    # the assembly runs per item: its n x n products cost a stack of one
-    # more than they save a larger stack
-    out = []
-    failed = {}
-    for j, args in enumerate(zip(a, h, found, h_norms2, h_norms)):
-        try:
-            out.append(_assemble(*args, spec, gamma, anchor, tol, norm))
-        except CanonError as exc:
-            failed[j] = exc
-    st.drop(failed)
-    return out
-
-
-def _assemble(a: np.ndarray, h: np.ndarray, chains: tuple[np.ndarray, ...],
-              h_norm2: float, h_norm: float, spec: JordanSpec, gamma: complex,
-              anchor: np.ndarray | None, tol: float,
-              norm: str) -> tuple[CanonicalBasis, PipelineTrace]:
-    """The FOCS basis of one pair from its chains; ``h_norm2`` is
-    ``||h||_2`` and ``h_norm`` the norm of ``h`` the gates take."""
+    if chains is None:
+        chains = jordan_chains(a, spec)
+    elif isinstance(chains, CanonError):
+        raise chains
     prepared = []
     reduced: dict[int, np.ndarray] = {}
     eps: dict[int, int] = {}

@@ -14,24 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotConjugateSymmetricError, NotRealError, StructureMismatchError
+from .errors import CanonError, NotConjugateSymmetricError, NotRealError, StructureMismatchError
 from .linalg import (
     DEFAULT_TOL,
-    Stack,
     _norm_lower_bound,
     affiliation_residuals,
     mat_norm,
-    one,
     require_finite,
 )
-from .pipeline import (
-    ROLE_FOCS,
-    ROLE_RC,
-    CanonicalBasis,
-    Certificate,
-    PipelineTrace,
-    _focs_stack,
-)
+from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, Certificate, PipelineTrace, _focs_basis
 from .structure import (
     JordanSpec,
     conjugate_symmetry_fit,
@@ -67,59 +58,43 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
         When the pre-truncation imaginary part exceeds the threshold, which
         signals a non-i conjugate-symmetry scalar or pipeline failure.
     """
-    a, h = np.asarray(a), np.asarray(h)
-    return one(_rc_stack(a[np.newaxis], h[np.newaxis], spec, anchor, tol, norm))
+    return _rc_basis(a, h, spec, anchor, tol, norm, None)
 
 
-def _rc_stack(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
-              anchor: np.ndarray | None, tol: float, norm: str) -> list:
-    """:func:`rc_basis` of each pair of the stacks ``a`` and ``h``: its
-    ``(basis, trace)`` or the :class:`CanonError` it trips, bit for bit a
-    call on that pair alone."""
+def _rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
+              anchor: np.ndarray | None, tol: float, norm: str,
+              chains: tuple | CanonError | None) -> tuple[CanonicalBasis, PipelineTrace]:
+    """:func:`rc_basis`, given ``chains`` as for :func:`pipeline._focs_basis`."""
     a = np.real(require_finite(a, "a"))
     h = np.real(require_finite(h, "h"))
     if anchor is not None:
         anchor = to_focs(anchor, spec, ROLE_RC)
-    return Stack.run(_rc_basis, len(a), a, h, spec, anchor, tol, norm)
-
-
-def _rc_basis(st: Stack, a: np.ndarray, h: np.ndarray, spec: JordanSpec,
-              anchor: np.ndarray | None, tol: float,
-              norm: str) -> list[tuple[CanonicalBasis, PipelineTrace]]:
-    built, a, h = st.take(_focs_stack(a, h, spec, 1.0j, anchor, tol, norm), a, h)
-    mixing = mixing_matrix(spec)
-    jr, p_target = real_jordan_form(spec), sip_form(spec)
-    out = []
-    failed = {}
-    for j, ((focs, trace), aj, hj) in enumerate(zip(built, a, h)):
-        r = focs.matrix @ mixing
-        # both gates scale their limit with a norm whose value is not kept: a
-        # lower bound of it decides first, and the SVD runs only on a miss
-        max_imag = float(np.max(np.abs(r.imag))) if np.iscomplexobj(r) else 0.0
-        if max_imag > IMAG_RTOL * max(1.0, _norm_lower_bound(r, norm)):
-            threshold = IMAG_RTOL * max(1.0, mat_norm(r, norm))
-            if max_imag > threshold:
-                failed[j] = NotRealError(
-                    f"mixed basis has imaginary part {max_imag:.3e} "
-                    f"(threshold {threshold:.3e})")
-                continue
-        r_real = np.real(r)
-        sim, cong = affiliation_residuals(aj, hj, r_real, jr, p_target, norm=norm)
-        if max(sim, cong) > tol * max(1.0, _norm_lower_bound(hj, norm)):
-            limit = tol * max(1.0, mat_norm(hj, norm))
-            if max(sim, cong) > limit:
-                failed[j] = StructureMismatchError(
-                    f"real basis misses its certificate gate: similarity {sim:.3e}, "
-                    f"congruence {cong:.3e} vs tol {tol:.1e} (limit {limit:.3e})")
-                continue
-        basis = CanonicalBasis(
-            matrix=r_real, role=ROLE_RC, gamma=focs.gamma,
-            cert=Certificate(similarity=sim, congruence=cong,
-                             cs_residual=focs.cert.cs_residual, max_imag=max_imag),
-            eps=focs.eps)
-        out.append((basis, trace))
-    st.drop(failed)
-    return out
+    focs, trace = _focs_basis(a, h, spec, 1.0j, anchor, tol, norm, chains)
+    r = focs.matrix @ mixing_matrix(spec)
+    # both gates scale their limit with a norm whose value is not kept: a
+    # lower bound of it decides first, and the SVD runs only on a miss
+    max_imag = float(np.max(np.abs(r.imag))) if np.iscomplexobj(r) else 0.0
+    if max_imag > IMAG_RTOL * max(1.0, _norm_lower_bound(r, norm)):
+        threshold = IMAG_RTOL * max(1.0, mat_norm(r, norm))
+        if max_imag > threshold:
+            raise NotRealError(
+                f"mixed basis has imaginary part {max_imag:.3e} "
+                f"(threshold {threshold:.3e})")
+    r_real = np.real(r)
+    sim, cong = affiliation_residuals(a, h, r_real, real_jordan_form(spec),
+                                      sip_form(spec), norm=norm)
+    if max(sim, cong) > tol * max(1.0, _norm_lower_bound(h, norm)):
+        limit = tol * max(1.0, mat_norm(h, norm))
+        if max(sim, cong) > limit:
+            raise StructureMismatchError(
+                f"real basis misses its certificate gate: similarity {sim:.3e}, "
+                f"congruence {cong:.3e} vs tol {tol:.1e} (limit {limit:.3e})")
+    basis = CanonicalBasis(
+        matrix=r_real, role=ROLE_RC, gamma=focs.gamma,
+        cert=Certificate(similarity=sim, congruence=cong,
+                         cs_residual=focs.cert.cs_residual, max_imag=max_imag),
+        eps=focs.eps)
+    return basis, trace
 
 
 def to_focs(matrix: np.ndarray, spec: JordanSpec, role: str) -> np.ndarray:

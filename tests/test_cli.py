@@ -435,7 +435,8 @@ def test_stability_trial_fault_exits_4(runner, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("array must not contain infs or NaNs")
 
-    monkeypatch.setattr(harness, "anchored_canonize", broken)
+    # each trial is built by the anchored construction's body
+    monkeypatch.setattr(harness, "_anchored_canonize", broken)
     r = runner.invoke(main, ["stability", "--in", str(inst_file), "--deltas", "1e-3",
                              "--trials", "1", "--out-csv", str(tmp_path / "x.csv")])
     assert r.exit_code == 4, r.output

@@ -26,7 +26,7 @@ from indefcanon import (
     real_jordan_form,
     sip_form,
 )
-from indefcanon import StructureMismatchError, harness, serialize
+from indefcanon import StructureMismatchError, harness, pipeline, serialize
 from indefcanon.linalg import affiliation_residuals
 from indefcanon.pipeline import CanonicalBasis
 from indefcanon.structure import h_selfadjoint_residual
@@ -273,13 +273,12 @@ def test_anchored_recovers_a_negated_block(inst, inst_rc, monkeypatch, kind, col
         target = ref.matrix * flip
         t0 = replace(ref, matrix=target)
     else:
-        name = "_rc_stack" if kind == "rc" else "_focs_stack"
+        name = "_rc_basis" if kind == "rc" else "_focs_basis"
         construct = getattr(harness, name)
 
-        # the harness builds a stack: one (basis, trace) per pair
         def negating(*args, **kwargs):
-            return [(replace(basis, matrix=basis.matrix * flip), trace)
-                    for basis, trace in construct(*args, **kwargs)]
+            basis, trace = construct(*args, **kwargs)
+            return replace(basis, matrix=basis.matrix * flip), trace
 
         monkeypatch.setattr(harness, name, negating)
     basis, _, _ = anchored_canonize(inst.a0, inst.h0, inst.spec, t0)
@@ -429,7 +428,7 @@ def test_trial_fault_keeps_its_coordinates(inst, fake_pool, monkeypatch, jobs):
 
 def test_stack_fault_is_rerun_one_trial_at_a_time(inst, monkeypatch):
     # trial 1 at the first delta perturbs into a pair with a NaN entry, which
-    # fails its delta's whole stack; rerun one by one, the fault is that trial's
+    # fails its delta's chain stack; built one by one, the fault is that trial's
     poisoned = int(np.random.SeedSequence([inst.seed, 0, 1]).generate_state(1)[0])
     real = harness.perturb_instance
 
@@ -449,21 +448,94 @@ def test_stack_fault_is_rerun_one_trial_at_a_time(inst, monkeypatch):
     assert "ValueError: a contains non-finite entries" in str(err)
 
 
+def test_strict_report_equals_its_trials_run_one_at_a_time(inst):
+    # in-process, a delta's strict trials share one chain extraction; a pool
+    # task runs one trial, which extracts its own chains
+    deltas = [1e-2, 1e-4, 1e-6]
+    report = estimate_lipschitz(inst, deltas, 3)
+    alone = [harness._trial_star((inst, d, di, ti, "strict", "spectral"))
+             for di, d in enumerate(deltas) for ti in range(3)]
+    assert all(t.status == "ok" for t in alone)
+    assert list(report.trials) == alone
+
+
+def test_chain_stack_fault_falls_back_to_one_extraction_per_trial(inst, monkeypatch):
+    ref = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
+    stacks, singles = [], []
+    real = pipeline.jordan_chains
+
+    def broken(a, spec):
+        stacks.append(len(a))
+        raise RuntimeError("stack fault")
+
+    def counted(a, spec):
+        singles.append(None)
+        return real(a, spec)
+
+    monkeypatch.setattr(harness, "_jordan_chains", broken)
+    monkeypatch.setattr(pipeline, "jordan_chains", counted)
+    report = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
+    assert (stacks, len(singles)) == ([3, 3], 6)
+    assert report == ref
+
+
+@pytest.mark.parametrize("faulty", [None, 1])
+def test_norm_fault_is_rerun_one_trial_at_a_time(inst, monkeypatch, faulty):
+    # the five reported norms of a delta's trials take one call; when it
+    # raises, each trial takes its own, and a fault is the trial's that raises
+    ref = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
+    calls = []
+    real = harness.mat_norms
+
+    def flaky(ms, norm):
+        if len(ms) > 5:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        if len(ms) == 5:
+            calls.append(None)
+            if len(calls) - 1 == faulty:
+                raise np.linalg.LinAlgError("SVD did not converge")
+        return real(ms, norm)
+
+    monkeypatch.setattr(harness, "mat_norms", flaky)
+    if faulty is None:
+        assert estimate_lipschitz(inst, [1e-3, 1e-4], 3) == ref
+        assert len(calls) == 6
+        return
+    with pytest.raises(TrialError) as info:
+        estimate_lipschitz(inst, [1e-3, 1e-4], 3)
+    seed = int(np.random.SeedSequence([inst.seed, 0, faulty]).generate_state(1)[0])
+    assert (info.value.delta, info.value.index, info.value.seed) == (1e-3, faulty, seed)
+    assert "LinAlgError: SVD did not converge" in str(info.value)
+
+
+@pytest.mark.parametrize("shape", ["wrong_size", "not_square", "stack"])
+@pytest.mark.parametrize("weak_delta", [None, 1e-3])
+def test_anchored_pair_of_the_wrong_shape_is_refused_first(inst, shape, weak_delta):
+    # the shape is checked before the weak matching and the construction
+    a, h = {"wrong_size": (inst.a0[:6, :6], inst.h0[:6, :6]),
+            "not_square": (inst.a0[:, :6], inst.h0[:, :6]),
+            "stack": (np.stack([inst.a0] * 2), np.stack([inst.h0] * 2))}[shape]
+    error, message = ValueError, "a and h must be square and of equal size"
+    if shape == "wrong_size":
+        error, message = StructureMismatchError, r"matrix size \(6, 6\) does not match"
+    with pytest.raises(error, match=message):
+        anchored_canonize(a, h, inst.spec, inst.t0, weak_delta=weak_delta)
+
+
 def test_trial_library_error_is_recorded_and_reported(inst, monkeypatch):
     ref = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
-    # a delta's trials are built as one stack: trial 1 of the first delta's
-    # stack trips a gate, and the other trials must keep their own numbers
+    # trial 1 of the first delta trips a gate in its construction, and the
+    # trials built after it must keep their own numbers
     calls = []
-    real = harness.anchored_canonize
+    real = harness._anchored_canonize
 
     def mismatching(*args, **kwargs):
-        outcomes = real(*args, **kwargs)
         calls.append(None)
-        if len(calls) == 1:
-            outcomes[1] = StructureMismatchError("forced mismatch")
-        return outcomes
+        if len(calls) == 2:
+            raise StructureMismatchError("forced mismatch")
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "anchored_canonize", mismatching)
+    monkeypatch.setattr(harness, "_anchored_canonize", mismatching)
     report = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
     failed = report.trials[1]
     assert (failed.delta, failed.index, failed.status) == (1e-3, 1, "STRUCTURE_MISMATCH")

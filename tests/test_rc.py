@@ -168,8 +168,7 @@ ONES40 = 10.0 * np.ones((4, 4))
 
 def _stub_focs(monkeypatch, matrix):
     basis = CanonicalBasis(matrix, "focs", 1j, Certificate(0.0, 0.0, 0.0), (1, 1, 1, 1))
-    # rc_basis builds a stack of one: one (basis, trace) per pair
-    monkeypatch.setattr(rc, "_focs_stack", lambda *args, **kwargs: [(basis, None)])
+    monkeypatch.setattr(rc, "_focs_basis", lambda *args, **kwargs: (basis, None))
 
 
 def test_rc_realness_threshold_is_spectral(monkeypatch):

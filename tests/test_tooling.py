@@ -1,9 +1,11 @@
 """Repository-level guards: the package's import graph, the home of the
-RC/FOCS relation and of the JSON file layout, and the benchmark's tracing
-tables."""
+RC/FOCS relation, of the JSON file layout and of the stacked chain
+extraction, the benchmark's tracing tables, and the test configuration."""
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +64,12 @@ def test_mixing_transform_is_used_only_by_structure_and_rc():
                    if p.stem not in {"__init__", "structure", "rc"}
                    and _names(p) & mixers)
     assert users == [], f"modules naming the mixing transform outside rc: {users}"
+
+
+def test_stacked_chain_extraction_is_named_only_by_chains_and_harness():
+    # every other construction runs on one pair
+    users = sorted(p.stem for p in PACKAGE.glob("*.py") if "_jordan_chains" in _names(p))
+    assert users == ["chains", "harness"]
 
 
 def _json_writes(path: Path) -> list[str]:
@@ -150,3 +158,19 @@ def test_private_numpy_api_check_catches_each_form(tmp_path):
                      "y = np.__version__\n")
     flagged = {int(use.rsplit(" ", 1)[1]) for use in _private_numpy_uses(probe)}
     assert flagged == {2, 3, 4, 5}
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    # under the repository's pytest configuration, which turns warnings into
+    # errors, hypothesis's failure report must still reach the output
+    probe = tmp_path / "test_probe.py"
+    probe.write_text("from hypothesis import given, strategies as st\n\n\n"
+                     "@given(st.integers())\n"
+                     "def test_fails(x):\n"
+                     "    assert x < 0\n")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(ROOT / "pyproject.toml"), str(probe)],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr
