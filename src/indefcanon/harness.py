@@ -473,7 +473,7 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
 
 def _anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                        t0: CanonicalBasis, weak_delta: float | None,
-                       chains: tuple | CanonError | None
+                       chains: tuple | None
                        ) -> tuple[CanonicalBasis, PipelineTrace, tuple[complex, ...] | None]:
     """:func:`anchored_canonize`, given ``chains`` as for
     :func:`pipeline._focs_basis`; weak mode builds on the matched spec, so
@@ -481,12 +481,11 @@ def _anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     kind = t0.role
     if kind not in (ROLE_FOCS, ROLE_RC):
         raise ValueError(f"unsupported reference role {kind!r}")
-    a, h = np.asarray(a), np.asarray(h)
-    _check_pair_shape(a, h, spec)
-
     matches: tuple[complex, ...] | None = None
     work_spec = spec
     if weak_delta is not None:
+        a, h = np.asarray(a), np.asarray(h)
+        _check_pair_shape(a, h, spec)
         # the radius tracks the perturbation scale but may not undercut
         # the eigensolver's scatter for a defective block of size p,
         # which is of order (eps ||a||)^(1/p)
@@ -578,11 +577,11 @@ def _run_trials(inst: Instance, delta: float, delta_index: int, indices,
     """Records of the trials ``indices`` at one delta, in order.
 
     Each trial is perturbed and built on its own.  In strict mode the chains
-    of all the perturbed pairs are extracted first, as one stack; if that
-    raises anything but a per-item :class:`CanonError`, each trial extracts
-    its own.  Library errors of a trial are recorded in its status; any
-    other error is raised as :class:`TrialError` with the coordinates of the
-    first trial that raises it.
+    of all the perturbed pairs are extracted first, as one stack; a trial
+    whose item failed, or every trial if the stacked call raises, extracts
+    its own in its construction.  Library errors of a trial are recorded in
+    its status; any other error is raised as :class:`TrialError` with the
+    coordinates of the first trial that raises it.
     """
     records: dict[int, TrialRecord] = {}
     pairs = []
@@ -608,40 +607,25 @@ def _run_trials(inst: Instance, delta: float, delta_index: int, indices,
         try:
             found = _jordan_chains(np.array([pair.a for _, _, pair in pairs]), inst.spec)
         except Exception:
-            pass  # each trial extracts its own chains
+            pass
+        found = [None if isinstance(c, CanonError) else c for c in found]
     weak_delta = delta if mode == MODE_WEAK else None
     eye = np.eye(inst.spec.total_size)
     chain_ref = to_focs(inst.t0.matrix, inst.spec, inst.t0.role)
-    built = []
     for (ti, seed, pair), chains in zip(pairs, found):
         try:
             basis, trace, matches = _anchored_canonize(
                 pair.a, pair.h, inst.spec, inst.t0, weak_delta, chains)
+            dev, *z_devs = mat_norms([basis.matrix - inst.t0.matrix,
+                                      trace.chain_factor - chain_ref,
+                                      trace.phase_factor - eye,
+                                      trace.scale_factor - eye,
+                                      trace.flip_factor - eye], norm)
         except CanonError as exc:
             records[ti] = _failed_trial(delta, ti, exc)
             continue
         except Exception as exc:
             raise _trial_fault(exc, delta, ti, seed) from exc
-        built.append((ti, seed, pair, matches, [
-            basis.matrix - inst.t0.matrix,
-            trace.chain_factor - chain_ref,
-            trace.phase_factor - eye,
-            trace.scale_factor - eye,
-            trace.flip_factor - eye]))
-
-    # the five reported norms of every built trial take one call; if it
-    # raises, one call per trial finds the trial whose norms raise
-    try:
-        devs = mat_norms([m for *_, diffs in built for m in diffs], norm)
-    except Exception:
-        devs = []
-        for ti, seed, *_, diffs in built:
-            try:
-                devs += mat_norms(diffs, norm)
-            except Exception as exc:
-                raise _trial_fault(exc, delta, ti, seed) from exc
-    for k, (ti, _, pair, matches, _) in enumerate(built):
-        dev, *z_devs = devs[5 * k:5 * k + 5]
         true_eigs = tuple(b.lam for b in pair.spec.blocks) if mode == MODE_WEAK else None
         records[ti] = TrialRecord(delta, ti, float(pair.measured), dev,
                                   dev / pair.measured, tuple(z_devs), status="ok",

@@ -32,7 +32,6 @@ from .chains import (
     toeplitz_inv_sqrt,
 )
 from .errors import (
-    CanonError,
     NotRealError,
     PureImaginaryAnchorError,
     SingularBasisError,
@@ -315,9 +314,9 @@ def _check_pair_shape(a: np.ndarray, h: np.ndarray, spec: JordanSpec) -> None:
 
 def _focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, gamma: complex,
                 anchor: np.ndarray | None, tol: float, norm: str,
-                chains: tuple | CanonError | None) -> tuple[CanonicalBasis, PipelineTrace]:
+                chains: tuple | None) -> tuple[CanonicalBasis, PipelineTrace]:
     """:func:`focs_basis`, given ``chains``: what ``jordan_chains(a, spec)``
-    returned or raised, taken by the caller, or None to take it here."""
+    returns, taken by the caller, or None to take it here."""
     a = require_finite(a, "a")
     h = require_finite(h, "h")
     if gamma == 0:
@@ -358,8 +357,6 @@ def _focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, gamma: complex,
 
     if chains is None:
         chains = jordan_chains(a, spec)
-    elif isinstance(chains, CanonError):
-        raise chains
     prepared = []
     reduced: dict[int, np.ndarray] = {}
     eps: dict[int, int] = {}

@@ -63,7 +63,7 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
 
 def _rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
               anchor: np.ndarray | None, tol: float, norm: str,
-              chains: tuple | CanonError | None) -> tuple[CanonicalBasis, PipelineTrace]:
+              chains: tuple | None) -> tuple[CanonicalBasis, PipelineTrace]:
     """:func:`rc_basis`, given ``chains`` as for :func:`pipeline._focs_basis`."""
     a = np.real(require_finite(a, "a"))
     h = np.real(require_finite(h, "h"))

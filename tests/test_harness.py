@@ -479,33 +479,68 @@ def test_chain_stack_fault_falls_back_to_one_extraction_per_trial(inst, monkeypa
     assert report == ref
 
 
-@pytest.mark.parametrize("faulty", [None, 1])
-def test_norm_fault_is_rerun_one_trial_at_a_time(inst, monkeypatch, faulty):
-    # the five reported norms of a delta's trials take one call; when it
-    # raises, each trial takes its own, and a fault is the trial's that raises
+def test_trial_whose_chains_fail_records_its_single_call_error(inst, monkeypatch):
+    # trial 1 at the first delta perturbs into a pair with a shifted
+    # spectrum: its item of the delta's chain stack fails, and its own
+    # construction extracts its chains again and records that error
     ref = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
-    calls = []
-    real = harness.mat_norms
+    shifted = int(np.random.SeedSequence([inst.seed, 0, 1]).generate_state(1)[0])
+    real = harness.perturb_instance
+    singles = []
+    real_chains = pipeline.jordan_chains
 
-    def flaky(ms, norm):
-        if len(ms) > 5:
-            raise np.linalg.LinAlgError("SVD did not converge")
+    def shifting(inst_, delta, mode, seed, **kwargs):
+        pair = real(inst_, delta, mode, seed, **kwargs)
+        if seed != shifted:
+            return pair
+        return replace(pair, a=pair.a + 0.37 * np.eye(len(pair.a)))
+
+    def counted(a, spec):
+        singles.append(None)
+        return real_chains(a, spec)
+
+    monkeypatch.setattr(harness, "perturb_instance", shifting)
+    monkeypatch.setattr(pipeline, "jordan_chains", counted)
+    report = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
+    failed = report.trials[1]
+    pair = shifting(inst, 1e-3, "strict", shifted)
+    with pytest.raises(CanonError) as info:
+        real_chains(pair.a, inst.spec)
+    assert (failed.delta, failed.index, failed.status) == (1e-3, 1, info.value.code)
+    assert len(singles) == 1
+    assert [t for t in report.trials if t is not failed] == \
+        [t for t in ref.trials if t.index != 1 or t.delta != 1e-3]
+
+
+@pytest.mark.parametrize("later_fault", [False, True])
+def test_norm_fault_keeps_its_coordinates(inst, monkeypatch, later_fault):
+    # each trial takes its own five reported norms; a fault there is that
+    # trial's, and comes before any fault of a trial built after it
+    norm_calls, builds = [], []
+    real_norms, real_build = harness.mat_norms, harness._anchored_canonize
+
+    def flaky_norms(ms, norm):
         if len(ms) == 5:
-            calls.append(None)
-            if len(calls) - 1 == faulty:
+            norm_calls.append(None)
+            if len(norm_calls) == 2:
                 raise np.linalg.LinAlgError("SVD did not converge")
-        return real(ms, norm)
+        return real_norms(ms, norm)
 
-    monkeypatch.setattr(harness, "mat_norms", flaky)
-    if faulty is None:
-        assert estimate_lipschitz(inst, [1e-3, 1e-4], 3) == ref
-        assert len(calls) == 6
-        return
+    def flaky_build(*args):
+        builds.append(None)
+        if later_fault and len(builds) == 3:
+            raise RuntimeError("later fault")
+        return real_build(*args)
+
+    monkeypatch.setattr(harness, "mat_norms", flaky_norms)
+    monkeypatch.setattr(harness, "_anchored_canonize", flaky_build)
     with pytest.raises(TrialError) as info:
         estimate_lipschitz(inst, [1e-3, 1e-4], 3)
-    seed = int(np.random.SeedSequence([inst.seed, 0, faulty]).generate_state(1)[0])
-    assert (info.value.delta, info.value.index, info.value.seed) == (1e-3, faulty, seed)
+    seed = int(np.random.SeedSequence([inst.seed, 0, 1]).generate_state(1)[0])
+    assert (info.value.delta, info.value.index, info.value.seed) == (1e-3, 1, seed)
     assert "LinAlgError: SVD did not converge" in str(info.value)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    assert len(builds) == 2
 
 
 @pytest.mark.parametrize("shape", ["wrong_size", "not_square", "stack"])
