@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CanonError, NotConjugateSymmetricError, NotRealError, StructureMismatchError
+from .errors import NotConjugateSymmetricError, NotRealError, StructureMismatchError
 from .linalg import (
     DEFAULT_TOL,
     _norm_lower_bound,
