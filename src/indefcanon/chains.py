@@ -82,9 +82,9 @@ def _staircase_error(a: np.ndarray, block: BlockSpec, nullities: list[int]) -> C
 
 
 def _block_chains(a: np.ndarray, block: BlockSpec, eye: np.ndarray) -> list:
-    """The chain of ``block`` in each matrix of the stack ``a``, or the
-    :class:`CanonError` of a matrix that trips it; ``eye`` is the identity
-    of the matrices' size."""
+    """The chain of ``block`` in each matrix of the stack ``a``, or, for a
+    matrix that leaves the block's staircase, its nullities up to the first
+    step that left it; ``eye`` is the identity of the matrices' size."""
     k, n, _ = a.shape
     p = block.size
     if block.kind == REAL:
@@ -99,44 +99,28 @@ def _block_chains(a: np.ndarray, block: BlockSpec, eye: np.ndarray) -> list:
     # small directions (and a power of the nilpotent part may be the zero
     # matrix, carrying no scale at all).  The first step is an SVD of B
     # itself, so its largest singular value is ||B||_2.  The singular values
-    # fall, so the nullspace rows are the last ones of V*.  An item whose
-    # nullity leaves the expected staircase is redone alone, where the
-    # staircase follows its own nullities
-    items = list(range(k))
-    alone: list[int] = []
+    # fall, so the nullspace rows are the last ones of V*.  Every item
+    # follows the nullities of a single block of size p, so each step is
+    # one SVD call for the whole stack, and an item that left them is set
+    # aside only after the loop
+    staircase = [min(j, p) for j in range(1, p + 2)]
     thresholds = basis = None
-    nullities: list[int] = []
-    for _ in range(p + 1):
+    steps = []
+    for c in staircase:
         projected = b if basis is None else b - basis @ (basis.conj().swapaxes(1, 2) @ b)
         _, s, vh = np.linalg.svd(projected)
         # the singular values fall: reversed, a bisection counts those below
         rows = s[:, ::-1].tolist()
         if thresholds is None:
             thresholds = [RANK_RTOL * max(row[-1], _TINY) for row in rows]
-        counts = [bisect_left(row, t) for row, t in zip(rows, thresholds)]
-        c = min(len(nullities) + 1, p) if len(items) > 1 else counts[0]
-        if counts.count(c) != len(counts):
-            keep = [j for j, count in enumerate(counts) if count == c]
-            alone += [items[j] for j, count in enumerate(counts) if count != c]
-            items = [items[j] for j in keep]
-            if not items:
-                break
-            b, vh = b[keep], vh[keep]
-            thresholds = [thresholds[j] for j in keep]
-        nullities.append(c)
+        steps.append([bisect_left(row, t) for row, t in zip(rows, thresholds)])
         basis = vh[:, n - c:].conj().swapaxes(1, 2)
-        if c == 0:
-            break
 
     out: list = [None] * k
-    for i in alone:
-        (out[i],) = _block_chains(a[i:i + 1], block, eye)
-    if not items:
-        return out
-    if nullities != [min(j, p) for j in range(1, p + 2)]:
-        (i,) = items
-        out[i] = _staircase_error(a[i], block, nullities)
-        return out
+    for i, nullities in enumerate(zip(*steps)):
+        left = [j for j, (got, c) in enumerate(zip(nullities, staircase)) if got != c]
+        if left:
+            out[i] = list(nullities[:left[0] + 1])
 
     # null(B^p) basis from the staircase; the generator is the direction
     # maximizing the norm of the last chain link
@@ -147,7 +131,9 @@ def _block_chains(a: np.ndarray, block: BlockSpec, eye: np.ndarray) -> list:
     generators = (basis @ wvh.conj()[:, 0, :, np.newaxis])[..., 0]
     # the chain of each item grows from its generator by matrix-vector
     # products, as cheap one by one as stacked
-    for i, v, bi in zip(items, generators, b):
+    for i, (v, bi) in enumerate(zip(generators, b)):
+        if out[i] is not None:
+            continue
         v = v / np.linalg.norm(v)
         v = _phase_normalize(v)
         chain = np.empty((n, p), dtype=v.dtype)
@@ -188,28 +174,22 @@ def jordan_chains(a: np.ndarray, spec: JordanSpec) -> tuple[np.ndarray, ...]:
 
 def _jordan_chains(a: np.ndarray, spec: JordanSpec) -> list:
     """:func:`jordan_chains` of each matrix of the stack ``a``: its chains,
-    or the :class:`CanonError` of the first block it trips.  The staircase
-    SVDs of each block take one call for the items still live."""
+    or the :class:`CanonError` of the first block it trips.  Every block
+    runs on the whole stack, one SVD call per staircase step."""
     size = spec.total_size
     if a.shape[1:] != (size, size):
         raise StructureMismatchError(
             f"matrix size {a.shape[1:]} does not match spec size {size}")
     eye = np.eye(size)
     out: list = [[] for _ in range(len(a))]
-    live = list(range(len(a)))
     for block in spec.blocks:
-        keep = []
-        for j, chain in enumerate(_block_chains(a, block, eye)):
-            if isinstance(chain, CanonError):
-                out[live[j]] = chain
+        for i, found in enumerate(_block_chains(a, block, eye)):
+            if isinstance(out[i], CanonError):
+                continue
+            if isinstance(found, np.ndarray):
+                out[i].append(found)
             else:
-                out[live[j]].append(chain)
-                keep.append(j)
-        if not keep:
-            break
-        if len(keep) < len(live):
-            a = a[keep]
-            live = [live[j] for j in keep]
+                out[i] = _staircase_error(a[i], block, found)
     return [x if isinstance(x, CanonError) else tuple(x) for x in out]
 
 

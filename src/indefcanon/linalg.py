@@ -64,23 +64,23 @@ def mat_norms(ms: list[np.ndarray], kind: str = "spectral") -> list[float]:
     """Norm of each matrix of ``ms``: the one implementation of both norms.
 
     ``spectral`` is the largest singular value; ``frobenius`` is the
-    entrywise 2-norm.  An empty matrix has norm 0.  One singular-value call
-    serves each group of nonempty matrices that share a shape and a dtype;
-    the gufunc gives each matrix of a stack the value a call on it alone
-    gives.
+    entrywise 2-norm.  An empty matrix has norm 0, and a matrix with a
+    non-finite entry has norm inf, without an SVD, which would not converge.
+    One singular-value call serves each group of the other matrices that
+    share a shape and a dtype; the gufunc gives each matrix of a stack the
+    value a call on it alone gives.
     """
     if kind not in _NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}")
     ms = [np.atleast_2d(np.asarray(m)) for m in ms]
+    out = [0.0 if np.isfinite(m).all() else np.inf for m in ms]
     if kind == "frobenius":
-        return [float(np.linalg.norm(m)) for m in ms]
+        return [float(np.linalg.norm(m)) if v == 0.0 else v for m, v in zip(ms, out)]
     groups: dict[tuple, list[int]] = {}
     for i, m in enumerate(ms):
-        groups.setdefault((m.shape, m.dtype), []).append(i)
-    out = [0.0] * len(ms)
-    for (shape, _), idx in groups.items():
-        if 0 in shape:
-            continue
+        if m.size and out[i] == 0.0:
+            groups.setdefault((m.shape, m.dtype), []).append(i)
+    for idx in groups.values():
         group = [ms[i] for i in idx]
         stack = group[0][np.newaxis] if len(group) == 1 else np.array(group)
         s = np.linalg.svd(stack, compute_uv=False)
@@ -179,7 +179,10 @@ def affiliation_residuals(a: np.ndarray, h: np.ndarray, t: np.ndarray,
     that ill-conditioning of ``t`` is not amplified into the certificate.
     """
     a, h, t, j, p = (np.asarray(x) for x in (a, h, t, j, p))
-    tn, sim, cong = mat_norms([t, a @ t - t @ j, t.conj().T @ h @ t - p], norm)
+    # a huge finite entry may overflow the products; their norms are then inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = [a @ t - t @ j, t.conj().T @ h @ t - p]
+    tn, sim, cong = mat_norms([t, *residuals], norm)
     if tn == 0.0:
         raise ValueError("t must be nonzero")
     return sim / tn, cong

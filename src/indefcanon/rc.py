@@ -20,7 +20,6 @@ from .linalg import (
     _norm_lower_bound,
     affiliation_residuals,
     mat_norm,
-    require_finite,
 )
 from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, Certificate, PipelineTrace, _focs_basis
 from .structure import (
@@ -55,8 +54,10 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
     Raises
     ------
     NotRealError
-        When the pre-truncation imaginary part exceeds the threshold, which
-        signals a non-i conjugate-symmetry scalar or pipeline failure.
+        When ``a`` or ``h`` has an imaginary part beyond rounding, as for
+        :func:`pipeline.focs_basis`, or when the pre-truncation imaginary
+        part of the basis exceeds the threshold, which signals a non-i
+        conjugate-symmetry scalar or pipeline failure.
     """
     return _rc_basis(a, h, spec, anchor, tol, norm, None)
 
@@ -65,11 +66,11 @@ def _rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
               anchor: np.ndarray | None, tol: float, norm: str,
               chains: tuple | None) -> tuple[CanonicalBasis, PipelineTrace]:
     """:func:`rc_basis`, given ``chains`` as for :func:`pipeline._focs_basis`."""
-    a = np.real(require_finite(a, "a"))
-    h = np.real(require_finite(h, "h"))
     if anchor is not None:
         anchor = to_focs(anchor, spec, ROLE_RC)
+    # the FOCS body refuses a pair whose imaginary part is not rounding
     focs, trace = _focs_basis(a, h, spec, 1.0j, anchor, tol, norm, chains)
+    a, h = np.real(a), np.real(h)
     r = focs.matrix @ mixing_matrix(spec)
     # both gates scale their limit with a norm whose value is not kept: a
     # lower bound of it decides first, and the SVD runs only on a miss

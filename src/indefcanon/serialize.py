@@ -144,8 +144,13 @@ def instance_from_json(obj: dict) -> Instance:
     (see :func:`harness.load_instance`); any defect raises ``ValueError``."""
     try:
         spec = spec_from_json(obj["spec"])
-        a0 = np.real(matrix_from_json(obj["A0"]))
-        h0 = np.real(matrix_from_json(obj["H0"]))
+        a0 = matrix_from_json(obj["A0"])
+        h0 = matrix_from_json(obj["H0"])
+        # the experiment's verdict must be about the pair in the file
+        for name, m in (("A0", a0), ("H0", h0)):
+            if np.iscomplexobj(m):
+                raise ValueError(f"{name} must be real, but has an imaginary part "
+                                 f"of {float(np.max(np.abs(m.imag))):.3e}")
         t0 = basis_from_json(obj["T0"])
         seed = require_int(obj["seed"], "seed", 0)
     except (KeyError, TypeError) as exc:

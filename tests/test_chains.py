@@ -18,7 +18,8 @@ from indefcanon import (
     sip_form,
 )
 
-from indefcanon.chains import GRAM_RTOL
+from indefcanon import chains
+from indefcanon.chains import GRAM_RTOL, _jordan_chains
 
 from conftest import crat_from_int_matrix, crat_matmul, crat_rank, random_spec
 
@@ -73,6 +74,41 @@ def test_chains_eigenvalue_drift(ex_a, ex_spec):
     shifted = JordanSpec((BlockSpec("pair", -2j + 0.5, 2),))
     with pytest.raises(EigenvalueDriftError):
         jordan_chains(ex_a, shifted)
+
+
+def test_staircase_error_lists_the_nullities_up_to_the_first_step_off():
+    # a pair block declared as size 2 that the matrix holds at size 1: the
+    # nullities 1, 1 leave the staircase 1, 2, 2 at the second step
+    held = JordanSpec((BlockSpec("pair", 1.0 + 2.0j, 1), BlockSpec("real", 3.0, 1, 1),
+                       BlockSpec("real", -3.0, 1, 1)))
+    declared = JordanSpec((BlockSpec("pair", 1.0 + 2.0j, 2),))
+    with pytest.raises(StructureMismatchError, match=r"nullity staircase \[1, 1\] "):
+        jordan_chains(real_jordan_form(held), declared)
+
+
+def test_each_failing_item_builds_one_error(monkeypatch):
+    # every block runs on the whole stack; an item whose spectrum is off
+    # every block still gets only the error of the first block
+    from indefcanon import generate_instance
+    spec = JordanSpec((BlockSpec("pair", -0.9 - 1.7j, 3), BlockSpec("real", 2.2, 2, 1),
+                       BlockSpec("pair", 1.4 + 0.8j, 2), BlockSpec("real", -2.8, 2, -1),
+                       BlockSpec("pair", 0.5 + 2.6j, 2)))
+    a = generate_instance(spec, 13).a0
+    shifted = a + 0.25 * np.eye(len(a))
+    built = []
+    staircase_error = chains._staircase_error
+
+    def counted(a, block, nullities):
+        built.append((block, nullities))
+        return staircase_error(a, block, nullities)
+
+    monkeypatch.setattr(chains, "_staircase_error", counted)
+    with pytest.raises(EigenvalueDriftError):
+        jordan_chains(shifted, spec)
+    assert built == [(spec.blocks[0], [0])]
+    out = _jordan_chains(np.stack([shifted, a, shifted]), spec)
+    assert [type(x) for x in out] == [EigenvalueDriftError, tuple, EigenvalueDriftError]
+    assert built == [(spec.blocks[0], [0])] * 3
 
 
 def test_chains_real_blocks_stay_real():

@@ -194,6 +194,18 @@ def test_canonize_pipeline_error_exits_4(runner, tmp_path, ex_spec):
     assert "NOT_REAL" in r.output
 
 
+@pytest.mark.parametrize("mode", ["fo", "focs", "rc"])
+def test_canonize_pair_with_an_imaginary_part_exits_4(runner, tmp_path, ex_a, ex_h, ex_spec,
+                                                      mode):
+    f = tmp_path / "pair.json"
+    write_pair_file(f, ex_a + 1e-3j, ex_h, ex_spec)
+    r = runner.invoke(main, ["canonize", "--in", str(f), "--mode", mode,
+                             "--out", str(tmp_path / "x.json")])
+    assert r.exit_code == 4, r.output
+    assert "NOT_REAL: a has imaginary part 1.000e-03" in r.output
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_verify_fo_basis_passes(runner, tmp_path, paper_pair_file, ex_t):
     bf = tmp_path / "t.json"
     bf.write_text(dumps(matrix_to_json(ex_t)))
@@ -236,6 +248,33 @@ def test_verify_zero_first_pair_block_fails(runner, tmp_path, role, zeroed):
     assert isinstance(r.exception, SystemExit)
     row = r.output.splitlines()[-1].split()
     assert row[:3] == ["conjugate", "symmetry", "(gamma"] and row[-2:] == ["inf", "FAIL"]
+
+
+def test_verify_overflowing_basis_fails_with_inf(runner, tmp_path, paper_pair_file, ex_m):
+    # a basis entry of 1e308 overflows the residual products
+    m = ex_m.copy()
+    m[0, 0] = 1e308
+    bf = tmp_path / "t.json"
+    bf.write_text(dumps(matrix_to_json(m)))
+    r = runner.invoke(main, ["verify", "--in", str(paper_pair_file), "--basis", str(bf)])
+    assert r.exit_code == 1, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert ["similarity", "inf", "FAIL"] in [line.split() for line in r.output.splitlines()]
+
+
+@pytest.mark.parametrize("imag, code", [(0.0, 0), (1e-3, 2)])
+def test_verify_instance_pair_must_be_real(runner, tmp_path, imag, code):
+    # [re, im] pairs whose imaginary parts are all 0 load as a real matrix;
+    # any other imaginary part is refused, not truncated
+    inst = generate_instance(SPEC, 3)
+    obj = instance_to_json(inst)
+    obj["A0"]["data"] = [[x, imag] for x in obj["A0"]["data"]]
+    inst_file, basis_file = tmp_path / "inst.json", tmp_path / "basis.json"
+    inst_file.write_text(dumps(obj))
+    basis_file.write_text(dumps(basis_to_json(inst.t0)))
+    r = runner.invoke(main, ["verify", "--in", str(inst_file), "--basis", str(basis_file)])
+    assert r.exit_code == code, r.output
+    assert ("A0 must be real" in r.output) == (code == 2)
 
 
 def test_verify_parse_error_exits_2(runner, tmp_path, paper_pair_file):
@@ -348,6 +387,13 @@ def _probe(obj, key):
         obj["T0"]["gamma"] = True
     elif key == "spec_lambda_string":
         obj["spec"]["blocks"][0]["lambda"] = "1.5"
+    elif key in ("a0_complex", "h0_complex"):
+        name = key[:2].upper()
+        obj[name] = matrix_to_json(matrix_from_json(obj[name]) + 1e-3j)
+    elif key == "t0_entry_1e308":
+        t0 = matrix_from_json(obj["T0"]["matrix"])
+        t0[0, 0] = 1e308
+        obj["T0"]["matrix"] = matrix_to_json(t0)
     elif key == "t0_scaled":
         # similarity unchanged, congruence off by about 2e-6
         t0 = matrix_from_json(obj["T0"]["matrix"])
@@ -366,6 +412,12 @@ def _probe(obj, key):
     pytest.param("a0_identity", "from the pair that seed 3 generates", id="a0_identity"),
     pytest.param("t0_zero", "t must be nonzero", id="t0_zero"),
     pytest.param("t0_scaled", "T0 misses the instance gate", id="t0_scaled"),
+    pytest.param("t0_entry_1e308", "T0 misses the instance gate: similarity inf",
+                 id="t0_entry_1e308"),
+    pytest.param("a0_complex", "A0 must be real, but has an imaginary part of 1.000e-03",
+                 id="a0_complex"),
+    pytest.param("h0_complex", "H0 must be real, but has an imaginary part of 1.000e-03",
+                 id="h0_complex"),
     pytest.param("shared_eigenvalue", "blocks share the eigenvalue",
                  id="shared_eigenvalue"),
     pytest.param("zero_eigenvalue", "is numerically zero", id="zero_eigenvalue"),

@@ -209,6 +209,30 @@ def test_mat_norms_match_mat_norm_bit_for_bit(specs, kind):
     assert [float.hex(x) for x in got] == [float.hex(mat_norm(m, kind)) for m in ms]
 
 
+@pytest.mark.parametrize("kind", ["spectral", "frobenius"])
+def test_mat_norms_of_a_non_finite_matrix_are_inf_without_an_svd(monkeypatch, kind):
+    # an SVD of a matrix with an inf or NaN entry does not converge
+    finite = np.arange(9.0).reshape(3, 3)
+    ms = [finite, finite + np.diag([np.inf, 0.0, 0.0]), finite * np.nan]
+    want = mat_norm(finite, kind)
+    svd = np.linalg.svd
+
+    def finite_svd(m, **kw):
+        assert np.isfinite(m).all()
+        return svd(m, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", finite_svd)
+    assert linalg.mat_norms(ms, kind) == [want, np.inf, np.inf]
+
+
+def test_affiliation_residuals_of_an_overflowing_basis_are_inf(ex_a, ex_h, ex_m, ex_j, ex_p):
+    # a basis entry of 1e308 overflows the products, with no warning
+    t = ex_m.copy()
+    t[0, 0] = 1e308
+    sim, _ = affiliation_residuals(ex_a, ex_h, t, ex_j, ex_p)
+    assert sim == np.inf
+
+
 def test_affiliation_paper_fixture(ex_a, ex_h, ex_t, ex_j, ex_p):
     sim, cong = affiliation_residuals(ex_a, ex_h, ex_t, ex_j, ex_p)
     assert sim <= 1e-10 and cong <= 1e-10

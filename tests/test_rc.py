@@ -213,3 +213,15 @@ def test_rc_certificate_limit_is_spectral(monkeypatch):
 def test_rc_rejects_a_tol_that_is_not_finite_and_positive(ex_a, ex_h, ex_spec, tol):
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         rc_basis(ex_a, ex_h, ex_spec, tol=tol)
+
+
+@pytest.mark.parametrize("name", ["a", "h"])
+def test_rc_refuses_a_complex_pair_as_focs_does(ex_a, ex_h, ex_spec, name):
+    # a basis certified against the real part would be one for a pair the
+    # caller did not give
+    a, h = (ex_a + 1e-3j, ex_h) if name == "a" else (ex_a, ex_h + 1e-3j)
+    message = f"{name} has imaginary part 1.000e-03"
+    with pytest.raises(NotRealError, match=message):
+        focs_basis(a, h, ex_spec, 1.0)
+    with pytest.raises(NotRealError, match=message):
+        rc_basis(a, h, ex_spec)
