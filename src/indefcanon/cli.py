@@ -25,7 +25,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import serialize
+from . import __version__, serialize
 from .errors import CanonError, TrialError
 from .harness import MODE_STRICT, MODE_WEAK, estimate_lipschitz, generate_instance
 from .linalg import DEFAULT_TOL, mat_norm, require_int
@@ -116,7 +116,7 @@ def _load_pair(obj: dict):
 
 
 @click.group(context_settings={"auto_envvar_prefix": "INDEFCANON"})
-@click.version_option(package_name="indefcanon")
+@click.version_option(__version__)
 def main():
     """Canonical Jordan bases of real H-selfadjoint pairs, with stability
     experiments under structure-preserving perturbations."""

@@ -26,17 +26,16 @@ from .errors import (
     TrialError,
 )
 from .chains import _jordan_chains
-from .linalg import DEFAULT_TOL, gate_norm, mat_norm, mat_norms, refined_inverse
+from .linalg import gate_norm, mat_norm, mat_norms, refined_inverse
 from .pipeline import (
     ROLE_FOCS,
     ROLE_RC,
     CanonicalBasis,
     PipelineTrace,
     _check_pair_shape,
-    _focs_basis,
     focs_basis,
 )
-from .rc import IMAG_RTOL, _rc_basis, certify, rc_basis, to_focs
+from .rc import IMAG_RTOL, certify, rc_basis, to_focs
 from .structure import (
     CS_TOL,
     PAIR,
@@ -452,7 +451,8 @@ def _block_gauge(n_mat: np.ndarray, t0_mat: np.ndarray, spec: JordanSpec,
 
 def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                       t0: CanonicalBasis, *,
-                      weak_delta: float | None = None
+                      weak_delta: float | None = None,
+                      chains: tuple | None = None
                       ) -> tuple[CanonicalBasis, PipelineTrace, tuple[complex, ...] | None]:
     """Canonical basis of ``(a, h)`` chosen near the reference ``t0``.
 
@@ -463,21 +463,15 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     conjugate-symmetry scalar are those of ``t0``.  ``weak_delta`` selects
     weak mode (None is strict): the spec eigenvalues are first matched onto
     the spectrum of ``a``, clustering it at a radius derived from this
-    perturbation size.
+    perturbation size.  ``chains`` is what ``jordan_chains(a, spec)``
+    returns, when the caller already has it; weak mode builds on the
+    matched spec, so it takes no ``chains``.
 
     Returns the basis, the pipeline trace (gauge already applied to the
     chain factor and basis), and the matched eigenvalues (weak mode only).
     """
-    return _anchored_canonize(a, h, spec, t0, weak_delta, None)
-
-
-def _anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
-                       t0: CanonicalBasis, weak_delta: float | None,
-                       chains: tuple | None
-                       ) -> tuple[CanonicalBasis, PipelineTrace, tuple[complex, ...] | None]:
-    """:func:`anchored_canonize`, given ``chains`` as for
-    :func:`pipeline._focs_basis`; weak mode builds on the matched spec, so
-    its ``chains`` is None."""
+    if chains is not None and weak_delta is not None:
+        raise ValueError("weak mode builds on the matched spec and takes no chains")
     kind = t0.role
     if kind not in (ROLE_FOCS, ROLE_RC):
         raise ValueError(f"unsupported reference role {kind!r}")
@@ -495,10 +489,10 @@ def _anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         matches, work_spec = match_eigenvalues(spec, a, cluster_radius=cluster_radius)
 
     if kind == ROLE_RC:
-        basis, trace = _rc_basis(a, h, work_spec, t0.matrix, DEFAULT_TOL, "spectral", chains)
+        basis, trace = rc_basis(a, h, work_spec, anchor=t0.matrix, chains=chains)
     else:
-        basis, trace = _focs_basis(a, h, work_spec, t0.gamma or 1.0, t0.matrix,
-                                   DEFAULT_TOL, "spectral", chains)
+        basis, trace = focs_basis(a, h, work_spec, t0.gamma or 1.0, anchor=t0.matrix,
+                                  chains=chains)
     gauge = _block_gauge(basis.matrix, t0.matrix, work_spec,
                          continuous_phase=kind == ROLE_FOCS)
     new_mat = basis.matrix @ gauge
@@ -614,8 +608,8 @@ def _run_trials(inst: Instance, delta: float, delta_index: int, indices,
     chain_ref = to_focs(inst.t0.matrix, inst.spec, inst.t0.role)
     for (ti, seed, pair), chains in zip(pairs, found):
         try:
-            basis, trace, matches = _anchored_canonize(
-                pair.a, pair.h, inst.spec, inst.t0, weak_delta, chains)
+            basis, trace, matches = anchored_canonize(
+                pair.a, pair.h, inst.spec, inst.t0, weak_delta=weak_delta, chains=chains)
             dev, *z_devs = mat_norms([basis.matrix - inst.t0.matrix,
                                       trace.chain_factor - chain_ref,
                                       trace.phase_factor - eye,

@@ -272,11 +272,22 @@ def _check_gram_structure(gram: np.ndarray, spec: JordanSpec,
                         f"pair block {i} Gram is not Hankel")
 
 
+def _check_pair_shape(a: np.ndarray, h: np.ndarray, spec: JordanSpec) -> None:
+    """Reject a pair that is not two square matrices of one size, or whose
+    size is not the size of ``spec``."""
+    if a.shape != h.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("a and h must be square and of equal size")
+    if a.shape[0] != spec.total_size:
+        raise StructureMismatchError(
+            f"matrix size {a.shape} does not match spec size {spec.total_size}")
+
+
 def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                gamma: complex = 1.0, *,
                anchor: np.ndarray | None = None,
                tol: float = DEFAULT_TOL,
-               norm: str = "spectral") -> tuple[CanonicalBasis, PipelineTrace]:
+               norm: str = "spectral",
+               chains: tuple | None = None) -> tuple[CanonicalBasis, PipelineTrace]:
     """Construct a gamma-FOCS basis of the real h-selfadjoint matrix ``a``.
 
     The returned basis takes ``(a, h)`` to the canonical pair of ``spec``
@@ -298,25 +309,10 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         The certificate gate: similarity and congruence residuals must be
         within ``tol * max(1, ||h||)``.  Must be finite and positive; a NaN
         or infinite ``tol`` would pass every basis.
+    chains : tuple, optional
+        What ``jordan_chains(a, spec)`` returns, when the caller already has
+        it; taken here when None.
     """
-    return _focs_basis(a, h, spec, gamma, anchor, tol, norm, None)
-
-
-def _check_pair_shape(a: np.ndarray, h: np.ndarray, spec: JordanSpec) -> None:
-    """Reject a pair that is not two square matrices of one size, or whose
-    size is not the size of ``spec``."""
-    if a.shape != h.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("a and h must be square and of equal size")
-    if a.shape[0] != spec.total_size:
-        raise StructureMismatchError(
-            f"matrix size {a.shape} does not match spec size {spec.total_size}")
-
-
-def _focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, gamma: complex,
-                anchor: np.ndarray | None, tol: float, norm: str,
-                chains: tuple | None) -> tuple[CanonicalBasis, PipelineTrace]:
-    """:func:`focs_basis`, given ``chains``: what ``jordan_chains(a, spec)``
-    returns, taken by the caller, or None to take it here."""
     a = require_finite(a, "a")
     h = require_finite(h, "h")
     if gamma == 0:

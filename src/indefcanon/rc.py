@@ -21,7 +21,7 @@ from .linalg import (
     affiliation_residuals,
     mat_norm,
 )
-from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, Certificate, PipelineTrace, _focs_basis
+from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, Certificate, PipelineTrace, focs_basis
 from .structure import (
     JordanSpec,
     conjugate_symmetry_fit,
@@ -40,7 +40,8 @@ IMAG_RTOL = 1e-9
 def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
              anchor: np.ndarray | None = None,
              tol: float = DEFAULT_TOL,
-             norm: str = "spectral") -> tuple[CanonicalBasis, PipelineTrace]:
+             norm: str = "spectral",
+             chains: tuple | None = None) -> tuple[CanonicalBasis, PipelineTrace]:
     """Real canonical basis of the real h-selfadjoint pair ``(a, h)``.
 
     Runs the FOCS pipeline with ``gamma = i`` and applies the mixing
@@ -50,6 +51,8 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
     ``anchor``, when given, is an RC reference basis; the pipeline is
     anchored to its FOCS coordinates.  ``tol`` is the certificate gate, as
     for :func:`pipeline.focs_basis`, and must be finite and positive.
+    ``chains`` is what ``jordan_chains(a, spec)`` returns, when the caller
+    already has it.
 
     Raises
     ------
@@ -59,17 +62,11 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
         part of the basis exceeds the threshold, which signals a non-i
         conjugate-symmetry scalar or pipeline failure.
     """
-    return _rc_basis(a, h, spec, anchor, tol, norm, None)
-
-
-def _rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
-              anchor: np.ndarray | None, tol: float, norm: str,
-              chains: tuple | None) -> tuple[CanonicalBasis, PipelineTrace]:
-    """:func:`rc_basis`, given ``chains`` as for :func:`pipeline._focs_basis`."""
     if anchor is not None:
         anchor = to_focs(anchor, spec, ROLE_RC)
-    # the FOCS body refuses a pair whose imaginary part is not rounding
-    focs, trace = _focs_basis(a, h, spec, 1.0j, anchor, tol, norm, chains)
+    # the FOCS construction refuses a pair whose imaginary part is not rounding
+    focs, trace = focs_basis(a, h, spec, 1.0j, anchor=anchor, tol=tol, norm=norm,
+                             chains=chains)
     a, h = np.real(a), np.real(h)
     r = focs.matrix @ mixing_matrix(spec)
     # both gates scale their limit with a norm whose value is not kept: a
@@ -81,7 +78,8 @@ def _rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
             raise NotRealError(
                 f"mixed basis has imaginary part {max_imag:.3e} "
                 f"(threshold {threshold:.3e})")
-    r_real = np.real(r)
+    # a copy that owns its data, not a strided view keeping r alive
+    r_real = np.ascontiguousarray(r.real)
     sim, cong = affiliation_residuals(a, h, r_real, real_jordan_form(spec),
                                       sip_form(spec), norm=norm)
     if max(sim, cong) > tol * max(1.0, _norm_lower_bound(h, norm)):

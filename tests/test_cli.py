@@ -470,6 +470,19 @@ def test_tol_not_finite_and_positive_exits_2(runner, tmp_path, command, tol):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_version_needs_no_installed_package_metadata(runner, monkeypatch):
+    # a source checkout run with PYTHONPATH=src has no installed metadata
+    import importlib.metadata
+
+    def not_installed(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(importlib.metadata, "version", not_installed)
+    r = runner.invoke(main, ["--version"])
+    assert r.exit_code == 0, r.output
+    assert r.output.endswith(", version 0.1.0\n")
+
+
 def test_instance_seed_without_a_similarity_exits_2(runner, tmp_path, monkeypatch):
     inst_file = tmp_path / "inst.json"
     inst_file.write_text(dumps(instance_to_json(generate_instance(SPEC, 3))))
@@ -487,8 +500,8 @@ def test_stability_trial_fault_exits_4(runner, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("array must not contain infs or NaNs")
 
-    # each trial is built by the anchored construction's body
-    monkeypatch.setattr(harness, "_anchored_canonize", broken)
+    # each trial is built by the anchored construction
+    monkeypatch.setattr(harness, "anchored_canonize", broken)
     r = runner.invoke(main, ["stability", "--in", str(inst_file), "--deltas", "1e-3",
                              "--trials", "1", "--out-csv", str(tmp_path / "x.csv")])
     assert r.exit_code == 4, r.output

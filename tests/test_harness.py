@@ -19,6 +19,7 @@ from indefcanon import (
     anchored_canonize,
     estimate_lipschitz,
     generate_instance,
+    jordan_chains,
     jordan_form,
     mat_norm,
     match_eigenvalues,
@@ -273,7 +274,7 @@ def test_anchored_recovers_a_negated_block(inst, inst_rc, monkeypatch, kind, col
         target = ref.matrix * flip
         t0 = replace(ref, matrix=target)
     else:
-        name = "_rc_basis" if kind == "rc" else "_focs_basis"
+        name = "rc_basis" if kind == "rc" else "focs_basis"
         construct = getattr(harness, name)
 
         def negating(*args, **kwargs):
@@ -517,7 +518,7 @@ def test_norm_fault_keeps_its_coordinates(inst, monkeypatch, later_fault):
     # each trial takes its own five reported norms; a fault there is that
     # trial's, and comes before any fault of a trial built after it
     norm_calls, builds = [], []
-    real_norms, real_build = harness.mat_norms, harness._anchored_canonize
+    real_norms, real_build = harness.mat_norms, harness.anchored_canonize
 
     def flaky_norms(ms, norm):
         if len(ms) == 5:
@@ -526,14 +527,14 @@ def test_norm_fault_keeps_its_coordinates(inst, monkeypatch, later_fault):
                 raise np.linalg.LinAlgError("SVD did not converge")
         return real_norms(ms, norm)
 
-    def flaky_build(*args):
+    def flaky_build(*args, **kwargs):
         builds.append(None)
         if later_fault and len(builds) == 3:
             raise RuntimeError("later fault")
-        return real_build(*args)
+        return real_build(*args, **kwargs)
 
     monkeypatch.setattr(harness, "mat_norms", flaky_norms)
-    monkeypatch.setattr(harness, "_anchored_canonize", flaky_build)
+    monkeypatch.setattr(harness, "anchored_canonize", flaky_build)
     with pytest.raises(TrialError) as info:
         estimate_lipschitz(inst, [1e-3, 1e-4], 3)
     seed = int(np.random.SeedSequence([inst.seed, 0, 1]).generate_state(1)[0])
@@ -557,12 +558,39 @@ def test_anchored_pair_of_the_wrong_shape_is_refused_first(inst, shape, weak_del
         anchored_canonize(a, h, inst.spec, inst.t0, weak_delta=weak_delta)
 
 
+@pytest.mark.parametrize("mode, kind", [("strict", "focs"), ("weak", "rc")])
+def test_each_trial_is_built_under_the_public_names(inst, inst_rc, monkeypatch, mode, kind):
+    # in-process, every trial runs anchored_canonize once, which runs the
+    # construction of its kind once
+    calls = {"anchored_canonize": 0, "focs_basis": 0, "rc_basis": 0}
+    for name in calls:
+        real = getattr(harness, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    report = estimate_lipschitz(inst if kind == "focs" else inst_rc, [1e-3, 1e-4], 3,
+                                mode=mode)
+    assert [t.status for t in report.trials] == ["ok"] * 6
+    assert calls == {"anchored_canonize": 6, "focs_basis": 6 if kind == "focs" else 0,
+                     "rc_basis": 6 if kind == "rc" else 0}
+
+
+def test_anchored_weak_mode_takes_no_chains(inst):
+    # weak trials build on the matched spec, whose chains the caller has not
+    with pytest.raises(ValueError, match="takes no chains"):
+        anchored_canonize(inst.a0, inst.h0, inst.spec, inst.t0, weak_delta=1e-3,
+                          chains=jordan_chains(inst.a0, inst.spec))
+
+
 def test_trial_library_error_is_recorded_and_reported(inst, monkeypatch):
     ref = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
     # trial 1 of the first delta trips a gate in its construction, and the
     # trials built after it must keep their own numbers
     calls = []
-    real = harness._anchored_canonize
+    real = harness.anchored_canonize
 
     def mismatching(*args, **kwargs):
         calls.append(None)
@@ -570,7 +598,7 @@ def test_trial_library_error_is_recorded_and_reported(inst, monkeypatch):
             raise StructureMismatchError("forced mismatch")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "_anchored_canonize", mismatching)
+    monkeypatch.setattr(harness, "anchored_canonize", mismatching)
     report = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
     failed = report.trials[1]
     assert (failed.delta, failed.index, failed.status) == (1e-3, 1, "STRUCTURE_MISMATCH")

@@ -168,7 +168,7 @@ ONES40 = 10.0 * np.ones((4, 4))
 
 def _stub_focs(monkeypatch, matrix):
     basis = CanonicalBasis(matrix, "focs", 1j, Certificate(0.0, 0.0, 0.0), (1, 1, 1, 1))
-    monkeypatch.setattr(rc, "_focs_basis", lambda *args, **kwargs: (basis, None))
+    monkeypatch.setattr(rc, "focs_basis", lambda *args, **kwargs: (basis, None))
 
 
 def test_rc_realness_threshold_is_spectral(monkeypatch):
@@ -225,3 +225,11 @@ def test_rc_refuses_a_complex_pair_as_focs_does(ex_a, ex_h, ex_spec, name):
         focs_basis(a, h, ex_spec, 1.0)
     with pytest.raises(NotRealError, match=message):
         rc_basis(a, h, ex_spec)
+
+
+def test_rc_basis_owns_a_contiguous_real_matrix(ex_a, ex_h, ex_spec):
+    # a strided real view of the complex mixed product would keep that
+    # product, twice the basis's bytes, alive with every basis
+    m = rc_basis(ex_a, ex_h, ex_spec)[0].matrix
+    assert m.dtype == np.float64
+    assert m.flags.c_contiguous and m.flags.owndata

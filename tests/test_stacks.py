@@ -5,20 +5,30 @@ that share a spec once per block for the whole stack; the harness extracts
 the chains of a delta's strict trials this way.  Each item must come out bit
 for bit as ``jordan_chains`` on its matrix alone.  An item that trips a
 block must come out with the error a call on it alone raises, and the other
-items must come out as if it had not been there.  The structures are the
-block mixes of the benchmark's strict catalogue.
+items must come out as if it had not been there.  A construction handed an
+item's chains must build the basis it builds when it extracts them itself.
+The structures are the block mixes of the benchmark's strict catalogue.
 """
 
 import json
-from dataclasses import replace
-from functools import lru_cache
+from dataclasses import fields, replace
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indefcanon import CanonError, JordanSpec, generate_instance, jordan_chains, perturb_instance
+from indefcanon import (
+    CanonError,
+    JordanSpec,
+    focs_basis,
+    generate_instance,
+    jordan_chains,
+    perturb_instance,
+    rc_basis,
+)
 from indefcanon.chains import _jordan_chains
 from indefcanon.serialize import spec_from_json
 from indefcanon.structure import real_jordan_form
@@ -133,3 +143,33 @@ def test_a_stack_whose_items_all_fail_gives_each_its_error():
         want = _single(x, inst.spec)
         assert isinstance(want, CanonError)
         _assert_same(got, want)
+
+
+@pytest.mark.parametrize("entry", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["focs", "rc"])
+@pytest.mark.parametrize("anchored", [False, True])
+def test_a_construction_given_its_chains_matches_one_that_takes_them(entry, kind, anchored):
+    # the harness hands a trial's construction its item of the delta's stack
+    inst = _instance(entry)
+    a, h, anchor = inst.a0, inst.h0, None
+    if anchored:
+        pair = perturb_instance(inst, 1e-4, "strict", entry)
+        a, h, anchor = pair.a, pair.h, inst.t0.matrix
+        if kind == "rc":
+            spec, seed = CATALOGUE[entry]
+            anchor = generate_instance(spec, seed, kind="rc").t0.matrix
+    if kind == "rc":
+        build = partial(rc_basis, a, h, inst.spec, anchor=anchor)
+    else:
+        build = partial(focs_basis, a, h, inst.spec, 1.0, anchor=anchor)
+    basis, trace = build()
+    given_basis, given_trace = build(chains=jordan_chains(a, inst.spec))
+    assert _bits(given_basis.matrix) == _bits(basis.matrix)
+    assert (given_basis.role, given_basis.gamma, given_basis.cert, given_basis.eps) == \
+        (basis.role, basis.gamma, basis.cert, basis.eps)
+    for f in fields(trace):
+        got, want = getattr(given_trace, f.name), getattr(trace, f.name)
+        if isinstance(want, np.ndarray):
+            assert _bits(got) == _bits(want), f.name
+        else:
+            assert got == want, f.name

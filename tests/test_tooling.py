@@ -1,9 +1,11 @@
 """Repository-level guards: the package's import graph, the home of the
 RC/FOCS relation, of the JSON file layout and of the stacked chain
-extraction, the benchmark's tracing tables, and the test configuration."""
+extraction, the package version, the benchmark's tracing tables, and the
+test configuration."""
 
 import ast
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +72,17 @@ def test_stacked_chain_extraction_is_named_only_by_chains_and_harness():
     # every other construction runs on one pair
     users = sorted(p.stem for p in PACKAGE.glob("*.py") if "_jordan_chains" in _names(p))
     assert users == ["chains", "harness"]
+
+
+def test_package_version_is_the_project_version():
+    # --version prints indefcanon.__version__; installed metadata comes from
+    # pyproject.toml
+    import indefcanon
+
+    project = re.search(r'^version = "([^"]+)"$', (ROOT / "pyproject.toml").read_text(),
+                        re.MULTILINE)
+    assert project is not None
+    assert project.group(1) == indefcanon.__version__
 
 
 def _json_writes(path: Path) -> list[str]:
