@@ -12,7 +12,10 @@ constant empirically.
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from statistics import median
 
 import numpy as np
@@ -25,7 +28,7 @@ from .errors import (
     RetryExhaustedError,
     TrialError,
 )
-from .chains import _jordan_chains
+from .chains import _jordan_chains, fit_chain_to, jordan_chains
 from .linalg import gate_norm, mat_norm, mat_norms, refined_inverse
 from .pipeline import (
     ROLE_FOCS,
@@ -33,6 +36,7 @@ from .pipeline import (
     CanonicalBasis,
     PipelineTrace,
     _check_pair_shape,
+    _real_pair,
     focs_basis,
 )
 from .rc import IMAG_RTOL, certify, rc_basis, to_focs
@@ -456,10 +460,11 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                       ) -> tuple[CanonicalBasis, PipelineTrace, tuple[complex, ...] | None]:
     """Canonical basis of ``(a, h)`` chosen near the reference ``t0``.
 
-    The block chains are anchored to the reference at extraction (least
-    squares over chain-preserving recombinations) and the residual gauge is
-    resolved toward it afterwards, so the output converges to ``t0`` as the
-    pair approaches the reference pair.  The basis kind and the
+    Each block chain is fitted to its columns of ``t0`` in FOCS coordinates
+    (least squares over chain-preserving recombinations), the construction
+    builds on the fitted chains, and the residual gauge is resolved toward
+    ``t0`` afterwards, so the output converges to ``t0`` as the pair
+    approaches the reference pair.  The basis kind and the
     conjugate-symmetry scalar are those of ``t0``.  ``weak_delta`` selects
     weak mode (None is strict): the spec eigenvalues are first matched onto
     the spectrum of ``a``, clustering it at a radius derived from this
@@ -475,11 +480,12 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     kind = t0.role
     if kind not in (ROLE_FOCS, ROLE_RC):
         raise ValueError(f"unsupported reference role {kind!r}")
+    a, h = np.asarray(a), np.asarray(h)
+    _check_pair_shape(a, h, spec)
+    a, h = _real_pair(a, h, "spectral")
     matches: tuple[complex, ...] | None = None
     work_spec = spec
     if weak_delta is not None:
-        a, h = np.asarray(a), np.asarray(h)
-        _check_pair_shape(a, h, spec)
         # the radius tracks the perturbation scale but may not undercut
         # the eigensolver's scatter for a defective block of size p,
         # which is of order (eps ||a||)^(1/p)
@@ -488,11 +494,18 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         cluster_radius = max(CLUSTER_RADIUS_FACTOR * weak_delta, 10.0 * scatter)
         matches, work_spec = match_eigenvalues(spec, a, cluster_radius=cluster_radius)
 
+    if chains is None:
+        chains = jordan_chains(a, work_spec)
+    ref = to_focs(t0.matrix, work_spec, kind)
+    fitted = []
+    for (off, b), mat in zip(work_spec.offsets(), chains):
+        mat = fit_chain_to(mat, ref[:, off:off + b.size])
+        fitted.append(np.real(mat) if b.kind == REAL else mat)
+    chains = tuple(fitted)
     if kind == ROLE_RC:
-        basis, trace = rc_basis(a, h, work_spec, anchor=t0.matrix, chains=chains)
+        basis, trace = rc_basis(a, h, work_spec, chains=chains)
     else:
-        basis, trace = focs_basis(a, h, work_spec, t0.gamma or 1.0, anchor=t0.matrix,
-                                  chains=chains)
+        basis, trace = focs_basis(a, h, work_spec, t0.gamma or 1.0, chains=chains)
     gauge = _block_gauge(basis.matrix, t0.matrix, work_spec,
                          continuous_phase=kind == ROLE_FOCS)
     new_mat = basis.matrix @ gauge
@@ -566,6 +579,56 @@ def _failed_trial(delta: float, trial_index: int, exc: CanonError) -> TrialRecor
     return TrialRecord(delta, trial_index, float("nan"), None, None, None, status=exc.code)
 
 
+@lru_cache(maxsize=None)
+def _openblas_threads() -> tuple:
+    """``(get, set)`` of the thread count of each OpenBLAS library this
+    process has loaded, found by its exported names; numpy's wheels export
+    them with a ``scipy_`` prefix and a ``64_`` suffix.  Empty where no
+    loaded library exports them, or where ``/proc/self/maps`` does not list
+    the loaded libraries (outside Linux)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            try:
+                get = getattr(lib, name.format("get"))
+                set_ = getattr(lib, name.format("set"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            found.append((get, set_))
+            break
+    return tuple(found)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run with one OpenBLAS thread, then give back the caller's count.
+
+    At a trial's sizes more BLAS threads gain little, and pool workers
+    that each start them oversubscribe the cores.  The count is
+    process-wide, so threads that run trials at once share it."""
+    changed = [(set_, n) for get, set_ in _openblas_threads() if (n := get()) != 1]
+    for set_, _ in changed:
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, n in changed:
+            set_(n)
+
+
+@_one_blas_thread()
 def _run_trials(inst: Instance, delta: float, delta_index: int, indices,
                 mode: str, norm: str) -> list[TrialRecord]:
     """Records of the trials ``indices`` at one delta, in order.

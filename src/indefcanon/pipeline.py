@@ -26,7 +26,6 @@ import numpy as np
 
 from .chains import (
     STRUCT_RTOL,
-    fit_chain_to,
     jordan_chains,
     reduce_real_chain,
     toeplitz_inv_sqrt,
@@ -67,9 +66,9 @@ ROLE_RC = "rc"
 #: Anchors with |Re g0| below this fraction of |g0| are rejected as purely imaginary.
 ANCHOR_TOL = 1e-10
 
-#: Cold-start only: when the prospective Gram anchor of a pair block lies
-#: within this fraction of the imaginary axis, that block's chain is
-#: pre-rotated by ``e^{i pi/4}``, moving the anchor decisively off the axis.
+#: When the prospective Gram anchor of a pair chain lies within this
+#: fraction of the imaginary axis, the chain is pre-rotated by
+#: ``e^{i pi/4}``, moving the anchor decisively off the axis.
 #: The rotation is a chain relabeling; anchors that are still degenerate
 #: afterwards raise :class:`PureImaginaryAnchorError`.
 PHASE_GUARD = 0.1
@@ -282,9 +281,23 @@ def _check_pair_shape(a: np.ndarray, h: np.ndarray, spec: JordanSpec) -> None:
             f"matrix size {a.shape} does not match spec size {spec.total_size}")
 
 
+def _real_pair(a: np.ndarray, h: np.ndarray,
+               norm: str) -> tuple[np.ndarray, np.ndarray]:
+    """The real parts of ``a`` and ``h``, refusing an imaginary part beyond
+    rounding: the conjugate-symmetric synthesis needs conj(chain) to be the
+    chain of the conjugate eigenvalue, which holds for real pairs only."""
+    for name, m in (("a", a), ("h", h)):
+        if np.iscomplexobj(m):
+            imag = float(np.max(np.abs(m.imag))) if m.size else 0.0
+            if imag > STRUCT_RTOL * max(1.0, mat_norm(m, norm)):
+                raise NotRealError(
+                    f"{name} has imaginary part {imag:.3e}; the "
+                    "conjugate-symmetric construction needs a real pair")
+    return np.real(a), np.real(h)
+
+
 def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                gamma: complex = 1.0, *,
-               anchor: np.ndarray | None = None,
                tol: float = DEFAULT_TOL,
                norm: str = "spectral",
                chains: tuple | None = None) -> tuple[CanonicalBasis, PipelineTrace]:
@@ -298,20 +311,13 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
 
     Parameters
     ----------
-    anchor : ndarray, optional
-        Reference basis to anchor the chains to.  Each block chain is
-        recombined (least squares over chain-preserving mixes) to be as
-        close as possible to the corresponding columns of ``anchor`` before
-        the pipeline runs.  With an anchor from the same pipeline at a
-        nearby pair, all correction factors stay near the identity.  Without
-        one, :data:`PHASE_GUARD` applies.
     tol : float
         The certificate gate: similarity and congruence residuals must be
         within ``tol * max(1, ||h||)``.  Must be finite and positive; a NaN
         or infinite ``tol`` would pass every basis.
     chains : tuple, optional
         What ``jordan_chains(a, spec)`` returns, when the caller already has
-        it; taken here when None.
+        it, or a chain-preserving recombination of it; taken here when None.
     """
     a = require_finite(a, "a")
     h = require_finite(h, "h")
@@ -323,18 +329,7 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     _check_pair_shape(a, h, spec)
-
-    # the conjugate-symmetric synthesis needs conj(chain) to be the chain of
-    # the conjugate eigenvalue, which holds for real pairs only
-    for name, m in (("a", a), ("h", h)):
-        if np.iscomplexobj(m):
-            imag = float(np.max(np.abs(m.imag))) if m.size else 0.0
-            if imag > STRUCT_RTOL * max(1.0, mat_norm(m, norm)):
-                raise NotRealError(
-                    f"{name} has imaginary part {imag:.3e}; the "
-                    "conjugate-symmetric construction needs a real pair")
-    a = np.real(a)
-    h = np.real(h)
+    a, h = _real_pair(a, h, norm)
 
     # one singular-value call on h serves every gate below and the
     # selfadjointness pre-check; reduce_real_chain needs the spectral norm
@@ -356,11 +351,7 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     prepared = []
     reduced: dict[int, np.ndarray] = {}
     eps: dict[int, int] = {}
-    for i, ((off, b), mat) in enumerate(zip(spec.offsets(), chains)):
-        if anchor is not None:
-            mat = fit_chain_to(mat, anchor[:, off:off + b.size])
-            if b.kind == REAL:
-                mat = np.real(mat)
+    for i, (b, mat) in enumerate(zip(spec.blocks, chains)):
         if b.kind == REAL:
             red, sign = reduce_real_chain(mat, h, h_norm2)
             if sign != b.sign:
@@ -369,7 +360,7 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                     f"contradicts declared {b.sign:+d}")
             reduced[i] = red
             eps[i] = sign
-        elif anchor is None:
+        else:
             # prospective anchor; rotate the chain off the degenerate axis
             z = (gamma * np.conj(mat)).conj().T @ h @ mat
             g0 = complex(anti_diagonal_mean(z))

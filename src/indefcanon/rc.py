@@ -38,7 +38,6 @@ IMAG_RTOL = 1e-9
 
 
 def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
-             anchor: np.ndarray | None = None,
              tol: float = DEFAULT_TOL,
              norm: str = "spectral",
              chains: tuple | None = None) -> tuple[CanonicalBasis, PipelineTrace]:
@@ -48,11 +47,8 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
     transform; the result is real up to rounding, which is verified against
     ``IMAG_RTOL`` times its norm and then truncated to exactly real.
 
-    ``anchor``, when given, is an RC reference basis; the pipeline is
-    anchored to its FOCS coordinates.  ``tol`` is the certificate gate, as
-    for :func:`pipeline.focs_basis`, and must be finite and positive.
-    ``chains`` is what ``jordan_chains(a, spec)`` returns, when the caller
-    already has it.
+    ``tol`` is the certificate gate, and ``chains`` the chains to build on,
+    as for :func:`pipeline.focs_basis`.
 
     Raises
     ------
@@ -62,11 +58,8 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
         part of the basis exceeds the threshold, which signals a non-i
         conjugate-symmetry scalar or pipeline failure.
     """
-    if anchor is not None:
-        anchor = to_focs(anchor, spec, ROLE_RC)
     # the FOCS construction refuses a pair whose imaginary part is not rounding
-    focs, trace = focs_basis(a, h, spec, 1.0j, anchor=anchor, tol=tol, norm=norm,
-                             chains=chains)
+    focs, trace = focs_basis(a, h, spec, 1.0j, tol=tol, norm=norm, chains=chains)
     a, h = np.real(a), np.real(h)
     r = focs.matrix @ mixing_matrix(spec)
     # both gates scale their limit with a norm whose value is not kept: a

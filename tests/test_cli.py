@@ -3,8 +3,11 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +25,16 @@ from indefcanon.serialize import (
     basis_to_json,
     dumps,
     instance_to_json,
+    spec_from_json,
     spec_to_json,
 )
 
 from conftest import raise_reached, random_spec
 
 SPEC = JordanSpec((BlockSpec("real", 1.5, 2, 1), BlockSpec("pair", -0.7 - 1.3j, 2)))
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+REFERENCE = SRC.parent / "perfbench" / "reference.json"
 
 
 @pytest.fixture()
@@ -481,6 +488,29 @@ def test_version_needs_no_installed_package_metadata(runner, monkeypatch):
     r = runner.invoke(main, ["--version"])
     assert r.exit_code == 0, r.output
     assert r.output.endswith(", version 0.1.0\n")
+
+
+def test_weak_stability_reports_the_same_bytes_whatever_the_blas_threads(tmp_path):
+    # the n = 72 wide catalogue entry whose report moved with the thread count
+    ref = json.loads(REFERENCE.read_text())["wide-weak-rc"]
+    (entry,) = [e for e in ref["entries"] if e["seed"] == 1576694851]
+    inst_file = tmp_path / "inst.json"
+    inst = generate_instance(spec_from_json(entry["spec"]), entry["seed"], kind="rc")
+    inst_file.write_text(dumps(instance_to_json(inst)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"run{len(outputs)}"
+        r = subprocess.run([sys.executable, "-m", "indefcanon.cli", "stability",
+                            "--in", str(inst_file), "--mode", "weak", "--kind", "rc",
+                            "--trials", "2", "--jobs", "2", "--out-csv", f"{out}.csv",
+                            "--out-json", f"{out}.json"],
+                           env={**env, **threads}, capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        outputs.append((Path(f"{out}.csv").read_bytes(), Path(f"{out}.json").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_instance_seed_without_a_similarity_exits_2(runner, tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from indefcanon import (
     CanonError,
     JordanSpec,
     KindMismatchError,
+    NotRealError,
     TrialError,
     anchored_canonize,
     estimate_lipschitz,
@@ -27,7 +29,7 @@ from indefcanon import (
     real_jordan_form,
     sip_form,
 )
-from indefcanon import StructureMismatchError, harness, pipeline, serialize
+from indefcanon import StructureMismatchError, harness, serialize
 from indefcanon.linalg import affiliation_residuals
 from indefcanon.pipeline import CanonicalBasis
 from indefcanon.structure import h_selfadjoint_residual
@@ -463,7 +465,7 @@ def test_strict_report_equals_its_trials_run_one_at_a_time(inst):
 def test_chain_stack_fault_falls_back_to_one_extraction_per_trial(inst, monkeypatch):
     ref = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
     stacks, singles = [], []
-    real = pipeline.jordan_chains
+    real = harness.jordan_chains
 
     def broken(a, spec):
         stacks.append(len(a))
@@ -474,7 +476,7 @@ def test_chain_stack_fault_falls_back_to_one_extraction_per_trial(inst, monkeypa
         return real(a, spec)
 
     monkeypatch.setattr(harness, "_jordan_chains", broken)
-    monkeypatch.setattr(pipeline, "jordan_chains", counted)
+    monkeypatch.setattr(harness, "jordan_chains", counted)
     report = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
     assert (stacks, len(singles)) == ([3, 3], 6)
     assert report == ref
@@ -488,7 +490,7 @@ def test_trial_whose_chains_fail_records_its_single_call_error(inst, monkeypatch
     shifted = int(np.random.SeedSequence([inst.seed, 0, 1]).generate_state(1)[0])
     real = harness.perturb_instance
     singles = []
-    real_chains = pipeline.jordan_chains
+    real_chains = harness.jordan_chains
 
     def shifting(inst_, delta, mode, seed, **kwargs):
         pair = real(inst_, delta, mode, seed, **kwargs)
@@ -501,7 +503,7 @@ def test_trial_whose_chains_fail_records_its_single_call_error(inst, monkeypatch
         return real_chains(a, spec)
 
     monkeypatch.setattr(harness, "perturb_instance", shifting)
-    monkeypatch.setattr(pipeline, "jordan_chains", counted)
+    monkeypatch.setattr(harness, "jordan_chains", counted)
     report = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
     failed = report.trials[1]
     pair = shifting(inst, 1e-3, "strict", shifted)
@@ -583,6 +585,55 @@ def test_anchored_weak_mode_takes_no_chains(inst):
     with pytest.raises(ValueError, match="takes no chains"):
         anchored_canonize(inst.a0, inst.h0, inst.spec, inst.t0, weak_delta=1e-3,
                           chains=jordan_chains(inst.a0, inst.spec))
+
+
+@pytest.mark.parametrize("name", ["a", "h"])
+@pytest.mark.parametrize("weak_delta", [None, 1e-3])
+def test_anchored_complex_pair_is_refused_before_matching(inst, name, weak_delta):
+    # the realness check runs before the weak matching and the extraction:
+    # the spectrum of this a has no real point left for the matching to find
+    a, h = inst.a0, inst.h0
+    if name == "a":
+        a = a + 0.1j * np.eye(len(a))
+    else:
+        h = h + 0.1j * np.eye(len(h))
+    with pytest.raises(NotRealError, match=f"{name} has imaginary part 1.000e-01") as info:
+        anchored_canonize(a, h, inst.spec, inst.t0, weak_delta=weak_delta)
+    assert info.value.code == "NOT_REAL"
+
+
+def _blas_threads():
+    threads = harness._openblas_threads()
+    if not threads:
+        pytest.skip("numpy's BLAS exports no known OpenBLAS thread-count symbol")
+    return threads
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_trials_run_on_one_blas_thread_and_leave_the_callers_count(inst, monkeypatch, jobs):
+    threads = _blas_threads()
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched construction reaches pool workers only by fork")
+
+    def counting(*args, **kwargs):
+        counts = [get() for get, _ in harness._openblas_threads()]
+        if counts != [1] * len(counts):
+            raise RuntimeError(f"trial ran on {counts} BLAS threads")
+        # a library error is recorded, so the status shows the check ran
+        raise StructureMismatchError("one BLAS thread")
+
+    monkeypatch.setattr(harness, "anchored_canonize", counting)
+    saved = [get() for get, _ in threads]
+    for _, set_ in threads:
+        set_(2)
+    try:
+        report = estimate_lipschitz(inst, [1e-3, 1e-4], 2, jobs=jobs)
+        after = [get() for get, _ in threads]
+    finally:
+        for (_, set_), n in zip(threads, saved):
+            set_(n)
+    assert [t.status for t in report.trials] == ["STRUCTURE_MISMATCH"] * 4
+    assert after == [2] * len(threads)
 
 
 def test_trial_library_error_is_recorded_and_reported(inst, monkeypatch):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from indefcanon import (
     CanonError,
     JordanSpec,
+    anchored_canonize,
     focs_basis,
     generate_instance,
     jordan_chains,
@@ -151,19 +152,20 @@ def test_a_stack_whose_items_all_fail_gives_each_its_error():
 def test_a_construction_given_its_chains_matches_one_that_takes_them(entry, kind, anchored):
     # the harness hands a trial's construction its item of the delta's stack
     inst = _instance(entry)
-    a, h, anchor = inst.a0, inst.h0, None
+    a, h = inst.a0, inst.h0
     if anchored:
         pair = perturb_instance(inst, 1e-4, "strict", entry)
-        a, h, anchor = pair.a, pair.h, inst.t0.matrix
+        a, h, t0 = pair.a, pair.h, inst.t0
         if kind == "rc":
             spec, seed = CATALOGUE[entry]
-            anchor = generate_instance(spec, seed, kind="rc").t0.matrix
-    if kind == "rc":
-        build = partial(rc_basis, a, h, inst.spec, anchor=anchor)
+            t0 = generate_instance(spec, seed, kind="rc").t0
+        build = partial(anchored_canonize, a, h, inst.spec, t0)
+    elif kind == "rc":
+        build = partial(rc_basis, a, h, inst.spec)
     else:
-        build = partial(focs_basis, a, h, inst.spec, 1.0, anchor=anchor)
-    basis, trace = build()
-    given_basis, given_trace = build(chains=jordan_chains(a, inst.spec))
+        build = partial(focs_basis, a, h, inst.spec, 1.0)
+    basis, trace, *_ = build()
+    given_basis, given_trace, *_ = build(chains=jordan_chains(a, inst.spec))
     assert _bits(given_basis.matrix) == _bits(basis.matrix)
     assert (given_basis.role, given_basis.gamma, given_basis.cert, given_basis.eps) == \
         (basis.role, basis.gamma, basis.cert, basis.eps)
