@@ -283,7 +283,7 @@ def stability(in_file, deltas, trials, mode, kind, out_csv, out_json, jobs, norm
         _fail(2, "experiment rejected: deltas must be positive")
     try:
         report = estimate_lipschitz(inst, delta_list, trials, mode=mode,
-                                    kind=kind, jobs=max(1, jobs), norm=norm)
+                                    kind=kind, jobs=jobs, norm=norm)
     except TrialError as exc:
         _fail(4, str(exc))
     except (ValueError, CanonError) as exc:

@@ -190,16 +190,17 @@ def generate_instance(spec: JordanSpec, seed: int, *,
                       gamma: complex = 1.0) -> Instance:
     """Draw a seeded instance: a random well-conditioned similarity applied
     to the real canonical pair, plus the cold reference basis of the
-    requested kind.  Deterministic in ``seed``.
+    requested kind, on one BLAS thread.  Deterministic in ``seed`` alone.
     """
     validate_experiment_spec(spec)
     if kind not in (ROLE_FOCS, ROLE_RC):
         raise ValueError(f"unknown kind {kind!r}")
-    w, a0, h0 = _draw_similarity(spec, seed)
-    if kind == ROLE_RC:
-        t0, _ = rc_basis(a0, h0, spec)
-    else:
-        t0, _ = focs_basis(a0, h0, spec, gamma)
+    with _one_blas_thread():
+        w, a0, h0 = _draw_similarity(spec, seed)
+        if kind == ROLE_RC:
+            t0, _ = rc_basis(a0, h0, spec)
+        else:
+            t0, _ = focs_basis(a0, h0, spec, gamma)
     if max(t0.cert.similarity, t0.cert.congruence) > INSTANCE_TOL:
         raise RetryExhaustedError(
             f"reference basis residuals {t0.cert} exceed the instance gate")
@@ -660,7 +661,7 @@ def _run_trials(inst: Instance, delta: float, delta_index: int, indices,
             pairs.append((ti, seed, pair))
 
     found = [None] * len(pairs)
-    if mode == MODE_STRICT and len(pairs) > 1:
+    if mode == MODE_STRICT and pairs:
         try:
             found = _jordan_chains(np.array([pair.a for _, _, pair in pairs]), inst.spec)
         except Exception:
@@ -702,15 +703,18 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
 
     Trials are independent and seeded from ``(instance seed, delta index,
     trial index)``; results are identical for any ``jobs`` count.  With
-    ``jobs=1`` each delta's strict trials share one chain extraction and are
-    built one by one, bit for bit as one at a time; otherwise each trial is
-    its own pool task, and at most one worker process per trial is started.
+    ``workers = min(jobs, len(deltas) * trials_per_delta)``, each delta's
+    trials run in contiguous tasks of ``ceil(trials_per_delta / workers)``,
+    in process with one worker, else on ``workers`` processes; a task's
+    strict trials share one chain extraction, bit for bit as one at a time.
     Library errors of a trial are recorded in its status, not raised; any
     other error is raised as :class:`TrialError` with the trial's
     coordinates.
     """
     if trials_per_delta < 1:
         raise ValueError("trials_per_delta must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if not deltas:
         raise ValueError("need at least one delta")
     if not all(np.isfinite(d) and d >= 0.0 for d in deltas):
@@ -727,16 +731,17 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
             f"requested kind {kind!r} but the instance reference basis has "
             f"role {inst.t0.role!r}")
 
-    tasks = [(inst, d, di, ti, mode, norm)
-             for di, d in enumerate(deltas) for ti in range(trials_per_delta)]
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(deltas) * trials_per_delta)
+    share = -(-trials_per_delta // workers)
+    trials = range(trials_per_delta)
+    tasks = [(inst, d, di, trials[lo:lo + share], mode, norm)
+             for di, d in enumerate(deltas) for lo in trials[::share]]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_trial_star, tasks))
+            done = list(pool.map(_run_trials, *zip(*tasks)))
     else:
-        # in-process, each delta's trials are one task
-        records = [r for di, d in enumerate(deltas)
-                   for r in _run_trials(inst, d, di, range(trials_per_delta), mode, norm)]
+        done = map(_run_trials, *zip(*tasks))
+    records = [r for task_records in done for r in task_records]
 
     per_delta = []
     medians = []
@@ -776,9 +781,3 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
         trials=tuple(records), per_delta=tuple(per_delta),
         k_hat=float(k_hat), median_spread=med_spread,
         factor_spreads=f_spreads, boundedness_flag=bool(bounded))
-
-
-def _trial_star(args) -> TrialRecord:
-    inst, delta, delta_index, trial_index, mode, norm = args
-    (record,) = _run_trials(inst, delta, delta_index, [trial_index], mode, norm)
-    return record

@@ -513,6 +513,31 @@ def test_weak_stability_reports_the_same_bytes_whatever_the_blas_threads(tmp_pat
     assert outputs[0] == outputs[1]
 
 
+def test_gen_writes_the_same_bytes_whatever_the_blas_threads(tmp_path):
+    # the n = 72 wide catalogue entry whose T0 moved with the thread count
+    if not harness._openblas_threads():
+        pytest.skip("numpy's BLAS exports no known OpenBLAS thread-count symbol")
+    if os.cpu_count() == 1:
+        pytest.skip("one CPU: OpenBLAS starts one thread with the variable unset too")
+    ref = json.loads(REFERENCE.read_text())["wide-weak-rc"]
+    (entry,) = [e for e in ref["entries"] if e["seed"] == 1576694851]
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(dumps(entry["spec"]))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"inst{len(outputs)}.json"
+        r = subprocess.run([sys.executable, "-m", "indefcanon.cli", "gen",
+                            "--spec-file", str(spec_file), "--seed", str(entry["seed"]),
+                            "--kind", "rc", "--out", str(out)],
+                           env={**env, **threads}, capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_instance_seed_without_a_similarity_exits_2(runner, tmp_path, monkeypatch):
     inst_file = tmp_path / "inst.json"
     inst_file.write_text(dumps(instance_to_json(generate_instance(SPEC, 3))))
@@ -652,6 +677,8 @@ def test_verify_pair_with_non_hermitian_h_exits_2(runner, tmp_path, ex_a, ex_h,
     (["--kind", "rc"], "requested kind 'rc' but the instance reference basis has role 'focs'"),
     # a zero delta has only degenerate trials, which decided the verdict
     (["--deltas", "1e-3,1e-4,0"], "deltas must be positive"),
+    (["--jobs", "0"], "jobs must be >= 1"),
+    (["--jobs", "-3"], "jobs must be >= 1"),
 ])
 def test_stability_rejected_experiment_exits_2(runner, tmp_path, args, message):
     inst_file = tmp_path / "inst.json"

@@ -334,10 +334,17 @@ def test_estimate_lipschitz_report_shape(inst):
     assert all(s.n_ok == 4 for s in report.per_delta)
 
 
+def _report_bytes(report):
+    # a failed trial's NaN input never compares equal; its text does
+    return (serialize.dumps(serialize.report_summary_json(report)),
+            serialize.report_csv_lines(report))
+
+
 def test_estimate_lipschitz_jobs_deterministic(inst):
-    r1 = estimate_lipschitz(inst, [1e-3, 1e-5], 3)
-    r2 = estimate_lipschitz(inst, [1e-3, 1e-5], 3, jobs=2)
-    assert [t.ratio for t in r1.trials] == [t.ratio for t in r2.trials]
+    # five trials on two workers: each delta runs as shares of 3 and 2
+    r1 = estimate_lipschitz(inst, [1e-3, 1e-5], 5)
+    r2 = estimate_lipschitz(inst, [1e-3, 1e-5], 5, jobs=2)
+    assert _report_bytes(r1) == _report_bytes(r2)
 
 
 def test_estimate_lipschitz_degenerate_delta(inst):
@@ -353,6 +360,9 @@ def test_estimate_lipschitz_validates_arguments(inst):
         estimate_lipschitz(inst, [1e-3, 1e-2], 2)     # not decreasing
     with pytest.raises(ValueError):
         estimate_lipschitz(inst, [1e-3], 0)           # no trials
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            estimate_lipschitz(inst, [1e-3], 2, jobs=jobs)
     with pytest.raises(ValueError):
         estimate_lipschitz(inst, [1.0], 2)            # above DELTA_MAX
     with pytest.raises(ValueError):
@@ -365,7 +375,8 @@ def test_estimate_lipschitz_validates_arguments(inst):
 
 class RecordingExecutor:
     """In-process stand-in for ProcessPoolExecutor; starts no process and
-    records the worker count and the chunk size of every ``map``."""
+    records the worker count, and the chunk size and each task's trial
+    indices of every ``map``."""
 
     seen: list = []
 
@@ -378,9 +389,10 @@ class RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable, chunksize=1):
+    def map(self, fn, *iterables, chunksize=1):
         self.seen.append(("chunksize", chunksize))
-        return map(fn, iterable)
+        self.seen.append(("trials", [list(indices) for indices in iterables[3]]))
+        return map(fn, *iterables)
 
 
 @pytest.fixture()
@@ -395,12 +407,20 @@ def fake_pool(monkeypatch):
 def test_estimate_lipschitz_caps_pool_at_task_count(inst, fake_pool):
     ref = estimate_lipschitz(inst, [1e-3, 1e-4], 2)
     capped = estimate_lipschitz(inst, [1e-3, 1e-4], 2, jobs=5000)
-    # one trial per task, so no worker idles behind a longer chunk
-    assert fake_pool == [("max_workers", 4), ("chunksize", 1)]
+    # four workers for four trials: each task is one trial
+    assert fake_pool == [("max_workers", 4), ("chunksize", 1),
+                         ("trials", [[0], [1], [0], [1]])]
     assert [t.ratio for t in capped.trials] == [t.ratio for t in ref.trials]
     # a single task runs in-process whatever the job count
     estimate_lipschitz(inst, [1e-3], 1, jobs=5000)
-    assert fake_pool == [("max_workers", 4), ("chunksize", 1)]
+    assert fake_pool == [("max_workers", 4), ("chunksize", 1),
+                         ("trials", [[0], [1], [0], [1]])]
+    # two workers split each delta's five trials into shares of 3 and 2
+    fake_pool.clear()
+    shared = estimate_lipschitz(inst, [1e-3, 1e-4], 5, jobs=2)
+    assert fake_pool == [("max_workers", 2), ("chunksize", 1),
+                         ("trials", [[0, 1, 2], [3, 4], [0, 1, 2], [3, 4]])]
+    assert _report_bytes(shared) == _report_bytes(estimate_lipschitz(inst, [1e-3, 1e-4], 5))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -452,12 +472,12 @@ def test_stack_fault_is_rerun_one_trial_at_a_time(inst, monkeypatch):
 
 
 def test_strict_report_equals_its_trials_run_one_at_a_time(inst):
-    # in-process, a delta's strict trials share one chain extraction; a pool
-    # task runs one trial, which extracts its own chains
+    # a delta's strict trials share one chain extraction; a task of one
+    # trial extracts a stack of one
     deltas = [1e-2, 1e-4, 1e-6]
     report = estimate_lipschitz(inst, deltas, 3)
-    alone = [harness._trial_star((inst, d, di, ti, "strict", "spectral"))
-             for di, d in enumerate(deltas) for ti in range(3)]
+    alone = [record for di, d in enumerate(deltas) for ti in range(3)
+             for record in harness._run_trials(inst, d, di, [ti], "strict", "spectral")]
     assert all(t.status == "ok" for t in alone)
     assert list(report.trials) == alone
 
@@ -712,7 +732,7 @@ _GRID = [1e-2, 1e-3, 1e-4, 1e-5, 0.0]
 @settings(max_examples=15, deadline=None)
 @given(deltas=st.lists(st.sampled_from(_GRID), min_size=1, max_size=3, unique=True)
        .map(lambda ds: sorted(ds, reverse=True)),
-       trials=st.integers(1, 3), jobs=st.integers(1, 3),
+       trials=st.integers(1, 5), jobs=st.integers(1, 4),
        mode=st.sampled_from(["strict", "weak"]))
 def test_estimate_lipschitz_returns_every_trial_in_order(deltas, trials, jobs, mode):
     inst = _property_instance()
@@ -724,6 +744,9 @@ def test_estimate_lipschitz_returns_every_trial_in_order(deltas, trials, jobs, m
     assert [(t.delta, t.index) for t in report.trials] == \
         [(d, i) for d in deltas for i in range(trials)]
     assert [s.delta for s in report.per_delta] == deltas
+    # whatever the shares, the report is the one of a single in-process run
+    alone = estimate_lipschitz(inst, deltas, trials, mode=mode)
+    assert _report_bytes(report) == _report_bytes(alone)
 
 
 @functools.lru_cache(maxsize=1)
