@@ -456,9 +456,7 @@ def _block_gauge(n_mat: np.ndarray, t0_mat: np.ndarray, spec: JordanSpec,
 
 def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                       t0: CanonicalBasis, *,
-                      weak_delta: float | None = None,
-                      chains: tuple | None = None
-                      ) -> tuple[CanonicalBasis, PipelineTrace, tuple[complex, ...] | None]:
+                      chains: tuple | None = None) -> tuple[CanonicalBasis, PipelineTrace]:
     """Canonical basis of ``(a, h)`` chosen near the reference ``t0``.
 
     Each block chain is fitted to its columns of ``t0`` in FOCS coordinates
@@ -466,59 +464,43 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     builds on the fitted chains, and the residual gauge is resolved toward
     ``t0`` afterwards, so the output converges to ``t0`` as the pair
     approaches the reference pair.  The basis kind and the
-    conjugate-symmetry scalar are those of ``t0``.  ``weak_delta`` selects
-    weak mode (None is strict): the spec eigenvalues are first matched onto
-    the spectrum of ``a``, clustering it at a radius derived from this
-    perturbation size.  ``chains`` is what ``jordan_chains(a, spec)``
-    returns, when the caller already has it; weak mode builds on the
-    matched spec, so it takes no ``chains``.
+    conjugate-symmetry scalar are those of ``t0``.  ``spec`` is the
+    structure of ``(a, h)``; a pair whose eigenvalues moved is built on the
+    spec :func:`match_eigenvalues` returns for it.  ``chains`` is what
+    ``jordan_chains(a, spec)`` returns, when the caller already has it.
 
-    Returns the basis, the pipeline trace (gauge already applied to the
-    chain factor and basis), and the matched eigenvalues (weak mode only).
+    Returns the basis and the pipeline trace (gauge already applied to the
+    chain factor and basis).
     """
-    if chains is not None and weak_delta is not None:
-        raise ValueError("weak mode builds on the matched spec and takes no chains")
     kind = t0.role
     if kind not in (ROLE_FOCS, ROLE_RC):
         raise ValueError(f"unsupported reference role {kind!r}")
     a, h = np.asarray(a), np.asarray(h)
     _check_pair_shape(a, h, spec)
     a, h = _real_pair(a, h, "spectral")
-    matches: tuple[complex, ...] | None = None
-    work_spec = spec
-    if weak_delta is not None:
-        # the radius tracks the perturbation scale but may not undercut
-        # the eigensolver's scatter for a defective block of size p,
-        # which is of order (eps ||a||)^(1/p)
-        p_max = max(b.size for b in spec.blocks)
-        scatter = (np.finfo(float).eps * max(1.0, mat_norm(a))) ** (1.0 / p_max)
-        cluster_radius = max(CLUSTER_RADIUS_FACTOR * weak_delta, 10.0 * scatter)
-        matches, work_spec = match_eigenvalues(spec, a, cluster_radius=cluster_radius)
-
     if chains is None:
-        chains = jordan_chains(a, work_spec)
-    ref = to_focs(t0.matrix, work_spec, kind)
+        chains = jordan_chains(a, spec)
+    ref = to_focs(t0.matrix, spec, kind)
     fitted = []
-    for (off, b), mat in zip(work_spec.offsets(), chains):
+    for (off, b), mat in zip(spec.offsets(), chains):
         mat = fit_chain_to(mat, ref[:, off:off + b.size])
         fitted.append(np.real(mat) if b.kind == REAL else mat)
     chains = tuple(fitted)
     if kind == ROLE_RC:
-        basis, trace = rc_basis(a, h, work_spec, chains=chains)
+        basis, trace = rc_basis(a, h, spec, chains=chains)
     else:
-        basis, trace = focs_basis(a, h, work_spec, t0.gamma or 1.0, chains=chains)
-    gauge = _block_gauge(basis.matrix, t0.matrix, work_spec,
+        basis, trace = focs_basis(a, h, spec, t0.gamma or 1.0, chains=chains)
+    gauge = _block_gauge(basis.matrix, t0.matrix, spec,
                          continuous_phase=kind == ROLE_FOCS)
     new_mat = basis.matrix @ gauge
 
-    gamma_out, cs_res, _ = conjugate_symmetry_fit(to_focs(new_mat, work_spec, kind),
-                                                  work_spec)
+    gamma_out, cs_res, _ = conjugate_symmetry_fit(to_focs(new_mat, spec, kind), spec)
     basis = replace(basis, matrix=new_mat,
                     gamma=gamma_out if kind == ROLE_FOCS else basis.gamma,
                     cert=replace(basis.cert, cs_residual=cs_res))
     trace = replace(trace, chain_factor=trace.chain_factor @ gauge,
                     basis=trace.basis @ gauge, gamma=basis.gamma)
-    return basis, trace, matches
+    return basis, trace
 
 
 @dataclass(frozen=True)
@@ -636,10 +618,12 @@ def _run_trials(inst: Instance, delta: float, delta_index: int, indices,
 
     Each trial is perturbed and built on its own.  In strict mode the chains
     of all the perturbed pairs are extracted first, as one stack; a trial
-    whose item failed, or every trial if the stacked call raises, extracts
-    its own in its construction.  Library errors of a trial are recorded in
-    its status; any other error is raised as :class:`TrialError` with the
-    coordinates of the first trial that raises it.
+    whose item failed records that error, and if the stacked call raises,
+    every trial extracts its own in its construction.  In weak mode each
+    trial first matches the instance eigenvalues onto its pair's spectrum
+    and builds on the matched spec.  Library errors of a trial are recorded
+    in its status; any other error is raised as :class:`TrialError` with
+    the coordinates of the first trial that raises it.
     """
     records: dict[int, TrialRecord] = {}
     pairs = []
@@ -666,14 +650,23 @@ def _run_trials(inst: Instance, delta: float, delta_index: int, indices,
             found = _jordan_chains(np.array([pair.a for _, _, pair in pairs]), inst.spec)
         except Exception:
             pass
-        found = [None if isinstance(c, CanonError) else c for c in found]
-    weak_delta = delta if mode == MODE_WEAK else None
+    p_max = max(b.size for b in inst.spec.blocks)
     eye = np.eye(inst.spec.total_size)
     chain_ref = to_focs(inst.t0.matrix, inst.spec, inst.t0.role)
     for (ti, seed, pair), chains in zip(pairs, found):
+        if isinstance(chains, CanonError):
+            records[ti] = _failed_trial(delta, ti, chains)
+            continue
         try:
-            basis, trace, matches = anchored_canonize(
-                pair.a, pair.h, inst.spec, inst.t0, weak_delta=weak_delta, chains=chains)
+            spec, matches = inst.spec, None
+            if mode == MODE_WEAK:
+                # the radius tracks the perturbation scale but may not
+                # undercut the eigensolver's scatter for a defective block of
+                # size p, which is of order (eps ||a||)^(1/p)
+                scale = np.finfo(float).eps * max(1.0, mat_norm(pair.a))
+                radius = max(CLUSTER_RADIUS_FACTOR * delta, 10.0 * scale ** (1.0 / p_max))
+                matches, spec = match_eigenvalues(inst.spec, pair.a, cluster_radius=radius)
+            basis, trace = anchored_canonize(pair.a, pair.h, spec, inst.t0, chains=chains)
             dev, *z_devs = mat_norms([basis.matrix - inst.t0.matrix,
                                       trace.chain_factor - chain_ref,
                                       trace.phase_factor - eye,

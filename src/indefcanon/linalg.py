@@ -54,6 +54,12 @@ def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def max_imag(m: np.ndarray) -> float:
+    """Largest ``|imaginary part|`` of an entry of ``m``; 0.0 for a real or
+    an empty matrix."""
+    return float(np.max(np.abs(m.imag))) if np.iscomplexobj(m) and m.size else 0.0
+
+
 def mat_norm(m: np.ndarray, kind: str = "spectral") -> float:
     """Matrix norm used for residuals and stability ratios:
     ``mat_norms([m], kind)[0]``."""

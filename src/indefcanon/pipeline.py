@@ -45,6 +45,7 @@ from .linalg import (
     exchange,
     gate_norm,
     mat_norm,
+    max_imag,
     norm_and_rcond,
     require_finite,
 )
@@ -287,12 +288,12 @@ def _real_pair(a: np.ndarray, h: np.ndarray,
     rounding: the conjugate-symmetric synthesis needs conj(chain) to be the
     chain of the conjugate eigenvalue, which holds for real pairs only."""
     for name, m in (("a", a), ("h", h)):
-        if np.iscomplexobj(m):
-            imag = float(np.max(np.abs(m.imag))) if m.size else 0.0
-            if imag > STRUCT_RTOL * max(1.0, mat_norm(m, norm)):
-                raise NotRealError(
-                    f"{name} has imaginary part {imag:.3e}; the "
-                    "conjugate-symmetric construction needs a real pair")
+        imag = max_imag(m)
+        # the norm takes an SVD, which a real matrix skips
+        if imag and imag > STRUCT_RTOL * max(1.0, mat_norm(m, norm)):
+            raise NotRealError(
+                f"{name} has imaginary part {imag:.3e}; the "
+                "conjugate-symmetric construction needs a real pair")
     return np.real(a), np.real(h)
 
 

@@ -20,6 +20,7 @@ from .linalg import (
     _norm_lower_bound,
     affiliation_residuals,
     mat_norm,
+    max_imag,
 )
 from .pipeline import ROLE_FOCS, ROLE_RC, CanonicalBasis, Certificate, PipelineTrace, focs_basis
 from .structure import (
@@ -64,12 +65,12 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
     r = focs.matrix @ mixing_matrix(spec)
     # both gates scale their limit with a norm whose value is not kept: a
     # lower bound of it decides first, and the SVD runs only on a miss
-    max_imag = float(np.max(np.abs(r.imag))) if np.iscomplexobj(r) else 0.0
-    if max_imag > IMAG_RTOL * max(1.0, _norm_lower_bound(r, norm)):
+    imag = max_imag(r)
+    if imag > IMAG_RTOL * max(1.0, _norm_lower_bound(r, norm)):
         threshold = IMAG_RTOL * max(1.0, mat_norm(r, norm))
-        if max_imag > threshold:
+        if imag > threshold:
             raise NotRealError(
-                f"mixed basis has imaginary part {max_imag:.3e} "
+                f"mixed basis has imaginary part {imag:.3e} "
                 f"(threshold {threshold:.3e})")
     # a copy that owns its data, not a strided view keeping r alive
     r_real = np.ascontiguousarray(r.real)
@@ -84,7 +85,7 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
     basis = CanonicalBasis(
         matrix=r_real, role=ROLE_RC, gamma=focs.gamma,
         cert=Certificate(similarity=sim, congruence=cong,
-                         cs_residual=focs.cert.cs_residual, max_imag=max_imag),
+                         cs_residual=focs.cert.cs_residual, max_imag=imag),
         eps=focs.eps)
     return basis, trace
 
@@ -113,9 +114,9 @@ def certify(a: np.ndarray, h: np.ndarray, matrix: np.ndarray, spec: JordanSpec,
     a NaN scalar.  Returns the certificate and the fitted scalar (``None``
     for ``fo``).
     """
-    max_imag = None
+    imag = None
     if role == ROLE_RC:
-        max_imag = float(np.max(np.abs(matrix.imag))) if np.iscomplexobj(matrix) else 0.0
+        imag = max_imag(matrix)
         matrix = np.real(matrix)
     target = real_jordan_form(spec) if role == ROLE_RC else jordan_form(spec)
     sim, cong = affiliation_residuals(a, h, matrix, target, sip_form(spec), norm=norm)
@@ -127,4 +128,4 @@ def certify(a: np.ndarray, h: np.ndarray, matrix: np.ndarray, spec: JordanSpec,
         except NotConjugateSymmetricError:
             gamma, cs_res = complex("nan"), float("inf")
     return Certificate(similarity=sim, congruence=cong, cs_residual=cs_res,
-                       max_imag=max_imag), gamma
+                       max_imag=imag), gamma

@@ -18,7 +18,7 @@ import json
 import numpy as np
 
 from .harness import Instance, StabilityReport, load_instance
-from .linalg import matrix_from_json, matrix_to_json, require_int, require_number
+from .linalg import matrix_from_json, matrix_to_json, max_imag, require_int, require_number
 from .pipeline import CanonicalBasis, Certificate, PipelineTrace
 from .structure import PAIR, REAL, BlockSpec, JordanSpec
 
@@ -150,7 +150,7 @@ def instance_from_json(obj: dict) -> Instance:
         for name, m in (("A0", a0), ("H0", h0)):
             if np.iscomplexobj(m):
                 raise ValueError(f"{name} must be real, but has an imaginary part "
-                                 f"of {float(np.max(np.abs(m.imag))):.3e}")
+                                 f"of {max_imag(m):.3e}")
         t0 = basis_from_json(obj["T0"])
         seed = require_int(obj["seed"], "seed", 0)
     except (KeyError, TypeError) as exc:

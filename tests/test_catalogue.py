@@ -19,9 +19,11 @@ from indefcanon import (
     focs_basis,
     generate_instance,
     mat_norm,
+    match_eigenvalues,
     perturb_instance,
     rc_basis,
 )
+from indefcanon.harness import CLUSTER_RADIUS_FACTOR
 from indefcanon.pipeline import _anchor_from_gram
 from indefcanon.serialize import spec_from_json
 from indefcanon.structure import PAIR
@@ -58,10 +60,16 @@ def test_anchored_chains_put_every_pair_gram_anchor_near_the_positive_axis(workl
     pairs = [(i, off, b.size) for i, (off, b) in enumerate(inst.spec.offsets())
              if b.kind == PAIR]
     assert pairs
+    p_max = max(b.size for b in inst.spec.blocks)
     for j, delta in enumerate(ref["deltas"]):
         pair = perturb_instance(inst, delta, ref["mode"], j)
-        _, trace, _ = anchored_canonize(pair.a, pair.h, inst.spec, inst.t0,
-                                        weak_delta=delta if weak else None)
+        spec = inst.spec
+        if weak:
+            # matched at the cluster radius the experiment uses
+            scale = np.finfo(float).eps * max(1.0, mat_norm(pair.a))
+            radius = max(CLUSTER_RADIUS_FACTOR * delta, 10.0 * scale ** (1.0 / p_max))
+            _, spec = match_eigenvalues(inst.spec, pair.a, cluster_radius=radius)
+        _, trace = anchored_canonize(pair.a, pair.h, spec, inst.t0)
         for i, off, p in pairs:
             anchor = _anchor_from_gram(trace.gram_raw, off, p, i)
             assert abs(anchor.phi) <= 0.01, (delta, i, anchor.phi)

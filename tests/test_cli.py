@@ -749,6 +749,8 @@ def test_stability_zero_trials_exits_2(runner, tmp_path):
     r = runner.invoke(main, ["stability", "--in", str(inst_file),
                              "--trials", "0", "--out-csv", str(tmp_path / "x.csv")])
     assert r.exit_code == 2
+    # the library's own check refuses it
+    assert "experiment rejected: trials_per_delta must be >= 1" in r.output
 
 
 def test_gen_canonize_verify_round_trip_randomized(runner, tmp_path):

@@ -237,7 +237,7 @@ def test_match_kind_mismatch():
 
 
 def test_anchored_self_canonize_is_exact(inst):
-    basis, trace, _ = anchored_canonize(inst.a0, inst.h0, inst.spec, inst.t0)
+    basis, trace = anchored_canonize(inst.a0, inst.h0, inst.spec, inst.t0)
     assert mat_norm(basis.matrix - inst.t0.matrix) <= 1e-12
     n = inst.spec.total_size
     for z in (trace.phase_factor, trace.scale_factor, trace.flip_factor):
@@ -256,7 +256,7 @@ def test_anchored_recovers_gauge_flip(inst):
     t0_flipped = CanonicalBasis(matrix=flipped, role=t0.role,
                                 gamma=t0.gamma * np.exp(2j * np.pi / 3),
                                 cert=t0.cert, eps=t0.eps)
-    basis, _, _ = anchored_canonize(inst.a0, inst.h0, inst.spec, t0_flipped)
+    basis, _ = anchored_canonize(inst.a0, inst.h0, inst.spec, t0_flipped)
     assert mat_norm(basis.matrix - flipped) <= 1e-10
     assert basis.cert.congruence <= 1e-9
 
@@ -284,7 +284,7 @@ def test_anchored_recovers_a_negated_block(inst, inst_rc, monkeypatch, kind, col
             return replace(basis, matrix=basis.matrix * flip), trace
 
         monkeypatch.setattr(harness, name, negating)
-    basis, _, _ = anchored_canonize(inst.a0, inst.h0, inst.spec, t0)
+    basis, _ = anchored_canonize(inst.a0, inst.h0, inst.spec, t0)
     assert basis.role == kind
     assert mat_norm(basis.matrix - target) <= 1e-12 * mat_norm(target)
     assert mat_norm(basis.matrix - target * flip) > 1.0
@@ -297,14 +297,14 @@ def test_anchored_focs_basis_keeps_one_scalar_across_pair_blocks():
                        BlockSpec("pair", 0.9 + 0.6j, 1)))
     two_pairs = generate_instance(spec, 7)
     pair = perturb_instance(two_pairs, 1e-2, "strict", 11)
-    basis, _, _ = anchored_canonize(pair.a, pair.h, spec, two_pairs.t0)
+    basis, _ = anchored_canonize(pair.a, pair.h, spec, two_pairs.t0)
     # cs_gamma asserts the residual is within CS_TOL * max(1, ||basis||)
     assert abs(abs(cs_gamma(basis.matrix, spec)) - 1.0) <= 1e-10
 
 
 def test_anchored_output_certificates(inst):
     pair = perturb_instance(inst, 1e-3, "strict", 9)
-    basis, trace, _ = anchored_canonize(pair.a, pair.h, inst.spec, inst.t0)
+    basis, trace = anchored_canonize(pair.a, pair.h, inst.spec, inst.t0)
     sim, cong = affiliation_residuals(pair.a, pair.h, basis.matrix,
                                       jordan_form(inst.spec), sip_form(inst.spec))
     assert sim <= 1e-10 and cong <= 1e-10
@@ -313,7 +313,7 @@ def test_anchored_output_certificates(inst):
 
 def test_anchoring_near_optimal_over_gauge(inst):
     pair = perturb_instance(inst, 1e-3, "strict", 13)
-    basis, _, _ = anchored_canonize(pair.a, pair.h, inst.spec, inst.t0)
+    basis, _ = anchored_canonize(pair.a, pair.h, inst.spec, inst.t0)
     base = mat_norm(basis.matrix - inst.t0.matrix)
     rng = np.random.default_rng(0)
     off = 2
@@ -504,8 +504,8 @@ def test_chain_stack_fault_falls_back_to_one_extraction_per_trial(inst, monkeypa
 
 def test_trial_whose_chains_fail_records_its_single_call_error(inst, monkeypatch):
     # trial 1 at the first delta perturbs into a pair with a shifted
-    # spectrum: its item of the delta's chain stack fails, and its own
-    # construction extracts its chains again and records that error
+    # spectrum: its item of the delta's chain stack fails, and the trial
+    # records that error without extracting its chains again
     ref = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
     shifted = int(np.random.SeedSequence([inst.seed, 0, 1]).generate_state(1)[0])
     real = harness.perturb_instance
@@ -530,7 +530,7 @@ def test_trial_whose_chains_fail_records_its_single_call_error(inst, monkeypatch
     with pytest.raises(CanonError) as info:
         real_chains(pair.a, inst.spec)
     assert (failed.delta, failed.index, failed.status) == (1e-3, 1, info.value.code)
-    assert len(singles) == 1
+    assert len(singles) == 0
     assert [t for t in report.trials if t is not failed] == \
         [t for t in ref.trials if t.index != 1 or t.delta != 1e-3]
 
@@ -567,9 +567,11 @@ def test_norm_fault_keeps_its_coordinates(inst, monkeypatch, later_fault):
 
 
 @pytest.mark.parametrize("shape", ["wrong_size", "not_square", "stack"])
-@pytest.mark.parametrize("weak_delta", [None, 1e-3])
-def test_anchored_pair_of_the_wrong_shape_is_refused_first(inst, shape, weak_delta):
-    # the shape is checked before the weak matching and the construction
+@pytest.mark.parametrize("chains", [None, "extracted"])
+def test_anchored_pair_of_the_wrong_shape_is_refused_first(inst, shape, chains):
+    # the shape is checked before the chain fit and the construction, also
+    # when the caller hands over the chains
+    chains = jordan_chains(inst.a0, inst.spec) if chains else None
     a, h = {"wrong_size": (inst.a0[:6, :6], inst.h0[:6, :6]),
             "not_square": (inst.a0[:, :6], inst.h0[:, :6]),
             "stack": (np.stack([inst.a0] * 2), np.stack([inst.h0] * 2))}[shape]
@@ -577,14 +579,16 @@ def test_anchored_pair_of_the_wrong_shape_is_refused_first(inst, shape, weak_del
     if shape == "wrong_size":
         error, message = StructureMismatchError, r"matrix size \(6, 6\) does not match"
     with pytest.raises(error, match=message):
-        anchored_canonize(a, h, inst.spec, inst.t0, weak_delta=weak_delta)
+        anchored_canonize(a, h, inst.spec, inst.t0, chains=chains)
 
 
 @pytest.mark.parametrize("mode, kind", [("strict", "focs"), ("weak", "rc")])
 def test_each_trial_is_built_under_the_public_names(inst, inst_rc, monkeypatch, mode, kind):
     # in-process, every trial runs anchored_canonize once, which runs the
-    # construction of its kind once
-    calls = {"anchored_canonize": 0, "focs_basis": 0, "rc_basis": 0}
+    # construction of its kind once; a weak trial matches its eigenvalues
+    # once before it
+    calls = {"match_eigenvalues": 0, "anchored_canonize": 0, "focs_basis": 0,
+             "rc_basis": 0}
     for name in calls:
         real = getattr(harness, name)
 
@@ -596,29 +600,24 @@ def test_each_trial_is_built_under_the_public_names(inst, inst_rc, monkeypatch, 
     report = estimate_lipschitz(inst if kind == "focs" else inst_rc, [1e-3, 1e-4], 3,
                                 mode=mode)
     assert [t.status for t in report.trials] == ["ok"] * 6
-    assert calls == {"anchored_canonize": 6, "focs_basis": 6 if kind == "focs" else 0,
+    assert calls == {"match_eigenvalues": 6 if mode == "weak" else 0,
+                     "anchored_canonize": 6, "focs_basis": 6 if kind == "focs" else 0,
                      "rc_basis": 6 if kind == "rc" else 0}
 
 
-def test_anchored_weak_mode_takes_no_chains(inst):
-    # weak trials build on the matched spec, whose chains the caller has not
-    with pytest.raises(ValueError, match="takes no chains"):
-        anchored_canonize(inst.a0, inst.h0, inst.spec, inst.t0, weak_delta=1e-3,
-                          chains=jordan_chains(inst.a0, inst.spec))
-
-
 @pytest.mark.parametrize("name", ["a", "h"])
-@pytest.mark.parametrize("weak_delta", [None, 1e-3])
-def test_anchored_complex_pair_is_refused_before_matching(inst, name, weak_delta):
-    # the realness check runs before the weak matching and the extraction:
-    # the spectrum of this a has no real point left for the matching to find
+@pytest.mark.parametrize("chains", [None, "extracted"])
+def test_anchored_complex_pair_is_refused_before_matching(inst, name, chains):
+    # the realness check runs first, also when the caller hands over the
+    # chains: a real block's extraction would take the real part of this a
+    chains = jordan_chains(inst.a0, inst.spec) if chains else None
     a, h = inst.a0, inst.h0
     if name == "a":
         a = a + 0.1j * np.eye(len(a))
     else:
         h = h + 0.1j * np.eye(len(h))
     with pytest.raises(NotRealError, match=f"{name} has imaginary part 1.000e-01") as info:
-        anchored_canonize(a, h, inst.spec, inst.t0, weak_delta=weak_delta)
+        anchored_canonize(a, h, inst.spec, inst.t0, chains=chains)
     assert info.value.code == "NOT_REAL"
 
 

@@ -14,7 +14,13 @@ from indefcanon import (
     matrix_to_json,
 )
 from indefcanon import linalg
-from indefcanon.linalg import gate_norm, norm_and_rcond, refined_inverse, require_number
+from indefcanon.linalg import (
+    gate_norm,
+    max_imag,
+    norm_and_rcond,
+    refined_inverse,
+    require_number,
+)
 
 from conftest import bisect_largest_root, frac_charpoly, frac_inv, frac_matmul, frac_transpose
 
@@ -43,6 +49,12 @@ def test_spectral_norm_against_charpoly_oracle(ex_h):
     assert mat_norm(ex_h) == pytest.approx(expected, rel=1e-12)
     # frozen value from the oracle, so a regression cannot hide in both paths
     assert expected == pytest.approx(0.6389262726948128, rel=1e-12)
+
+
+def test_max_imag_is_zero_for_a_real_or_empty_matrix():
+    assert max_imag(np.array([[1.0, -2.0]])) == 0.0
+    assert max_imag(np.zeros((0, 3), dtype=complex)) == 0.0
+    assert max_imag(np.array([[1.0 + 2.0j, 3.0 - 5.0j]])) == 5.0
 
 
 def test_frobenius_norm_flag():

@@ -164,8 +164,8 @@ def test_a_construction_given_its_chains_matches_one_that_takes_them(entry, kind
         build = partial(rc_basis, a, h, inst.spec)
     else:
         build = partial(focs_basis, a, h, inst.spec, 1.0)
-    basis, trace, *_ = build()
-    given_basis, given_trace, *_ = build(chains=jordan_chains(a, inst.spec))
+    basis, trace = build()
+    given_basis, given_trace = build(chains=jordan_chains(a, inst.spec))
     assert _bits(given_basis.matrix) == _bits(basis.matrix)
     assert (given_basis.role, given_basis.gamma, given_basis.cert, given_basis.eps) == \
         (basis.role, basis.gamma, basis.cert, basis.eps)
