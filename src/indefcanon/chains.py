@@ -145,7 +145,7 @@ def _block_chains(a: np.ndarray, block: BlockSpec, eye: np.ndarray) -> list:
     return out
 
 
-def jordan_chains(a: np.ndarray, spec: JordanSpec) -> tuple[np.ndarray, ...]:
+def jordan_chains(a: np.ndarray, spec: JordanSpec) -> tuple[np.ndarray, ...] | list:
     """Extract one Jordan chain per block of ``spec`` from ``a``, in block
     order.
 
@@ -157,6 +157,10 @@ def jordan_chains(a: np.ndarray, spec: JordanSpec) -> tuple[np.ndarray, ...]:
     last-link norm, unit-normalized with a fixed phase convention.  A real
     block's chain is real.
 
+    A stack ``a`` gives a list: per matrix, bit for bit what a call on it
+    alone returns, or the :class:`CanonError` it raises, at one SVD call
+    per staircase step for the whole stack.
+
     Raises
     ------
     StructureMismatchError
@@ -166,31 +170,27 @@ def jordan_chains(a: np.ndarray, spec: JordanSpec) -> tuple[np.ndarray, ...]:
         When ``a`` has no spectrum point near a declared eigenvalue.
     """
     a = require_finite(a, "a")
-    (out,) = _jordan_chains(a[np.newaxis], spec)
-    if isinstance(out, CanonError):
-        raise out
-    return out
-
-
-def _jordan_chains(a: np.ndarray, spec: JordanSpec) -> list:
-    """:func:`jordan_chains` of each matrix of the stack ``a``: its chains,
-    or the :class:`CanonError` of the first block it trips.  Every block
-    runs on the whole stack, one SVD call per staircase step."""
+    stack = a if a.ndim == 3 else a[np.newaxis]
     size = spec.total_size
-    if a.shape[1:] != (size, size):
+    if stack.shape[1:] != (size, size):
         raise StructureMismatchError(
-            f"matrix size {a.shape[1:]} does not match spec size {size}")
+            f"matrix size {stack.shape[1:]} does not match spec size {size}")
     eye = np.eye(size)
-    out: list = [[] for _ in range(len(a))]
+    out: list = [[] for _ in range(len(stack))]
     for block in spec.blocks:
-        for i, found in enumerate(_block_chains(a, block, eye)):
+        for i, found in enumerate(_block_chains(stack, block, eye)):
             if isinstance(out[i], CanonError):
                 continue
             if isinstance(found, np.ndarray):
                 out[i].append(found)
             else:
-                out[i] = _staircase_error(a[i], block, found)
-    return [x if isinstance(x, CanonError) else tuple(x) for x in out]
+                out[i] = _staircase_error(stack[i], block, found)
+    if stack is a:
+        return [x if isinstance(x, CanonError) else tuple(x) for x in out]
+    (out,) = out
+    if isinstance(out, CanonError):
+        raise out
+    return tuple(out)
 
 
 def fit_chain_to(chain: np.ndarray, target: np.ndarray) -> np.ndarray:

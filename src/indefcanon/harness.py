@@ -16,6 +16,7 @@ import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import groupby
 from statistics import median
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
     RetryExhaustedError,
     TrialError,
 )
-from .chains import _jordan_chains, fit_chain_to, jordan_chains
+from .chains import fit_chain_to, jordan_chains
 from .linalg import gate_norm, mat_norm, mat_norms, refined_inverse
 from .pipeline import (
     ROLE_FOCS,
@@ -616,22 +617,29 @@ def _run_trials(inst: Instance, delta: float, delta_index: int, indices,
                 mode: str, norm: str) -> list[TrialRecord]:
     """Records of the trials ``indices`` at one delta, in order.
 
-    Each trial is perturbed and built on its own.  In strict mode the chains
-    of all the perturbed pairs are extracted first, as one stack; a trial
-    whose item failed records that error, and if the stacked call raises,
-    every trial extracts its own in its construction.  In weak mode each
-    trial first matches the instance eigenvalues onto its pair's spectrum
-    and builds on the matched spec.  Library errors of a trial are recorded
-    in its status; any other error is raised as :class:`TrialError` with
-    the coordinates of the first trial that raises it.
+    Each trial is perturbed, and a weak one matches the instance eigenvalues
+    onto its pair's spectrum.  Consecutive trials on one structure share one
+    chain extraction; a trial whose item failed records that error, and if
+    the call raises, each extracts its own in its construction.  Library
+    errors are recorded in a trial's status; any other error is raised as
+    :class:`TrialError` with the coordinates of the first trial to raise it.
     """
     records: dict[int, TrialRecord] = {}
     pairs = []
     cause = fault = None
+    p_max = max(b.size for b in inst.spec.blocks)
     for ti in indices:
         seed = _trial_seed(inst, delta_index, ti)
         try:
             pair = perturb_instance(inst, delta, mode, seed, norm=norm)
+            spec, matches = inst.spec, None
+            if mode == MODE_WEAK and pair.measured > 0.0:
+                # the radius tracks the perturbation scale but may not
+                # undercut the eigensolver's scatter for a defective block of
+                # size p, which is of order (eps ||a||)^(1/p)
+                scale = np.finfo(float).eps * max(1.0, mat_norm(pair.a))
+                radius = max(CLUSTER_RADIUS_FACTOR * delta, 10.0 * scale ** (1.0 / p_max))
+                matches, spec = match_eigenvalues(inst.spec, pair.a, cluster_radius=radius)
         except CanonError as exc:
             records[ti] = _failed_trial(delta, ti, exc)
             continue
@@ -642,30 +650,22 @@ def _run_trials(inst: Instance, delta: float, delta_index: int, indices,
         if pair.measured == 0.0:
             records[ti] = TrialRecord(delta, ti, 0.0, 0.0, None, None, status="degenerate")
         else:
-            pairs.append((ti, seed, pair))
+            pairs.append((ti, seed, pair, spec, matches))
 
-    found = [None] * len(pairs)
-    if mode == MODE_STRICT and pairs:
+    found: list = []
+    for spec, group in groupby(pairs, key=lambda trial: trial[3]):
+        stack = np.array([pair.a for _, _, pair, _, _ in group])
         try:
-            found = _jordan_chains(np.array([pair.a for _, _, pair in pairs]), inst.spec)
+            found += jordan_chains(stack, spec)
         except Exception:
-            pass
-    p_max = max(b.size for b in inst.spec.blocks)
+            found += [None] * len(stack)
     eye = np.eye(inst.spec.total_size)
     chain_ref = to_focs(inst.t0.matrix, inst.spec, inst.t0.role)
-    for (ti, seed, pair), chains in zip(pairs, found):
+    for (ti, seed, pair, spec, matches), chains in zip(pairs, found):
         if isinstance(chains, CanonError):
             records[ti] = _failed_trial(delta, ti, chains)
             continue
         try:
-            spec, matches = inst.spec, None
-            if mode == MODE_WEAK:
-                # the radius tracks the perturbation scale but may not
-                # undercut the eigensolver's scatter for a defective block of
-                # size p, which is of order (eps ||a||)^(1/p)
-                scale = np.finfo(float).eps * max(1.0, mat_norm(pair.a))
-                radius = max(CLUSTER_RADIUS_FACTOR * delta, 10.0 * scale ** (1.0 / p_max))
-                matches, spec = match_eigenvalues(inst.spec, pair.a, cluster_radius=radius)
             basis, trace = anchored_canonize(pair.a, pair.h, spec, inst.t0, chains=chains)
             dev, *z_devs = mat_norms([basis.matrix - inst.t0.matrix,
                                       trace.chain_factor - chain_ref,
@@ -699,10 +699,10 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
     ``workers = min(jobs, len(deltas) * trials_per_delta)``, each delta's
     trials run in contiguous tasks of ``ceil(trials_per_delta / workers)``,
     in process with one worker, else on ``workers`` processes; a task's
-    strict trials share one chain extraction, bit for bit as one at a time.
-    Library errors of a trial are recorded in its status, not raised; any
-    other error is raised as :class:`TrialError` with the trial's
-    coordinates.
+    trials on one structure share one chain extraction, bit for bit as one
+    at a time.  Library errors of a trial are recorded in its status, not
+    raised; any other error is raised as :class:`TrialError` with the
+    trial's coordinates.
     """
     if trials_per_delta < 1:
         raise ValueError("trials_per_delta must be >= 1")

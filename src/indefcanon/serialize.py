@@ -19,7 +19,7 @@ import numpy as np
 
 from .harness import Instance, StabilityReport, load_instance
 from .linalg import matrix_from_json, matrix_to_json, max_imag, require_int, require_number
-from .pipeline import CanonicalBasis, Certificate, PipelineTrace
+from .pipeline import ROLE_FO, ROLE_FOCS, ROLE_RC, CanonicalBasis, Certificate, PipelineTrace
 from .structure import PAIR, REAL, BlockSpec, JordanSpec
 
 
@@ -114,10 +114,12 @@ def _eps_entry(e) -> int | None:
 
 def basis_from_json(obj: dict) -> CanonicalBasis:
     try:
-        res = obj.get("residuals", {})
+        res, role = obj.get("residuals", {}), obj["role"]
+        if role not in (ROLE_FO, ROLE_FOCS, ROLE_RC):
+            raise ValueError(f"basis role must be 'fo', 'focs' or 'rc', got {role!r}")
         return CanonicalBasis(
             matrix=matrix_from_json(obj["matrix"]),
-            role=str(obj["role"]),
+            role=role,
             gamma=_complex_from_json(obj.get("gamma"), "gamma"),
             cert=Certificate(
                 similarity=require_number(res.get("similarity", 0.0), "similarity"),
@@ -181,18 +183,12 @@ def _fmt_complex(z: complex) -> str:
 def report_csv_lines(report: StabilityReport) -> list[str]:
     """CSV rows for a stability report.
 
-    Base columns are fixed; weak mode appends one matched-eigenvalue column
-    per spec block.
+    Base columns are fixed; a weak report in which some trial was matched
+    appends one matched-eigenvalue column per spec block.
     """
-    n_blocks = 0
-    for r in report.trials:
-        if r.matches is not None:
-            n_blocks = len(r.matches)
-            break
+    n_blocks = next((len(r.matches) for r in report.trials if r.matches is not None), 0)
     header = "delta,trial,input,output,ratio,z1_dev,z2_dev,z3_dev,z4_dev,status"
-    if report.mode == "weak":
-        header += "," + ",".join(f"matched_{k}" for k in range(n_blocks))
-    lines = [header]
+    lines = [header + "".join(f",matched_{k}" for k in range(n_blocks))]
 
     def num(x) -> str:
         return "" if x is None or (isinstance(x, float) and np.isnan(x)) else repr(float(x))
@@ -201,10 +197,8 @@ def report_csv_lines(report: StabilityReport) -> list[str]:
         z = r.z_devs or (None, None, None, None)
         row = [num(r.delta), str(r.index), num(r.input), num(r.output),
                num(r.ratio), num(z[0]), num(z[1]), num(z[2]), num(z[3]), r.status]
-        if report.mode == "weak":
-            matched = [_fmt_complex(m) for m in (r.matches or ())]
-            matched += [""] * (n_blocks - len(matched))
-            row += matched
+        matched = [_fmt_complex(m) for m in (r.matches or ())]
+        row += matched + [""] * (n_blocks - len(matched))
         lines.append(",".join(row))
     return lines
 

@@ -19,7 +19,7 @@ from indefcanon import (
 )
 
 from indefcanon import chains
-from indefcanon.chains import GRAM_RTOL, _jordan_chains
+from indefcanon.chains import GRAM_RTOL
 
 from conftest import crat_from_int_matrix, crat_matmul, crat_rank, random_spec
 
@@ -70,6 +70,13 @@ def test_chains_wrong_size_matrix_is_rejected(ex_a, ex_spec):
         jordan_chains(ex_a[:3, :3], ex_spec)
 
 
+def test_chains_wrong_size_stack_is_rejected(ex_a, ex_spec):
+    # a stack raises for its size, as one matrix does, not item by item
+    with pytest.raises(StructureMismatchError,
+                       match=r"matrix size \(3, 3\) does not match spec size 4"):
+        jordan_chains(np.stack([ex_a[:3, :3]] * 2), ex_spec)
+
+
 def test_chains_eigenvalue_drift(ex_a, ex_spec):
     shifted = JordanSpec((BlockSpec("pair", -2j + 0.5, 2),))
     with pytest.raises(EigenvalueDriftError):
@@ -106,7 +113,7 @@ def test_each_failing_item_builds_one_error(monkeypatch):
     with pytest.raises(EigenvalueDriftError):
         jordan_chains(shifted, spec)
     assert built == [(spec.blocks[0], [0])]
-    out = _jordan_chains(np.stack([shifted, a, shifted]), spec)
+    out = jordan_chains(np.stack([shifted, a, shifted]), spec)
     assert [type(x) for x in out] == [EigenvalueDriftError, tuple, EigenvalueDriftError]
     assert built == [(spec.blocks[0], [0])] * 3
 

@@ -116,6 +116,17 @@ def test_gen_zero_eigenvalue_exits_3(runner, tmp_path):
     assert r.exit_code == 3
 
 
+def test_gen_reference_basis_missing_the_instance_gate_exits_3(runner, tmp_path,
+                                                               monkeypatch):
+    monkeypatch.setattr(harness, "INSTANCE_TOL", 0.0)
+    spec_file, out = tmp_path / "spec.json", tmp_path / "x.json"
+    write_spec(spec_file)
+    r = runner.invoke(main, ["gen", "--spec-file", str(spec_file), "--out", str(out)])
+    assert r.exit_code == 3, r.output
+    assert "generation failed: reference basis residuals" in r.output
+    assert not out.exists()
+
+
 def test_canonize_focs_paper_pair(runner, tmp_path, paper_pair_file):
     out = tmp_path / "basis.json"
     r = runner.invoke(main, ["canonize", "--in", str(paper_pair_file),
@@ -282,6 +293,19 @@ def test_verify_instance_pair_must_be_real(runner, tmp_path, imag, code):
     r = runner.invoke(main, ["verify", "--in", str(inst_file), "--basis", str(basis_file)])
     assert r.exit_code == code, r.output
     assert ("A0 must be real" in r.output) == (code == 2)
+
+
+@pytest.mark.parametrize("role", ["bogus", None, ["focs"]])
+def test_verify_unknown_basis_role_exits_2(runner, tmp_path, role):
+    # a role outside fo, focs and rc is refused, not checked as fo
+    inst = generate_instance(SPEC, 3)
+    f, bf = tmp_path / "pair.json", tmp_path / "t.json"
+    write_pair_file(f, inst.a0, inst.h0, SPEC)
+    bf.write_text(dumps({**basis_to_json(inst.t0), "role": role}))
+    r = runner.invoke(main, ["verify", "--in", str(f), "--basis", str(bf)])
+    assert r.exit_code == 2, r.output
+    assert f"basis role must be 'fo', 'focs' or 'rc', got {role!r}" in r.output
+    assert " ok" not in r.output
 
 
 def test_verify_parse_error_exits_2(runner, tmp_path, paper_pair_file):

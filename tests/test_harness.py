@@ -17,6 +17,7 @@ from indefcanon import (
     JordanSpec,
     KindMismatchError,
     NotRealError,
+    RetryExhaustedError,
     TrialError,
     anchored_canonize,
     estimate_lipschitz,
@@ -75,6 +76,14 @@ def test_generate_forced_identity_similarity():
     np.testing.assert_allclose(h0, sip_form(SPEC), atol=1e-15)
 
 
+def test_generate_reference_basis_must_meet_the_instance_gate(monkeypatch):
+    # the reference basis is certified against the pair it was built from
+    monkeypatch.setattr(harness, "INSTANCE_TOL", 0.0)
+    with pytest.raises(RetryExhaustedError,
+                       match="reference basis residuals .* exceed the instance gate"):
+        generate_instance(SPEC, 7)
+
+
 def test_generate_rejects_zero_eigenvalue():
     bad = JordanSpec((BlockSpec("real", 0.0, 1, 1),))
     with pytest.raises(ValueError):
@@ -88,7 +97,6 @@ def test_generate_rejects_shared_eigenvalue():
 
 
 def test_generate_retry_exhausted_on_bad_override(monkeypatch):
-    from indefcanon import RetryExhaustedError
     # every condition number is at least 1, so no draw passes
     monkeypatch.setattr(harness, "COND_LIMIT", 1.0)
     with pytest.raises(RetryExhaustedError, match="no acceptable similarity"):
@@ -227,6 +235,15 @@ def test_match_two_blocks_claiming_one_cluster():
     with pytest.raises(AmbiguousMatchError,
                        match=r"two blocks claim the cluster at \(1\.05\+0j\)"):
         match_eigenvalues(spec, np.diag([1.05, 10.0]), cluster_radius=1e-3)
+
+
+def test_match_cluster_count_contradicting_the_spec():
+    # one real block of size 2 expects one cluster; the spectrum {1, 3}
+    # makes two at any radius below 2
+    spec = JordanSpec((BlockSpec("real", 1.0, 2, 1),))
+    with pytest.raises(AmbiguousMatchError,
+                       match=r"2 spectrum clusters for 1 expected eigenvalues"):
+        match_eigenvalues(spec, np.diag([1.0, 3.0]), cluster_radius=1e-3)
 
 
 def test_match_kind_mismatch():
@@ -487,16 +504,14 @@ def test_chain_stack_fault_falls_back_to_one_extraction_per_trial(inst, monkeypa
     stacks, singles = [], []
     real = harness.jordan_chains
 
-    def broken(a, spec):
-        stacks.append(len(a))
-        raise RuntimeError("stack fault")
-
-    def counted(a, spec):
+    def broken_on_stacks(a, spec):
+        if a.ndim == 3:
+            stacks.append(len(a))
+            raise RuntimeError("stack fault")
         singles.append(None)
         return real(a, spec)
 
-    monkeypatch.setattr(harness, "_jordan_chains", broken)
-    monkeypatch.setattr(harness, "jordan_chains", counted)
+    monkeypatch.setattr(harness, "jordan_chains", broken_on_stacks)
     report = estimate_lipschitz(inst, [1e-3, 1e-4], 3)
     assert (stacks, len(singles)) == ([3, 3], 6)
     assert report == ref
@@ -519,7 +534,8 @@ def test_trial_whose_chains_fail_records_its_single_call_error(inst, monkeypatch
         return replace(pair, a=pair.a + 0.37 * np.eye(len(pair.a)))
 
     def counted(a, spec):
-        singles.append(None)
+        if a.ndim == 2:
+            singles.append(None)
         return real_chains(a, spec)
 
     monkeypatch.setattr(harness, "perturb_instance", shifting)
@@ -586,9 +602,10 @@ def test_anchored_pair_of_the_wrong_shape_is_refused_first(inst, shape, chains):
 def test_each_trial_is_built_under_the_public_names(inst, inst_rc, monkeypatch, mode, kind):
     # in-process, every trial runs anchored_canonize once, which runs the
     # construction of its kind once; a weak trial matches its eigenvalues
-    # once before it
-    calls = {"match_eigenvalues": 0, "anchored_canonize": 0, "focs_basis": 0,
-             "rc_basis": 0}
+    # once before it; the chains are extracted once per delta for strict
+    # trials, which share the instance structure, and once per weak trial
+    calls = {"match_eigenvalues": 0, "jordan_chains": 0, "anchored_canonize": 0,
+             "focs_basis": 0, "rc_basis": 0}
     for name in calls:
         real = getattr(harness, name)
 
@@ -601,6 +618,7 @@ def test_each_trial_is_built_under_the_public_names(inst, inst_rc, monkeypatch, 
                                 mode=mode)
     assert [t.status for t in report.trials] == ["ok"] * 6
     assert calls == {"match_eigenvalues": 6 if mode == "weak" else 0,
+                     "jordan_chains": 6 if mode == "weak" else 2,
                      "anchored_canonize": 6, "focs_basis": 6 if kind == "focs" else 0,
                      "rc_basis": 6 if kind == "rc" else 0}
 

@@ -1,13 +1,14 @@
 """Stacked chain extraction against one matrix at a time.
 
-``chains._jordan_chains`` takes the staircase SVDs of a stack of matrices
-that share a spec once per block for the whole stack; the harness extracts
-the chains of a delta's strict trials this way.  Each item must come out bit
-for bit as ``jordan_chains`` on its matrix alone.  An item that trips a
-block must come out with the error a call on it alone raises, and the other
-items must come out as if it had not been there.  A construction handed an
-item's chains must build the basis it builds when it extracts them itself.
-The structures are the block mixes of the benchmark's strict catalogue.
+``jordan_chains`` on a stack of matrices that share a spec takes the
+staircase SVDs once per block for the whole stack; the harness extracts the
+chains of a task's trials on one structure this way.  Each item must come
+out bit for bit as ``jordan_chains`` on its matrix alone.  An item that
+trips a block must come out with the error a call on it alone raises, and
+the other items must come out as if it had not been there.  A construction
+handed an item's chains must build the basis it builds when it extracts
+them itself.  The structures are the block mixes of the benchmark's strict
+catalogue.
 """
 
 import json
@@ -30,7 +31,6 @@ from indefcanon import (
     perturb_instance,
     rc_basis,
 )
-from indefcanon.chains import _jordan_chains
 from indefcanon.serialize import spec_from_json
 from indefcanon.structure import real_jordan_form
 
@@ -108,7 +108,7 @@ CASES = dict(entry=st.integers(0, len(CATALOGUE) - 1), seed=st.integers(0, 2**31
 def test_stacked_items_match_their_single_calls_bit_for_bit(entry, seed, deltas):
     inst = _instance(entry)
     a = _stack(inst, deltas, seed)
-    stacked = _jordan_chains(a, inst.spec)
+    stacked = jordan_chains(a, inst.spec)
     assert len(stacked) == len(deltas)
     for x, got in zip(a, stacked):
         want = _single(x, inst.spec)
@@ -125,7 +125,7 @@ def test_a_failing_item_leaves_the_others_unchanged(entry, seed, deltas, fault, 
     a = _stack(inst, deltas, seed)
     position %= len(deltas)
     a[position] = FAULTS[fault](inst, a[position], choice)
-    stacked = _jordan_chains(a, inst.spec)
+    stacked = jordan_chains(a, inst.spec)
     for j, (x, got) in enumerate(zip(a, stacked)):
         want = _single(x, inst.spec)
         assert isinstance(want, CanonError) == (j == position)
@@ -139,7 +139,7 @@ def test_a_stack_whose_items_all_fail_gives_each_its_error():
     a = _stack(inst, [1e-3, 1e-4], 5)
     a[0] = _shifted_spectrum(inst, a[0], 0)
     a[1] = _grown_block(inst, a[1], 5)
-    stacked = _jordan_chains(a, inst.spec)
+    stacked = jordan_chains(a, inst.spec)
     for x, got in zip(a, stacked):
         want = _single(x, inst.spec)
         assert isinstance(want, CanonError)

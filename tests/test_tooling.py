@@ -1,7 +1,7 @@
 """Repository-level guards: the package's import graph, the home of the
-RC/FOCS relation, of the JSON file layout and of the stacked chain
-extraction, the package version, the benchmark's tracing tables, and the
-test configuration."""
+RC/FOCS relation and of the JSON file layout, the public entry points of
+chain extraction, the package version, the benchmark's tracing tables and
+what its tracer sees, and the test configuration."""
 
 import ast
 import importlib.util
@@ -68,10 +68,15 @@ def test_mixing_transform_is_used_only_by_structure_and_rc():
     assert users == [], f"modules naming the mixing transform outside rc: {users}"
 
 
-def test_stacked_chain_extraction_is_named_only_by_chains_and_harness():
-    # every other construction runs on one pair
-    users = sorted(p.stem for p in PACKAGE.glob("*.py") if "_jordan_chains" in _names(p))
-    assert users == ["chains", "harness"]
+def test_no_module_imports_a_private_name_from_chains():
+    # the benchmark tracer spans public names only: a private entry point
+    # into chain extraction would hide its calls
+    imports = sorted(f"{p.stem}: {a.name}" for p in PACKAGE.glob("*.py")
+                     for node in ast.walk(ast.parse(p.read_text()))
+                     if isinstance(node, ast.ImportFrom) and node.level == 1
+                     and node.module == "chains"
+                     for a in node.names if a.name.startswith("_"))
+    assert imports == []
 
 
 def test_package_version_is_the_project_version():
@@ -106,15 +111,41 @@ def test_json_text_is_written_only_by_serialize():
     assert _json_writes(PACKAGE / "serialize.py")
 
 
-def test_benchmark_tracing_tables_resolve():
+def _tracing():
+    """The benchmark's ``perfbench/tracing.py``, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
         "_perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracing_tables_resolve():
+    tracing = _tracing()
     assert tracing.SPANNED and tracing.COUNTED
     for home, attr, name in tracing.SPANNED + tracing.COUNTED:
         assert callable(getattr(home, attr, None)), \
             f"{home.__name__}.{attr} (traced as {name}) does not resolve"
+
+
+def test_tracer_spans_every_chain_extraction_of_a_strict_experiment():
+    # a strict experiment on one worker extracts the chains of each delta's
+    # trials in one call, through the public name the tracer rebinds
+    from indefcanon import BlockSpec, JordanSpec, chains, estimate_lipschitz, \
+        generate_instance, harness
+
+    spec = JordanSpec((BlockSpec("real", 1.5, 2, 1), BlockSpec("pair", -0.5 + 1.0j, 2)))
+    inst = generate_instance(spec, 11)
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        with tracer.op(0):
+            report = estimate_lipschitz(inst, [1e-3, 1e-4], 2)
+    finally:
+        tracer.uninstall()
+    assert harness.jordan_chains is chains.jordan_chains
+    assert [t.status for t in report.trials] == ["ok"] * 4
+    assert tracer.totals({0})["chains.jordan_chains"]["calls"] == 2
 
 
 def _private_numpy_uses(path: Path) -> list[str]:
