@@ -322,5 +322,4 @@ def reduce_real_chain(chain: np.ndarray, h: np.ndarray,
     eps = 1 if g0 > 0 else -1
     g3 = (eps / abs(g0)) * (x @ exchange(p))
     f = toeplitz_inv_sqrt(g3)
-    reduced = (chain @ f.T.real) / np.sqrt(abs(g0))
-    return reduced, eps
+    return (chain @ f.T.real) / np.sqrt(abs(g0)), eps

@@ -257,7 +257,7 @@ def verify(in_file, basis_file, tol, expect, norm):
               help="Defaults to the instance reference kind.")
 @click.option("--out-csv", required=True, type=click.Path())
 @click.option("--out-json", default=None, type=click.Path(),
-              help="Summary JSON path; defaults to the CSV path with .json.")
+              help="Summary JSON path, not the CSV's; defaults to the CSV path with .json.")
 @click.option("--jobs", default=1, show_default=True, type=int)
 @click.option("--norm", type=click.Choice(["spectral", "frobenius"]),
               default="spectral", show_default=True)
@@ -270,6 +270,8 @@ def stability(in_file, deltas, trials, mode, kind, out_csv, out_json, jobs, norm
         if Path(path).resolve() == Path(in_file).resolve():
             _fail(2, f"{flag} path {path} would overwrite the input file")
         _require_writable(path)
+    if Path(json_path).resolve() == Path(out_csv).resolve():
+        _fail(2, f"--out-json path {json_path} and --out-csv path {out_csv} name one file")
     obj = _load_json(in_file)
     try:
         inst = serialize.instance_from_json(obj)

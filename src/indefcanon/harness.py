@@ -30,7 +30,7 @@ from .errors import (
     TrialError,
 )
 from .chains import fit_chain_to, jordan_chains
-from .linalg import gate_norm, mat_norm, mat_norms, refined_inverse
+from .linalg import check_norm_kind, gate_norm, mat_norm, mat_norms, refined_inverse
 from .pipeline import (
     ROLE_FOCS,
     ROLE_RC,
@@ -718,6 +718,7 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
         raise ValueError("deltas must be strictly decreasing")
     if mode not in (MODE_STRICT, MODE_WEAK):
         raise ValueError(f"unknown mode {mode!r}")
+    check_norm_kind(norm)
     kind = kind or inst.t0.role
     if kind != inst.t0.role:
         raise ValueError(

@@ -66,6 +66,12 @@ def mat_norm(m: np.ndarray, kind: str = "spectral") -> float:
     return mat_norms([m], kind)[0]
 
 
+def check_norm_kind(kind: str) -> None:
+    """Reject a norm kind other than ``spectral`` and ``frobenius``."""
+    if kind not in _NORM_KINDS:
+        raise ValueError(f"unknown norm kind {kind!r}")
+
+
 def mat_norms(ms: list[np.ndarray], kind: str = "spectral") -> list[float]:
     """Norm of each matrix of ``ms``: the one implementation of both norms.
 
@@ -76,8 +82,7 @@ def mat_norms(ms: list[np.ndarray], kind: str = "spectral") -> list[float]:
     share a shape and a dtype; the gufunc gives each matrix of a stack the
     value a call on it alone gives.
     """
-    if kind not in _NORM_KINDS:
-        raise ValueError(f"unknown norm kind {kind!r}")
+    check_norm_kind(kind)
     ms = [np.atleast_2d(np.asarray(m)) for m in ms]
     out = [0.0 if np.isfinite(m).all() else np.inf for m in ms]
     if kind == "frobenius":

@@ -20,7 +20,7 @@ remains a Jordan basis throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,31 +79,33 @@ PHASE_GUARD = 0.1
 class GramAnchor:
     """Anti-diagonal Gram entry of one pair block, split into polar pieces.
 
-    ``r = |g0|``, ``s = |Re g0|``, ``phi = arg g0`` in (-pi, pi].
+    ``r = |g0|``, ``s = |Re g0|``, ``phi = arg g0`` in (-pi, pi], derived at
+    construction, which raises :class:`PureImaginaryAnchorError` for an
+    anchor the phase step cannot use: zero, or ``s <= ANCHOR_TOL * r``.
     """
 
     g0: complex
-    r: float
-    s: float
-    phi: float
     block_index: int
+    r: float = field(init=False)
+    s: float = field(init=False)
+    phi: float = field(init=False)
 
-    @classmethod
-    def from_g0(cls, g0: complex, block_index: int) -> "GramAnchor":
-        r = abs(g0)
-        s = abs(g0.real)
+    def __post_init__(self):
+        g0 = complex(self.g0)
+        r, s = abs(g0), abs(g0.real)
         if r == 0.0:
             raise PureImaginaryAnchorError(
-                f"pair block {block_index} has zero Gram anchor",
-                block_index=block_index)
+                f"pair block {self.block_index} has zero Gram anchor",
+                block_index=self.block_index)
         if s <= ANCHOR_TOL * r:
             raise PureImaginaryAnchorError(
-                f"pair block {block_index} Gram anchor {g0:.6e} is numerically "
+                f"pair block {self.block_index} Gram anchor {g0:.6e} is numerically "
                 "purely imaginary; the phase step divides by |Re g0|",
-                block_index=block_index)
+                block_index=self.block_index)
         # np.angle(g0) without its wrapper
         phi = float(np.arctan2(g0.imag, g0.real))
-        return cls(complex(g0), float(r), float(s), phi, block_index)
+        for name, value in (("g0", g0), ("r", r), ("s", s), ("phi", phi)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,9 @@ class Certificate:
 class CanonicalBasis:
     """An invertible basis matrix tagged with its role and certificates.
 
-    ``eps`` lists the computed sign characteristic per block (None on pair
-    blocks).  ``gamma`` is the fitted conjugate-symmetry scalar where the
-    role implies one.
+    ``eps`` lists the spec's sign characteristic per block (None on pair
+    blocks), which the construction confirms.  ``gamma`` is the fitted
+    conjugate-symmetry scalar where the role implies one.
     """
 
     matrix: np.ndarray
@@ -150,8 +152,6 @@ class PipelineTrace:
 def phase_step(anchor: GramAnchor, p: int) -> np.ndarray:
     """Diagonal 2p x 2p factor rotating the pair-block anchor onto the
     positive real axis: ``diag(e^{-i phi/2} sqrt(s/r) I, e^{+i phi/2} sqrt(s/r) I)``."""
-    if anchor.s <= 0.0:
-        raise PureImaginaryAnchorError(block_index=anchor.block_index)
     amp = np.sqrt(anchor.s / anchor.r)
     a = amp * np.exp(-0.5j * anchor.phi)
     b = amp * np.exp(+0.5j * anchor.phi)
@@ -163,8 +163,6 @@ def phase_step(anchor: GramAnchor, p: int) -> np.ndarray:
 
 def scale_step(anchor: GramAnchor, p: int) -> np.ndarray:
     """Scalar 2p x 2p factor ``(1/sqrt(s)) I`` normalizing the anchor to 1."""
-    if anchor.s <= 0.0:
-        raise PureImaginaryAnchorError(block_index=anchor.block_index)
     return np.eye(2 * p, dtype=complex) / np.sqrt(anchor.s)
 
 
@@ -191,12 +189,10 @@ def flip_step(gram_pair_block: np.ndarray) -> np.ndarray:
 
 
 def symmetrize_step(spec: JordanSpec, chains: list[np.ndarray],
-                    reduced: dict[int, np.ndarray],
                     gamma: complex) -> tuple[np.ndarray, float]:
     """Assemble the chain factor ``Z1`` from reduced real chains and
     symmetrized pair blocks ``[L | gamma conj(L)]``.  ``chains`` holds one
-    chain matrix per block of ``spec``; ``reduced`` maps the index of each
-    real block to its reduced chain.
+    chain matrix per block of ``spec``, a real block's already reduced.
 
     Returns ``(Z1, ||Z1||_2)``; the norm comes from the singular-value call
     of the conditioning check.
@@ -209,9 +205,9 @@ def symmetrize_step(spec: JordanSpec, chains: list[np.ndarray],
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
     cols = []
-    for i, (b, l) in enumerate(zip(spec.blocks, chains)):
+    for b, l in zip(spec.blocks, chains):
         if b.kind == REAL:
-            cols.append(reduced[i].astype(complex))
+            cols.append(l.astype(complex))
         else:
             cols.append(np.concatenate([l, gamma * np.conj(l)], axis=1))
     z1 = np.concatenate(cols, axis=1)
@@ -221,16 +217,15 @@ def symmetrize_step(spec: JordanSpec, chains: list[np.ndarray],
     return z1, z1_norm
 
 
-def _anchor_from_gram(gram: np.ndarray, off: int, p: int,
-                      block_index: int) -> GramAnchor:
-    # the lower-left p x p part of the pair block at off: conjugate chain
-    # against chain inner products
-    g0 = complex(anti_diagonal_mean(gram[off + p:off + 2 * p, off:off + p]))
-    return GramAnchor.from_g0(g0, block_index)
+def _anchor_g0(gram: np.ndarray, off: int, p: int) -> complex:
+    """The Gram anchor of the pair block at ``off``, of size ``p``: the
+    anti-diagonal mean of its lower-left p x p part, the conjugate chain
+    against chain inner products."""
+    return complex(anti_diagonal_mean(gram[off + p:off + 2 * p, off:off + p]))
 
 
 def _check_gram_structure(gram: np.ndarray, spec: JordanSpec,
-                          eps: dict[int, int], stol: float) -> None:
+                          stol: float) -> None:
     """Verify the post-symmetrize Gram shape: block diagonal, signed sip on
     real blocks, zero diagonal sub-blocks and anti-triangular Hankel
     cross part on pair blocks."""
@@ -245,7 +240,7 @@ def _check_gram_structure(gram: np.ndarray, spec: JordanSpec,
     for i, (off, b) in enumerate(spec.offsets()):
         blk = gram[off:off + b.width, off:off + b.width]
         if b.kind == REAL:
-            target = eps[i] * exchange(b.size)
+            target = b.sign * exchange(b.size)
             dev = gate_norm(blk - target, stol)
             if dev > stol:
                 raise StructureMismatchError(
@@ -350,17 +345,13 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     if chains is None:
         chains = jordan_chains(a, spec)
     prepared = []
-    reduced: dict[int, np.ndarray] = {}
-    eps: dict[int, int] = {}
     for i, (b, mat) in enumerate(zip(spec.blocks, chains)):
         if b.kind == REAL:
-            red, sign = reduce_real_chain(mat, h, h_norm2)
+            mat, sign = reduce_real_chain(mat, h, h_norm2)
             if sign != b.sign:
                 raise StructureMismatchError(
                     f"block {i}: computed sign characteristic {sign:+d} "
                     f"contradicts declared {b.sign:+d}")
-            reduced[i] = red
-            eps[i] = sign
         else:
             # prospective anchor; rotate the chain off the degenerate axis
             z = (gamma * np.conj(mat)).conj().T @ h @ mat
@@ -369,14 +360,14 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                 mat = mat * np.exp(0.25j * np.pi)
         prepared.append(mat)
 
-    z1, z1_norm = symmetrize_step(spec, prepared, reduced, gamma)
+    z1, z1_norm = symmetrize_step(spec, prepared, gamma)
     if norm != "spectral":
         z1_norm = mat_norm(z1, norm)
     n_dim = spec.total_size
     stol = STRUCT_RTOL * max(1.0, h_norm * z1_norm ** 2)
 
     gram0 = z1.conj().T @ h @ z1
-    _check_gram_structure(gram0, spec, eps, stol)
+    _check_gram_structure(gram0, spec, stol)
 
     # (block index, offset, size, rows) of each pair block
     pairs = [(i, off, b.size, slice(off, off + b.width))
@@ -386,23 +377,23 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     z2 = z4.copy()
     z3 = z4.copy()
     for i, off, p, rows in pairs:
-        anc = _anchor_from_gram(gram0, off, p, i)
+        anc = GramAnchor(_anchor_g0(gram0, off, p), i)
         z2[rows, rows] = phase_step(anc, p)
         z3[rows, rows] = scale_step(anc, p)
 
     gram1 = z2.conj().T @ gram0 @ z2
     for i, off, p, _ in pairs:
-        anc1 = _anchor_from_gram(gram1, off, p, i)
-        if abs(anc1.g0.imag) > stol or anc1.g0.real <= 0.0:
+        g1 = _anchor_g0(gram1, off, p)
+        if abs(g1.imag) > stol or g1.real <= 0.0:
             raise StructureMismatchError(
-                f"pair block {i} anchor {anc1.g0:.3e} not real positive after phase step")
+                f"pair block {i} anchor {g1:.3e} not real positive after phase step")
 
     gram2 = z3.conj().T @ gram1 @ z3
     for i, off, p, rows in pairs:
-        anc2 = _anchor_from_gram(gram2, off, p, i)
-        if abs(anc2.g0 - 1.0) > stol:
+        g2 = _anchor_g0(gram2, off, p)
+        if abs(g2 - 1.0) > stol:
             raise StructureMismatchError(
-                f"pair block {i} anchor {anc2.g0:.3e} not unit after scale step")
+                f"pair block {i} anchor {g2:.3e} not unit after scale step")
         z4[rows, rows] = flip_step(gram2[rows, rows])
 
     basis_mat = z1 @ z2 @ z3 @ z4
@@ -424,11 +415,10 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         raise StructureMismatchError(
             f"conjugate-symmetry scalar drifted in modulus: requested "
             f"|{gamma}| = {abs(gamma):.6g}, got {abs(gamma_out):.6g}")
-    eps_tuple = tuple(eps.get(i) for i in range(len(spec.blocks)))
     basis = CanonicalBasis(
         matrix=basis_mat, role=ROLE_FOCS, gamma=gamma_out,
         cert=Certificate(similarity=sim, congruence=cong, cs_residual=cs_res),
-        eps=eps_tuple)
+        eps=tuple(b.sign for b in spec.blocks))
     trace = PipelineTrace(
         chain_factor=z1, phase_factor=z2, scale_factor=z3, flip_factor=z4,
         gram_raw=gram0, gram_phased=gram1, gram_scaled=gram2,

@@ -61,9 +61,9 @@ class BlockSpec:
     ``kind`` is ``"real"`` or ``"pair"``.  ``lam`` is the eigenvalue; pair
     blocks store one representative of the conjugate pair and ``size`` is
     the dimension of a single Jordan block (a pair block therefore occupies
-    ``2 * size`` rows).  ``sign`` is the +-1 sign characteristic, present on
-    real blocks only.  ``width``, derived at construction, is the number of
-    rows/columns the block occupies in assembled matrices.
+    ``2 * size`` rows).  ``sign`` is the +-1 sign characteristic, an int,
+    present on real blocks only.  ``width``, derived at construction, is the
+    number of rows/columns the block occupies in assembled matrices.
     """
 
     kind: str
@@ -85,6 +85,7 @@ class BlockSpec:
                 raise ValueError("real block must have a real eigenvalue")
             if self.sign not in (-1, 1):
                 raise ValueError("real block needs sign +1 or -1")
+            object.__setattr__(self, "sign", int(self.sign))
         else:
             if lam.imag == 0.0:
                 raise ValueError("pair block must have a nonreal eigenvalue")

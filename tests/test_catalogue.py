@@ -24,7 +24,7 @@ from indefcanon import (
     rc_basis,
 )
 from indefcanon.harness import CLUSTER_RADIUS_FACTOR
-from indefcanon.pipeline import _anchor_from_gram
+from indefcanon.pipeline import GramAnchor, _anchor_g0
 from indefcanon.serialize import spec_from_json
 from indefcanon.structure import PAIR
 
@@ -71,7 +71,7 @@ def test_anchored_chains_put_every_pair_gram_anchor_near_the_positive_axis(workl
             _, spec = match_eigenvalues(inst.spec, pair.a, cluster_radius=radius)
         _, trace = anchored_canonize(pair.a, pair.h, spec, inst.t0)
         for i, off, p in pairs:
-            anchor = _anchor_from_gram(trace.gram_raw, off, p, i)
+            anchor = GramAnchor(_anchor_g0(trace.gram_raw, off, p), i)
             assert abs(anchor.phi) <= 0.01, (delta, i, anchor.phi)
 
 

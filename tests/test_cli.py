@@ -606,6 +606,23 @@ def test_stability_refuses_to_overwrite_its_input(runner, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 
 
+@pytest.mark.parametrize("outputs", [["--out-csv", "rep.json"],
+                                     ["--out-csv", "a.csv", "--out-json", "a.csv"],
+                                     ["--out-csv", "a.csv", "--out-json", "./a.csv"]])
+def test_stability_outputs_naming_one_file_exit_2(runner, tmp_path, monkeypatch, outputs):
+    # the summary overwrote the CSV and the command exited 0
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(dumps(instance_to_json(generate_instance(SPEC, 3))))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "estimate_lipschitz", raise_reached)
+    r = runner.invoke(main, ["stability", "--in", str(inst_file), "--trials", "1", *outputs])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "--out-json path" in r.output and "--out-csv path" in r.output
+    assert "name one file" in r.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
 def test_stability_round_trip(runner, tmp_path):
     spec_file = tmp_path / "spec.json"
     write_spec(spec_file)

@@ -35,7 +35,7 @@ from indefcanon.linalg import affiliation_residuals
 from indefcanon.pipeline import CanonicalBasis
 from indefcanon.structure import h_selfadjoint_residual
 
-from conftest import cs_gamma
+from conftest import cs_gamma, raise_reached
 
 SPEC = JordanSpec((
     BlockSpec("real", 1.5, 2, 1),
@@ -388,6 +388,15 @@ def test_estimate_lipschitz_validates_arguments(inst):
                 [float("-inf")]):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             estimate_lipschitz(inst, bad, 2)              # before any trial
+
+
+def test_estimate_lipschitz_rejects_an_unknown_norm_before_any_trial(inst, monkeypatch):
+    # it was a TrialError of trial 0, the caller's argument taken for a fault
+    monkeypatch.setattr(harness, "_run_trials", raise_reached)
+    with pytest.raises(ValueError) as err:
+        estimate_lipschitz(inst, [1e-3], 2, norm="bogus")
+    assert type(err.value) is ValueError
+    assert str(err.value) == "unknown norm kind 'bogus'"
 
 
 class RecordingExecutor:

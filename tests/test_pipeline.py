@@ -222,13 +222,13 @@ def test_toeplitz_numeric_contract():
 
 
 def test_phase_step_trivial_anchor():
-    anc = GramAnchor.from_g0(1.0 + 0.0j, 0)
+    anc = GramAnchor(1.0 + 0.0j, 0)
     np.testing.assert_allclose(phase_step(anc, 2), np.eye(4), atol=1e-15)
 
 
 def test_phase_step_rotated_anchor():
     g0 = 2.0 * np.exp(1j * np.pi / 3)
-    anc = GramAnchor.from_g0(g0, 0)
+    anc = GramAnchor(g0, 0)
     assert anc.r == pytest.approx(2.0)
     assert anc.s == pytest.approx(1.0)
     z2 = phase_step(anc, 1)
@@ -240,7 +240,7 @@ def test_phase_step_rotated_anchor():
 
 
 def test_phase_step_negative_real_anchor():
-    anc = GramAnchor.from_g0(-3.0 + 0.0j, 0)
+    anc = GramAnchor(-3.0 + 0.0j, 0)
     assert anc.s == pytest.approx(3.0) and anc.phi == pytest.approx(np.pi)
     z2 = phase_step(anc, 1)
     np.testing.assert_allclose(np.diag(z2), [np.exp(-0.5j * np.pi),
@@ -249,19 +249,29 @@ def test_phase_step_negative_real_anchor():
 
 
 def test_pure_imaginary_anchor_raises():
-    with pytest.raises(PureImaginaryAnchorError) as err:
-        GramAnchor.from_g0(0.25j, 3)
-    assert err.value.block_index == 3
-    with pytest.raises(PureImaginaryAnchorError):
-        GramAnchor.from_g0(0.0j, 0)
+    # refused at construction, with the block index, before any step reads it
+    for g0, i, message in ((0.25j, 3, "purely imaginary"), (0j, 0, "zero Gram anchor"),
+                           (complex(pipeline.ANCHOR_TOL, 1.0), 5, "purely imaginary"),
+                           (complex(-0.5 * pipeline.ANCHOR_TOL, -2.0), 6, "purely imaginary")):
+        with pytest.raises(PureImaginaryAnchorError, match=message) as err:
+            GramAnchor(g0, i)
+        assert err.value.block_index == i
+
+
+def test_anchor_derives_its_polar_pieces_at_construction():
+    anc = GramAnchor(complex(2.0 * pipeline.ANCHOR_TOL, 1.0), 2)
+    assert (anc.g0, anc.block_index) == (complex(2.0 * pipeline.ANCHOR_TOL, 1.0), 2)
+    assert (anc.r, anc.s) == (abs(anc.g0), 2.0 * pipeline.ANCHOR_TOL)
+    assert anc.phi == float(np.angle(anc.g0))
+    assert GramAnchor(-3 + 0j, 0) == GramAnchor(-3.0, 0)
 
 
 def test_scale_step_values():
-    anc1 = GramAnchor.from_g0(1.0 + 0j, 0)
+    anc1 = GramAnchor(1.0 + 0j, 0)
     np.testing.assert_array_equal(scale_step(anc1, 2), np.eye(4))
-    anc4 = GramAnchor.from_g0(4.0 + 0j, 0)
+    anc4 = GramAnchor(4.0 + 0j, 0)
     np.testing.assert_allclose(scale_step(anc4, 1), 0.5 * np.eye(2))
-    anc2 = GramAnchor.from_g0(2.0 + 0j, 0)
+    anc2 = GramAnchor(2.0 + 0j, 0)
     z3 = scale_step(anc2, 1)
     np.testing.assert_allclose(z3, np.eye(2) / np.sqrt(2))
     assert np.conj(z3[1, 1]) * z3[0, 0] * 2.0 == pytest.approx(1.0)
@@ -301,7 +311,7 @@ def test_flip_step_random_hankel_blocks():
 
 
 def test_symmetrize_reproduces_paper_gram(ex_l, ex_h, ex_spec, ex_l_gram):
-    z1, z1_norm = symmetrize_step(ex_spec, [ex_l[:, :2]], {}, 1.0)
+    z1, z1_norm = symmetrize_step(ex_spec, [ex_l[:, :2]], 1.0)
     assert z1_norm == mat_norm(z1)
     np.testing.assert_allclose(z1, ex_l, atol=1e-14)
     np.testing.assert_allclose(z1.conj().T @ ex_h @ z1, ex_l_gram, atol=1e-13)
@@ -310,17 +320,17 @@ def test_symmetrize_reproduces_paper_gram(ex_l, ex_h, ex_spec, ex_l_gram):
 def test_symmetrize_conditioning_check(ex_spec):
     # a real chain makes both halves collide, which must be rejected
     with pytest.raises(SingularBasisError):
-        symmetrize_step(ex_spec, [np.eye(4, dtype=complex)[:, :2]], {}, 1.0)
+        symmetrize_step(ex_spec, [np.eye(4, dtype=complex)[:, :2]], 1.0)
 
 
 def test_symmetrize_gamma_scales_second_half(ex_l, ex_h, ex_spec):
     chains = [ex_l[:, :2]]
-    z1, _ = symmetrize_step(ex_spec, chains, {}, 1j)
+    z1, _ = symmetrize_step(ex_spec, chains, 1j)
     np.testing.assert_allclose(z1[:, 2:], 1j * np.conj(ex_l[:, :2]), atol=1e-14)
     # the conjugate-against-plain Gram block picks up conj(gamma); verify
     # against a direct recomputation from the gamma = 1 assembly
     direct = z1.conj().T @ ex_h @ z1
-    base, _ = symmetrize_step(ex_spec, chains, {}, 1.0)
+    base, _ = symmetrize_step(ex_spec, chains, 1.0)
     base_gram = base.conj().T @ ex_h @ base
     np.testing.assert_allclose(direct[2:, :2], -1j * base_gram[2:, :2], atol=1e-13)
 
@@ -418,14 +428,13 @@ def test_gram_leak_gate_is_spectral():
     # Frobenius above stol but spectral below passes; spectral above raises
     signs = (1, -1, 1, -1)
     spec = JordanSpec(tuple(BlockSpec("real", 1.0 + k, 1, s) for k, s in enumerate(signs)))
-    eps = dict(enumerate(signs))
     stol = 1e-8
     leak = _spread(0.9 * stol, 4)
     assert np.linalg.norm(leak) > stol >= mat_norm(leak)
-    pipeline._check_gram_structure(np.diag(signs) + leak, spec, eps, stol)
+    pipeline._check_gram_structure(np.diag(signs) + leak, spec, stol)
     with pytest.raises(StructureMismatchError, match="not block diagonal"):
         pipeline._check_gram_structure(np.diag(signs) + _spread(1.1 * stol, 4),
-                                       spec, eps, stol)
+                                       spec, stol)
 
 
 def test_final_sip_gate_is_spectral(ex_a, ex_h, ex_spec, monkeypatch):
@@ -477,6 +486,12 @@ def test_focs_rejects_wrong_sign_characteristic():
         focs_basis(j, p, spec_minus)
 
 
+def test_focs_eps_is_the_specs_signs():
+    spec = JordanSpec((BlockSpec("real", 2.0, 2, np.int64(-1)), BlockSpec("pair", 1j, 1)))
+    basis, _ = focs_basis(real_jordan_form(spec), sip_form(spec), spec, 1j)
+    assert basis.eps == (-1, None) and type(basis.eps[0]) is int
+
+
 def test_focs_rejects_non_selfadjoint_pair(ex_spec):
     rng = np.random.default_rng(1)
     a = rng.normal(size=(4, 4))
@@ -523,20 +538,19 @@ def test_focs_anchored_reproduces_reference(ex_a, ex_h, ex_spec):
 # each construction gate trips on one corrupted upstream value
 
 
-def _gram_gate(spec, eps, edits):
+def _gram_gate(spec, edits):
     """``_check_gram_structure`` on the sip form of ``spec`` with the
     entries of ``edits`` added, at stol 1e-8."""
     def trip():
         gram = sip_form(spec).astype(complex)
         for (r, c), v in edits.items():
             gram[r, c] += v
-        pipeline._check_gram_structure(gram, spec, eps, 1e-8)
+        pipeline._check_gram_structure(gram, spec, 1e-8)
     return trip
 
 
 _REAL = JordanSpec((BlockSpec("real", 2.0, 2, 1), BlockSpec("real", -1.0, 1, -1)))
 _PAIR = JordanSpec((BlockSpec("real", 2.0, 1, 1), BlockSpec("pair", 1j, 2)))
-_PAIR_EPS = {0: 1}
 
 
 def _corrupt(monkeypatch, name, corrupt):
@@ -553,16 +567,16 @@ def _negate_second_half(z2):
 
 
 _GRAM_GATES = {
-    "real_block_sip": (_gram_gate(_REAL, {0: 1, 1: -1}, {(0, 0): 2e-8}),
+    "real_block_sip": (_gram_gate(_REAL, {(0, 0): 2e-8}),
                        r"real block 0 Gram deviates from signed sip by 2\.000e-08"),
-    "pair_diagonal_sub_block": (_gram_gate(_PAIR, _PAIR_EPS, {(2, 2): 3e-8}),
+    "pair_diagonal_sub_block": (_gram_gate(_PAIR, {(2, 2): 3e-8}),
                                 "pair block 1 Gram has nonzero diagonal sub-blocks"),
-    "pair_not_hermitian": (_gram_gate(_PAIR, _PAIR_EPS, {(1, 4): 3e-8}),
+    "pair_not_hermitian": (_gram_gate(_PAIR, {(1, 4): 3e-8}),
                            "pair block 1 Gram is not Hermitian across halves"),
     # each edit below keeps the cross part Hermitian
-    "pair_above_anti_diagonal": (_gram_gate(_PAIR, _PAIR_EPS, {(3, 1): 3e-8j, (1, 3): -3e-8j}),
+    "pair_above_anti_diagonal": (_gram_gate(_PAIR, {(3, 1): 3e-8j, (1, 3): -3e-8j}),
                                  "pair block 1 Gram has mass above the anti-diagonal"),
-    "pair_not_hankel": (_gram_gate(_PAIR, _PAIR_EPS, {(4, 1): 3e-8, (1, 4): 3e-8}),
+    "pair_not_hankel": (_gram_gate(_PAIR, {(4, 1): 3e-8, (1, 4): 3e-8}),
                         "pair block 1 Gram is not Hankel"),
 }
 

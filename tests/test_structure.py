@@ -45,6 +45,13 @@ def test_block_spec_validation():
             BlockSpec("pair" if lam.imag else "real", lam, 1, None if lam.imag else 1)
 
 
+@pytest.mark.parametrize("sign, want", [(np.int64(-1), -1), (np.int32(1), 1),
+                                        (True, 1), (-1.0, -1)])
+def test_block_spec_stores_its_sign_as_an_int(sign, want):
+    b = BlockSpec("real", 1.0, 1, sign)
+    assert type(b.sign) is int and b.sign == want
+
+
 def test_build_j_paper_pair(ex_spec, ex_j):
     np.testing.assert_array_equal(jordan_form(ex_spec), ex_j)
 
