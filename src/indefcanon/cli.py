@@ -58,11 +58,21 @@ def _atomic_write(path: str, text: str) -> None:
         _fail(2, f"cannot write {path}: {exc}")
 
 
-def _require_writable(path: str) -> None:
-    """Exit 2 unless ``path`` names a file in an existing directory, so a
-    command checks every output before it writes any."""
-    if Path(path).is_dir() or not Path(path).parent.is_dir():
-        _fail(2, f"cannot write {path}: not a file in an existing directory")
+def _check_outputs(in_file: str, outputs: list[tuple[str, str]]) -> None:
+    """Exit 2 unless each ``(flag, path)`` output names a file in an existing
+    directory that is neither ``in_file`` nor another output.  Every command
+    that writes calls this before any work, so it never writes over its
+    input, and writes all of its outputs or none."""
+    for i, (flag, path) in enumerate(outputs):
+        target = Path(path).resolve()
+        if target == Path(in_file).resolve():
+            _fail(2, f"{flag} path {path} would overwrite the input file")
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            _fail(2, f"cannot write {path}: not a file in an existing directory")
+        for other_flag, other_path in outputs[:i]:
+            if Path(other_path).resolve() == target:
+                _fail(2, f"{flag} path {path} and {other_flag} path {other_path} "
+                         "name one file")
 
 
 def _load_json(path: str) -> dict:
@@ -132,6 +142,7 @@ def main():
 @click.option("--out", "out_file", required=True, type=click.Path())
 def gen(spec_file, seed, kind, gamma, out_file):
     """Generate a seeded instance (pair plus reference basis)."""
+    _check_outputs(spec_file, [("--out", out_file)])
     obj = _load_json(spec_file)
     try:
         spec = serialize.spec_from_json(obj)
@@ -152,16 +163,18 @@ def gen(spec_file, seed, kind, gamma, out_file):
 @click.option("--mode", type=click.Choice([ROLE_FO, ROLE_FOCS, ROLE_RC]),
               default=ROLE_FOCS, show_default=True)
 @click.option("--gamma", default="1", show_default=True,
-              help="Ignored for rc mode, which requires gamma = i.")
+              help="Conjugate-symmetry scalar for focs mode; fo mode builds at "
+                   "gamma = 1 and rc mode at gamma = i, and both ignore it.")
 @click.option("--out", "out_file", required=True, type=click.Path())
 @click.option("--emit-trace", is_flag=True, default=False,
               help="Write the factor trace next to the basis file.")
 @click.option("--tol", default=DEFAULT_TOL, show_default=True, type=float,
               callback=_check_tol, help="Certificate tolerance; finite and positive.")
-@click.option("--norm", type=click.Choice(["spectral", "frobenius"]),
-              default="spectral", show_default=True)
-def canonize(in_file, mode, gamma, out_file, emit_trace, tol, norm):
+def canonize(in_file, mode, gamma, out_file, emit_trace, tol):
     """Construct a canonical basis for the pair in the input file."""
+    trace_file = str(Path(out_file).with_suffix(".trace.json"))
+    _check_outputs(in_file, [("--out", out_file)]
+                   + ([("--emit-trace", trace_file)] if emit_trace else []))
     obj = _load_json(in_file)
     try:
         a, h, spec, _ = _load_pair(obj)
@@ -170,19 +183,13 @@ def canonize(in_file, mode, gamma, out_file, emit_trace, tol, norm):
         _fail(2, str(exc))
     try:
         if mode == ROLE_RC:
-            basis, trace = rc_basis(a, h, spec, tol=tol, norm=norm)
+            basis, trace = rc_basis(a, h, spec, tol=tol)
         else:
-            basis, trace = focs_basis(a, h, spec, 1.0 if mode == ROLE_FO else g,
-                                      tol=tol, norm=norm)
+            basis, trace = focs_basis(a, h, spec, 1.0 if mode == ROLE_FO else g, tol=tol)
             if mode == ROLE_FO:
                 basis = replace(basis, role=ROLE_FO)
     except CanonError as exc:
         _fail(4, f"{exc.code}: {exc}")
-    if emit_trace:
-        # two outputs: neither is written unless both can be
-        trace_file = str(Path(out_file).with_suffix(".trace.json"))
-        _require_writable(out_file)
-        _require_writable(trace_file)
     _atomic_write(out_file, serialize.dumps(serialize.basis_to_json(basis)) + "\n")
     if emit_trace:
         _atomic_write(trace_file, serialize.dumps(serialize.trace_to_json(trace)) + "\n")
@@ -265,13 +272,7 @@ def stability(in_file, deltas, trials, mode, kind, out_csv, out_json, jobs, norm
     """Run the Lipschitz stability experiment for an instance file; exits 0
     only if the per-delta median ratios stay bounded across decades."""
     json_path = out_json or str(Path(out_csv).with_suffix(".json"))
-    # the experiment runs long: an output it cannot write fails before it
-    for flag, path in (("--out-csv", out_csv), ("--out-json", json_path)):
-        if Path(path).resolve() == Path(in_file).resolve():
-            _fail(2, f"{flag} path {path} would overwrite the input file")
-        _require_writable(path)
-    if Path(json_path).resolve() == Path(out_csv).resolve():
-        _fail(2, f"--out-json path {json_path} and --out-csv path {out_csv} name one file")
+    _check_outputs(in_file, [("--out-csv", out_csv), ("--out-json", json_path)])
     obj = _load_json(in_file)
     try:
         inst = serialize.instance_from_json(obj)

@@ -478,7 +478,7 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         raise ValueError(f"unsupported reference role {kind!r}")
     a, h = np.asarray(a), np.asarray(h)
     _check_pair_shape(a, h, spec)
-    a, h = _real_pair(a, h, "spectral")
+    a, h = _real_pair(a, h)
     if chains is None:
         chains = jordan_chains(a, spec)
     ref = to_focs(t0.matrix, spec, kind)

@@ -100,28 +100,27 @@ def mat_norms(ms: list[np.ndarray], kind: str = "spectral") -> list[float]:
     return out
 
 
-def gate_norm(m: np.ndarray, limit: float, kind: str = "spectral") -> float:
-    """Norm of ``m`` for a gate ``norm > limit`` whose value is not kept.
+def gate_norm(m: np.ndarray, limit: float) -> float:
+    """Spectral norm of ``m`` for a gate ``norm > limit`` whose value is not kept.
 
-    Every gate whose value is not reported follows one rule: it may decide on
-    a bound that takes no SVD, and when the bound does not settle it, the
-    exact norm decides and is the value its error reports.  Here the bound
-    is the Frobenius norm, which bounds the spectral norm from above: within
-    ``limit`` it is returned and the gate passes either way.  Otherwise
-    returns ``mat_norm(m, kind)``.  Gates whose *limit* scales with a norm
-    use :func:`_norm_lower_bound` the same way.
+    Every gate decides in the spectral norm, and every gate whose value is
+    not reported follows one rule: it may decide on a bound that takes no
+    SVD, and when the bound does not settle it, the exact norm decides and
+    is the value its error reports.  Here the bound is the Frobenius norm,
+    which bounds the spectral norm from above: within ``limit`` it is
+    returned and the gate passes either way.  Otherwise returns
+    ``mat_norm(m)``.  Gates whose *limit* scales with a norm use
+    :func:`_norm_lower_bound` the same way.
     """
     frob = float(np.linalg.norm(m))
-    if kind == "frobenius" or frob <= limit:
+    if frob <= limit:
         return frob
-    return mat_norm(m, kind)
+    return mat_norm(m)
 
 
-def _norm_lower_bound(m: np.ndarray, kind: str = "spectral") -> float:
-    """A lower bound of ``mat_norm(m, kind)`` that takes no SVD: the largest
-    column 2-norm for the spectral norm, the exact value for Frobenius."""
-    if kind != "spectral":
-        return mat_norm(m, kind)
+def _norm_lower_bound(m: np.ndarray) -> float:
+    """A lower bound of ``mat_norm(m)`` that takes no SVD: the largest
+    column 2-norm."""
     m = np.atleast_2d(np.asarray(m))
     if m.size == 0:
         return 0.0

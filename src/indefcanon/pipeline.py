@@ -277,15 +277,14 @@ def _check_pair_shape(a: np.ndarray, h: np.ndarray, spec: JordanSpec) -> None:
             f"matrix size {a.shape} does not match spec size {spec.total_size}")
 
 
-def _real_pair(a: np.ndarray, h: np.ndarray,
-               norm: str) -> tuple[np.ndarray, np.ndarray]:
+def _real_pair(a: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The real parts of ``a`` and ``h``, refusing an imaginary part beyond
     rounding: the conjugate-symmetric synthesis needs conj(chain) to be the
     chain of the conjugate eigenvalue, which holds for real pairs only."""
     for name, m in (("a", a), ("h", h)):
         imag = max_imag(m)
         # the norm takes an SVD, which a real matrix skips
-        if imag and imag > STRUCT_RTOL * max(1.0, mat_norm(m, norm)):
+        if imag and imag > STRUCT_RTOL * max(1.0, mat_norm(m)):
             raise NotRealError(
                 f"{name} has imaginary part {imag:.3e}; the "
                 "conjugate-symmetric construction needs a real pair")
@@ -295,7 +294,6 @@ def _real_pair(a: np.ndarray, h: np.ndarray,
 def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                gamma: complex = 1.0, *,
                tol: float = DEFAULT_TOL,
-               norm: str = "spectral",
                chains: tuple | None = None) -> tuple[CanonicalBasis, PipelineTrace]:
     """Construct a gamma-FOCS basis of the real h-selfadjoint matrix ``a``.
 
@@ -308,8 +306,9 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     Parameters
     ----------
     tol : float
-        The certificate gate: similarity and congruence residuals must be
-        within ``tol * max(1, ||h||)``.  Must be finite and positive; a NaN
+        The certificate gate: similarity and congruence residuals, like
+        every gate here in the spectral norm, must be within
+        ``tol * max(1, ||h||)``.  Must be finite and positive; a NaN
         or infinite ``tol`` would pass every basis.
     chains : tuple, optional
         What ``jordan_chains(a, spec)`` returns, when the caller already has
@@ -325,19 +324,18 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     _check_pair_shape(a, h, spec)
-    a, h = _real_pair(a, h, norm)
+    a, h = _real_pair(a, h)
 
     # one singular-value call on h serves every gate below and the
-    # selfadjointness pre-check; reduce_real_chain needs the spectral norm
-    h_norm2, h_rcond = norm_and_rcond(h)
-    h_norm = h_norm2 if norm == "spectral" else mat_norm(h, norm)
-    defect = _selfadjoint_defect(a, h, h_norm, h_rcond, norm)
+    # selfadjointness pre-check
+    h_norm, h_rcond = norm_and_rcond(h)
+    defect = _selfadjoint_defect(a, h, h_norm, h_rcond)
     # the pre-check decides on a lower bound of ||a|| and the Frobenius
     # bound of the residual first
-    pre_tol = STRUCT_RTOL * max(1.0, _norm_lower_bound(a, norm) * h_norm)
-    pre = gate_norm(defect, pre_tol, norm)
+    pre_tol = STRUCT_RTOL * max(1.0, _norm_lower_bound(a) * h_norm)
+    pre = gate_norm(defect, pre_tol)
     if pre > pre_tol:
-        pre_tol = STRUCT_RTOL * max(1.0, mat_norm(a, norm) * h_norm)
+        pre_tol = STRUCT_RTOL * max(1.0, mat_norm(a) * h_norm)
         if pre > pre_tol:
             raise StructureMismatchError(
                 f"pair is not h-selfadjoint (residual {pre:.3e} > {pre_tol:.3e})")
@@ -347,7 +345,7 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     prepared = []
     for i, (b, mat) in enumerate(zip(spec.blocks, chains)):
         if b.kind == REAL:
-            mat, sign = reduce_real_chain(mat, h, h_norm2)
+            mat, sign = reduce_real_chain(mat, h, h_norm)
             if sign != b.sign:
                 raise StructureMismatchError(
                     f"block {i}: computed sign characteristic {sign:+d} "
@@ -361,8 +359,6 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         prepared.append(mat)
 
     z1, z1_norm = symmetrize_step(spec, prepared, gamma)
-    if norm != "spectral":
-        z1_norm = mat_norm(z1, norm)
     n_dim = spec.total_size
     stol = STRUCT_RTOL * max(1.0, h_norm * z1_norm ** 2)
 
@@ -399,18 +395,17 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     basis_mat = z1 @ z2 @ z3 @ z4
     p_target = sip_form(spec)
     gram_final = z4.conj().T @ gram2 @ z4
-    final_dev = gate_norm(gram_final - p_target, stol, norm)
+    final_dev = gate_norm(gram_final - p_target, stol)
     if final_dev > stol:
         raise StructureMismatchError(
             f"final Gram deviates from sip form by {final_dev:.3e}")
 
-    sim, cong = affiliation_residuals(a, h, basis_mat, jordan_form(spec),
-                                      p_target, norm=norm)
+    sim, cong = affiliation_residuals(a, h, basis_mat, jordan_form(spec), p_target)
     if max(sim, cong) > tol * max(1.0, h_norm):
         raise StructureMismatchError(
             f"constructed basis misses its certificate gate: similarity "
             f"{sim:.3e}, congruence {cong:.3e} vs tol {tol:.1e}")
-    gamma_out, cs_res, _ = conjugate_symmetry_fit(basis_mat, spec, norm=norm)
+    gamma_out, cs_res, _ = conjugate_symmetry_fit(basis_mat, spec)
     if pairs and abs(abs(gamma_out) - abs(gamma)) > CS_TOL * abs(gamma):
         raise StructureMismatchError(
             f"conjugate-symmetry scalar drifted in modulus: requested "

@@ -40,7 +40,6 @@ IMAG_RTOL = 1e-9
 
 def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
              tol: float = DEFAULT_TOL,
-             norm: str = "spectral",
              chains: tuple | None = None) -> tuple[CanonicalBasis, PipelineTrace]:
     """Real canonical basis of the real h-selfadjoint pair ``(a, h)``.
 
@@ -60,14 +59,14 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
         conjugate-symmetry scalar or pipeline failure.
     """
     # the FOCS construction refuses a pair whose imaginary part is not rounding
-    focs, trace = focs_basis(a, h, spec, 1.0j, tol=tol, norm=norm, chains=chains)
+    focs, trace = focs_basis(a, h, spec, 1.0j, tol=tol, chains=chains)
     a, h = np.real(a), np.real(h)
     r = focs.matrix @ mixing_matrix(spec)
     # both gates scale their limit with a norm whose value is not kept: a
     # lower bound of it decides first, and the SVD runs only on a miss
     imag = max_imag(r)
-    if imag > IMAG_RTOL * max(1.0, _norm_lower_bound(r, norm)):
-        threshold = IMAG_RTOL * max(1.0, mat_norm(r, norm))
+    if imag > IMAG_RTOL * max(1.0, _norm_lower_bound(r)):
+        threshold = IMAG_RTOL * max(1.0, mat_norm(r))
         if imag > threshold:
             raise NotRealError(
                 f"mixed basis has imaginary part {imag:.3e} "
@@ -75,9 +74,9 @@ def rc_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec, *,
     # a copy that owns its data, not a strided view keeping r alive
     r_real = np.ascontiguousarray(r.real)
     sim, cong = affiliation_residuals(a, h, r_real, real_jordan_form(spec),
-                                      sip_form(spec), norm=norm)
-    if max(sim, cong) > tol * max(1.0, _norm_lower_bound(h, norm)):
-        limit = tol * max(1.0, mat_norm(h, norm))
+                                      sip_form(spec))
+    if max(sim, cong) > tol * max(1.0, _norm_lower_bound(h)):
+        limit = tol * max(1.0, mat_norm(h))
         if max(sim, cong) > limit:
             raise StructureMismatchError(
                 f"real basis misses its certificate gate: similarity {sim:.3e}, "

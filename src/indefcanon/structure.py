@@ -257,30 +257,28 @@ def mixing_matrix_inv(spec: JordanSpec) -> np.ndarray:
 def h_selfadjoint_residual(a: np.ndarray, h: np.ndarray, *,
                            norm: str = "spectral") -> float:
     """Residual ``||h a - a* h||`` certifying selfadjointness of ``a`` in the
-    inner product defined by ``h``.
+    inner product defined by ``h``, measured in ``norm``.
 
     The multiplication-side form avoids inverting ``h``.  ``h`` must be
-    Hermitian within :data:`HERM_TOL` (scaled by its norm) and pass the
-    conditioning check; violations raise rather than returning a number that
-    would be meaningless.
+    Hermitian within :data:`HERM_TOL` (scaled by its spectral norm, as every
+    gate decides) and pass the conditioning check; violations raise rather
+    than returning a number that would be meaningless.
     """
     a = require_finite(a, "a")
     h = require_finite(h, "h")
-    h2, rc = norm_and_rcond(h)
-    hn = h2 if norm == "spectral" else mat_norm(h, norm)
-    return mat_norm(_selfadjoint_defect(a, h, hn, rc, norm), norm)
+    return mat_norm(_selfadjoint_defect(a, h, *norm_and_rcond(h)), norm)
 
 
 def _selfadjoint_defect(a: np.ndarray, h: np.ndarray, h_norm: float,
-                        h_rcond: float, norm: str) -> np.ndarray:
+                        h_rcond: float) -> np.ndarray:
     """The matrix ``h a - a* h`` behind :func:`h_selfadjoint_residual`,
     after its shape, Hermitian and conditioning gates on ``h``.  ``h_norm``
-    (in ``norm``) and ``h_rcond`` are the caller's, so one singular-value
-    call on ``h`` can serve the caller as well."""
+    (spectral) and ``h_rcond`` are the caller's, so one singular-value call
+    on ``h`` can serve the caller as well."""
     if a.shape != h.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("a and h must be square and of equal size")
     herm_limit = HERM_TOL * max(1.0, h_norm)
-    herm = gate_norm(h - h.conj().T, herm_limit, norm)
+    herm = gate_norm(h - h.conj().T, herm_limit)
     if herm > herm_limit:
         raise NotHermitianError(f"h deviates from Hermitian by {herm:.3e}")
     if h_rcond < RCOND_FLOOR:

@@ -606,6 +606,28 @@ def test_stability_refuses_to_overwrite_its_input(runner, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 
 
+@pytest.mark.parametrize("case", ["gen", "canonize", "canonize_trace"])
+def test_writers_refuse_to_overwrite_their_input(runner, tmp_path, case):
+    # each replaced its input and exited 0
+    source = tmp_path / ("t.trace.json" if case == "canonize_trace" else "in.json")
+    if case == "gen":
+        write_spec(source)
+        args, flag = ["gen", "--spec-file", str(source), "--out", str(source)], "--out"
+    else:
+        source.write_text(dumps(instance_to_json(generate_instance(SPEC, 3))))
+        out = tmp_path / "t.json" if case == "canonize_trace" else source
+        args = ["canonize", "--in", str(source), "--out", str(out)]
+        if case == "canonize_trace":
+            args.append("--emit-trace")
+        flag = "--emit-trace" if case == "canonize_trace" else "--out"
+    before = source.read_bytes()
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2, r.output
+    assert f"{flag} path " in r.output and "would overwrite the input file" in r.output
+    assert source.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [source.name]
+
+
 @pytest.mark.parametrize("outputs", [["--out-csv", "rep.json"],
                                      ["--out-csv", "a.csv", "--out-json", "a.csv"],
                                      ["--out-csv", "a.csv", "--out-json", "./a.csv"]])
@@ -682,21 +704,54 @@ def test_verify_frobenius_norm_flag(runner, tmp_path, paper_pair_file, ex_m):
 
 @pytest.mark.parametrize("mode", ["fo", "focs", "rc"])
 def test_canonize_frobenius_norm_certificate(runner, tmp_path, mode):
+    # every gate decides in the spectral norm; verify measures in the other
     inst = generate_instance(SPEC, 3)
     inst_file = tmp_path / "inst.json"
     inst_file.write_text(dumps(instance_to_json(inst)))
     out = tmp_path / "basis.json"
     r = runner.invoke(main, ["canonize", "--in", str(inst_file), "--mode", mode,
-                             "--norm", "frobenius", "--out", str(out)])
+                             "--out", str(out)])
     assert r.exit_code == 0, r.output
     basis = basis_from_json(json.loads(out.read_text()))
     assert basis.role == mode
     cert, _ = certify(inst.a0, inst.h0, basis.matrix, SPEC, mode, norm="frobenius")
-    assert (basis.cert.similarity, basis.cert.congruence) == \
-        (cert.similarity, cert.congruence)
     r = runner.invoke(main, ["verify", "--in", str(inst_file), "--basis", str(out),
                              "--norm", "frobenius"])
     assert r.exit_code == 0, r.output
+    rows = dict(line.rsplit(None, 2)[:2] for line in r.output.splitlines())
+    assert (rows["similarity"], rows["congruence"]) == \
+        (f"{cert.similarity:.6e}", f"{cert.congruence:.6e}")
+    r = runner.invoke(main, ["canonize", "--in", str(inst_file), "--mode", mode,
+                             "--norm", "frobenius", "--out", str(tmp_path / "x.json")])
+    assert r.exit_code == 2, r.output
+    assert "No such option '--norm'" in r.output
+
+
+def test_canonize_help_states_the_gamma_each_mode_builds_at(runner):
+    # --mode fo --gamma 5 wrote the bytes of --mode fo, while the help said
+    # only rc mode ignores --gamma
+    r = runner.invoke(main, ["canonize", "--help"])
+    assert r.exit_code == 0, r.output
+    text = " ".join(r.output.split())
+    assert ("fo mode builds at gamma = 1 and rc mode at gamma = i, "
+            "and both ignore it") in text
+    assert "--norm" not in text
+
+
+def test_verify_frobenius_norm_gates_h_in_the_spectral_norm(runner, tmp_path):
+    # ||h - h*||_2 = 1.5e-10 > HERM_TOL ||h||_2, but the Frobenius gate,
+    # HERM_TOL ||h||_F = 2.8e-10, passed 2.1e-10
+    spec = JordanSpec((BlockSpec("real", 1.5, 8, 1),))
+    h = np.fliplr(np.eye(8))
+    h[0, 1], h[1, 0] = 0.75e-10, -0.75e-10
+    pair_file, basis_file = tmp_path / "pair.json", tmp_path / "m.json"
+    write_pair_file(pair_file, np.eye(8), h, spec)
+    basis_file.write_text(dumps(matrix_to_json(np.eye(8))))
+    for norm in ("spectral", "frobenius"):
+        r = runner.invoke(main, ["verify", "--in", str(pair_file), "--basis",
+                                 str(basis_file), "--norm", norm])
+        assert r.exit_code == 2, r.output
+        assert "NOT_HERMITIAN: h deviates from Hermitian by 1.500e-10" in r.output
 
 
 def test_verify_pair_with_non_hermitian_h_exits_2(runner, tmp_path, ex_a, ex_h,

@@ -80,7 +80,6 @@ def test_gate_norm_takes_the_svd_only_above_the_limit(monkeypatch):
     assert gate_norm(m, 4.5) == 4.0               # above it: the exact value
     assert gate_norm(m, 3.5) == 4.0
     assert spectral_calls == ["spectral", "spectral"]
-    assert gate_norm(m, 1.0, "frobenius") == 5.0
     assert gate_norm(np.zeros((0, 0)), 0.0) == 0.0
 
 

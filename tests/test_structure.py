@@ -311,6 +311,16 @@ def test_h_selfadjoint_rejects_nonhermitian_h():
         h_selfadjoint_residual(np.eye(2), np.array([[0.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+def test_h_selfadjoint_gates_hermitian_in_the_spectral_norm(norm):
+    # ||h - h*||_2 = 1.5e-10 > HERM_TOL ||h||_2; the Frobenius call gated
+    # 2.1e-10 against HERM_TOL ||h||_F = 2.8e-10 and returned a residual
+    h = np.fliplr(np.eye(8))
+    h[0, 1], h[1, 0] = 0.75e-10, -0.75e-10
+    with pytest.raises(NotHermitianError, match="by 1.500e-10"):
+        h_selfadjoint_residual(np.diag(np.arange(1.0, 9.0)), h, norm=norm)
+
+
 def test_h_selfadjoint_rejects_singular_h():
     with pytest.raises(SingularInnerProductError):
         h_selfadjoint_residual(np.eye(2), np.zeros((2, 2)))
