@@ -172,7 +172,9 @@ def gen(spec_file, seed, kind, gamma, out_file):
               callback=_check_tol, help="Certificate tolerance; finite and positive.")
 def canonize(in_file, mode, gamma, out_file, emit_trace, tol):
     """Construct a canonical basis for the pair in the input file."""
-    trace_file = str(Path(out_file).with_suffix(".trace.json"))
+    # Path.with_suffix raises on a path with no name, such as "."
+    out = Path(out_file)
+    trace_file = str(out.parent / f"{out.stem}.trace.json")
     _check_outputs(in_file, [("--out", out_file)]
                    + ([("--emit-trace", trace_file)] if emit_trace else []))
     obj = _load_json(in_file)

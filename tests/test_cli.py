@@ -787,7 +787,8 @@ def test_stability_rejected_experiment_exits_2(runner, tmp_path, args, message):
 
 
 @pytest.mark.parametrize("case", ["gen", "canonize", "canonize_onto_directory",
-                                  "canonize_trace", "stability_csv", "stability_json"])
+                                  "canonize_trace", "canonize_trace_of_no_name",
+                                  "stability_csv", "stability_json"])
 def test_unwritable_output_exits_2(runner, tmp_path, monkeypatch, paper_pair_file, case):
     # each ended in an OSError traceback with exit 1, stability only after
     # its whole experiment
@@ -799,6 +800,7 @@ def test_unwritable_output_exits_2(runner, tmp_path, monkeypatch, paper_pair_fil
     (tmp_path / "b.trace.json").mkdir()
     path = {"gen": missing / "x.json", "canonize": missing / "b.json",
             "canonize_onto_directory": occupied, "canonize_trace": tmp_path / "b.trace.json",
+            "canonize_trace_of_no_name": Path("."),
             "stability_csv": missing / "s.csv", "stability_json": missing / "s.json"}[case]
     canonize = ["canonize", "--in", str(paper_pair_file), "--out"]
     stability = ["stability", "--in", str(inst_file), "--trials", "1", "--out-csv"]
@@ -807,10 +809,13 @@ def test_unwritable_output_exits_2(runner, tmp_path, monkeypatch, paper_pair_fil
         "canonize": [*canonize, str(path)],
         "canonize_onto_directory": [*canonize, str(path)],
         "canonize_trace": [*canonize, str(tmp_path / "b.json"), "--emit-trace"],
+        # the trace path of "." raised a ValueError traceback
+        "canonize_trace_of_no_name": [*canonize, ".", "--emit-trace"],
         "stability_csv": [*stability, str(path)],
         "stability_json": [*stability, str(tmp_path / "s.csv"), "--out-json", str(path)],
     }[case]
     monkeypatch.setattr(cli, "estimate_lipschitz", raise_reached)
+    monkeypatch.chdir(tmp_path)
     r = runner.invoke(main, args)
     assert r.exit_code == 2, r.output
     assert isinstance(r.exception, SystemExit)
