@@ -606,26 +606,26 @@ def test_stability_refuses_to_overwrite_its_input(runner, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 
 
-@pytest.mark.parametrize("case", ["gen", "canonize", "canonize_trace"])
-def test_writers_refuse_to_overwrite_their_input(runner, tmp_path, case):
+@pytest.mark.parametrize("command, source, outputs, flag", [
+    ("gen", "s.json", ["--out", "s.json"], "--out"),
+    ("canonize", "copy.json", ["--out", "copy.json"], "--out"),
+    ("canonize", "t.trace.json", ["--out", "t.json", "--emit-trace"], "--emit-trace"),
+], ids=["gen", "canonize", "canonize_trace"])
+def test_writers_refuse_to_overwrite_their_input(runner, tmp_path, monkeypatch,
+                                                 command, source, outputs, flag):
     # each replaced its input and exited 0
-    source = tmp_path / ("t.trace.json" if case == "canonize_trace" else "in.json")
-    if case == "gen":
-        write_spec(source)
-        args, flag = ["gen", "--spec-file", str(source), "--out", str(source)], "--out"
+    monkeypatch.chdir(tmp_path)
+    if command == "gen":
+        write_spec(tmp_path / source)
     else:
-        source.write_text(dumps(instance_to_json(generate_instance(SPEC, 3))))
-        out = tmp_path / "t.json" if case == "canonize_trace" else source
-        args = ["canonize", "--in", str(source), "--out", str(out)]
-        if case == "canonize_trace":
-            args.append("--emit-trace")
-        flag = "--emit-trace" if case == "canonize_trace" else "--out"
-    before = source.read_bytes()
-    r = runner.invoke(main, args)
+        (tmp_path / source).write_text(dumps(instance_to_json(generate_instance(SPEC, 3))))
+    before = (tmp_path / source).read_bytes()
+    in_flag = "--spec-file" if command == "gen" else "--in"
+    r = runner.invoke(main, [command, in_flag, source, *outputs])
     assert r.exit_code == 2, r.output
     assert f"{flag} path " in r.output and "would overwrite the input file" in r.output
-    assert source.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == [source.name]
+    assert (tmp_path / source).read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [source]
 
 
 @pytest.mark.parametrize("outputs", [["--out-csv", "rep.json"],
