@@ -194,7 +194,8 @@ def canonize(in_file, mode, gamma, out_file, emit_trace, tol):
         _fail(4, f"{exc.code}: {exc}")
     _atomic_write(out_file, serialize.dumps(serialize.basis_to_json(basis)) + "\n")
     if emit_trace:
-        _atomic_write(trace_file, serialize.dumps(serialize.trace_to_json(trace)) + "\n")
+        _atomic_write(trace_file,
+                      serialize.dumps(serialize.trace_to_json(trace, basis.gamma)) + "\n")
         click.echo(f"trace written to {trace_file}")
     click.echo(f"{basis.role} basis written to {out_file} "
                f"(similarity {basis.cert.similarity:.3e}, "
@@ -262,15 +263,13 @@ def verify(in_file, basis_file, tol, expect, norm):
 @click.option("--trials", default=20, show_default=True, type=int)
 @click.option("--mode", type=click.Choice([MODE_STRICT, MODE_WEAK]),
               default=MODE_STRICT, show_default=True)
-@click.option("--kind", type=click.Choice([ROLE_FOCS, ROLE_RC]), default=None,
-              help="Defaults to the instance reference kind.")
 @click.option("--out-csv", required=True, type=click.Path())
 @click.option("--out-json", default=None, type=click.Path(),
               help="Summary JSON path, not the CSV's; defaults to the CSV path with .json.")
 @click.option("--jobs", default=1, show_default=True, type=int)
 @click.option("--norm", type=click.Choice(["spectral", "frobenius"]),
               default="spectral", show_default=True)
-def stability(in_file, deltas, trials, mode, kind, out_csv, out_json, jobs, norm):
+def stability(in_file, deltas, trials, mode, out_csv, out_json, jobs, norm):
     """Run the Lipschitz stability experiment for an instance file; exits 0
     only if the per-delta median ratios stay bounded across decades."""
     json_path = out_json or str(Path(out_csv).with_suffix(".json"))
@@ -286,7 +285,7 @@ def stability(in_file, deltas, trials, mode, kind, out_csv, out_json, jobs, norm
         _fail(2, "experiment rejected: deltas must be positive")
     try:
         report = estimate_lipschitz(inst, delta_list, trials, mode=mode,
-                                    kind=kind, jobs=jobs, norm=norm)
+                                    jobs=jobs, norm=norm)
     except TrialError as exc:
         _fail(4, str(exc))
     except (ValueError, CanonError) as exc:

@@ -470,8 +470,8 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     spec :func:`match_eigenvalues` returns for it.  ``chains`` is what
     ``jordan_chains(a, spec)`` returns, when the caller already has it.
 
-    Returns the basis and the pipeline trace (gauge already applied to the
-    chain factor and basis).
+    Returns the basis and the pipeline trace, with the gauge applied to its
+    chain factor.
     """
     kind = t0.role
     if kind not in (ROLE_FOCS, ROLE_RC):
@@ -499,9 +499,7 @@ def anchored_canonize(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
     basis = replace(basis, matrix=new_mat,
                     gamma=gamma_out if kind == ROLE_FOCS else basis.gamma,
                     cert=replace(basis.cert, cs_residual=cs_res))
-    trace = replace(trace, chain_factor=trace.chain_factor @ gauge,
-                    basis=trace.basis @ gauge, gamma=basis.gamma)
-    return basis, trace
+    return basis, replace(trace, chain_factor=trace.chain_factor @ gauge)
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,8 @@ class CanonicalBasis:
 
 @dataclass(frozen=True)
 class PipelineTrace:
-    """All four factors and intermediate Grams of one basis construction."""
+    """The four factors and three intermediate Grams of one basis
+    construction; the FOCS basis is their product ``Z1 Z2 Z3 Z4``."""
 
     chain_factor: np.ndarray      # Z1
     phase_factor: np.ndarray      # Z2
@@ -145,8 +146,6 @@ class PipelineTrace:
     gram_raw: np.ndarray
     gram_phased: np.ndarray
     gram_scaled: np.ndarray
-    basis: np.ndarray
-    gamma: complex
 
 
 def phase_step(anchor: GramAnchor, p: int) -> np.ndarray:
@@ -416,6 +415,5 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         eps=tuple(b.sign for b in spec.blocks))
     trace = PipelineTrace(
         chain_factor=z1, phase_factor=z2, scale_factor=z3, flip_factor=z4,
-        gram_raw=gram0, gram_phased=gram1, gram_scaled=gram2,
-        basis=basis_mat, gamma=gamma_out)
+        gram_raw=gram0, gram_phased=gram1, gram_scaled=gram2)
     return basis, trace

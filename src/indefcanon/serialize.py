@@ -161,7 +161,8 @@ def instance_from_json(obj: dict) -> Instance:
     return load_instance(spec, a0, h0, t0, seed)
 
 
-def trace_to_json(trace: PipelineTrace) -> dict:
+def trace_to_json(trace: PipelineTrace, gamma: complex | None) -> dict:
+    """Factors and Grams, their product as ``basis``, and its scalar ``gamma``."""
     return {
         "chain_factor": matrix_to_json(trace.chain_factor),
         "phase_factor": matrix_to_json(trace.phase_factor),
@@ -170,8 +171,9 @@ def trace_to_json(trace: PipelineTrace) -> dict:
         "gram_raw": matrix_to_json(trace.gram_raw),
         "gram_phased": matrix_to_json(trace.gram_phased),
         "gram_scaled": matrix_to_json(trace.gram_scaled),
-        "basis": matrix_to_json(trace.basis),
-        "gamma": _complex_to_json(trace.gamma),
+        "basis": matrix_to_json(trace.chain_factor @ trace.phase_factor
+                                @ trace.scale_factor @ trace.flip_factor),
+        "gamma": _complex_to_json(gamma),
     }
 
 

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .linalg import (
     RCOND_FLOOR,
-    exchange,
     gate_norm,
     mat_norm,
     mat_norms,
@@ -119,17 +118,6 @@ class JordanSpec:
         return self._offsets
 
 
-def _block_diag(cells: list[np.ndarray], dtype) -> np.ndarray:
-    n = sum(c.shape[0] for c in cells)
-    out = np.zeros((n, n), dtype=dtype)
-    off = 0
-    for c in cells:
-        k = c.shape[0]
-        out[off:off + k, off:off + k] = c
-        off += k
-    return out
-
-
 def _scatter(n: int, dtype, rows: list[int], cols: list[int], vals: list) -> np.ndarray:
     """n x n zeros with ``vals`` at the positions ``(rows, cols)``."""
     out = np.zeros((n, n), dtype=dtype)
@@ -181,13 +169,13 @@ def sip_form(spec: JordanSpec) -> np.ndarray:
     """Canonical Gram matrix: signed anti-identity per real block, plain
     anti-identity of double size per pair block.  Real, symmetric, and an
     involution (``P @ P = I`` exactly)."""
-    cells = []
-    for b in spec.blocks:
-        if b.kind == REAL:
-            cells.append(b.sign * exchange(b.size))
-        else:
-            cells.append(exchange(2 * b.size))
-    return _block_diag(cells, float)
+    rows, cols, vals = [], [], []
+    for off, b in spec.offsets():
+        k = range(off, off + b.width)
+        rows += k
+        cols += reversed(k)
+        vals += [1.0 if b.kind == PAIR else float(b.sign)] * b.width
+    return _scatter(spec.total_size, float, rows, cols, vals)
 
 
 @_form
@@ -232,21 +220,20 @@ def mixing_matrix(spec: JordanSpec) -> np.ndarray:
     ``(1, -i)/sqrt(2)`` at columns ``2i, 2i+1``, row ``i`` of the bottom half
     carries ``(-i, 1)/sqrt(2)`` there.
     """
-    cells = []
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for b in spec.blocks:
+    rows, cols, vals = [], [], []
+    s = 1.0 / np.sqrt(2.0)
+    for off, b in spec.offsets():
         if b.kind == REAL:
-            cells.append(np.eye(b.size, dtype=complex))
+            rows += range(off, off + b.size)
+            cols += range(off, off + b.size)
+            vals += [1.0] * b.size
             continue
-        p = b.size
-        cell = np.zeros((2 * p, 2 * p), dtype=complex)
-        for i in range(p):
-            cell[i, 2 * i] = 1.0
-            cell[i, 2 * i + 1] = -1.0j
-            cell[p + i, 2 * i] = -1.0j
-            cell[p + i, 2 * i + 1] = 1.0
-        cells.append(cell * inv_sqrt2)
-    return _block_diag(cells, complex)
+        for i in range(b.size):
+            top, bottom, c = off + i, off + b.size + i, off + 2 * i
+            rows += [top, top, bottom, bottom]
+            cols += [c, c + 1, c, c + 1]
+            vals += [s, complex(0.0, -s), complex(0.0, -s), s]
+    return _scatter(spec.total_size, complex, rows, cols, vals)
 
 
 def mixing_matrix_inv(spec: JordanSpec) -> np.ndarray:

@@ -528,7 +528,7 @@ def test_weak_stability_reports_the_same_bytes_whatever_the_blas_threads(tmp_pat
     for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
         out = tmp_path / f"run{len(outputs)}"
         r = subprocess.run([sys.executable, "-m", "indefcanon.cli", "stability",
-                            "--in", str(inst_file), "--mode", "weak", "--kind", "rc",
+                            "--in", str(inst_file), "--mode", "weak",
                             "--trials", "2", "--jobs", "2", "--out-csv", f"{out}.csv",
                             "--out-json", f"{out}.json"],
                            env={**env, **threads}, capture_output=True, text=True)
@@ -770,7 +770,7 @@ def test_verify_pair_with_non_hermitian_h_exits_2(runner, tmp_path, ex_a, ex_h,
 @pytest.mark.parametrize("args, message", [
     (["--deltas", "1e-4,1e-3"], "deltas must be strictly decreasing"),
     (["--deltas", "0.1,1e-3"], "deltas must not exceed 0.05"),
-    (["--kind", "rc"], "requested kind 'rc' but the instance reference basis has role 'focs'"),
+    (["--deltas", "nan"], "deltas must be finite and nonnegative"),
     # a zero delta has only degenerate trials, which decided the verdict
     (["--deltas", "1e-3,1e-4,0"], "deltas must be positive"),
     (["--jobs", "0"], "jobs must be >= 1"),
@@ -936,6 +936,19 @@ def test_environment_variable_overrides(runner, tmp_path):
                              "--seed", "9", "--out", str(out_direct)])
     assert r.exit_code == 0
     assert out.read_bytes() == out_direct.read_bytes()
+
+
+def test_stability_takes_its_kind_from_the_instance(runner, tmp_path):
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(dumps(instance_to_json(generate_instance(SPEC, 3, kind="rc"))))
+    args = ["stability", "--in", str(inst_file), "--trials", "1", "--deltas", "1e-3",
+            "--out-csv", str(tmp_path / "x.csv")]
+    r = runner.invoke(main, args + ["--kind", "rc"])
+    assert r.exit_code == 2, r.output
+    assert "No such option" in r.output
+    r = runner.invoke(main, args)
+    assert r.exit_code == 0, r.output
+    assert json.loads((tmp_path / "x.json").read_text())["kind"] == "rc"
 
 
 # ---------------------------------------------------------------------------

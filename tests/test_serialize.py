@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from indefcanon import BlockSpec, JordanSpec, estimate_lipschitz, generate_instance
+from indefcanon.linalg import matrix_to_json
 from indefcanon.serialize import (
     basis_from_json,
     basis_to_json,
@@ -103,13 +104,13 @@ def _wire_objects():
     infinity, a signed zero and a non-ASCII role."""
     from indefcanon import focs_basis
     inst = generate_instance(SPEC, 6)
-    _, trace = focs_basis(inst.a0, inst.h0, SPEC)
+    basis, trace = focs_basis(inst.a0, inst.h0, SPEC)
     report = estimate_lipschitz(inst, [1e-3, 1e-4], 2, mode="weak")
     odd = replace(inst.t0, role="fo\u03b3", gamma=complex(float("nan"), -0.0),
                   matrix=np.array([[np.nan, -0.0], [np.inf, 5e-324]]),
                   cert=replace(inst.t0.cert, cs_residual=float("inf")))
     return {"instance": instance_to_json(inst), "basis": basis_to_json(inst.t0),
-            "trace": trace_to_json(trace), "summary": report_summary_json(report),
+            "trace": trace_to_json(trace, basis.gamma), "summary": report_summary_json(report),
             "odd_basis": basis_to_json(odd)}
 
 
@@ -125,11 +126,14 @@ def test_dumps_is_the_stdlib_encoder_and_round_trips(name):
 def test_trace_serializes():
     from indefcanon import focs_basis
     inst = generate_instance(SPEC, 6)
-    _, trace = focs_basis(inst.a0, inst.h0, SPEC)
-    obj = trace_to_json(trace)
+    basis, trace = focs_basis(inst.a0, inst.h0, SPEC)
+    obj = trace_to_json(trace, basis.gamma)
     assert {"chain_factor", "phase_factor", "scale_factor", "flip_factor",
             "gram_raw", "gram_phased", "gram_scaled", "basis", "gamma"} <= set(obj)
     json.dumps(obj)  # must be plain JSON types
+    # the basis is the product of the factors, to the bit
+    assert obj["basis"] == matrix_to_json(basis.matrix)
+    assert obj["gamma"] == [basis.gamma.real, basis.gamma.imag]
 
 
 def test_report_csv_schema_strict():
