@@ -9,8 +9,10 @@ Exit codes follow a fixed contract so the commands are scriptable:
 * 4  basis construction failed (the pipeline error name is printed)
 
 All output files are written atomically (temp file, then rename); all
-floating-point values round-trip at full precision.  Every flag can also be
-set through an ``INDEFCANON_``-prefixed environment variable.
+floating-point values round-trip at full precision.  Every option can also
+be set through an environment variable named ``INDEFCANON_<COMMAND>_<PARAM>``
+after the option's parameter name (``--out`` of ``gen`` is
+``INDEFCANON_GEN_OUT_FILE``); a prefixed variable that names no option exits 2.
 """
 
 from __future__ import annotations
@@ -125,11 +127,27 @@ def _load_pair(obj: dict):
     return a, h, spec, None
 
 
+def _check_environment(ctx: click.Context) -> None:
+    """Exit 2 on an environment variable with the group's prefix that names
+    no option.  Click reads ``<PREFIX>_<COMMAND>_<PARAM>`` for each option
+    of a command, from the parameter's name, and ignores any other name."""
+    prefix = ctx.auto_envvar_prefix
+    known = {f"{prefix}_{p.name}".upper() for p in ctx.command.get_params(ctx)}
+    for name, cmd in ctx.command.commands.items():
+        known |= {f"{prefix}_{name}_{p.name}".upper().replace("-", "_")
+                  for p in cmd.get_params(ctx) if isinstance(p, click.Option)}
+    for var in sorted(os.environ):
+        if var.startswith(f"{prefix}_") and var not in known:
+            _fail(2, f"environment variable {var} names no option of any command")
+
+
 @click.group(context_settings={"auto_envvar_prefix": "INDEFCANON"})
 @click.version_option(__version__)
-def main():
+@click.pass_context
+def main(ctx):
     """Canonical Jordan bases of real H-selfadjoint pairs, with stability
     experiments under structure-preserving perturbations."""
+    _check_environment(ctx)
 
 
 @main.command()

@@ -938,6 +938,26 @@ def test_environment_variable_overrides(runner, tmp_path):
     assert out.read_bytes() == out_direct.read_bytes()
 
 
+@pytest.mark.parametrize("var, value", [
+    # a misspelled name wrote the seed-0 instance and exited 0
+    ("INDEFCANON_GEN_SEEED", "9"),
+    # options that are gone: canonize decides in the spectral norm, and
+    # stability takes its kind from the instance
+    ("INDEFCANON_CANONIZE_NORM", "frobenius"),
+    ("INDEFCANON_STABILITY_KIND", "rc"),
+    # click names the variable after the parameter, out_file, not the flag
+    ("INDEFCANON_GEN_OUT", "other.json"),
+])
+def test_environment_variable_naming_no_option_exits_2(runner, tmp_path, var, value):
+    spec_file = tmp_path / "spec.json"
+    write_spec(spec_file)
+    r = runner.invoke(main, ["gen", "--spec-file", str(spec_file),
+                             "--out", str(tmp_path / "inst.json")], env={var: value})
+    assert r.exit_code == 2, r.output
+    assert f"environment variable {var} names no option" in r.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
 def test_stability_takes_its_kind_from_the_instance(runner, tmp_path):
     inst_file = tmp_path / "inst.json"
     inst_file.write_text(dumps(instance_to_json(generate_instance(SPEC, 3, kind="rc"))))
