@@ -93,8 +93,8 @@ RATIO_LIMIT = 2.0
 class Instance:
     """A generated pair with its reference basis; the unit of experiment.
 
-    ``w`` is the generating similarity drawn from ``(spec, seed)``;
-    perturbations act on it.
+    ``w`` is the generating similarity drawn from ``(spec, seed)``, or
+    the one stored with the instance; perturbations act on it.
     """
 
     spec: JordanSpec
@@ -209,19 +209,24 @@ def generate_instance(spec: JordanSpec, seed: int, *,
 
 
 def load_instance(spec: JordanSpec, a0: np.ndarray, h0: np.ndarray,
-                  t0: CanonicalBasis, seed: int) -> Instance:
-    """Instance from stored parts, checked against the pair its seed generates.
+                  t0: CanonicalBasis, seed: int,
+                  w: np.ndarray | None = None) -> Instance:
+    """Instance from stored parts, checked against the pair its generating
+    similarity rebuilds.
 
-    The generating similarity is redrawn once from ``(spec, seed)`` and kept,
-    so trials perturb the stored pair without redrawing it.  Matrix sizes
+    The similarity is the stored ``w``; without one it is redrawn once from
+    ``(spec, seed)``, which draws another similarity for some seeds under
+    another BLAS kernel.  It is kept, so trials perturb the stored pair
+    without redrawing it; the seed still seeds the trials.  Matrix sizes
     are the caller's to check.
 
     Raises
     ------
     ValueError
-        When ``spec`` fails :func:`validate_experiment_spec`, the redrawn
+        When ``spec`` fails :func:`validate_experiment_spec`, the rebuilt
         pair differs from ``(a0, h0)`` beyond :data:`SELFADJ_TOL` relative to
-        its norm, no similarity can be drawn from the seed, ``t0`` has a role
+        its norm, ``w`` is numerically singular, no similarity can be drawn
+        from the seed, ``t0`` has a role
         other than ``focs`` or ``rc``, its residuals against the pair miss
         :data:`INSTANCE_TOL`, its conjugate-symmetry residual misses
         ``CS_TOL * max(1, ||t0||)``, (``rc``) its imaginary part misses
@@ -230,14 +235,23 @@ def load_instance(spec: JordanSpec, a0: np.ndarray, h0: np.ndarray,
         its matrix fits.
     """
     validate_experiment_spec(spec)
-    try:
-        w, a, h = _draw_similarity(spec, seed)
-    except RetryExhaustedError as exc:
-        raise ValueError(f"seed {seed} generates no pair: {exc}") from exc
+    if w is None:
+        try:
+            w, a, h = _draw_similarity(spec, seed)
+        except RetryExhaustedError as exc:
+            raise ValueError(f"seed {seed} generates no pair: {exc}") from exc
+        source = f"seed {seed}"
+    else:
+        try:
+            a, h = _rebuild_pair(w, real_jordan_form(spec), sip_form(spec))
+        except CanonError as exc:
+            raise ValueError(f"W generates no pair: {exc}") from exc
+        source = "W"
     gap = mat_norm(a - a0) + mat_norm(h - h0)
-    if gap > SELFADJ_TOL * max(1.0, mat_norm(a) + mat_norm(h)):
+    # a NaN gap, from a W whose pair overflows, fails too
+    if not gap <= SELFADJ_TOL * max(1.0, mat_norm(a) + mat_norm(h)):
         raise ValueError(
-            f"A0/H0 differ by {gap:.3e} from the pair that seed {seed} generates")
+            f"A0/H0 differ by {gap:.3e} from the pair that {source} generates")
     if t0.role not in (ROLE_FOCS, ROLE_RC):
         raise ValueError(f"T0 has role {t0.role!r}, not {ROLE_FOCS!r} or {ROLE_RC!r}")
     cert, gamma = certify(a0, h0, t0.matrix, spec, t0.role)

@@ -136,20 +136,22 @@ def instance_to_json(inst: Instance) -> dict:
         "spec": spec_to_json(inst.spec),
         "A0": matrix_to_json(inst.a0),
         "H0": matrix_to_json(inst.h0),
+        "W": matrix_to_json(inst.w),
         "T0": basis_to_json(inst.t0),
         "seed": inst.seed,
     }
 
 
 def instance_from_json(obj: dict) -> Instance:
-    """Decode an instance and check it against the pair its seed generates
-    (see :func:`harness.load_instance`); any defect raises ``ValueError``."""
+    """Decode an instance and check it against the pair its stored ``W``
+    rebuilds, or without one the pair its seed generates (see
+    :func:`harness.load_instance`); any defect raises ``ValueError``."""
     try:
         spec = spec_from_json(obj["spec"])
-        a0 = matrix_from_json(obj["A0"])
-        h0 = matrix_from_json(obj["H0"])
+        names = ("A0", "H0", "W") if "W" in obj else ("A0", "H0")
+        mats = {name: matrix_from_json(obj[name]) for name in names}
         # the experiment's verdict must be about the pair in the file
-        for name, m in (("A0", a0), ("H0", h0)):
+        for name, m in mats.items():
             if np.iscomplexobj(m):
                 raise ValueError(f"{name} must be real, but has an imaginary part "
                                  f"of {max_imag(m):.3e}")
@@ -157,8 +159,8 @@ def instance_from_json(obj: dict) -> Instance:
         seed = require_int(obj["seed"], "seed", 0)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance object: {exc}") from exc
-    check_sizes(spec, A0=a0, H0=h0, T0=t0.matrix)
-    return load_instance(spec, a0, h0, t0, seed)
+    check_sizes(spec, **mats, T0=t0.matrix)
+    return load_instance(spec, mats["A0"], mats["H0"], t0, seed, mats.get("W"))
 
 
 def trace_to_json(trace: PipelineTrace, gamma: complex | None) -> dict:

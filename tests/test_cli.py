@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -389,6 +390,8 @@ def _probe(obj, key):
         # trials would be built with 2 against a T0 that fits 1
         obj["T0"]["gamma"] = [2.0, 0.0]
     elif key == "seed":
+        # a file without W is checked against the pair its seed generates
+        del obj["W"]
         obj["seed"] = 4
     elif key == "seed_fractional":
         obj["seed"] = 3.9
@@ -404,6 +407,12 @@ def _probe(obj, key):
         obj["H0"] = matrix_to_json(h)
     elif key == "a0_identity":
         obj["A0"] = matrix_to_json(np.eye(n))
+    elif key == "w_of_another_seed":
+        obj["W"] = instance_to_json(generate_instance(SPEC, 4))["W"]
+    elif key == "w_singular":
+        obj["W"] = matrix_to_json(np.zeros((n, n)))
+    elif key == "w_wrong_size":
+        obj["W"] = matrix_to_json(np.eye(n - 1))
     elif key == "t0_zero":
         obj["T0"]["matrix"] = matrix_to_json(np.zeros((n, n)))
     elif key == "a0_numeric_string":
@@ -418,8 +427,8 @@ def _probe(obj, key):
         obj["T0"]["gamma"] = True
     elif key == "spec_lambda_string":
         obj["spec"]["blocks"][0]["lambda"] = "1.5"
-    elif key in ("a0_complex", "h0_complex"):
-        name = key[:2].upper()
+    elif key in ("a0_complex", "h0_complex", "w_complex"):
+        name = key.split("_")[0].upper()
         obj[name] = matrix_to_json(matrix_from_json(obj[name]) + 1e-3j)
     elif key == "t0_entry_1e308":
         t0 = matrix_from_json(obj["T0"]["matrix"])
@@ -437,10 +446,16 @@ def _probe(obj, key):
     pytest.param("seed_fractional", "seed must be an integer, got 3.9", id="seed_fractional"),
     pytest.param("seed_string", "seed must be an integer, got '3'", id="seed_string"),
     pytest.param("seed_negative", "seed must be at least 0, got -1", id="seed_negative"),
-    pytest.param("h0_zero", "from the pair that seed 3 generates", id="h0_zero"),
-    pytest.param("h0_nonsymmetric", "from the pair that seed 3 generates",
+    pytest.param("h0_zero", "from the pair that W generates", id="h0_zero"),
+    pytest.param("h0_nonsymmetric", "from the pair that W generates",
                  id="h0_nonsymmetric"),
-    pytest.param("a0_identity", "from the pair that seed 3 generates", id="a0_identity"),
+    pytest.param("a0_identity", "from the pair that W generates", id="a0_identity"),
+    pytest.param("w_of_another_seed", "from the pair that W generates",
+                 id="w_of_another_seed"),
+    pytest.param("w_singular", "W generates no pair: ", id="w_singular"),
+    pytest.param("w_wrong_size", "W is 5x5, but the spec needs 6x6", id="w_wrong_size"),
+    pytest.param("w_complex", "W must be real, but has an imaginary part of 1.000e-03",
+                 id="w_complex"),
     pytest.param("t0_zero", "t must be nonzero", id="t0_zero"),
     pytest.param("t0_scaled", "T0 misses the instance gate", id="t0_scaled"),
     pytest.param("t0_entry_1e308", "T0 misses the instance gate: similarity inf",
@@ -563,8 +578,11 @@ def test_gen_writes_the_same_bytes_whatever_the_blas_threads(tmp_path):
 
 
 def test_instance_seed_without_a_similarity_exits_2(runner, tmp_path, monkeypatch):
+    # a file without W redraws it from the seed
+    obj = instance_to_json(generate_instance(SPEC, 3))
+    del obj["W"]
     inst_file = tmp_path / "inst.json"
-    inst_file.write_text(dumps(instance_to_json(generate_instance(SPEC, 3))))
+    inst_file.write_text(dumps(obj))
     monkeypatch.setattr(harness, "MAX_DRAWS", 0)
     r = runner.invoke(main, ["stability", "--in", str(inst_file), "--trials", "1",
                              "--out-csv", str(tmp_path / "x.csv")])
@@ -969,6 +987,38 @@ def test_stability_takes_its_kind_from_the_instance(runner, tmp_path):
     r = runner.invoke(main, args)
     assert r.exit_code == 0, r.output
     assert json.loads((tmp_path / "x.json").read_text())["kind"] == "rc"
+
+
+def test_instance_file_loads_under_another_blas_kernel(tmp_path):
+    # strict catalogue entry 18 draws another W under these two kernels, so
+    # the redraw from its seed refused the file of the other kernel
+    if not harness._openblas_threads():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the Haswell and Sandybridge kernels are x86-64 ones")
+    ref = json.loads(REFERENCE.read_text())["stability-strict"]
+    entry = ref["entries"][18]
+    assert (entry["n"], entry["seed"]) == (14, 1285401995)
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(dumps(entry["spec"]))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def run(kernel, *args):
+        return subprocess.run([sys.executable, "-m", "indefcanon.cli", *args],
+                              env={**env, "OPENBLAS_CORETYPE": kernel},
+                              capture_output=True, text=True)
+
+    ws = []
+    for kernel in ("Haswell", "Sandybridge"):
+        r = run(kernel, "gen", "--spec-file", str(spec_file), "--seed", str(entry["seed"]),
+                "--out", str(tmp_path / f"{kernel}.json"))
+        assert r.returncode == 0, r.stderr
+        ws.append(json.loads((tmp_path / f"{kernel}.json").read_text())["W"])
+    assert ws[0] != ws[1]
+    r = run("Sandybridge", "stability", "--in", str(tmp_path / "Haswell.json"),
+            "--trials", "1", "--deltas", "1e-3", "--out-csv", str(tmp_path / "r.csv"))
+    assert r.returncode == 0, r.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,17 @@ def test_instance_roundtrip_and_determinism():
 def test_instance_json_field_names():
     inst = generate_instance(SPEC, 5)
     obj = instance_to_json(inst)
-    assert set(obj) == {"spec", "A0", "H0", "T0", "seed"}
+    assert set(obj) == {"spec", "A0", "H0", "W", "T0", "seed"}
+
+
+@pytest.mark.parametrize("stored_w", [True, False])
+def test_instance_keeps_its_similarity_with_or_without_w(stored_w):
+    # a file without W, as earlier versions wrote it, redraws W from its seed
+    inst = generate_instance(SPEC, 5)
+    obj = json.loads(dumps(instance_to_json(inst)))
+    if not stored_w:
+        del obj["W"]
+    assert instance_from_json(obj).w.tobytes() == inst.w.tobytes()
 
 
 def test_basis_roundtrip():
