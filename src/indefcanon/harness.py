@@ -30,7 +30,14 @@ from .errors import (
     TrialError,
 )
 from .chains import fit_chain_to, jordan_chains
-from .linalg import check_norm_kind, gate_norm, mat_norm, mat_norms, refined_inverse
+from .linalg import (
+    check_norm_kind,
+    gate_norm,
+    mat_norm,
+    mat_norms,
+    refined_inverse,
+    require_finite,
+)
 from .pipeline import (
     ROLE_FOCS,
     ROLE_RC,
@@ -243,13 +250,17 @@ def load_instance(spec: JordanSpec, a0: np.ndarray, h0: np.ndarray,
         source = f"seed {seed}"
     else:
         try:
-            a, h = _rebuild_pair(w, real_jordan_form(spec), sip_form(spec))
-        except CanonError as exc:
+            # a W far from unit scale rebuilds a pair that overflows, and an
+            # infinite pair would make the gap's limit infinite
+            with np.errstate(over="ignore", invalid="ignore"):
+                a, h = _rebuild_pair(w, real_jordan_form(spec), sip_form(spec))
+            require_finite(a, "its A0")
+            require_finite(h, "its H0")
+        except (CanonError, ValueError) as exc:
             raise ValueError(f"W generates no pair: {exc}") from exc
         source = "W"
     gap = mat_norm(a - a0) + mat_norm(h - h0)
-    # a NaN gap, from a W whose pair overflows, fails too
-    if not gap <= SELFADJ_TOL * max(1.0, mat_norm(a) + mat_norm(h)):
+    if gap > SELFADJ_TOL * max(1.0, mat_norm(a) + mat_norm(h)):
         raise ValueError(
             f"A0/H0 differ by {gap:.3e} from the pair that {source} generates")
     if t0.role not in (ROLE_FOCS, ROLE_RC):

@@ -411,6 +411,10 @@ def _probe(obj, key):
         obj["W"] = instance_to_json(generate_instance(SPEC, 4))["W"]
     elif key == "w_singular":
         obj["W"] = matrix_to_json(np.zeros((n, n)))
+    elif key == "w_tiny":
+        # W and 1e-300 W rebuild one A0, but the H0 of the latter overflows,
+        # and the gap to an infinite pair had an infinite limit
+        obj["W"] = matrix_to_json(1e-300 * matrix_from_json(obj["W"]))
     elif key == "w_wrong_size":
         obj["W"] = matrix_to_json(np.eye(n - 1))
     elif key == "t0_zero":
@@ -453,6 +457,8 @@ def _probe(obj, key):
     pytest.param("w_of_another_seed", "from the pair that W generates",
                  id="w_of_another_seed"),
     pytest.param("w_singular", "W generates no pair: ", id="w_singular"),
+    pytest.param("w_tiny", "W generates no pair: its H0 contains non-finite entries",
+                 id="w_tiny"),
     pytest.param("w_wrong_size", "W is 5x5, but the spec needs 6x6", id="w_wrong_size"),
     pytest.param("w_complex", "W must be real, but has an imaginary part of 1.000e-03",
                  id="w_complex"),
