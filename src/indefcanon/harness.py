@@ -232,8 +232,8 @@ def load_instance(spec: JordanSpec, a0: np.ndarray, h0: np.ndarray,
     ValueError
         When ``spec`` fails :func:`validate_experiment_spec`, the rebuilt
         pair differs from ``(a0, h0)`` beyond :data:`SELFADJ_TOL` relative to
-        its norm, ``w`` is numerically singular, no similarity can be drawn
-        from the seed, ``t0`` has a role
+        its norm, ``w`` is numerically singular or rebuilds a pair that is
+        not finite, no similarity can be drawn from the seed, ``t0`` has a role
         other than ``focs`` or ``rc``, its residuals against the pair miss
         :data:`INSTANCE_TOL`, its conjugate-symmetry residual misses
         ``CS_TOL * max(1, ||t0||)``, (``rc``) its imaginary part misses
