@@ -77,6 +77,13 @@ def _check_outputs(in_file: str, outputs: list[tuple[str, str]]) -> None:
                          "name one file")
 
 
+def _sibling(path: str, suffix: str) -> str:
+    """The file beside ``path`` named by its stem and ``suffix``; unlike
+    ``Path.with_suffix``, it does not raise on a path with no name, such as "."."""
+    p = Path(path)
+    return str(p.parent / f"{p.stem}{suffix}")
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -116,7 +123,7 @@ def _load_pair(obj: dict):
     """Accept either a full instance file or a bare {A, H, spec} file."""
     if "A0" in obj:
         inst = serialize.instance_from_json(obj)
-        return inst.a0, inst.h0, inst.spec, inst
+        return inst.a0, inst.h0, inst.spec
     try:
         a = serialize.matrix_from_json(obj["A"])
         h = serialize.matrix_from_json(obj["H"])
@@ -124,7 +131,7 @@ def _load_pair(obj: dict):
     except (KeyError, ValueError) as exc:
         raise ValueError(f"input file is neither an instance nor an (A, H, spec) file: {exc}")
     serialize.check_sizes(spec, A=a, H=h)
-    return a, h, spec, None
+    return a, h, spec
 
 
 def _check_environment(ctx: click.Context) -> None:
@@ -190,14 +197,12 @@ def gen(spec_file, seed, kind, gamma, out_file):
               callback=_check_tol, help="Certificate tolerance; finite and positive.")
 def canonize(in_file, mode, gamma, out_file, emit_trace, tol):
     """Construct a canonical basis for the pair in the input file."""
-    # Path.with_suffix raises on a path with no name, such as "."
-    out = Path(out_file)
-    trace_file = str(out.parent / f"{out.stem}.trace.json")
+    trace_file = _sibling(out_file, ".trace.json")
     _check_outputs(in_file, [("--out", out_file)]
                    + ([("--emit-trace", trace_file)] if emit_trace else []))
     obj = _load_json(in_file)
     try:
-        a, h, spec, _ = _load_pair(obj)
+        a, h, spec = _load_pair(obj)
         g = _parse_gamma(gamma)
     except (ValueError, click.BadParameter) as exc:
         _fail(2, str(exc))
@@ -236,7 +241,7 @@ def verify(in_file, basis_file, tol, expect, norm):
     obj = _load_json(in_file)
     bobj = _load_json(basis_file)
     try:
-        a, h, spec, _ = _load_pair(obj)
+        a, h, spec = _load_pair(obj)
         if "matrix" in bobj:
             basis = serialize.basis_from_json(bobj)
             t, role = basis.matrix, basis.role
@@ -290,7 +295,7 @@ def verify(in_file, basis_file, tol, expect, norm):
 def stability(in_file, deltas, trials, mode, out_csv, out_json, jobs, norm):
     """Run the Lipschitz stability experiment for an instance file; exits 0
     only if the per-delta median ratios stay bounded across decades."""
-    json_path = out_json or str(Path(out_csv).with_suffix(".json"))
+    json_path = out_json or _sibling(out_csv, ".json")
     _check_outputs(in_file, [("--out-csv", out_csv), ("--out-json", json_path)])
     obj = _load_json(in_file)
     try:

@@ -100,8 +100,9 @@ RATIO_LIMIT = 2.0
 class Instance:
     """A generated pair with its reference basis; the unit of experiment.
 
-    ``w`` is the generating similarity drawn from ``(spec, seed)``, or
-    the one stored with the instance; perturbations act on it.
+    ``w`` is the generating similarity, drawn from ``(spec, seed)`` and
+    stored with the instance; perturbations act on it.  A loaded instance's
+    ``seed`` only seeds its trials.
     """
 
     spec: JordanSpec
@@ -151,16 +152,16 @@ def validate_experiment_spec(spec: JordanSpec) -> None:
                     "distinct eigenvalue is required")
 
 
-def _rebuild_pair(w: np.ndarray, jr: np.ndarray,
-                  p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real pair ``(w jr w^-1, w^-T p w^-1)`` from a generating similarity.
+def _rebuild_pair(w: np.ndarray, spec: JordanSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Real pair ``(w J_R w^-1, w^-T P w^-1)`` of ``spec``'s real Jordan and
+    sip forms from a generating similarity.
 
     Both products share one refined inverse and the Gram side is symmetrized
     exactly, keeping the selfadjointness defect at the rounding floor.
     """
     v = refined_inverse(w)
-    a = w @ jr @ v
-    h = v.T @ p @ v
+    a = w @ real_jordan_form(spec) @ v
+    h = v.T @ sip_form(spec) @ v
     return a, (h + h.T) / 2.0
 
 
@@ -179,14 +180,12 @@ def _draw_similarity(spec: JordanSpec,
     so the procedure is a pure function of ``(spec, seed)``.
     """
     n = spec.total_size
-    jr = real_jordan_form(spec)
-    p = sip_form(spec)
     rng = np.random.default_rng(seed)
     for _ in range(MAX_DRAWS):
         w = rng.uniform(-1.0, 1.0, (n, n))
         if np.linalg.cond(w) >= COND_LIMIT:
             continue
-        a0, h0 = _rebuild_pair(w, jr, p)
+        a0, h0 = _rebuild_pair(w, spec)
         if _selfadj_defect(a0, h0) > SELFADJ_TOL:
             continue
         return w, a0, h0
@@ -216,16 +215,12 @@ def generate_instance(spec: JordanSpec, seed: int, *,
 
 
 def load_instance(spec: JordanSpec, a0: np.ndarray, h0: np.ndarray,
-                  t0: CanonicalBasis, seed: int,
-                  w: np.ndarray | None = None) -> Instance:
-    """Instance from stored parts, checked against the pair its generating
-    similarity rebuilds.
+                  t0: CanonicalBasis, seed: int, w: np.ndarray) -> Instance:
+    """Instance from stored parts, checked against the pair that its stored
+    generating similarity ``w`` rebuilds.
 
-    The similarity is the stored ``w``; without one it is redrawn once from
-    ``(spec, seed)``, which draws another similarity for some seeds under
-    another BLAS kernel.  It is kept, so trials perturb the stored pair
-    without redrawing it; the seed still seeds the trials.  Matrix sizes
-    are the caller's to check.
+    ``w`` is kept, so trials perturb the stored pair without redrawing it;
+    ``seed`` only seeds the trials.  Matrix sizes are the caller's to check.
 
     Raises
     ------
@@ -233,36 +228,26 @@ def load_instance(spec: JordanSpec, a0: np.ndarray, h0: np.ndarray,
         When ``spec`` fails :func:`validate_experiment_spec`, the rebuilt
         pair differs from ``(a0, h0)`` beyond :data:`SELFADJ_TOL` relative to
         its norm, ``w`` is numerically singular or rebuilds a pair that is
-        not finite, no similarity can be drawn from the seed, ``t0`` has a role
-        other than ``focs`` or ``rc``, its residuals against the pair miss
-        :data:`INSTANCE_TOL`, its conjugate-symmetry residual misses
-        ``CS_TOL * max(1, ||t0||)``, (``rc``) its imaginary part misses
-        ``IMAG_RTOL * max(1, ||t0||)``, or (``focs``) its stored ``gamma``,
-        1 when absent, is more than ``CS_TOL * |gamma|`` from the scalar
-        its matrix fits.
+        not finite, ``t0`` has a role other than ``focs`` or ``rc``, its
+        residuals against the pair miss :data:`INSTANCE_TOL`, its
+        conjugate-symmetry residual misses ``CS_TOL * max(1, ||t0||)``,
+        (``rc``) its imaginary part misses ``IMAG_RTOL * max(1, ||t0||)``,
+        or (``focs``) its stored ``gamma``, 1 when absent, is more than
+        ``CS_TOL * |gamma|`` from the scalar its matrix fits.
     """
     validate_experiment_spec(spec)
-    if w is None:
-        try:
-            w, a, h = _draw_similarity(spec, seed)
-        except RetryExhaustedError as exc:
-            raise ValueError(f"seed {seed} generates no pair: {exc}") from exc
-        source = f"seed {seed}"
-    else:
-        try:
-            # a W far from unit scale rebuilds a pair that overflows, and an
-            # infinite pair would make the gap's limit infinite
-            with np.errstate(over="ignore", invalid="ignore"):
-                a, h = _rebuild_pair(w, real_jordan_form(spec), sip_form(spec))
-            require_finite(a, "its A0")
-            require_finite(h, "its H0")
-        except (CanonError, ValueError) as exc:
-            raise ValueError(f"W generates no pair: {exc}") from exc
-        source = "W"
+    try:
+        # a W far from unit scale rebuilds a pair that overflows, and an
+        # infinite pair would make the gap's limit infinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, h = _rebuild_pair(w, spec)
+        require_finite(a, "its A0")
+        require_finite(h, "its H0")
+    except (CanonError, ValueError) as exc:
+        raise ValueError(f"W generates no pair: {exc}") from exc
     gap = mat_norm(a - a0) + mat_norm(h - h0)
     if gap > SELFADJ_TOL * max(1.0, mat_norm(a) + mat_norm(h)):
-        raise ValueError(
-            f"A0/H0 differ by {gap:.3e} from the pair that {source} generates")
+        raise ValueError(f"A0/H0 differ by {gap:.3e} from the pair that W generates")
     if t0.role not in (ROLE_FOCS, ROLE_RC):
         raise ValueError(f"T0 has role {t0.role!r}, not {ROLE_FOCS!r} or {ROLE_RC!r}")
     cert, gamma = certify(a0, h0, t0.matrix, spec, t0.role)
@@ -319,7 +304,6 @@ def perturb_instance(inst: Instance, delta: float, mode: str, seed: int, *,
 
     n = inst.spec.total_size
     w0 = inst.w
-    p = sip_form(inst.spec)
     rng = np.random.default_rng(seed)
 
     best: tuple[float, PerturbedPair] | None = None
@@ -342,7 +326,7 @@ def perturb_instance(inst: Instance, delta: float, mode: str, seed: int, *,
             # strict pair keeps the instance spec, which zero shifts rebuild
             spec_t = (inst.spec if mode == MODE_STRICT
                       else _shift_spec(inst.spec, [min(t, 1.0) * s for s in shifts]))
-            a, h = _rebuild_pair(w0 + t * dw, real_jordan_form(spec_t), p)
+            a, h = _rebuild_pair(w0 + t * dw, spec_t)
             da, dh = mat_norms([a - inst.a0, h - inst.h0], norm)
             return PerturbedPair(a, h, spec_t, da + dh)
 
@@ -725,7 +709,8 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
     trials on one structure share one chain extraction, bit for bit as one
     at a time.  Library errors of a trial are recorded in its status, not
     raised; any other error is raised as :class:`TrialError` with the
-    trial's coordinates.
+    trial's coordinates.  The report's kind is the role of the instance's
+    reference basis; a ``kind`` given as well must be that role.
     """
     if trials_per_delta < 1:
         raise ValueError("trials_per_delta must be >= 1")
@@ -742,8 +727,7 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
     if mode not in (MODE_STRICT, MODE_WEAK):
         raise ValueError(f"unknown mode {mode!r}")
     check_norm_kind(norm)
-    kind = kind or inst.t0.role
-    if kind != inst.t0.role:
+    if kind not in (None, inst.t0.role):
         raise ValueError(
             f"requested kind {kind!r} but the instance reference basis has "
             f"role {inst.t0.role!r}")
@@ -794,7 +778,7 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
     bounded = (med_spread is not None and med_spread < SPREAD_LIMIT
                and len(medians) == len(deltas))
     return StabilityReport(
-        seed=inst.seed, kind=kind, mode=mode, deltas=tuple(deltas),
+        seed=inst.seed, kind=inst.t0.role, mode=mode, deltas=tuple(deltas),
         trials=tuple(records), per_delta=tuple(per_delta),
         k_hat=float(k_hat), median_spread=med_spread,
         factor_spreads=f_spreads, boundedness_flag=bool(bounded))

@@ -144,12 +144,14 @@ def instance_to_json(inst: Instance) -> dict:
 
 def instance_from_json(obj: dict) -> Instance:
     """Decode an instance and check it against the pair its stored ``W``
-    rebuilds, or without one the pair its seed generates (see
-    :func:`harness.load_instance`); any defect raises ``ValueError``."""
+    rebuilds (see :func:`harness.load_instance`); any defect, a missing
+    ``W`` included, raises ``ValueError``."""
+    if "W" not in obj:
+        raise ValueError("instance has no W, the similarity that generates its pair: "
+                         "regenerate the file with `indefcanon gen` from its spec and seed")
     try:
         spec = spec_from_json(obj["spec"])
-        names = ("A0", "H0", "W") if "W" in obj else ("A0", "H0")
-        mats = {name: matrix_from_json(obj[name]) for name in names}
+        mats = {name: matrix_from_json(obj[name]) for name in ("A0", "H0", "W")}
         # the experiment's verdict must be about the pair in the file
         for name, m in mats.items():
             if np.iscomplexobj(m):
@@ -160,7 +162,7 @@ def instance_from_json(obj: dict) -> Instance:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance object: {exc}") from exc
     check_sizes(spec, **mats, T0=t0.matrix)
-    return load_instance(spec, mats["A0"], mats["H0"], t0, seed, mats.get("W"))
+    return load_instance(spec, mats["A0"], mats["H0"], t0, seed, mats["W"])
 
 
 def trace_to_json(trace: PipelineTrace, gamma: complex | None) -> dict:

@@ -389,10 +389,6 @@ def _probe(obj, key):
     elif key == "t0_gamma":
         # trials would be built with 2 against a T0 that fits 1
         obj["T0"]["gamma"] = [2.0, 0.0]
-    elif key == "seed":
-        # a file without W is checked against the pair its seed generates
-        del obj["W"]
-        obj["seed"] = 4
     elif key == "seed_fractional":
         obj["seed"] = 3.9
     elif key == "seed_string":
@@ -446,7 +442,6 @@ def _probe(obj, key):
 
 
 @pytest.mark.parametrize("key, message", [
-    pytest.param("seed", "from the pair that seed 4 generates", id="seed"),
     pytest.param("seed_fractional", "seed must be an integer, got 3.9", id="seed_fractional"),
     pytest.param("seed_string", "seed must be an integer, got '3'", id="seed_string"),
     pytest.param("seed_negative", "seed must be at least 0, got -1", id="seed_negative"),
@@ -583,17 +578,26 @@ def test_gen_writes_the_same_bytes_whatever_the_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_instance_seed_without_a_similarity_exits_2(runner, tmp_path, monkeypatch):
-    # a file without W redraws it from the seed
-    obj = instance_to_json(generate_instance(SPEC, 3))
+def test_instance_seed_without_a_similarity_exits_2(runner, tmp_path):
+    # a file without W redrew it from the seed, which draws another W for a
+    # few seeds under another BLAS kernel; now every command that reads it
+    # refuses it
+    inst = generate_instance(SPEC, 3)
+    obj = instance_to_json(inst)
     del obj["W"]
-    inst_file = tmp_path / "inst.json"
+    inst_file, basis_file = tmp_path / "inst.json", tmp_path / "basis.json"
     inst_file.write_text(dumps(obj))
-    monkeypatch.setattr(harness, "MAX_DRAWS", 0)
-    r = runner.invoke(main, ["stability", "--in", str(inst_file), "--trials", "1",
-                             "--out-csv", str(tmp_path / "x.csv")])
-    assert r.exit_code == 2, r.output
-    assert "seed 3 generates no pair" in r.output
+    basis_file.write_text(dumps(basis_to_json(inst.t0)))
+    for args in (["stability", "--in", str(inst_file), "--trials", "1",
+                  "--out-csv", str(tmp_path / "x.csv")],
+                 ["canonize", "--in", str(inst_file), "--out", str(tmp_path / "x.json")],
+                 ["verify", "--in", str(inst_file), "--basis", str(basis_file)]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, (args[0], r.output)
+        assert isinstance(r.exception, SystemExit)
+        assert "instance has no W" in r.output
+        assert "regenerate the file with `indefcanon gen` from its spec and seed" in r.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["basis.json", "inst.json"]
 
 
 def test_stability_trial_fault_exits_4(runner, tmp_path, monkeypatch):
@@ -812,7 +816,8 @@ def test_stability_rejected_experiment_exits_2(runner, tmp_path, args, message):
 
 @pytest.mark.parametrize("case", ["gen", "canonize", "canonize_onto_directory",
                                   "canonize_trace", "canonize_trace_of_no_name",
-                                  "stability_csv", "stability_json"])
+                                  "stability_csv", "stability_csv_of_no_name",
+                                  "stability_csv_of_no_name_empty", "stability_json"])
 def test_unwritable_output_exits_2(runner, tmp_path, monkeypatch, paper_pair_file, case):
     # each ended in an OSError traceback with exit 1, stability only after
     # its whole experiment
@@ -825,7 +830,8 @@ def test_unwritable_output_exits_2(runner, tmp_path, monkeypatch, paper_pair_fil
     path = {"gen": missing / "x.json", "canonize": missing / "b.json",
             "canonize_onto_directory": occupied, "canonize_trace": tmp_path / "b.trace.json",
             "canonize_trace_of_no_name": Path("."),
-            "stability_csv": missing / "s.csv", "stability_json": missing / "s.json"}[case]
+            "stability_csv": missing / "s.csv", "stability_csv_of_no_name": ".",
+            "stability_csv_of_no_name_empty": "", "stability_json": missing / "s.json"}[case]
     canonize = ["canonize", "--in", str(paper_pair_file), "--out"]
     stability = ["stability", "--in", str(inst_file), "--trials", "1", "--out-csv"]
     args = {
@@ -836,6 +842,9 @@ def test_unwritable_output_exits_2(runner, tmp_path, monkeypatch, paper_pair_fil
         # the trace path of "." raised a ValueError traceback
         "canonize_trace_of_no_name": [*canonize, ".", "--emit-trace"],
         "stability_csv": [*stability, str(path)],
+        # the JSON path of "." and "" raised a ValueError traceback
+        "stability_csv_of_no_name": [*stability, path],
+        "stability_csv_of_no_name_empty": [*stability, path],
         "stability_json": [*stability, str(tmp_path / "s.csv"), "--out-json", str(path)],
     }[case]
     monkeypatch.setattr(cli, "estimate_lipschitz", raise_reached)

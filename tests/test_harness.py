@@ -70,8 +70,7 @@ def test_generate_invariants(inst):
 
 
 def test_generate_forced_identity_similarity():
-    a0, h0 = harness._rebuild_pair(np.eye(SPEC.total_size), real_jordan_form(SPEC),
-                                   sip_form(SPEC))
+    a0, h0 = harness._rebuild_pair(np.eye(SPEC.total_size), SPEC)
     np.testing.assert_allclose(a0, real_jordan_form(SPEC), atol=1e-15)
     np.testing.assert_allclose(h0, sip_form(SPEC), atol=1e-15)
 
@@ -169,7 +168,7 @@ def test_perturb_selfadjointness_gate_is_spectral(inst, monkeypatch, value, pass
     a, h = _defect_probe(inst, value)
     rebuilds = []
 
-    def rebuild(w, jr, p):
+    def rebuild(w, spec):
         rebuilds.append(w)
         return a, h
 
@@ -797,8 +796,8 @@ def test_frobenius_norm_experiment(inst):
 
 
 def test_perturb_after_serialization_roundtrip(inst):
-    # the file carries no similarity matrix; loading redraws it from the
-    # seed, and it must reproduce the in-memory perturbations
+    # the file carries the similarity W, and the loaded instance must
+    # reproduce the in-memory perturbations
     import json
     from indefcanon.serialize import dumps, instance_from_json, instance_to_json
     loaded = instance_from_json(json.loads(dumps(instance_to_json(inst))))
