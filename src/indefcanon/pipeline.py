@@ -377,18 +377,8 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         z3[rows, rows] = scale_step(anc, p)
 
     gram1 = z2.conj().T @ gram0 @ z2
-    for i, off, p, _ in pairs:
-        g1 = _anchor_g0(gram1, off, p)
-        if abs(g1.imag) > stol or g1.real <= 0.0:
-            raise StructureMismatchError(
-                f"pair block {i} anchor {g1:.3e} not real positive after phase step")
-
     gram2 = z3.conj().T @ gram1 @ z3
-    for i, off, p, rows in pairs:
-        g2 = _anchor_g0(gram2, off, p)
-        if abs(g2 - 1.0) > stol:
-            raise StructureMismatchError(
-                f"pair block {i} anchor {g2:.3e} not unit after scale step")
+    for *_, rows in pairs:
         z4[rows, rows] = flip_step(gram2[rows, rows])
 
     basis_mat = z1 @ z2 @ z3 @ z4
