@@ -95,20 +95,17 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _parse_gamma(text: str) -> complex:
-    text = text.strip().replace("i", "j")
-    if text in ("j", "+j"):
-        return 1j
-    if text == "-j":
-        return -1j
+def _parse_gamma(ctx, param, value: str) -> complex:
+    # complex() reads the imaginary unit as j only; a trailing i spells it too
+    text = value.strip()
     try:
-        g = complex(text)
+        g = complex(text[:-1] + "j" if text.endswith("i") else text)
     except ValueError:
-        raise click.BadParameter(f"cannot parse gamma {text!r}")
+        raise click.BadParameter(f"cannot parse gamma {value!r}")
     if g == 0:
         raise click.BadParameter("gamma must be nonzero")
     if not np.isfinite(g):
-        raise click.BadParameter(f"gamma must be finite, got {text!r}")
+        raise click.BadParameter(f"gamma must be finite, got {value!r}")
     return g
 
 
@@ -162,7 +159,7 @@ def main(ctx):
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--kind", type=click.Choice([ROLE_FOCS, ROLE_RC]), default=ROLE_FOCS,
               show_default=True, help="Reference basis kind stored on the instance.")
-@click.option("--gamma", default="1", show_default=True,
+@click.option("--gamma", default="1", show_default=True, callback=_parse_gamma,
               help="Conjugate-symmetry scalar for focs references.")
 @click.option("--out", "out_file", required=True, type=click.Path())
 def gen(spec_file, seed, kind, gamma, out_file):
@@ -175,8 +172,7 @@ def gen(spec_file, seed, kind, gamma, out_file):
     except ValueError as exc:
         _fail(2, str(exc))
     try:
-        g = _parse_gamma(gamma)
-        inst = generate_instance(spec, seed, kind=kind, gamma=g)
+        inst = generate_instance(spec, seed, kind=kind, gamma=gamma)
     except (CanonError, ValueError) as exc:
         _fail(3, f"generation failed: {exc}")
     _atomic_write(out_file, serialize.dumps(serialize.instance_to_json(inst)) + "\n")
@@ -187,7 +183,7 @@ def gen(spec_file, seed, kind, gamma, out_file):
 @click.option("--in", "in_file", required=True, type=click.Path())
 @click.option("--mode", type=click.Choice([ROLE_FO, ROLE_FOCS, ROLE_RC]),
               default=ROLE_FOCS, show_default=True)
-@click.option("--gamma", default="1", show_default=True,
+@click.option("--gamma", default="1", show_default=True, callback=_parse_gamma,
               help="Conjugate-symmetry scalar for focs mode; fo mode builds at "
                    "gamma = 1 and rc mode at gamma = i, and both ignore it.")
 @click.option("--out", "out_file", required=True, type=click.Path())
@@ -203,14 +199,13 @@ def canonize(in_file, mode, gamma, out_file, emit_trace, tol):
     obj = _load_json(in_file)
     try:
         a, h, spec = _load_pair(obj)
-        g = _parse_gamma(gamma)
-    except (ValueError, click.BadParameter) as exc:
+    except ValueError as exc:
         _fail(2, str(exc))
     try:
         if mode == ROLE_RC:
             basis, trace = rc_basis(a, h, spec, tol=tol)
         else:
-            basis, trace = focs_basis(a, h, spec, 1.0 if mode == ROLE_FO else g, tol=tol)
+            basis, trace = focs_basis(a, h, spec, 1.0 if mode == ROLE_FO else gamma, tol=tol)
             if mode == ROLE_FO:
                 basis = replace(basis, role=ROLE_FO)
     except CanonError as exc:

@@ -204,14 +204,17 @@ def symmetrize_step(spec: JordanSpec, chains: list[np.ndarray],
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
     cols = []
-    for b, l in zip(spec.blocks, chains):
-        if b.kind == REAL:
-            cols.append(l.astype(complex))
-        else:
-            cols.append(np.concatenate([l, gamma * np.conj(l)], axis=1))
+    # a huge gamma overflows the second halves; the NaN rcond of the
+    # non-finite factor then fails the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, l in zip(spec.blocks, chains):
+            if b.kind == REAL:
+                cols.append(l.astype(complex))
+            else:
+                cols.append(np.concatenate([l, gamma * np.conj(l)], axis=1))
     z1 = np.concatenate(cols, axis=1)
     z1_norm, rc = norm_and_rcond(z1)
-    if rc < RCOND_FLOOR:
+    if not rc >= RCOND_FLOOR:
         raise SingularBasisError(f"chain basis is numerically singular (rcond={rc:.3e})")
     return z1, z1_norm
 
@@ -350,8 +353,10 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
                     f"block {i}: computed sign characteristic {sign:+d} "
                     f"contradicts declared {b.sign:+d}")
         else:
-            # prospective anchor; rotate the chain off the degenerate axis
-            z = (gamma * np.conj(mat)).conj().T @ h @ mat
+            # prospective anchor; rotate the chain off the degenerate axis.
+            # A huge gamma overflows it, and the rcond gate then refuses Z1
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = (gamma * np.conj(mat)).conj().T @ h @ mat
             g0 = complex(anti_diagonal_mean(z))
             if abs(g0) > 0.0 and abs(g0.real) < PHASE_GUARD * abs(g0):
                 mat = mat * np.exp(0.25j * np.pi)

@@ -874,6 +874,68 @@ def test_bad_gamma_exits_2(runner, tmp_path, paper_pair_file, command, gamma, me
     assert not out.exists()
 
 
+def _gamma_args(command, tmp_path, pair_file):
+    """The arguments of ``command`` up to its --gamma, reading the test spec
+    or ``pair_file``."""
+    if command == "canonize":
+        return ["canonize", "--in", str(pair_file)]
+    spec_file = tmp_path / "spec.json"
+    write_spec(spec_file)
+    return ["gen", "--spec-file", str(spec_file)]
+
+
+def test_gen_and_canonize_refuse_a_bad_gamma_in_one_format(runner, tmp_path,
+                                                            paper_pair_file):
+    # gen printed click's format and canonize its own "error:" line
+    last_lines = []
+    for command in ("gen", "canonize"):
+        r = runner.invoke(main, [*_gamma_args(command, tmp_path, paper_pair_file),
+                                 "--gamma", "abc", "--out", str(tmp_path / "out.json")])
+        assert r.exit_code == 2, r.output
+        last_lines.append(r.output.splitlines()[-1])
+    assert last_lines == ["Error: Invalid value for '--gamma': cannot parse gamma 'abc'"] * 2
+
+
+@pytest.mark.parametrize("command", ["gen", "canonize"])
+def test_infinite_gamma_is_quoted_as_given(runner, tmp_path, paper_pair_file, command):
+    # "i" was rewritten to "j" throughout, and the error quoted 'jnf'
+    r = runner.invoke(main, [*_gamma_args(command, tmp_path, paper_pair_file),
+                             "--gamma", "inf", "--out", str(tmp_path / "out.json")])
+    assert r.exit_code == 2, r.output
+    assert "gamma must be finite, got 'inf'" in r.output
+
+
+def test_gamma_minus_i_writes_the_trace_of_minus_1i(runner, tmp_path):
+    # "-i" was the literal -1j, whose real part is -0.0 where "-1i" parses
+    # to +0.0; the signed zeros reached the trace's chain factor
+    entry = json.loads(REFERENCE.read_text())["stability-strict"]["entries"][1]
+    spec_file, inst_file = tmp_path / "spec.json", tmp_path / "inst.json"
+    spec_file.write_text(dumps(entry["spec"]))
+    r = runner.invoke(main, ["gen", "--spec-file", str(spec_file), "--out", str(inst_file)])
+    assert r.exit_code == 0, r.output
+    traces = []
+    for k, gamma in enumerate(["-i", "-1i"]):
+        out = tmp_path / f"basis{k}.json"
+        r = runner.invoke(main, ["canonize", "--in", str(inst_file), "--gamma", gamma,
+                                 "--emit-trace", "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        traces.append((tmp_path / f"basis{k}.trace.json").read_bytes())
+    assert traces[0] == traces[1]
+
+
+@pytest.mark.parametrize("command, code", [("gen", 3), ("canonize", 4)])
+@pytest.mark.parametrize("gamma", ["1e308", "1e308+1e308i", "-1e308j"])
+def test_overflowing_gamma_exits_without_warnings(runner, tmp_path, paper_pair_file,
+                                                 command, code, gamma):
+    # the suite turns warnings into errors, so an overflow warning would
+    # end the command with a traceback instead
+    r = runner.invoke(main, [*_gamma_args(command, tmp_path, paper_pair_file),
+                             "--gamma", gamma, "--out", str(tmp_path / "out.json")])
+    assert r.exit_code == code, r.output
+    assert "numerically singular" in r.output
+    assert "RuntimeWarning" not in r.output
+
+
 def test_stability_zero_trials_exits_2(runner, tmp_path):
     spec_file = tmp_path / "spec.json"
     write_spec(spec_file)
