@@ -131,15 +131,24 @@ def _load_pair(obj: dict):
     return a, h, spec
 
 
-def _check_environment(ctx: click.Context) -> None:
-    """Exit 2 on an environment variable with the group's prefix that names
-    no option.  Click reads ``<PREFIX>_<COMMAND>_<PARAM>`` for each option
-    of a command, from the parameter's name, and ignores any other name."""
+def _option_variables(ctx: click.Context) -> set[str]:
+    """The environment variables click reads for the group of ``ctx``:
+    ``<PREFIX>_<PARAM>`` for its own parameters and
+    ``<PREFIX>_<COMMAND>_<PARAM>`` for each option of a command, from the
+    parameter's name."""
     prefix = ctx.auto_envvar_prefix
     known = {f"{prefix}_{p.name}".upper() for p in ctx.command.get_params(ctx)}
     for name, cmd in ctx.command.commands.items():
         known |= {f"{prefix}_{name}_{p.name}".upper().replace("-", "_")
                   for p in cmd.get_params(ctx) if isinstance(p, click.Option)}
+    return known
+
+
+def _check_environment(ctx: click.Context) -> None:
+    """Exit 2 on an environment variable with the group's prefix that names
+    no option; click ignores any name but those of :func:`_option_variables`."""
+    prefix = ctx.auto_envvar_prefix
+    known = _option_variables(ctx)
     for var in sorted(os.environ):
         if var.startswith(f"{prefix}_") and var not in known:
             _fail(2, f"environment variable {var} names no option of any command")

@@ -1,7 +1,8 @@
 """Repository-level guards: the package's import graph, the home of the
 RC/FOCS relation and of the JSON file layout, the public entry points of
 chain extraction, the package version, the benchmark's tracing tables and
-what its tracer sees, and the test configuration."""
+what its tracer sees, README's tolerance and environment tables, and the
+test configuration."""
 
 import ast
 import importlib.util
@@ -9,6 +10,11 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import click
+import numpy as np
+
+from indefcanon import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "indefcanon"
@@ -146,6 +152,63 @@ def test_tracer_spans_every_chain_extraction_of_a_strict_experiment():
     assert harness.jordan_chains is chains.jordan_chains
     assert [t.status for t in report.trials] == ["ok"] * 4
     assert tracer.totals({0})["chains.jordan_chains"]["calls"] == 2
+
+
+def _readme_table(header: str) -> list[list[str]]:
+    """The body rows of README's table with the header line ``header``,
+    each split at every ``|``."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    body = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        body.append([cell.strip().strip("`") for cell in line.split("|")[1:-1]])
+    return body
+
+
+def _numeric_constants(path: Path) -> set[str]:
+    """The public upper-case names that ``path`` binds to a number at its
+    top level."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            name = node.targets[0].id
+            if name.isupper() and not name.startswith("_"):
+                names.add(name)
+    module = importlib.import_module(f"indefcanon.{path.stem}")
+    return {n for n in names if isinstance(getattr(module, n), (int, float))}
+
+
+def test_readme_tolerance_table_matches_the_constants():
+    documented = {}
+    for names, values, *_ in _readme_table("| Constant | Value | Gates |"):
+        first, *rest = [n.strip().strip("`") for n in names.split(",")]
+        module, name = first.split(".")
+        for n, v in zip([name, *rest], values.split(","), strict=True):
+            # a value is a number, or a number times machine epsilon
+            factor, _, unit = v.strip().strip("`").partition(" * ")
+            assert unit in ("", "eps"), v
+            documented[f"{module}.{n}"] = float(factor) * (np.finfo(float).eps if unit else 1.0)
+    for qualified, value in documented.items():
+        module, name = qualified.split(".")
+        assert getattr(importlib.import_module(f"indefcanon.{module}"), name) == value, qualified
+    defined = {f"{path.stem}.{name}" for path in PACKAGE.glob("*.py")
+               for name in _numeric_constants(path)}
+    assert set(documented) == defined
+
+
+def test_readme_environment_table_lists_every_option_variable():
+    documented = set()
+    for command, variables in _readme_table("| Command | Variables |"):
+        names = {v.strip().strip("`") for v in variables.split(",")}
+        assert all(n.startswith(f"INDEFCANON_{command.upper()}_") for n in names), command
+        documented |= names
+    ctx = click.Context(cli.main, auto_envvar_prefix="INDEFCANON")
+    prefixes = tuple(f"INDEFCANON_{c.upper()}_" for c in cli.main.commands)
+    accepted = {v for v in cli._option_variables(ctx)
+                if v.startswith(prefixes) and not v.endswith("_HELP")}
+    assert documented == accepted
 
 
 def _private_numpy_uses(path: Path) -> list[str]:
