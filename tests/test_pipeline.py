@@ -520,8 +520,9 @@ def test_focs_rejects_non_finite_gamma(ex_a, ex_h, ex_spec, gamma):
 
 @pytest.mark.parametrize("gamma", [1e308, 1e308 + 1e308j, -1e308j])
 def test_focs_refuses_an_overflowing_gamma_without_warnings(ex_a, ex_h, ex_spec, gamma):
-    # the prospective anchor overflows; under the suite's warnings-as-errors
-    # its RuntimeWarning would be raised in place of the rcond gate's error
+    # the prospective anchor, and here the chain factor too, overflow; under
+    # the suite's warnings-as-errors their RuntimeWarning would be raised in
+    # place of the conditioning check's error
     with pytest.raises(SingularBasisError, match="chain basis is numerically singular"):
         focs_basis(ex_a, ex_h, ex_spec, gamma)
 

@@ -176,6 +176,8 @@ def _numeric_constants(path: Path) -> set[str]:
             name = node.targets[0].id
             if name.isupper() and not name.startswith("_"):
                 names.add(name)
+    if not names:  # __init__.py binds none; importing it by name would run it again
+        return names
     module = importlib.import_module(f"indefcanon.{path.stem}")
     return {n for n in names if isinstance(getattr(module, n), (int, float))}
 
