@@ -107,7 +107,7 @@ class RetryExhaustedError(CanonError):
 
 
 class DeltaUnreachableError(CanonError):
-    """Perturbation rescaling could not fit under the requested magnitude."""
+    """Perturbation rescaling found no nonzero fit under the requested magnitude."""
 
     code = "DELTA_UNREACHABLE"
 

@@ -284,23 +284,21 @@ def perturb_instance(inst: Instance, delta: float, mode: str, seed: int, *,
     shifts each block eigenvalue by at most ``EIG_FRAC * delta`` (conjugate
     pairs symmetrically).  The bump and shifts are rescaled together, one
     linear correction followed by halving, until
-    ``||a - a0|| + ||h - h0|| <= delta``.  ``delta = 0`` short-circuits to
-    the unperturbed pair.  Deterministic in ``seed``.
+    ``||a - a0|| + ||h - h0|| <= delta``, which must be positive.
+    Deterministic in ``seed``.
 
     Raises
     ------
     DeltaUnreachableError
         When ``MAX_BISECT`` halvings cannot fit the perturbation under
-        ``delta``.
+        ``delta``, or the fitted perturbation vanishes in rounding.
     RetryExhaustedError
         When no redraw of the bump reaches the selfadjointness quality gate.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
     if mode not in (MODE_STRICT, MODE_WEAK):
         raise ValueError(f"unknown mode {mode!r}")
-    if delta == 0.0:
-        return PerturbedPair(inst.a0.copy(), inst.h0.copy(), inst.spec, 0.0)
 
     n = inst.spec.total_size
     w0 = inst.w
@@ -344,6 +342,9 @@ def perturb_instance(inst: Instance, delta: float, mode: str, seed: int, *,
             t *= 0.5
             steps += 1
             pair = build(t)
+        if pair.measured == 0.0:
+            raise DeltaUnreachableError(
+                f"perturbation under {delta:.3e} vanishes in rounding")
 
         defect = _selfadj_defect(pair.a, pair.h)
         if defect <= SELFADJ_TOL:
@@ -640,7 +641,7 @@ def _run_trials(inst: Instance, delta: float, delta_index: int, indices,
         try:
             pair = perturb_instance(inst, delta, mode, seed, norm=norm)
             spec, matches = inst.spec, None
-            if mode == MODE_WEAK and pair.measured > 0.0:
+            if mode == MODE_WEAK:
                 # the radius tracks the perturbation scale but may not
                 # undercut the eigensolver's scatter for a defective block of
                 # size p, which is of order (eps ||a||)^(1/p)
@@ -654,10 +655,7 @@ def _run_trials(inst: Instance, delta: float, delta_index: int, indices,
             # the trials before it are built first: a fault of theirs comes first
             cause, fault = exc, _trial_fault(exc, delta, ti, seed)
             break
-        if pair.measured == 0.0:
-            records[ti] = TrialRecord(delta, ti, 0.0, 0.0, None, None, status="degenerate")
-        else:
-            pairs.append((ti, seed, pair, spec, matches))
+        pairs.append((ti, seed, pair, spec, matches))
 
     found: list = []
     for spec, group in groupby(pairs, key=lambda trial: trial[3]):
@@ -707,19 +705,22 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
     trials run in contiguous tasks of ``ceil(trials_per_delta / workers)``,
     in process with one worker, else on ``workers`` processes; a task's
     trials on one structure share one chain extraction, bit for bit as one
-    at a time.  Library errors of a trial are recorded in its status, not
-    raised; any other error is raised as :class:`TrialError` with the
-    trial's coordinates.  The report's kind is the role of the instance's
-    reference basis; a ``kind`` given as well must be that role.
+    at a time.  Deltas must be finite, positive, strictly decreasing and at
+    most :data:`DELTA_MAX`.  A trial's status is ``ok`` or the code of the
+    library error that stopped it; any other error is raised as
+    :class:`TrialError` with its coordinates.  The report's kind is the
+    role of the instance's reference basis; a ``kind`` given as well must
+    be that role.
     """
     if trials_per_delta < 1:
         raise ValueError("trials_per_delta must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    deltas = tuple(float(d) for d in deltas)
     if not deltas:
         raise ValueError("need at least one delta")
-    if not all(np.isfinite(d) and d >= 0.0 for d in deltas):
-        raise ValueError("deltas must be finite and nonnegative")
+    if not all(0.0 < d < float("inf") for d in deltas):
+        raise ValueError("deltas must be finite and positive")
     if any(d > DELTA_MAX for d in deltas):
         raise ValueError(f"deltas must not exceed {DELTA_MAX}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
@@ -778,7 +779,7 @@ def estimate_lipschitz(inst: Instance, deltas: list[float],
     bounded = (med_spread is not None and med_spread < SPREAD_LIMIT
                and len(medians) == len(deltas))
     return StabilityReport(
-        seed=inst.seed, kind=inst.t0.role, mode=mode, deltas=tuple(deltas),
+        seed=inst.seed, kind=inst.t0.role, mode=mode, deltas=deltas,
         trials=tuple(records), per_delta=tuple(per_delta),
         k_hat=float(k_hat), median_spread=med_spread,
         factor_spreads=f_spreads, boundedness_flag=bool(bounded))

@@ -798,9 +798,8 @@ def test_verify_pair_with_non_hermitian_h_exits_2(runner, tmp_path, ex_a, ex_h,
 @pytest.mark.parametrize("args, message", [
     (["--deltas", "1e-4,1e-3"], "deltas must be strictly decreasing"),
     (["--deltas", "0.1,1e-3"], "deltas must not exceed 0.05"),
-    (["--deltas", "nan"], "deltas must be finite and nonnegative"),
-    # a zero delta has only degenerate trials, which decided the verdict
-    (["--deltas", "1e-3,1e-4,0"], "deltas must be positive"),
+    (["--deltas", "nan"], "deltas must be finite and positive"),
+    (["--deltas", "1e-3,1e-4,0"], "deltas must be finite and positive"),
     (["--jobs", "0"], "jobs must be >= 1"),
     (["--jobs", "-3"], "jobs must be >= 1"),
 ])
@@ -812,6 +811,64 @@ def test_stability_rejected_experiment_exits_2(runner, tmp_path, args, message):
     assert r.exit_code == 2, r.output
     assert f"experiment rejected: {message}" in r.output
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
+#: ``--deltas`` entries for the contract property: the grid and a delta too
+#: small to move the pair, then each rule's breakers and entries that are
+#: empty or not numbers.
+DELTA_GRID = ["1e-2", "1e-3", "1e-4", "1e-5", "1e-6", "1e-300"]
+DELTA_ENTRIES = DELTA_GRID + ["0", "-1e-3", "0.1", "nan", "inf", "", " ", "abc", "1e-3e"]
+
+
+def _deltas_rule(entries: list[str]) -> str | None:
+    """The message of the first delta rule ``entries`` break, in the order
+    the CLI and the library check them, or None."""
+    try:
+        ds = [float(x) for x in entries if x.strip()]
+    except ValueError:
+        return "could not convert string to float"
+    if not ds:
+        return "experiment rejected: need at least one delta"
+    if not all(0.0 < d < float("inf") for d in ds):
+        return "experiment rejected: deltas must be finite and positive"
+    if max(ds) > harness.DELTA_MAX:
+        return f"experiment rejected: deltas must not exceed {harness.DELTA_MAX}"
+    if any(b >= a for a, b in zip(ds, ds[1:])):
+        return "experiment rejected: deltas must be strictly decreasing"
+    return None
+
+
+@functools.lru_cache(maxsize=1)
+def _small_instance_text() -> str:
+    return dumps(instance_to_json(generate_instance(SPEC, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(entries=st.lists(st.sampled_from(DELTA_GRID), min_size=1, max_size=4, unique=True)
+       .map(lambda xs: sorted(xs, key=float, reverse=True))
+       | st.lists(st.sampled_from(DELTA_ENTRIES), max_size=4))
+def test_stability_deltas_keep_the_exit_code_contract(entries):
+    # half the lists follow every rule; the others bring repeats, unsorted
+    # lists, empty entries and breakers of each rule
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_file, csv = Path(tmp) / "inst.json", Path(tmp) / "x.csv"
+        inst_file.write_text(_small_instance_text())
+        r = CliRunner().invoke(main, ["stability", "--in", str(inst_file), "--trials", "1",
+                                      "--deltas", ",".join(entries), "--out-csv", str(csv)])
+        assert r.exception is None or isinstance(r.exception, SystemExit), r.output
+        rule = _deltas_rule(entries)
+        if rule is not None:
+            assert r.exit_code == 2, r.output
+            assert rule in r.output
+            assert not csv.exists()
+            return
+        assert r.exit_code in (0, 1), r.output
+        n_deltas = sum(1 for x in entries if x.strip())
+        assert len(csv.read_text().splitlines()) == 1 + n_deltas
+        if "1e-300" in entries:
+            # its trial never moves the pair, so its decade has no median
+            assert r.exit_code == 1
+            assert "DELTA_UNREACHABLE" in csv.read_text()
 
 
 @pytest.mark.parametrize("case", ["gen", "canonize", "canonize_onto_directory",

@@ -14,6 +14,7 @@ from indefcanon import (
     AmbiguousMatchError,
     BlockSpec,
     CanonError,
+    DeltaUnreachableError,
     JordanSpec,
     KindMismatchError,
     NotRealError,
@@ -102,10 +103,18 @@ def test_generate_retry_exhausted_on_bad_override(monkeypatch):
         generate_instance(SPEC, 1)
 
 
-def test_perturb_zero_delta_short_circuits(inst):
-    pair = perturb_instance(inst, 0.0, "strict", 5)
-    np.testing.assert_array_equal(pair.a, inst.a0)
-    np.testing.assert_array_equal(pair.h, inst.h0)
+@pytest.mark.parametrize("delta", [0.0, -1e-3, float("nan")])
+def test_perturb_refuses_a_delta_that_is_not_positive(inst, delta):
+    # a zero delta moves nothing, so its trial would only test reach
+    with pytest.raises(ValueError, match="delta must be positive"):
+        perturb_instance(inst, delta, "strict", 5)
+
+
+@pytest.mark.parametrize("mode", ["strict", "weak"])
+def test_perturb_refuses_a_delta_that_vanishes_in_rounding(inst, mode):
+    # W + 1e-300 dW rounds to W, so the fitted pair is the unperturbed one
+    with pytest.raises(DeltaUnreachableError, match="vanishes in rounding"):
+        perturb_instance(inst, 1e-300, mode, 5)
 
 
 def test_perturb_deterministic(inst):
@@ -127,17 +136,16 @@ def test_perturb_respects_delta_and_quality(inst):
 
 
 @pytest.mark.parametrize("norm", ["spectral", "frobenius"])
-@pytest.mark.parametrize("path", ["fitted", "zero_delta", "best_redraw"])
+@pytest.mark.parametrize("path", ["fitted", "best_redraw"])
 def test_perturbed_pair_carries_its_measured_input(inst, monkeypatch, path, norm):
     if path == "best_redraw":
         # every redraw misses SELFADJ_TOL; the second is the best, not the last
         defects = iter(np.array([5.0, 3.0, 4.0, 6.0, 7.0]) * harness.SELFADJ_TOL)
         monkeypatch.setattr(harness, "_selfadj_defect", lambda a, h: next(defects))
-    pair = perturb_instance(inst, 0.0 if path == "zero_delta" else 1e-4, "weak", 3,
-                            norm=norm)
+    pair = perturb_instance(inst, 1e-4, "weak", 3, norm=norm)
     assert pair.measured == (mat_norm(pair.a - inst.a0, norm)
                              + mat_norm(pair.h - inst.h0, norm))
-    assert (pair.measured == 0.0) == (path == "zero_delta")
+    assert 0.0 < pair.measured <= 1e-4
 
 
 def _defect_probe(inst, value):
@@ -364,14 +372,18 @@ def test_estimate_lipschitz_jobs_deterministic(inst):
 
 
 def test_estimate_lipschitz_degenerate_delta(inst):
-    report = estimate_lipschitz(inst, [1e-3, 0.0], 1)
-    degenerate = [t for t in report.trials if t.delta == 0.0]
-    assert degenerate[0].status == "degenerate"
-    assert degenerate[0].ratio is None
-    assert not report.boundedness_flag  # a delta without valid ratios
+    # a positive delta too small to move the pair: each of its trials records
+    # why, and its decade has no median
+    for mode in ("strict", "weak"):
+        report = estimate_lipschitz(inst, [1e-3, 1e-300], 3, mode=mode)
+        assert [t.status for t in report.trials] == ["ok"] * 3 + ["DELTA_UNREACHABLE"] * 3
+        assert all(t.ratio is None for t in report.trials[3:])
+        assert report.per_delta[1].n_ok == 0 and report.per_delta[1].ratio_median is None
+        assert not report.boundedness_flag  # a delta without valid ratios
 
 
-def test_estimate_lipschitz_validates_arguments(inst):
+def test_estimate_lipschitz_validates_arguments(inst, monkeypatch):
+    monkeypatch.setattr(harness, "_run_trials", raise_reached)
     with pytest.raises(ValueError):
         estimate_lipschitz(inst, [1e-3, 1e-2], 2)     # not decreasing
     with pytest.raises(ValueError):
@@ -384,9 +396,19 @@ def test_estimate_lipschitz_validates_arguments(inst):
     with pytest.raises(ValueError):
         estimate_lipschitz(inst, [1e-3], 2, kind="rc")  # kind mismatch
     for bad in ([1e-3, float("nan")], [float("nan")], [1e-3, -1e-4],
-                [float("-inf")]):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+                [float("-inf")], [float("inf")], [0.0], [1e-3, 0.0]):
+        with pytest.raises(ValueError, match="finite and positive"):
             estimate_lipschitz(inst, bad, 2)              # before any trial
+
+
+def test_estimate_lipschitz_takes_an_array_of_deltas(inst):
+    # `if not deltas` raised numpy's "truth value of an array is ambiguous",
+    # and a one-element array put np.float64 into the report's deltas
+    report = estimate_lipschitz(inst, np.logspace(-2, -4, 3), 2)
+    assert _report_bytes(report) == _report_bytes(estimate_lipschitz(inst, [1e-2, 1e-3, 1e-4], 2))
+    one = estimate_lipschitz(inst, np.array([1e-3]), 1)
+    assert type(one.deltas[0]) is float
+    assert _report_bytes(one) == _report_bytes(estimate_lipschitz(inst, [1e-3], 1))
 
 
 def test_estimate_lipschitz_rejects_an_unknown_norm_before_any_trial(inst, monkeypatch):
@@ -751,7 +773,7 @@ def test_trial_error_survives_pickling():
     assert (str(err), err.delta, err.index, err.seed) == ("boom", 1e-3, 2, 9)
 
 
-_GRID = [1e-2, 1e-3, 1e-4, 1e-5, 0.0]
+_GRID = [1e-2, 1e-3, 1e-4, 1e-5, 1e-300]
 
 
 @settings(max_examples=15, deadline=None)

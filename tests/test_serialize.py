@@ -181,7 +181,7 @@ def test_report_csv_schema_weak_has_matched_columns():
     assert header.endswith("status,matched_0,matched_1")
 
 
-@pytest.mark.parametrize("deltas", [[0.0], [1e-3, 0.0]])
+@pytest.mark.parametrize("deltas", [[1e-300], [1e-3, 1e-300]])
 def test_report_csv_lines_all_carry_the_header_field_count(deltas):
     # a weak report in which no trial reached matching has no matched
     # columns; trials that did not reach it leave theirs empty
@@ -189,8 +189,8 @@ def test_report_csv_lines_all_carry_the_header_field_count(deltas):
     report = estimate_lipschitz(inst, deltas, 2, mode="weak")
     lines = report_csv_lines(report)
     widths = [len(line.split(",")) for line in lines]
-    assert widths == [10 if deltas == [0.0] else 12] * (1 + 2 * len(deltas))
-    assert lines[0].endswith("status" if deltas == [0.0] else "status,matched_0,matched_1")
+    assert widths == [10 if deltas == [1e-300] else 12] * (1 + 2 * len(deltas))
+    assert lines[0].endswith("status" if deltas == [1e-300] else "status,matched_0,matched_1")
 
 
 def test_report_summary_fields():
