@@ -29,7 +29,13 @@ import numpy as np
 
 from . import __version__, serialize
 from .errors import CanonError, TrialError
-from .harness import MODE_STRICT, MODE_WEAK, estimate_lipschitz, generate_instance
+from .harness import (
+    MODE_STRICT,
+    MODE_WEAK,
+    _one_blas_thread,
+    estimate_lipschitz,
+    generate_instance,
+)
 from .linalg import DEFAULT_TOL, mat_norm, require_int
 from .pipeline import ROLE_FO, ROLE_FOCS, ROLE_RC, focs_basis
 from .rc import certify, rc_basis, to_focs
@@ -109,6 +115,17 @@ def _parse_gamma(ctx, param, value: str) -> complex:
     return g
 
 
+def _parse_deltas(ctx, param, value: str) -> list[float]:
+    # empty entries are skipped; every rule on the values is estimate_lipschitz's
+    deltas = []
+    for entry in filter(str.strip, value.split(",")):
+        try:
+            deltas.append(float(entry))
+        except ValueError:
+            raise click.BadParameter(f"{entry.strip()!r} is not a number")
+    return deltas
+
+
 def _check_tol(ctx, param, value: float) -> float:
     # a NaN or infinite tolerance passes every residual
     if not 0.0 < value < float("inf"):
@@ -161,6 +178,8 @@ def main(ctx):
     """Canonical Jordan bases of real H-selfadjoint pairs, with stability
     experiments under structure-preserving perturbations."""
     _check_environment(ctx)
+    # the bytes a command writes must not depend on the BLAS thread count
+    ctx.with_resource(_one_blas_thread())
 
 
 @main.command()
@@ -286,6 +305,7 @@ def verify(in_file, basis_file, tol, expect, norm):
 @main.command()
 @click.option("--in", "in_file", required=True, type=click.Path())
 @click.option("--deltas", default="1e-2,1e-3,1e-4,1e-5,1e-6", show_default=True,
+              callback=_parse_deltas,
               help="Comma-separated, strictly decreasing perturbation magnitudes.")
 @click.option("--trials", default=20, show_default=True, type=int)
 @click.option("--mode", type=click.Choice([MODE_STRICT, MODE_WEAK]),
@@ -304,11 +324,10 @@ def stability(in_file, deltas, trials, mode, out_csv, out_json, jobs, norm):
     obj = _load_json(in_file)
     try:
         inst = serialize.instance_from_json(obj)
-        delta_list = [float(x) for x in deltas.split(",") if x.strip()]
     except ValueError as exc:
         _fail(2, str(exc))
     try:
-        report = estimate_lipschitz(inst, delta_list, trials, mode=mode,
+        report = estimate_lipschitz(inst, deltas, trials, mode=mode,
                                     jobs=jobs, norm=norm)
     except TrialError as exc:
         _fail(4, str(exc))

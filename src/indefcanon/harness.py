@@ -144,12 +144,11 @@ def validate_experiment_spec(spec: JordanSpec) -> None:
         eigs.append(b.lam)
         if b.kind == PAIR:
             eigs.append(complex(np.conj(b.lam)))
-    for i in range(len(eigs)):
-        for j in range(i + 1, len(eigs)):
-            if eigs[i] == eigs[j]:
-                raise ValueError(
-                    f"blocks share the eigenvalue {eigs[i]}; one block per "
-                    "distinct eigenvalue is required")
+    for cluster in _cluster_spectrum(np.array(eigs), 0.0):
+        if len(cluster) > 1:
+            raise ValueError(
+                f"blocks share the eigenvalue {complex(cluster[0])}; one block "
+                "per distinct eigenvalue is required")
 
 
 def _rebuild_pair(w: np.ndarray, spec: JordanSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -361,24 +360,24 @@ def perturb_instance(inst: Instance, delta: float, mode: str, seed: int, *,
 
 
 def _cluster_spectrum(eigs: np.ndarray, radius: float) -> list[np.ndarray]:
-    """Single-linkage clusters of spectrum points at the given radius."""
-    m = len(eigs)
-    parent = list(range(m))
+    """Single-linkage clusters of spectrum points at the given radius, each
+    in index order, listed by their least index.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(eigs[i] - eigs[j]) <= radius:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return [eigs[idx] for idx in groups.values()]
+    Each point takes the least label among its neighbours until no label
+    changes.  Distances are ``np.hypot`` of the differences' parts, which is
+    the scalar ``abs`` of each difference bit for bit; ``np.abs`` of a
+    complex array may differ in the last bit, and at the radius that can
+    change a cluster.
+    """
+    d = eigs[:, None] - eigs
+    near = np.hypot(d.real, d.imag) <= radius
+    index = label = np.arange(len(eigs))
+    while True:
+        new = np.where(near, label, label[:, None]).min(axis=1)
+        if (new == label).all():
+            # a cluster's label is its least index; np.unique would load numpy.ma
+            return [eigs[label == k] for k in index[label == index]]
+        label = new
 
 
 def match_eigenvalues(spec0: JordanSpec, a: np.ndarray, *,

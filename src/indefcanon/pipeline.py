@@ -387,14 +387,9 @@ def focs_basis(a: np.ndarray, h: np.ndarray, spec: JordanSpec,
         z4[rows, rows] = flip_step(gram2[rows, rows])
 
     basis_mat = z1 @ z2 @ z3 @ z4
-    p_target = sip_form(spec)
-    gram_final = z4.conj().T @ gram2 @ z4
-    final_dev = gate_norm(gram_final - p_target, stol)
-    if final_dev > stol:
-        raise StructureMismatchError(
-            f"final Gram deviates from sip form by {final_dev:.3e}")
-
-    sim, cong = affiliation_residuals(a, h, basis_mat, jordan_form(spec), p_target)
+    sim, cong = affiliation_residuals(a, h, basis_mat, jordan_form(spec), sip_form(spec))
+    if cong > stol:
+        raise StructureMismatchError(f"final Gram deviates from sip form by {cong:.3e}")
     if max(sim, cong) > tol * max(1.0, h_norm):
         raise StructureMismatchError(
             f"constructed basis misses its certificate gate: similarity "

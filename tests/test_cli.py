@@ -18,17 +18,25 @@ from hypothesis import strategies as st
 
 from indefcanon import BlockSpec, JordanSpec, cli, generate_instance, harness
 from indefcanon.cli import main
-from indefcanon.linalg import matrix_from_json, matrix_to_json
-from indefcanon.pipeline import CanonicalBasis, Certificate
+from indefcanon.linalg import matrix_from_json, matrix_to_json, refined_inverse
+from indefcanon.pipeline import (
+    CanonicalBasis,
+    Certificate,
+    flip_step,
+    focs_basis,
+    symmetrize_step,
+)
 from indefcanon.rc import certify
 from indefcanon.serialize import (
     basis_from_json,
     basis_to_json,
     dumps,
+    instance_from_json,
     instance_to_json,
     spec_from_json,
     spec_to_json,
 )
+from indefcanon.structure import conjugate_symmetry_fit, h_selfadjoint_residual
 
 from conftest import raise_reached, random_spec
 
@@ -530,16 +538,30 @@ def test_version_needs_no_installed_package_metadata(runner, monkeypatch):
     assert r.output.endswith(", version 0.1.0\n")
 
 
-def test_weak_stability_reports_the_same_bytes_whatever_the_blas_threads(tmp_path):
-    # the n = 72 wide catalogue entry whose report moved with the thread count
+def _wide_entry() -> dict:
+    """The n = 72 ``wide-weak-rc`` catalogue entry whose outputs moved with
+    the BLAS thread count."""
     ref = json.loads(REFERENCE.read_text())["wide-weak-rc"]
     (entry,) = [e for e in ref["entries"] if e["seed"] == 1576694851]
-    inst_file = tmp_path / "inst.json"
-    inst = generate_instance(spec_from_json(entry["spec"]), entry["seed"], kind="rc")
-    inst_file.write_text(dumps(instance_to_json(inst)))
+    return entry
+
+
+def _unpinned_env() -> dict:
+    """This process's environment without BLAS thread variables, importing
+    the library from ``src``."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_weak_stability_reports_the_same_bytes_whatever_the_blas_threads(tmp_path):
+    # the n = 72 wide catalogue entry whose report moved with the thread count
+    entry = _wide_entry()
+    inst_file = tmp_path / "inst.json"
+    inst = generate_instance(spec_from_json(entry["spec"]), entry["seed"], kind="rc")
+    inst_file.write_text(dumps(instance_to_json(inst)))
+    env = _unpinned_env()
     outputs = []
     for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
         out = tmp_path / f"run{len(outputs)}"
@@ -559,13 +581,10 @@ def test_gen_writes_the_same_bytes_whatever_the_blas_threads(tmp_path):
         pytest.skip("numpy's BLAS exports no known OpenBLAS thread-count symbol")
     if os.cpu_count() == 1:
         pytest.skip("one CPU: OpenBLAS starts one thread with the variable unset too")
-    ref = json.loads(REFERENCE.read_text())["wide-weak-rc"]
-    (entry,) = [e for e in ref["entries"] if e["seed"] == 1576694851]
+    entry = _wide_entry()
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(dumps(entry["spec"]))
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env = _unpinned_env()
     outputs = []
     for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
         out = tmp_path / f"inst{len(outputs)}.json"
@@ -575,6 +594,31 @@ def test_gen_writes_the_same_bytes_whatever_the_blas_threads(tmp_path):
                            env={**env, **threads}, capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("mode", ["rc", "focs", "fo"])
+def test_canonize_writes_the_same_bytes_whatever_the_blas_threads(tmp_path, mode):
+    # the n = 72 wide catalogue entry, whose basis and trace moved with the
+    # thread count while only gen and stability ran on one thread
+    if not harness._openblas_threads():
+        pytest.skip("numpy's BLAS exports no known OpenBLAS thread-count symbol")
+    if os.cpu_count() == 1:
+        pytest.skip("one CPU: OpenBLAS starts one thread with the variable unset too")
+    entry = _wide_entry()
+    inst_file = tmp_path / "inst.json"
+    inst = generate_instance(spec_from_json(entry["spec"]), entry["seed"], kind="rc")
+    inst_file.write_text(dumps(instance_to_json(inst)))
+    env = _unpinned_env()
+    outputs = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"basis{len(outputs)}.json"
+        r = subprocess.run([sys.executable, "-m", "indefcanon.cli", "canonize",
+                            "--in", str(inst_file), "--mode", mode, "--emit-trace",
+                            "--out", str(out)],
+                           env={**env, **threads}, capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        outputs.append((out.read_bytes(), out.with_suffix(".trace.json").read_bytes()))
     assert outputs[0] == outputs[1]
 
 
@@ -823,10 +867,12 @@ DELTA_ENTRIES = DELTA_GRID + ["0", "-1e-3", "0.1", "nan", "inf", "", " ", "abc",
 def _deltas_rule(entries: list[str]) -> str | None:
     """The message of the first delta rule ``entries`` break, in the order
     the CLI and the library check them, or None."""
-    try:
-        ds = [float(x) for x in entries if x.strip()]
-    except ValueError:
-        return "could not convert string to float"
+    ds = []
+    for x in filter(str.strip, entries):
+        try:
+            ds.append(float(x))
+        except ValueError:
+            return f"Invalid value for '--deltas': {x.strip()!r} is not a number"
     if not ds:
         return "experiment rejected: need at least one delta"
     if not all(0.0 < d < float("inf") for d in ds):
@@ -1252,3 +1298,73 @@ def test_malformed_files_keep_the_exit_code_contract(mutated):
             assert r.exit_code in (0, 1, 2, 3, 4), (args[0], r.exit_code)
             if r.exit_code == 1:
                 assert args[0] in ("verify", "stability"), (args[0], r.output)
+
+
+# ---------------------------------------------------------------------------
+# argument guards of the public functions and the file writer
+
+
+def _small_instance():
+    return instance_from_json(json.loads(_small_instance_text()))
+
+
+def _anchor_on_an_fo_reference(tmp_path, monkeypatch):
+    inst = _small_instance()
+    harness.anchored_canonize(inst.a0, inst.h0, inst.spec, replace(inst.t0, role="fo"))
+
+
+def _stability_on_an_fo_reference(tmp_path, monkeypatch):
+    obj = json.loads(_small_instance_text())
+    obj["T0"]["role"] = "fo"
+    (tmp_path / "inst.json").write_text(dumps(obj))
+    main(["stability", "--in", str(tmp_path / "inst.json"), "--trials", "1",
+          "--out-csv", str(tmp_path / "x.csv")], standalone_mode=False)
+
+
+def _failed_rename(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    cli._atomic_write(str(tmp_path / "x.json"), "{}\n")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda *_: generate_instance(SPEC, 3, kind="fo"),
+                 ValueError, "unknown kind 'fo'", id="generate_instance_fo"),
+    pytest.param(lambda *_: harness.perturb_instance(_small_instance(), 1e-3, "bogus", 1),
+                 ValueError, "unknown mode 'bogus'", id="perturb_instance_mode"),
+    pytest.param(lambda *_: harness.estimate_lipschitz(_small_instance(), [1e-3], 1,
+                                                       mode="bogus"),
+                 ValueError, "unknown mode 'bogus'", id="estimate_lipschitz_mode"),
+    pytest.param(_anchor_on_an_fo_reference, ValueError, "unsupported reference role 'fo'", id="anchored_canonize_fo"),
+    pytest.param(_stability_on_an_fo_reference,
+                 SystemExit, "T0 has role 'fo'", id="stability_fo_reference"),
+    pytest.param(lambda *_: focs_basis(np.eye(6), np.eye(6), SPEC, 0.0),
+                 ValueError, "gamma must be nonzero", id="focs_basis_gamma_0"),
+    pytest.param(lambda *_: symmetrize_step(SPEC, [], 0.0),
+                 ValueError, "gamma must be nonzero", id="symmetrize_step_gamma_0"),
+    pytest.param(lambda *_: flip_step(np.eye(3)),
+                 ValueError, "must have even size", id="flip_step_odd"),
+    pytest.param(lambda *_: refined_inverse(np.ones((2, 3))),
+                 ValueError, "m must be square", id="refined_inverse_not_square"),
+    pytest.param(lambda *_: h_selfadjoint_residual(np.eye(2), np.eye(3)),
+                 ValueError, "must be square and of equal size",
+                 id="h_selfadjoint_residual_shapes"),
+    pytest.param(lambda *_: conjugate_symmetry_fit(np.eye(5), SPEC),
+                 ValueError, "basis size does not match spec",
+                 id="conjugate_symmetry_fit_size"),
+    pytest.param(lambda *_: BlockSpec("pair", 1j, 1, 1),
+                 ValueError, "pair block carries no sign", id="pair_block_sign"),
+    pytest.param(_failed_rename, SystemExit, "cannot write", id="atomic_write_rename"),
+])
+def test_public_argument_guards_refuse(tmp_path, monkeypatch, capsys, call, error, message):
+    with pytest.raises(error) as info:
+        call(tmp_path, monkeypatch)
+    if error is SystemExit:
+        # a command's refusal: exit 2, its message on stderr, nothing written
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.tmp")) and not list(tmp_path.glob("x.*"))
+    else:
+        assert info.match(message)

@@ -260,6 +260,69 @@ def test_match_kind_mismatch():
         match_eigenvalues(spec, a, cluster_radius=1e-3)
 
 
+def _union_find_clusters(eigs, radius):
+    """Reference single linkage: union-find over every pair's scalar ``abs``,
+    groups in order of their least index."""
+    m = len(eigs)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if abs(eigs[i] - eigs[j]) <= radius:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return [eigs[idx] for idx in groups.values()]
+
+
+@st.composite
+def _spectra(draw):
+    """A spectrum and a radius: dyadic grid points, some exactly one radius
+    apart, chains of them longer than the radius, free points, exact
+    duplicates, a radius that is the distance of two of the points, and a
+    real array as ``eigvals`` returns for real spectra."""
+    unit = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    grid = st.builds(lambda re, im: complex(re * unit, im * unit),
+                     st.integers(-4, 4), st.integers(-2, 2))
+    free = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    points = draw(st.lists(st.one_of(grid, free), min_size=1, max_size=20))
+    points += draw(st.lists(st.sampled_from(points), max_size=4))
+    eigs = np.array(draw(st.permutations(points)))
+    if draw(st.booleans()) and not eigs.imag.any():
+        eigs = eigs.real.copy()
+    pair_distance = st.builds(lambda i, j: abs(eigs[i] - eigs[j]),
+                              *[st.integers(0, len(eigs) - 1)] * 2)
+    radius = draw(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e-3]), pair_distance))
+    return eigs, radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spectra())
+def test_cluster_spectrum_matches_the_union_find(case):
+    eigs, radius = case
+    got = harness._cluster_spectrum(eigs, radius)
+    want = _union_find_clusters(eigs, radius)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+def test_validate_names_the_first_shared_eigenvalue():
+    # 1 + 1j, the first block's, repeats before 3.0 does
+    bad = JordanSpec((BlockSpec("pair", 1 + 1j, 1), BlockSpec("real", 3.0, 1, 1),
+                      BlockSpec("real", 3.0, 2, -1), BlockSpec("pair", 1 - 1j, 2)))
+    with pytest.raises(ValueError, match=r"blocks share the eigenvalue \(1\+1j\); "):
+        harness.validate_experiment_spec(bad)
+
+
 def test_anchored_self_canonize_is_exact(inst):
     basis, trace = anchored_canonize(inst.a0, inst.h0, inst.spec, inst.t0)
     assert mat_norm(basis.matrix - inst.t0.matrix) <= 1e-12
