@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import cmath
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -39,7 +39,8 @@ DRIFT_RADIUS = 1e-6
 #: is degenerate.
 GRAM_RTOL = 1e-10
 
-#: Relative scale for structural zero-pattern assertions on Gram matrices.
+#: Relative scale of the structural gates: the Toeplitz kernel's unit-triangular
+#: input, the final Gram's deviation from sip, realness and selfadjointness.
 STRUCT_RTOL = 1e-8
 
 _TINY = np.finfo(float).tiny
@@ -218,68 +219,52 @@ def fit_chain_to(chain: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _inv_sqrt_coefficients(count: int) -> tuple[Fraction, ...]:
-    """Binomial series coefficients of ``(1 + x)^(-1/2)``: 1, -1/2, 3/8, ..."""
-    coeffs = [Fraction(1)]
-    for k in range(1, count):
-        coeffs.append(coeffs[-1] * Fraction(-(2 * k - 1), 2 * k))
-    return tuple(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _float_inv_sqrt_coefficients(count: int) -> tuple[float, ...]:
-    """:func:`_inv_sqrt_coefficients` rounded to floats."""
-    return tuple(float(c) for c in _inv_sqrt_coefficients(count))
+def _inv_sqrt_coefficients(count: int) -> tuple[float, ...]:
+    """Binomial series coefficients of ``(1 + x)^(-1/2)``: 1, -1/2, 3/8, ...
+    Each is ``(-1)^k C(2k, k) / 4^k``, an int/int division, which Python
+    rounds correctly."""
+    return tuple((-1) ** k * comb(2 * k, k) / 4 ** k for k in range(count))
 
 
 def toeplitz_inv_sqrt(g3: np.ndarray) -> np.ndarray:
     """Unit lower-triangular Toeplitz ``F`` with ``F @ F @ g3 = I``.
 
-    ``g3`` must be unit lower triangular; writing ``g3 = I + E`` with ``E``
-    strictly lower triangular (hence nilpotent), ``F`` is the binomial series
-    of ``(1 + E)^(-1/2)`` truncated by nilpotency, so the defining identity
-    holds as a finite polynomial identity in ``E``.  Exact inputs (object
-    arrays of Fractions) are processed in exact arithmetic.
+    ``g3`` must be a float or complex unit lower triangular matrix; writing
+    ``g3 = I + E`` with ``E`` strictly lower triangular (hence nilpotent),
+    ``F`` is the binomial series of ``(1 + E)^(-1/2)`` truncated by
+    nilpotency, so the defining identity holds as a finite polynomial
+    identity in ``E``.
 
     Raises
     ------
     NotUnitTriangularError
         If the diagonal deviates from 1 or the upper part from 0 beyond
-        :data:`STRUCT_RTOL` (exactly, for exact inputs).
+        :data:`STRUCT_RTOL`.
     """
     g3 = np.atleast_2d(np.asarray(g3))
     p = g3.shape[0]
     if g3.shape != (p, p):
         raise ValueError("g3 must be square")
+    if g3.dtype == object:
+        raise ValueError(f"g3 must be a float or complex array, not dtype {g3.dtype}")
     # the checks read Python scalars, without numpy's per-call cost; abs of
     # a complex entry is then the scalar hypot, which may differ from
     # numpy's vector one in the last bit, far inside the gate's tolerance
     rows = g3.tolist()
     diag = [row[i] for i, row in enumerate(rows)]
     upper = [x for i, row in enumerate(rows) for x in row[i + 1:]]
+    entries = [x for row in rows for x in row]
+    if not all(map(cmath.isfinite, entries)):
+        raise ValueError("g3 contains non-finite entries")
+    limit = STRUCT_RTOL * max(1.0, max(map(abs, entries)))
+    if any(abs(d - 1.0) > limit for d in diag):
+        raise NotUnitTriangularError("diagonal deviates from 1 beyond tolerance")
+    if any(abs(x) > limit for x in upper):
+        raise NotUnitTriangularError("upper part deviates from 0 beyond tolerance")
 
-    if g3.dtype == object:
-        if any(d != 1 for d in diag):
-            raise NotUnitTriangularError("diagonal is not exactly 1")
-        if any(x != 0 for x in upper):
-            raise NotUnitTriangularError("upper part is not exactly 0")
-        ident = np.array([[Fraction(int(i == j)) for j in range(p)]
-                          for i in range(p)], dtype=object)
-        coeffs = _inv_sqrt_coefficients(p)
-    else:
-        entries = [x for row in rows for x in row]
-        if not all(map(cmath.isfinite, entries)):
-            raise ValueError("g3 contains non-finite entries")
-        limit = STRUCT_RTOL * max(1.0, max(map(abs, entries)))
-        if any(abs(d - 1.0) > limit for d in diag):
-            raise NotUnitTriangularError("diagonal deviates from 1 beyond tolerance")
-        if any(abs(x) > limit for x in upper):
-            raise NotUnitTriangularError("upper part deviates from 0 beyond tolerance")
-        ident = np.eye(p, dtype=g3.dtype)
-        coeffs = _float_inv_sqrt_coefficients(p)
-
+    coeffs = _inv_sqrt_coefficients(p)
     # neither f nor the powers of e are changed in place
-    f = ek = ident
+    f = ek = np.eye(p, dtype=g3.dtype)
     if p > 1:
         e = np.tril(g3, -1)
         for k in range(1, p):

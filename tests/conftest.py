@@ -248,6 +248,46 @@ def bisect_largest_root(coeffs, samples: int = 4096) -> float:
     raise AssertionError("no sign change found below the root bound")
 
 
+#: Largest entrywise gap of ``toeplitz_inv_sqrt`` on a Fraction input
+#: rounded to floats from the exact series, relative to the largest exact
+#: entry (or 1): 100x 1.93e-13, the worst of 50 000 examples drawn as the
+#: two tests that use it draw theirs, rounded up.
+TOEPLITZ_RTOL = 2e-11
+
+
+def frac_inv_sqrt_coefficients(count):
+    """The first ``count`` binomial series coefficients of
+    ``(1 + x)^(-1/2)``, exact: 1, -1/2, 3/8, ..., each the one before times
+    ``-(2k - 1) / (2k)``."""
+    coeffs = [Fraction(1)]
+    for k in range(1, count):
+        coeffs.append(coeffs[-1] * Fraction(-(2 * k - 1), 2 * k))
+    return coeffs
+
+
+def frac_toeplitz_inv_sqrt(g3):
+    """Exact ``F`` with ``F F g3 = I`` for a unit lower-triangular ``g3`` of
+    Fractions: the binomial series of ``(1 + E)^(-1/2)``, ``E = g3 - I``,
+    truncated by nilpotency."""
+    n = len(g3)
+    assert all(g3[i][i] == 1 and not any(g3[i][i + 1:]) for i in range(n))
+    e = [[g3[i][j] if j < i else Fraction(0) for j in range(n)] for i in range(n)]
+    f = ek = frac_identity(n)
+    for c in frac_inv_sqrt_coefficients(n)[1:]:
+        ek = frac_matmul(ek, e)
+        f = [[x + c * y for x, y in zip(fr, er)] for fr, er in zip(f, ek)]
+    return f
+
+
+def frac_gap(got, exact):
+    """Largest entrywise gap of the float matrix ``got`` from the Fraction
+    matrix ``exact``, taken exactly, relative to ``max(1, max |exact|)``."""
+    scale = max([Fraction(1)] + [abs(x) for row in exact for x in row])
+    gap = max(abs(Fraction(g) - x) for grow, row in zip(got.tolist(), exact)
+              for g, x in zip(grow, row))
+    return float(gap / scale)
+
+
 # ---------------------------------------------------------------------------
 # exact complex-rational rank (entries are pairs of Fractions)
 

@@ -1321,6 +1321,12 @@ def _stability_on_an_fo_reference(tmp_path, monkeypatch):
           "--out-csv", str(tmp_path / "x.csv")], standalone_mode=False)
 
 
+def _gen_without_blocks(tmp_path, monkeypatch):
+    (tmp_path / "spec.json").write_text(dumps({"blocks": []}))
+    main(["gen", "--spec-file", str(tmp_path / "spec.json"),
+          "--out", str(tmp_path / "x.json")], standalone_mode=False)
+
+
 def _failed_rename(tmp_path, monkeypatch):
     def refuse(src, dst):
         raise OSError("rename refused")
@@ -1356,6 +1362,8 @@ def _failed_rename(tmp_path, monkeypatch):
                  id="conjugate_symmetry_fit_size"),
     pytest.param(lambda *_: BlockSpec("pair", 1j, 1, 1),
                  ValueError, "pair block carries no sign", id="pair_block_sign"),
+    pytest.param(_gen_without_blocks, SystemExit, "spec needs at least one block",
+                 id="gen_spec_without_blocks"),
     pytest.param(_failed_rename, SystemExit, "cannot write", id="atomic_write_rename"),
 ])
 def test_public_argument_guards_refuse(tmp_path, monkeypatch, capsys, call, error, message):

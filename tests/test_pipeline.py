@@ -1,7 +1,7 @@
 """The four-factor FOCS construction and its Toeplitz kernel."""
 
-import functools
-from fractions import Fraction
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from indefcanon import (
     BlockSpec,
+    CanonError,
     GramAnchor,
     JordanSpec,
     NotRealError,
@@ -20,6 +21,7 @@ from indefcanon import (
     anchored_canonize,
     flip_step,
     focs_basis,
+    jordan_chains,
     mat_norm,
     phase_step,
     real_jordan_form,
@@ -29,9 +31,24 @@ from indefcanon import (
     toeplitz_inv_sqrt,
 )
 from indefcanon import pipeline
+from indefcanon.chains import STRUCT_RTOL, _inv_sqrt_coefficients
 from indefcanon.harness import _draw_similarity
+from indefcanon.linalg import exchange, gate_norm
 
-from conftest import Reached, cs_gamma, frac_identity, raise_reached, random_spec
+from conftest import (
+    TOEPLITZ_RTOL,
+    Reached,
+    cs_gamma,
+    frac_gap,
+    frac_identity,
+    frac_inv_sqrt_coefficients,
+    frac_matmul,
+    frac_toeplitz_inv_sqrt,
+    raise_reached,
+    random_spec,
+)
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def rand_unit_lower_toeplitz(rng, p, scale=1.0):
@@ -78,16 +95,11 @@ def test_toeplitz_rejects_bad_input():
         toeplitz_inv_sqrt(np.array([[1.0, 0.5], [1.0, 1.0]]))
 
 
-def _exact(rows):
-    return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
-
-
 @pytest.mark.parametrize("g3, error, message", [
     pytest.param(np.ones((2, 3)), ValueError, "g3 must be square", id="not_square"),
-    pytest.param(_exact([[1, 0], [3, 2]]), NotUnitTriangularError,
-                 "diagonal is not exactly 1", id="exact_diagonal"),
-    pytest.param(_exact([[1, Fraction(1, 3)], [3, 1]]), NotUnitTriangularError,
-                 "upper part is not exactly 0", id="exact_upper"),
+    # Fractions would otherwise run through float arithmetic unnoticed
+    pytest.param(np.array(frac_identity(2), dtype=object), ValueError,
+                 "g3 must be a float or complex array, not dtype object", id="object_array"),
 ])
 def test_toeplitz_rejects_a_malformed_input(g3, error, message):
     with pytest.raises(error, match=message):
@@ -97,53 +109,50 @@ def test_toeplitz_rejects_a_malformed_input(g3, error, message):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.fractions(min_value=-20, max_value=20), min_size=0, max_size=7))
 def test_toeplitz_exact_rational_contract(subdiagonals):
+    # the exact series solves F F G = I, and the kernel on G rounded to
+    # floats lands on it entrywise
     p = len(subdiagonals) + 1
-    g3 = np.array(frac_identity(p), dtype=object)
+    g3 = frac_identity(p)
     for d, v in enumerate(subdiagonals, start=1):
         for i in range(d, p):
-            g3[i, i - d] = v
-    f = toeplitz_inv_sqrt(g3)
-    res = f @ f @ g3
-    ident = np.array(frac_identity(p), dtype=object)
-    assert all(res[i, j] == ident[i, j] for i in range(p) for j in range(p))
+            g3[i][i - d] = v
+    f = frac_toeplitz_inv_sqrt(g3)
+    assert frac_matmul(frac_matmul(f, f), g3) == frac_identity(p)
+    assert frac_gap(toeplitz_inv_sqrt(np.array(g3, dtype=float)), f) <= TOEPLITZ_RTOL
+
+
+def test_inv_sqrt_coefficients_are_the_exact_series_rounded():
+    # every size up to the largest catalogue block, and a long prefix
+    largest = max(b["size"] for workload in json.loads(REFERENCE.read_text()).values()
+                  for entry in workload["entries"] for b in entry["spec"]["blocks"])
+    for count in (*range(1, largest + 1), 400):
+        got = _inv_sqrt_coefficients(count)
+        assert all(type(c) is float for c in got)
+        assert got == tuple(map(float, frac_inv_sqrt_coefficients(count)))
 
 
 def _numpy_checked_toeplitz_inv_sqrt(g3):
     """``toeplitz_inv_sqrt`` as it checked its input with numpy reductions
     and rounded its coefficients on every call; the reference for the
     property below."""
-    from fractions import Fraction
-
-    from indefcanon.chains import STRUCT_RTOL, _inv_sqrt_coefficients
     g3 = np.atleast_2d(np.asarray(g3))
     p = g3.shape[0]
     if g3.shape != (p, p):
         raise ValueError("g3 must be square")
-    exact = g3.dtype == object
-    if exact:
-        if any(g3[i, i] != 1 for i in range(p)):
-            raise NotUnitTriangularError("diagonal is not exactly 1")
-        if any(g3[i, j] != 0 for i in range(p) for j in range(i + 1, p)):
-            raise NotUnitTriangularError("upper part is not exactly 0")
-        ident = np.array([[Fraction(int(i == j)) for j in range(p)]
-                          for i in range(p)], dtype=object)
-    else:
-        if g3.size and not np.all(np.isfinite(g3)):
-            raise ValueError("g3 contains non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(g3))))
-        if np.max(np.abs(np.diag(g3) - 1.0)) > STRUCT_RTOL * scale:
-            raise NotUnitTriangularError("diagonal deviates from 1 beyond tolerance")
-        if p > 1 and np.max(np.abs(np.triu(g3, 1))) > STRUCT_RTOL * scale:
-            raise NotUnitTriangularError("upper part deviates from 0 beyond tolerance")
-        ident = np.eye(p, dtype=g3.dtype)
+    if g3.size and not np.all(np.isfinite(g3)):
+        raise ValueError("g3 contains non-finite entries")
+    scale = max(1.0, float(np.max(np.abs(g3))))
+    if np.max(np.abs(np.diag(g3) - 1.0)) > STRUCT_RTOL * scale:
+        raise NotUnitTriangularError("diagonal deviates from 1 beyond tolerance")
+    if p > 1 and np.max(np.abs(np.triu(g3, 1))) > STRUCT_RTOL * scale:
+        raise NotUnitTriangularError("upper part deviates from 0 beyond tolerance")
     e = np.tril(g3, -1)
-    coeffs = _inv_sqrt_coefficients(p)
-    f = ident.copy()
-    ek = ident.copy()
+    coeffs = frac_inv_sqrt_coefficients(p)
+    f = np.eye(p, dtype=g3.dtype)
+    ek = f.copy()
     for k in range(1, p):
         ek = ek @ e
-        c = coeffs[k] if exact else float(coeffs[k])
-        f = f + c * ek
+        f = f + float(coeffs[k]) * ek
     return f
 
 
@@ -424,22 +433,10 @@ def _spread(value, n):
     return e
 
 
-def test_gram_leak_gate_is_spectral():
-    # Frobenius above stol but spectral below passes; spectral above raises
-    signs = (1, -1, 1, -1)
-    spec = JordanSpec(tuple(BlockSpec("real", 1.0 + k, 1, s) for k, s in enumerate(signs)))
-    stol = 1e-8
-    leak = _spread(0.9 * stol, 4)
-    assert np.linalg.norm(leak) > stol >= mat_norm(leak)
-    pipeline._check_gram_structure(np.diag(signs) + leak, spec, stol)
-    with pytest.raises(StructureMismatchError, match="not block diagonal"):
-        pipeline._check_gram_structure(np.diag(signs) + _spread(1.1 * stol, 4),
-                                       spec, stol)
-
-
 def test_final_sip_gate_is_spectral(ex_a, ex_h, ex_spec, monkeypatch):
-    # the same for the final deviation from the sip form, shifted by
-    # moving the target; tol=1 keeps the certificate gate out of the way
+    # Frobenius above stol but spectral below passes, spectral above
+    # raises: the final deviation from the sip form is shifted by moving
+    # the target; tol=1 keeps the certificate gate out of the way
     _, tr = focs_basis(ex_a, ex_h, ex_spec, 1.0)
     stol = pipeline.STRUCT_RTOL * max(1.0, mat_norm(ex_h) * mat_norm(tr.chain_factor) ** 2)
     for value, passes in ((0.9 * stol, True), (1.1 * stol, False)):
@@ -547,21 +544,6 @@ def test_focs_anchored_reproduces_reference(ex_a, ex_h, ex_spec):
 # each construction gate trips on one corrupted upstream value
 
 
-def _gram_gate(spec, edits):
-    """``_check_gram_structure`` on the sip form of ``spec`` with the
-    entries of ``edits`` added, at stol 1e-8."""
-    def trip():
-        gram = sip_form(spec).astype(complex)
-        for (r, c), v in edits.items():
-            gram[r, c] += v
-        pipeline._check_gram_structure(gram, spec, 1e-8)
-    return trip
-
-
-_REAL = JordanSpec((BlockSpec("real", 2.0, 2, 1), BlockSpec("real", -1.0, 1, -1)))
-_PAIR = JordanSpec((BlockSpec("real", 2.0, 1, 1), BlockSpec("pair", 1j, 2)))
-
-
 def _corrupt(monkeypatch, name, corrupt):
     """Replace ``pipeline.<name>`` by ``corrupt`` of the real function's result."""
     real = getattr(pipeline, name)
@@ -575,29 +557,11 @@ def _negate_second_half(z2):
     return out
 
 
-_GRAM_GATES = {
-    "real_block_sip": (_gram_gate(_REAL, {(0, 0): 2e-8}),
-                       r"real block 0 Gram deviates from signed sip by 2\.000e-08"),
-    "pair_diagonal_sub_block": (_gram_gate(_PAIR, {(2, 2): 3e-8}),
-                                "pair block 1 Gram has nonzero diagonal sub-blocks"),
-    "pair_not_hermitian": (_gram_gate(_PAIR, {(1, 4): 3e-8}),
-                           "pair block 1 Gram is not Hermitian across halves"),
-    # each edit below keeps the cross part Hermitian
-    "pair_above_anti_diagonal": (_gram_gate(_PAIR, {(3, 1): 3e-8j, (1, 3): -3e-8j}),
-                                 "pair block 1 Gram has mass above the anti-diagonal"),
-    "pair_not_hankel": (_gram_gate(_PAIR, {(4, 1): 3e-8, (1, 4): 3e-8}),
-                        "pair block 1 Gram is not Hankel"),
-}
-
-
-@pytest.mark.parametrize("case", [*_GRAM_GATES, "phase_step", "scale_step",
-                                  "certificate", "gamma_drift"])
+@pytest.mark.parametrize("case", ["phase_step", "scale_step", "certificate", "gamma_drift"])
 def test_each_construction_gate_trips(ex_a, ex_h, ex_spec, monkeypatch, case):
     gamma = 1.0
     error = StructureMismatchError
-    if case in _GRAM_GATES:
-        trip, message = _GRAM_GATES[case]
-    elif case in ("phase_step", "scale_step"):
+    if case in ("phase_step", "scale_step"):
         # the phase and scale steps have no gate of their own: an anchor of
         # -1 or 4 reaches flip_step, whose unit-diagonal check refuses it
         corrupt = _negate_second_half if case == "phase_step" else lambda z3: 2.0 * z3
@@ -610,10 +574,122 @@ def test_each_construction_gate_trips(ex_a, ex_h, ex_spec, monkeypatch, case):
         gamma = 1.0j
         _corrupt(monkeypatch, "conjugate_symmetry_fit", lambda fit: (1.5 * fit[0], *fit[1:]))
         message = r"requested \|1j\| = 1, got 1\.5"
-    if case not in _GRAM_GATES:
-        trip = functools.partial(focs_basis, ex_a, ex_h, ex_spec, gamma)
     with pytest.raises(error, match=message):
-        trip()
+        focs_basis(ex_a, ex_h, ex_spec, gamma)
+
+
+# ---------------------------------------------------------------------------
+# the later gates refuse every chain set the intermediate Gram gate refused
+
+
+def _check_gram_structure(gram, spec, stol):
+    """The check ``focs_basis`` ran on the Gram ``Z1^H H Z1`` of its chain
+    factor before the phase step, kept here as the reference of the
+    property below: block diagonal, signed sip on real blocks, zero
+    diagonal sub-blocks and an anti-triangular Hankel cross part on pair
+    blocks.  Raises :class:`StructureMismatchError` where it refused."""
+    leak = gram.copy()
+    for off, b in spec.offsets():
+        w = b.width
+        leak[off:off + w, off:off + w] = 0.0
+    leak_norm = gate_norm(leak, stol)
+    if leak_norm > stol:
+        raise StructureMismatchError(
+            f"Gram is not block diagonal (leak {leak_norm:.3e} > {stol:.3e})")
+    for i, (off, b) in enumerate(spec.offsets()):
+        blk = gram[off:off + b.width, off:off + b.width]
+        if b.kind == "real":
+            target = b.sign * exchange(b.size)
+            dev = gate_norm(blk - target, stol)
+            if dev > stol:
+                raise StructureMismatchError(
+                    f"real block {i} Gram deviates from signed sip by {dev:.3e}")
+            continue
+        p = b.size
+        x, u = blk[:p, :p], blk[p:, p:]
+        y, z = blk[:p, p:], blk[p:, :p]
+        if gate_norm(x, stol) > stol or gate_norm(u, stol) > stol:
+            raise StructureMismatchError(
+                f"pair block {i} Gram has nonzero diagonal sub-blocks")
+        if gate_norm(y - z.conj().T, stol) > stol:
+            raise StructureMismatchError(
+                f"pair block {i} Gram is not Hermitian across halves")
+        zl = z.tolist()
+        for r in range(p):
+            for c in range(p):
+                if r + c < p - 1 and abs(zl[r][c]) > stol:
+                    raise StructureMismatchError(
+                        f"pair block {i} Gram has mass above the anti-diagonal")
+                if r + 1 < p and c >= 1 and abs(zl[r][c] - zl[r + 1][c - 1]) > stol:
+                    raise StructureMismatchError(
+                        f"pair block {i} Gram is not Hankel")
+
+
+def _corrupt_chains(chains, rng, how, level):
+    """``chains`` with a cross-block leak (block j's chain, mixed, added to
+    block i's) or with random noise added to every chain, at ``level``
+    relative to the chain it lands on in the Frobenius norm."""
+    out = [c.copy() for c in chains]
+    if how == "leak":
+        i, j = rng.choice(len(out), size=2, replace=False)
+        add = chains[j] @ rng.standard_normal((chains[j].shape[1], chains[i].shape[1]))
+        if not np.iscomplexobj(out[i]):
+            add = add.real
+        out[i] += level * np.linalg.norm(chains[i]) / np.linalg.norm(add) * add
+    else:
+        for c in out:
+            add = rng.standard_normal(c.shape)
+            if np.iscomplexobj(c):
+                add = add + 1j * rng.standard_normal(c.shape)
+            c += level * np.linalg.norm(c) / np.linalg.norm(add) * add
+    return out
+
+
+def _refusals(spec, seed, corruption_seed, how, level, gamma):
+    """``(reference, code)`` for one corrupted chain set of ``spec``'s pair
+    drawn from ``seed``: the Gram gate's refusal message (None where it
+    passes, or where ``focs_basis`` stopped before the chain factor) and the
+    code of the error ``focs_basis`` raised (None where it returned)."""
+    _, a, h = _draw_similarity(spec, seed)
+    chains = _corrupt_chains(jordan_chains(a, spec), np.random.default_rng(corruption_seed),
+                             how, level)
+    # Z1 is seen even when focs_basis raises after the symmetrize step
+    seen = []
+    symmetrize = pipeline.symmetrize_step
+
+    def spy(*args):
+        seen.append(symmetrize(*args))
+        return seen[-1]
+
+    code = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "symmetrize_step", spy)
+        try:
+            focs_basis(a, h, spec, gamma, chains=chains)
+        except CanonError as exc:
+            code = exc.code
+    if not seen:
+        return None, code
+    ((z1, z1_norm),) = seen
+    stol = STRUCT_RTOL * max(1.0, mat_norm(h) * z1_norm ** 2)
+    try:
+        _check_gram_structure(z1.conj().T @ h @ z1, spec, stol)
+    except StructureMismatchError as exc:
+        return str(exc), code
+    return None, code
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1),
+       corruption_seed=st.integers(0, 2**32 - 1), how=st.sampled_from(["leak", "noise"]),
+       level=st.sampled_from([1e-9, 1e-7, 1e-5, 1e-3]), gamma=st.sampled_from([1.0, 1j]))
+def test_later_gates_refuse_what_the_gram_gate_refused(spec_seed, seed, corruption_seed,
+                                                       how, level, gamma):
+    spec = random_spec(np.random.default_rng(spec_seed))
+    assume(len(spec.blocks) >= 2)
+    reference, code = _refusals(spec, seed, corruption_seed, how, level, gamma)
+    if reference is not None:
+        assert code in ("STRUCTURE_MISMATCH", "NOT_UNIT_TRIANGULAR"), (reference, code)
 
 
 #: Largest gap of a pair block's Gram anchor from its target after the
